@@ -45,8 +45,8 @@ from repro.core.restrictions import Grantee
 from repro.core.vcache import DISABLED_CONFIG, override as vcache_override
 from repro.core.verification import ProxyVerifier, PublicKeyCrypto
 from repro.crypto import schnorr
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import SchnorrSigner
 from repro.encoding.identifiers import PrincipalId
 

@@ -17,10 +17,10 @@ from repro.core.presentation import present
 from repro.core.proxy import grant_conventional, grant_public
 from repro.core.restrictions import Authorized, AuthorizedEntry, Grantee
 from repro.core.verification import ProxyVerifier, SharedKeyCrypto
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto import schnorr
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import SchnorrSigner
 from repro.encoding.identifiers import PrincipalId
 from repro.workloads import delegation_subsets

@@ -21,9 +21,9 @@ from repro.core.verification import (
     SharedKeyCrypto,
 )
 from repro.crypto import schnorr
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import SchnorrSigner
 from repro.encoding.identifiers import PrincipalId
 

@@ -29,9 +29,9 @@ from repro.core.verification import (
     SharedKeyCrypto,
 )
 from repro.crypto import rsa, schnorr
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import RsaSigner, SchnorrSigner
 from repro.encoding.identifiers import PrincipalId
 

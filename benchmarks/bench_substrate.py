@@ -11,9 +11,9 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.core.replay import AcceptOnceRegistry, AuthenticatorCache
 from repro.crypto import mac, rsa, schnorr, symmetric
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.encoding.canonical import decode, encode
 from repro.encoding.identifiers import PrincipalId
 from repro.kerberos.ticket import Ticket, TicketBody

@@ -12,8 +12,8 @@ Run:  python examples/public_key_deployment.py
 from repro.clock import SimulatedClock
 from repro.core.proxy import grant_hybrid, grant_public
 from repro.core.restrictions import Authorized, AuthorizedEntry, IssuedFor
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError
 from repro.net import Network

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.crypto import schnorr as _schnorr
-from repro.crypto.dh import DhGroup, TEST_GROUP
 from repro.crypto.rng import DEFAULT_RNG, Rng
+from repro.crypto.schnorr_groups import TEST_GROUP, SchnorrGroup
 from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import AuthorizationDenied, SignatureError
@@ -115,7 +115,7 @@ class DssaPrincipal:
     def __init__(
         self,
         principal: PrincipalId,
-        group: DhGroup = TEST_GROUP,
+        group: SchnorrGroup = TEST_GROUP,
         rng: Optional[Rng] = None,
     ) -> None:
         self.principal = principal

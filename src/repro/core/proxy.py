@@ -43,9 +43,9 @@ from repro.core.restrictions import Grantee, Restriction, is_bearer
 from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
 from repro.crypto import symmetric as _symmetric
-from repro.crypto.dh import DEFAULT_GROUP, DhGroup
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
+from repro.crypto.schnorr_groups import DEFAULT_GROUP, SchnorrGroup
 from repro.crypto.signature import HmacSigner, SchnorrSigner, Signer
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import DelegationError, ProxyError
@@ -175,7 +175,7 @@ def grant_public(
     issued_at: float,
     expires_at: float,
     rng: Optional[Rng] = None,
-    group: DhGroup = DEFAULT_GROUP,
+    group: SchnorrGroup = DEFAULT_GROUP,
 ) -> Proxy:
     """Grant a pure public-key proxy (Fig. 6).
 
@@ -288,8 +288,9 @@ def cascade(
             fingerprint=new_key.fingerprint(),
         )
     else:
-        group = DhGroup(p=proxy.proxy_key.group_p)
-        new_key = _schnorr.generate_keypair(group=group, rng=rng)
+        new_key = _schnorr.generate_keypair(
+            group=proxy.proxy_key.public.group, rng=rng
+        )
         binding = PublicKeyBinding(
             scheme="schnorr", key_wire=new_key.public.to_wire()
         )
@@ -320,7 +321,7 @@ def delegate_cascade(
     issued_at: float,
     expires_at: float,
     rng: Optional[Rng] = None,
-    group: DhGroup = DEFAULT_GROUP,
+    group: SchnorrGroup = DEFAULT_GROUP,
 ) -> Proxy:
     """Delegate cascade: a named intermediate passes a delegate proxy on.
 

@@ -329,9 +329,15 @@ class ProxyVerifier:
         binding = cert.key_binding
         if isinstance(binding, PublicKeyBinding):
             if binding.scheme == "schnorr":
-                return SchnorrVerifier(
-                    public=_schnorr.SchnorrPublicKey.from_wire(binding.key_wire)
-                )
+                try:
+                    public = _schnorr.SchnorrPublicKey.from_wire(
+                        binding.key_wire
+                    )
+                except CryptoError as exc:
+                    raise ProxyVerificationError(
+                        f"link {index} carries an unusable schnorr key: {exc}"
+                    ) from exc
+                return SchnorrVerifier(public=public)
             if binding.scheme == "rsa":
                 return RsaVerifier(
                     public=_rsa.RsaPublicKey.from_wire(binding.key_wire)
@@ -488,7 +494,9 @@ class ProxyVerifier:
         fixed-base precomputation on first sight here: they recur across
         presentations, unlike one-shot embedded proxy keys.  Rotation is
         safe because a rotated key is a different ``(p, y)`` table key
-        *and* a different chain-cache identity token.
+        *and* a different chain-cache identity token.  Registration
+        refuses a directory key that is not in its group's order-``q``
+        subgroup; that refusal is held pending like any other link error.
         """
         previous: Optional[_PossessionMaterial] = None
         prefix_key = _CHAIN_CACHE_DOMAIN
@@ -501,11 +509,13 @@ class ProxyVerifier:
                 identity_verifier = self._resolve_link(
                     index, cert, audit_trail
                 )
+                if isinstance(identity_verifier, SchnorrVerifier):
+                    _schnorr.register_verification_key(
+                        identity_verifier.public
+                    )
             except ReproError as exc:
                 pending = exc
                 break
-            if isinstance(identity_verifier, SchnorrVerifier):
-                _schnorr.register_verification_key(identity_verifier.public)
             if cache is not None:
                 token = (
                     identity_verifier.key_id()

@@ -8,7 +8,7 @@ moduli used in the reproduction.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.crypto.rng import DEFAULT_RNG, Rng
 
@@ -96,3 +96,28 @@ def generate_safe_prime(bits: int, rng: Optional[Rng] = None) -> int:
         p = 2 * q + 1
         if is_probable_prime(p, rng=rng):
             return p
+
+
+def generate_schnorr_group(
+    pbits: int, qbits: int, rng: Optional[Rng] = None
+) -> Tuple[int, int, int]:
+    """Generate DSA-style group parameters ``(p, q, g)``.
+
+    ``q`` is a ``qbits``-bit prime, ``p`` a ``pbits``-bit prime with
+    ``q | p - 1`` (FIPS 186-style search over ``p = k*q + 1``), and ``g``
+    the first ``h ** ((p - 1) / q)`` other than 1, which has order exactly
+    ``q``.  Used once to produce the fixed groups in
+    :mod:`repro.crypto.schnorr_groups`; library code never calls it at run time.
+    """
+    rng = rng or DEFAULT_RNG
+    q = generate_prime(qbits, rng=rng)
+    while True:
+        candidate = rng.int_bits(pbits)
+        p = candidate - candidate % (2 * q) + 1
+        if p.bit_length() == pbits and is_probable_prime(p, rng=rng):
+            break
+    g = h = 1
+    while g == 1:
+        h += 1
+        g = pow(h, (p - 1) // q, p)
+    return p, q, g

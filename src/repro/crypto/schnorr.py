@@ -1,4 +1,4 @@
-"""Schnorr signatures and integrated encryption over a safe-prime group.
+"""Schnorr signatures and integrated encryption in a short-order subgroup.
 
 Public-key proxies (§6.1) need a fresh public/private keypair *per proxy*
 ("the proxy key embedded in the proxy certificate is a public key from a
@@ -8,25 +8,47 @@ single modular exponentiation.  The library therefore offers Schnorr as the
 default public-key scheme for proxy keys, with RSA (:mod:`repro.crypto.rsa`)
 available wherever the grantor's long-term identity key is RSA.
 
-The group is the quadratic-residue subgroup of a safe prime ``p = 2q + 1``
-with generator ``g = 4`` (a square, hence a generator of the order-``q``
-subgroup).  Signatures are the standard Fiat–Shamir Schnorr scheme; the
-"integrated encryption" functions implement a DH/ElGamal KEM with the
-library's authenticated symmetric cipher, used to seal conventional proxy
-keys to an end-server (§6.1 hybrid scheme).
+**The group.**  A group is the triple ``(p, q, g)``: ``q`` is a 256-bit
+prime dividing ``p - 1`` and ``g`` has order exactly ``q`` modulo ``p``
+(the DSA construction).  Every private key, nonce, challenge and response
+lives modulo ``q``, so every exponent is 256 bits however wide ``p`` is —
+the discrete-log problem is still posed in the ``p``-bit field, but a
+generator exponentiation costs an eighth of what it does in the
+order-``(p-1)/2`` subgroup of a safe prime, and a signature is ``2 * 32``
+bytes instead of ``2 * plen``.  Groups are never derived from a modulus:
+they come from the fixed table in :mod:`repro.crypto.schnorr_groups`, keyed
+by ``p``.  A key's wire form carries only ``p`` and ``y``; a ``p`` that is
+not in the table is rejected (:class:`CryptoError`, or
+:class:`SignatureError` from the verification entry points), so a peer
+cannot choose the modulus it is verified under.
+
+**Membership checks.**  ``p - 1`` has a large cofactor ``(p - 1) / q``, so
+unlike a safe-prime group there are small-subgroup elements to keep out:
+
+* every public key is range-checked ``1 < y < p - 1`` when it is decoded
+  (:meth:`SchnorrPublicKey.from_wire`) and again on use by :func:`verify`,
+  :func:`verify_batch`, :func:`encrypt_to` and
+  :func:`register_verification_key`;
+* :func:`register_verification_key` checks ``y ** q == 1`` once per key
+  before building its table;
+* :func:`decrypt` checks ``ephemeral ** q == 1`` *before* the long-term
+  private exponent touches the ephemeral value, so a chosen ciphertext
+  cannot leak ``x`` modulo a small factor of the cofactor.
+
+Signatures are the standard Fiat–Shamir Schnorr scheme; the "integrated
+encryption" functions implement a DH/ElGamal KEM with the library's
+authenticated symmetric cipher, used to seal conventional proxy keys to an
+end-server (§6.1 hybrid scheme).
 
 Modular exponentiation dominates the uncached verification cost, so this
-module carries a fast path with three cooperating pieces:
+module carries a fast path with two cooperating pieces:
 
-* **Group-parameter memoization** — ``q``, ``qlen``, ``plen`` and the
-  generator are derived once per distinct prime and reused by every
-  sign/verify/KEM call (they were previously recomputed per call).
 * **Fixed-base windowed tables** (:class:`FixedBaseTable`) — for a base
   that recurs (the generator ``g`` of each group, and verification keys
   registered with :func:`register_verification_key`), exponentiation
   becomes one table lookup and one modular multiply per ``window`` bits
-  of exponent, with no squarings: 4–6x faster than ``pow()`` in
-  measurements on the 512-bit test group and the 2048-bit default group.
+  of exponent, with no squarings: about 6x faster than ``pow()`` on a
+  256-bit exponent in both named groups.
   Tables self-check against ``pow()`` at build time, and the verification
   fast paths below re-check any *negative* result natively, so a
   corrupted table can slow verification down but never change a verdict.
@@ -51,53 +73,50 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import symmetric
-from repro.crypto.dh import DEFAULT_GROUP, TEST_GROUP, DhGroup
 from repro.crypto.rng import DEFAULT_RNG, Rng
+from repro.crypto.schnorr_groups import (
+    DEFAULT_GROUP,
+    GROUPS,
+    TEST_GROUP,
+    SchnorrGroup,
+)
 from repro.errors import CryptoError, SignatureError
 
 _HASH = hashlib.sha256
 
 
 # ---------------------------------------------------------------------------
-# Group-parameter memoization
+# Named-group parameters
 # ---------------------------------------------------------------------------
 
-class _GroupParams:
-    """Derived constants of one safe-prime group, computed once per prime."""
-
-    __slots__ = ("p", "q", "g", "plen", "qlen")
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        self.q = (p - 1) // 2
-        # 4 = 2**2 is always a quadratic residue, so it generates the
-        # order-q subgroup of a safe-prime group.
-        self.g = 4
-        self.plen = (p.bit_length() + 7) // 8
-        self.qlen = (self.q.bit_length() + 7) // 8
-
-
-_PARAMS: Dict[int, _GroupParams] = {}
-
-
-def _params(p: int) -> _GroupParams:
-    params = _PARAMS.get(p)
+def _params(p: int, error: type = CryptoError) -> SchnorrGroup:
+    """Look a group up by modulus; a modulus outside the table is refused."""
+    params = GROUPS.get(p)
     if params is None:
-        params = _PARAMS[p] = _GroupParams(p)
+        raise error("unknown schnorr group")
     return params
 
 
-def _subgroup_order(group: DhGroup) -> int:
-    return _params(group.p).q
-
-
-def _generator(group: DhGroup) -> int:
-    return _params(group.p).g
+def _key_params(
+    key: "SchnorrPublicKey", error: type = CryptoError
+) -> SchnorrGroup:
+    """The group of a public key, once the key is known to fit in it."""
+    params = _params(key.group_p, error)
+    if not 1 < key.y < params.p - 1:
+        raise error("schnorr public key out of range")
+    return params
 
 
 # ---------------------------------------------------------------------------
 # Fixed-base windowed precomputation
 # ---------------------------------------------------------------------------
+
+#: Window width in bits.  Wider windows trade precompute time and memory
+#: for fewer multiplies per exponentiation; every exponent is 256 bits, so
+#: 6 gives 43 rows of 64 entries in either group — 43 multiplies per power,
+#: and a 2048-bit table of ~0.8 MB that builds in ~45 ms.
+_WINDOW = 6
+
 
 class FixedBaseTable:
     """Windowed precomputation table for exponentiations of one base.
@@ -115,10 +134,8 @@ class FixedBaseTable:
     __slots__ = ("base", "p", "window", "_mask", "_rows")
 
     def __init__(
-        self, base: int, p: int, exponent_bits: int, window: int = 0
+        self, base: int, p: int, exponent_bits: int, window: int = _WINDOW
     ) -> None:
-        if window <= 0:
-            window = _default_window(p.bit_length())
         self.base = base
         self.p = p
         self.window = window
@@ -163,13 +180,6 @@ class FixedBaseTable:
         return acc
 
 
-def _default_window(modulus_bits: int) -> int:
-    # Wider windows trade precompute time and memory for fewer multiplies
-    # per exponentiation; 2048-bit tables are expensive enough to build
-    # that a narrower window amortizes faster.
-    return 4 if modulus_bits >= 1536 else 6
-
-
 #: Master switch for the table fast path.  Benchmarks flip it to measure
 #: the plain square-and-multiply baseline; verdicts never depend on it.
 _precompute_enabled = True
@@ -193,7 +203,7 @@ _KEY_TABLES: "OrderedDict[Tuple[int, int], FixedBaseTable]" = OrderedDict()
 _MAX_KEY_TABLES = 128
 
 
-def _generator_table(params: _GroupParams) -> FixedBaseTable:
+def _generator_table(params: SchnorrGroup) -> FixedBaseTable:
     table = _GENERATOR_TABLES.get(params.p)
     if table is None:
         table = _GENERATOR_TABLES[params.p] = FixedBaseTable(
@@ -210,14 +220,20 @@ def register_verification_key(key: "SchnorrPublicKey") -> bool:
     Tables are keyed by ``(p, y)``, so a rotated key is a *different* key:
     the old table simply ages out of the LRU and can never answer for the
     new key.  Returns True when a table was newly built.
+
+    Raises:
+        CryptoError: when the key is not an element of its group's
+            order-``q`` subgroup (checked once, before the table is built).
     """
     table_key = (key.group_p, key.y)
     if table_key in _KEY_TABLES:
         _KEY_TABLES.move_to_end(table_key)
         return False
-    params = _params(key.group_p)
+    params = _key_params(key)
+    if pow(key.y, params.q, params.p) != 1:
+        raise CryptoError("schnorr public key outside the order-q subgroup")
     _KEY_TABLES[table_key] = FixedBaseTable(
-        key.y % params.p, params.p, params.q.bit_length()
+        key.y, params.p, params.q.bit_length()
     )
     while len(_KEY_TABLES) > _MAX_KEY_TABLES:
         _KEY_TABLES.popitem(last=False)
@@ -234,14 +250,14 @@ def clear_key_tables() -> None:
     _KEY_TABLES.clear()
 
 
-def _gen_pow(params: _GroupParams, exponent: int) -> int:
+def _gen_pow(params: SchnorrGroup, exponent: int) -> int:
     """``g ** exponent mod p`` through the group table when enabled."""
     if _precompute_enabled:
         return _generator_table(params).pow(exponent)
     return pow(params.g, exponent, params.p)
 
 
-def _key_pow(params: _GroupParams, key: "SchnorrPublicKey", exponent: int) -> int:
+def _key_pow(params: SchnorrGroup, key: "SchnorrPublicKey", exponent: int) -> int:
     """``y ** exponent mod p``, table-accelerated for registered keys."""
     if _precompute_enabled:
         table = _KEY_TABLES.get((key.group_p, key.y))
@@ -263,15 +279,17 @@ class SchnorrPublicKey:
     y: int
 
     @property
-    def group(self) -> DhGroup:
-        return DhGroup(p=self.group_p)
+    def group(self) -> SchnorrGroup:
+        return _params(self.group_p)
 
     def to_wire(self) -> dict:
         return {"p": self.group_p, "y": self.y}
 
     @classmethod
     def from_wire(cls, wire: dict) -> "SchnorrPublicKey":
-        return cls(group_p=int(wire["p"]), y=int(wire["y"]))
+        key = cls(group_p=int(wire["p"]), y=int(wire["y"]))
+        _key_params(key)
+        return key
 
     def fingerprint(self) -> bytes:
         material = b"%d:%d" % (self.group_p, self.y)
@@ -292,7 +310,7 @@ class SchnorrPrivateKey:
 
 
 def generate_keypair(
-    group: DhGroup = DEFAULT_GROUP, rng: Optional[Rng] = None
+    group: SchnorrGroup = DEFAULT_GROUP, rng: Optional[Rng] = None
 ) -> SchnorrPrivateKey:
     """Generate a Schnorr keypair (one modexp; cheap enough per proxy)."""
     rng = rng or DEFAULT_RNG
@@ -302,7 +320,7 @@ def generate_keypair(
     return SchnorrPrivateKey(group_p=group.p, x=x, y=y)
 
 
-def _challenge(params: _GroupParams, r: int, y: int, message: bytes) -> int:
+def _challenge(params: SchnorrGroup, r: int, y: int, message: bytes) -> int:
     plen = params.plen
     digest = _HASH(
         b"schnorr:" + r.to_bytes(plen, "big") + y.to_bytes(plen, "big") + message
@@ -326,7 +344,7 @@ def sign(
 
 
 def _parse_signature(
-    params: _GroupParams, signature: bytes
+    params: SchnorrGroup, signature: bytes
 ) -> Tuple[int, int]:
     """Split and range-check an (e, s) signature; raise SignatureError."""
     qlen = params.qlen
@@ -340,7 +358,7 @@ def _parse_signature(
 
 
 def _commitment(
-    params: _GroupParams, key: SchnorrPublicKey, e: int, s: int
+    params: SchnorrGroup, key: SchnorrPublicKey, e: int, s: int
 ) -> int:
     """Recover the signer's commitment r' = g**s * y**(-e) mod p."""
     u = _gen_pow(params, s)
@@ -349,7 +367,7 @@ def _commitment(
 
 
 def _native_recheck(
-    params: _GroupParams, key: SchnorrPublicKey, message: bytes, e: int, s: int
+    params: SchnorrGroup, key: SchnorrPublicKey, message: bytes, e: int, s: int
 ) -> bool:
     """Re-verify one signature with plain pow() (no tables).
 
@@ -370,7 +388,7 @@ def verify(key: SchnorrPublicKey, message: bytes, signature: bytes) -> None:
     Raises:
         SignatureError: when the signature does not verify.
     """
-    params = _params(key.group_p)
+    params = _key_params(key, SignatureError)
     e, s = _parse_signature(params, signature)
     r_prime = _commitment(params, key, e, s)
     if _challenge(params, r_prime, key.y, message) != e:
@@ -398,7 +416,7 @@ _BATCH_RNG = Rng(seed=b"schnorr-batch-weights")
 
 
 def _aggregate_ok(
-    params: _GroupParams, pairs: Sequence[List[int]], rng: Rng
+    params: SchnorrGroup, pairs: Sequence[List[int]], rng: Rng
 ) -> bool:
     """One multi-scalar check that every pair's u equals g**s.
 
@@ -417,7 +435,7 @@ def _aggregate_ok(
 
 
 def _repair_pairs(
-    params: _GroupParams, pairs: List[List[int]], rng: Rng
+    params: SchnorrGroup, pairs: List[List[int]], rng: Rng
 ) -> int:
     """Bisect a failing aggregate down to the wrong entries and fix them.
 
@@ -457,8 +475,8 @@ def verify_batch(
     errors: List[Optional[SignatureError]] = [None] * len(items)
     by_group: Dict[int, list] = {}
     for index, (key, message, signature) in enumerate(items):
-        params = _params(key.group_p)
         try:
+            params = _key_params(key, SignatureError)
             e, s = _parse_signature(params, signature)
         except SignatureError as exc:
             errors[index] = exc
@@ -467,7 +485,7 @@ def verify_batch(
 
     probes = 0
     for p, group in by_group.items():
-        params = _params(p)
+        params = GROUPS[p]
         pairs = [[s, _gen_pow(params, s)] for (_, _, _, _, s) in group]
         if _precompute_enabled and len(pairs) >= 2:
             if not _aggregate_ok(params, pairs, rng):
@@ -500,7 +518,7 @@ def encrypt_to(
         ephemeral_public (plen bytes) || sealed box
     """
     rng = rng or DEFAULT_RNG
-    params = _params(key.group_p)
+    params = _key_params(key)
     k = rng.int_below(params.q - 1) + 1
     ephemeral = _gen_pow(params, k)
     shared = pow(key.y, k, params.p)
@@ -516,7 +534,8 @@ def decrypt(key: SchnorrPrivateKey, ciphertext: bytes) -> bytes:
     """Decrypt a box produced by :func:`encrypt_to`.
 
     Raises:
-        CryptoError: on truncation or an out-of-range ephemeral value.
+        CryptoError: on truncation, or an ephemeral value out of range
+            or outside the order-``q`` subgroup.
         IntegrityError: when the authenticated box fails to open.
     """
     params = _params(key.group_p)
@@ -526,6 +545,10 @@ def decrypt(key: SchnorrPrivateKey, ciphertext: bytes) -> bytes:
     ephemeral = int.from_bytes(ciphertext[:plen], "big")
     if not 2 <= ephemeral <= params.p - 2:
         raise CryptoError("IES ephemeral value out of range")
+    # Checked before x touches it: an element of small order would leak
+    # x modulo that order through whether the box opens.
+    if pow(ephemeral, params.q, params.p) != 1:
+        raise CryptoError("IES ephemeral value outside the order-q subgroup")
     shared = pow(ephemeral, key.x, params.p)
     sym = _HASH(b"ies-kdf:" + shared.to_bytes(plen, "big")).digest()[
         : symmetric.KEY_LEN
@@ -536,6 +559,7 @@ def decrypt(key: SchnorrPrivateKey, ciphertext: bytes) -> bytes:
 
 
 __all__ = [
+    "SchnorrGroup",
     "SchnorrPublicKey",
     "SchnorrPrivateKey",
     "FixedBaseTable",

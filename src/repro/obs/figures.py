@@ -231,8 +231,8 @@ def run_fig6(telemetry: Optional[Telemetry] = None) -> Telemetry:
     from repro.clock import SimulatedClock
     from repro.core.proxy import grant_public
     from repro.core.restrictions import Authorized, AuthorizedEntry, IssuedFor
-    from repro.crypto.dh import TEST_GROUP
     from repro.crypto.rng import Rng
+    from repro.crypto.schnorr_groups import TEST_GROUP
     from repro.encoding.identifiers import PrincipalId
     from repro.net import Network
     from repro.services.pk_endserver import (

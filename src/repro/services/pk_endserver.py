@@ -43,8 +43,8 @@ from repro.core.verification import (
     VerifiedProxy,
 )
 from repro.crypto import schnorr
-from repro.crypto.dh import DEFAULT_GROUP, DhGroup
 from repro.crypto.rng import DEFAULT_RNG, Rng
+from repro.crypto.schnorr_groups import DEFAULT_GROUP, SchnorrGroup
 from repro.crypto.signature import SchnorrSigner, SchnorrVerifier, Verifier
 from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
@@ -176,7 +176,7 @@ class PkEndServer(Service):
         clock: Clock,
         directory: PublicKeyDirectory,
         acl: Optional[AccessControlList] = None,
-        group: DhGroup = DEFAULT_GROUP,
+        group: SchnorrGroup = DEFAULT_GROUP,
         max_skew: float = 60.0,
         rng: Optional[Rng] = None,
         telemetry=None,
@@ -411,7 +411,7 @@ class PkClient:
         network: Network,
         clock: Clock,
         directory: PublicKeyDirectory,
-        group: DhGroup = DEFAULT_GROUP,
+        group: SchnorrGroup = DEFAULT_GROUP,
         rng: Optional[Rng] = None,
     ) -> None:
         self.principal = principal

@@ -322,7 +322,7 @@ class PkVerifyScenario(LoadScenario):
     name = "pk-verify"
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
-        from repro.crypto.dh import TEST_GROUP
+        from repro.crypto.schnorr_groups import TEST_GROUP
         from repro.services.pk_endserver import (
             PkClient,
             PkEndServer,

@@ -12,9 +12,9 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.crypto import rsa as rsa_mod
 from repro.crypto import schnorr as schnorr_mod
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.encoding.identifiers import PrincipalId
 from repro.testbed import Realm
 

@@ -25,8 +25,8 @@ from repro.core.restrictions import Grantee
 from repro.core.vcache import DEFAULT_CONFIG, DISABLED_CONFIG, override
 from repro.core.verification import ProxyVerifier, PublicKeyCrypto
 from repro.crypto import schnorr
-from repro.crypto.dh import DEFAULT_GROUP, TEST_GROUP
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import DEFAULT_GROUP, TEST_GROUP
 from repro.crypto.signature import SchnorrSigner, verify_batch
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError, SignatureError

@@ -316,7 +316,7 @@ def _pk_deployment():
         AuthorizedEntry,
         IssuedFor,
     )
-    from repro.crypto.dh import TEST_GROUP
+    from repro.crypto.schnorr_groups import TEST_GROUP
     from repro.services.pk_endserver import (
         PkClient,
         PkEndServer,

@@ -24,8 +24,8 @@ from repro.core.proxy import (
 )
 from repro.core.restrictions import Grantee, Quota
 from repro.crypto import schnorr
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.keys import SymmetricKey
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import HmacSigner, SchnorrSigner
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import DecodingError, DelegationError, ProxyError

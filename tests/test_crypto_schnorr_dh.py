@@ -3,8 +3,15 @@
 import pytest
 
 from repro.crypto import dh, schnorr
-from repro.crypto.dh import TEST_GROUP
+from repro.crypto.primes import generate_schnorr_group, is_probable_prime
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import (
+    DEFAULT_GROUP,
+    DEFAULT_GROUP_SEED,
+    GROUPS,
+    TEST_GROUP,
+    TEST_GROUP_SEED,
+)
 from repro.errors import CryptoError, IntegrityError, SignatureError
 
 
@@ -82,30 +89,203 @@ class TestSchnorrIes:
         assert secret not in schnorr.encrypt_to(key.public, secret)
 
 
+BOTH_GROUPS = pytest.mark.parametrize(
+    "group", [TEST_GROUP, DEFAULT_GROUP], ids=["test-512", "default-2048"]
+)
+
+
+def _non_member(group):
+    """A range-valid element outside the order-q subgroup."""
+    h = 2
+    while pow(h, group.q, group.p) == 1:
+        h += 1
+    return h
+
+
+class TestGroupProvenance:
+    @pytest.mark.parametrize(
+        "group, seed, pbits",
+        [
+            (TEST_GROUP, TEST_GROUP_SEED, 512),
+            (DEFAULT_GROUP, DEFAULT_GROUP_SEED, 2048),
+        ],
+        ids=["test-512", "default-2048"],
+    )
+    def test_seeded_generator_reproduces_literals(self, group, seed, pbits):
+        p, q, g = generate_schnorr_group(pbits, 256, Rng(seed=seed))
+        assert (p, q, g) == (group.p, group.q, group.g)
+
+    @BOTH_GROUPS
+    def test_group_is_valid(self, group):
+        assert is_probable_prime(group.p)
+        assert is_probable_prime(group.q)
+        assert group.q.bit_length() == 256
+        assert (group.p - 1) % group.q == 0
+        assert 1 < group.g < group.p
+        assert pow(group.g, group.q, group.p) == 1
+
+    def test_table_is_keyed_by_modulus(self):
+        assert GROUPS == {
+            TEST_GROUP.p: TEST_GROUP, DEFAULT_GROUP.p: DEFAULT_GROUP,
+        }
+        assert TEST_GROUP.p.bit_length() == 512
+        assert DEFAULT_GROUP.p.bit_length() == 2048
+
+
+class TestBothGroups:
+    @BOTH_GROUPS
+    def test_sign_verify_and_signature_length(self, group, rng):
+        key = schnorr.generate_keypair(group, rng=rng)
+        assert 0 < key.x < group.q
+        assert pow(key.y, group.q, group.p) == 1
+        sig = schnorr.sign(key, b"message", rng=rng)
+        assert len(sig) == 2 * 32
+        schnorr.verify(key.public, b"message", sig)
+        with pytest.raises(SignatureError):
+            schnorr.verify(key.public, b"other", sig)
+
+    @BOTH_GROUPS
+    def test_verify_batch(self, group, rng):
+        keys = [schnorr.generate_keypair(group, rng=rng) for _ in range(2)]
+        items = [
+            (key.public, message, schnorr.sign(key, message, rng=rng))
+            for key, message in zip(keys * 2, (b"a", b"b", b"c", b"d"))
+        ]
+        items[2] = (items[2][0], b"forged", items[2][2])
+        errors, _ = schnorr.verify_batch(items, rng=Rng(seed=b"w"))
+        assert [e is None for e in errors] == [True, True, False, True]
+        assert str(errors[2]) == "schnorr signature verification failed"
+
+    @BOTH_GROUPS
+    def test_ies_round_trip(self, group, rng):
+        key = schnorr.generate_keypair(group, rng=rng)
+        box = schnorr.encrypt_to(key.public, b"proxy key bytes", rng=rng)
+        assert schnorr.decrypt(key, box) == b"proxy key bytes"
+
+    @BOTH_GROUPS
+    def test_key_knows_its_group(self, group, rng):
+        key = schnorr.generate_keypair(group, rng=rng)
+        assert key.public.group is group
+        assert key.public.to_wire() == {"p": group.p, "y": key.y}
+
+
+class TestMembershipChecks:
+    @BOTH_GROUPS
+    def test_ies_ephemeral_outside_subgroup_rejected(self, group, rng):
+        key = schnorr.generate_keypair(group, rng=rng)
+        box = schnorr.encrypt_to(key.public, b"secret", rng=rng)
+        plen = (group.p.bit_length() + 7) // 8
+        forged = _non_member(group).to_bytes(plen, "big") + box[plen:]
+        with pytest.raises(CryptoError, match="outside the order-q subgroup"):
+            schnorr.decrypt(key, forged)
+
+    def test_ies_ephemeral_out_of_range_rejected(self, key, rng):
+        box = schnorr.encrypt_to(key.public, b"secret", rng=rng)
+        plen = (TEST_GROUP.p.bit_length() + 7) // 8
+        for bad in (0, 1, TEST_GROUP.p - 1):
+            with pytest.raises(CryptoError, match="out of range"):
+                schnorr.decrypt(key, bad.to_bytes(plen, "big") + box[plen:])
+
+    @BOTH_GROUPS
+    def test_register_rejects_key_outside_subgroup(self, group):
+        bad = schnorr.SchnorrPublicKey(group_p=group.p, y=_non_member(group))
+        before = schnorr.registered_key_count()
+        with pytest.raises(CryptoError, match="outside the order-q subgroup"):
+            schnorr.register_verification_key(bad)
+        assert schnorr.registered_key_count() == before
+
+    @pytest.mark.parametrize("y", [0, 1, TEST_GROUP.p - 1, TEST_GROUP.p + 4])
+    def test_out_of_range_public_key_rejected(self, key, rng, y):
+        bad = schnorr.SchnorrPublicKey(group_p=TEST_GROUP.p, y=y)
+        sig = schnorr.sign(key, b"m", rng=rng)
+        with pytest.raises(CryptoError, match="out of range"):
+            schnorr.SchnorrPublicKey.from_wire({"p": TEST_GROUP.p, "y": y})
+        with pytest.raises(SignatureError, match="out of range"):
+            schnorr.verify(bad, b"m", sig)
+        with pytest.raises(CryptoError, match="out of range"):
+            schnorr.encrypt_to(bad, b"secret", rng=rng)
+        with pytest.raises(CryptoError, match="out of range"):
+            schnorr.register_verification_key(bad)
+        errors, _ = schnorr.verify_batch(
+            [(bad, b"m", sig), (key.public, b"m", sig)], rng=Rng(seed=b"w")
+        )
+        assert str(errors[0]) == "schnorr public key out of range"
+        assert errors[1] is None
+
+
+class TestUnknownModulus:
+    """A key's ``p`` selects a table entry; it is never trusted as a group."""
+
+    MODULI = [23, dh.RFC3526_PRIME_2048, dh.TEST_PRIME_512]
+
+    @pytest.mark.parametrize("p", MODULI)
+    def test_from_wire(self, p):
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            schnorr.SchnorrPublicKey.from_wire({"p": p, "y": 4})
+
+    @pytest.mark.parametrize("p", MODULI)
+    def test_verify(self, p):
+        bad = schnorr.SchnorrPublicKey(group_p=p, y=4)
+        with pytest.raises(SignatureError, match="unknown schnorr group"):
+            schnorr.verify(bad, b"m", b"\x00" * 64)
+
+    @pytest.mark.parametrize("p", MODULI)
+    def test_verify_batch_reports_per_item_and_continues(self, key, rng, p):
+        bad = schnorr.SchnorrPublicKey(group_p=p, y=4)
+        sig = schnorr.sign(key, b"m", rng=rng)
+        errors, _ = schnorr.verify_batch(
+            [(key.public, b"m", sig), (bad, b"m", sig)] * 2,
+            rng=Rng(seed=b"w"),
+        )
+        assert errors[0] is None and errors[2] is None
+        for error in (errors[1], errors[3]):
+            assert isinstance(error, SignatureError)
+            assert str(error) == "unknown schnorr group"
+
+    @pytest.mark.parametrize("p", MODULI)
+    def test_encrypt_to(self, p):
+        bad = schnorr.SchnorrPublicKey(group_p=p, y=4)
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            schnorr.encrypt_to(bad, b"secret")
+
+    def test_keygen_sign_decrypt_register(self, key):
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            schnorr.generate_keypair(dh.DEFAULT_GROUP)
+        stray = schnorr.SchnorrPrivateKey(group_p=23, x=3, y=4)
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            schnorr.sign(stray, b"m")
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            schnorr.decrypt(stray, b"\x00" * 200)
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            schnorr.register_verification_key(stray.public)
+        with pytest.raises(CryptoError, match="unknown schnorr group"):
+            _ = stray.public.group
+
+
 class TestDiffieHellman:
     def test_agreement(self, rng):
-        a = dh.generate_keypair(TEST_GROUP, rng=rng)
-        b = dh.generate_keypair(TEST_GROUP, rng=rng)
+        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
+        b = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
         assert dh.shared_key(a, b.public) == dh.shared_key(b, a.public)
 
     def test_distinct_pairs_distinct_keys(self, rng):
-        a = dh.generate_keypair(TEST_GROUP, rng=rng)
-        b = dh.generate_keypair(TEST_GROUP, rng=rng)
-        c = dh.generate_keypair(TEST_GROUP, rng=rng)
+        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
+        b = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
+        c = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
         assert dh.shared_key(a, b.public) != dh.shared_key(a, c.public)
 
     def test_out_of_range_peer_rejected(self, rng):
-        a = dh.generate_keypair(TEST_GROUP, rng=rng)
+        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
         with pytest.raises(CryptoError):
             dh.shared_key(a, 0)
         with pytest.raises(CryptoError):
-            dh.shared_key(a, TEST_GROUP.p - 1)
+            dh.shared_key(a, dh.TEST_GROUP.p - 1)
         with pytest.raises(CryptoError):
-            dh.shared_key(a, TEST_GROUP.p + 5)
+            dh.shared_key(a, dh.TEST_GROUP.p + 5)
 
     def test_key_length(self, rng):
-        a = dh.generate_keypair(TEST_GROUP, rng=rng)
-        b = dh.generate_keypair(TEST_GROUP, rng=rng)
+        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
+        b = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
         assert len(dh.shared_key(a, b.public)) == 32
 
     def test_default_group_is_rfc3526(self):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto import schnorr
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import (
     HmacSigner,
     RsaSigner,

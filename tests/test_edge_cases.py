@@ -270,7 +270,7 @@ class TestKerberosEdgeCases:
 
         from repro.core.proxy import grant_public
         from repro.crypto import schnorr
-        from repro.crypto.dh import TEST_GROUP
+        from repro.crypto.schnorr_groups import TEST_GROUP
         from repro.crypto.signature import SchnorrSigner
         from repro.errors import ReproError
 

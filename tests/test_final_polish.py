@@ -14,7 +14,7 @@ class TestNameServerKeys:
     def test_public_key_record(self):
         """§6.1: end-server public keys via the name server."""
         from repro.crypto import schnorr
-        from repro.crypto.dh import TEST_GROUP
+        from repro.crypto.schnorr_groups import TEST_GROUP
         from repro.services.nameserver import lookup
 
         realm = Realm(seed=b"ns-keys")

@@ -12,8 +12,8 @@ from repro.core.restrictions import (
     IssuedFor,
     Quota,
 )
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.rng import Rng
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
     AuthenticatorError,

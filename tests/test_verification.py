@@ -6,8 +6,14 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.core.evaluation import RequestContext
+from repro.core.certificate import (
+    LINK_ROOT,
+    PublicKeyBinding,
+    build_certificate,
+)
 from repro.core.presentation import PresentedProxy, present
 from repro.core.proxy import (
+    Proxy,
     cascade,
     delegate_cascade,
     grant_conventional,
@@ -21,21 +27,24 @@ from repro.core.restrictions import (
     IssuedFor,
     Quota,
 )
+from repro.core.vcache import DEFAULT_CONFIG
 from repro.core.verification import (
     ProxyVerifier,
     PublicKeyCrypto,
     SharedKeyCrypto,
 )
 from repro.crypto import schnorr
-from repro.crypto.dh import TEST_GROUP
+from repro.crypto.dh import RFC3526_PRIME_2048
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
-from repro.crypto.signature import SchnorrSigner
+from repro.crypto.schnorr_groups import TEST_GROUP
+from repro.crypto.signature import SchnorrSigner, SchnorrVerifier
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
     ProxyExpiredError,
     ProxyVerificationError,
     ReplayError,
+    ReproError,
     RestrictionViolation,
 )
 
@@ -448,6 +457,80 @@ class TestPublicKeyVerification:
         crypto.remove_principal(ALICE)
         with pytest.raises(ProxyVerificationError):
             verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+
+    @pytest.mark.parametrize("batch_verify", [True, False])
+    @pytest.mark.parametrize(
+        "key_wire",
+        [
+            {"p": 23, "y": 4},
+            {"p": RFC3526_PRIME_2048, "y": 4},
+            {"p": TEST_GROUP.p, "y": TEST_GROUP.p - 1},
+        ],
+        ids=["tiny-modulus", "old-safe-prime", "y-out-of-range"],
+    )
+    def test_unusable_embedded_key_is_a_normal_rejection(
+        self, clock, rng, key_wire, batch_verify
+    ):
+        """A validly signed link whose embedded proxy key names a modulus
+        outside the named-group table (or an out-of-range ``y``) is
+        rejected like any bad link — the modulus is never computed in."""
+        identity = schnorr.generate_keypair(TEST_GROUP, rng=rng)
+        crypto = PublicKeyCrypto(
+            directory={ALICE: SchnorrSigner(identity).verifier()}
+        )
+        verifier = ProxyVerifier(
+            server=SERVER, crypto=crypto, clock=clock,
+            cache_config=dataclasses.replace(
+                DEFAULT_CONFIG, batch_verify=batch_verify
+            ),
+        )
+        cert = build_certificate(
+            grantor=ALICE,
+            restrictions=(),
+            key_binding=PublicKeyBinding(scheme="schnorr", key_wire=key_wire),
+            issued_at=START,
+            expires_at=START + 100,
+            link_kind=LINK_ROOT,
+            signer=SchnorrSigner(identity),
+            rng=rng,
+        )
+        forged = Proxy(
+            certificates=(cert,),
+            proxy_key=schnorr.generate_keypair(TEST_GROUP, rng=rng),
+        )
+        with pytest.raises(
+            ProxyVerificationError, match="unusable schnorr key"
+        ):
+            verifier.verify(
+                present(forged, SERVER, clock.now(), "read"), req()
+            )
+
+    @pytest.mark.parametrize("batch_verify", [True, False])
+    def test_directory_key_outside_subgroup_is_rejected(
+        self, clock, rng, batch_verify
+    ):
+        """A published identity key that is not in the order-q subgroup
+        never gets a precomputed table and never verifies anything."""
+        identity = schnorr.generate_keypair(TEST_GROUP, rng=rng)
+        stray = schnorr.SchnorrPublicKey(group_p=TEST_GROUP.p, y=2)
+        assert pow(stray.y, TEST_GROUP.q, TEST_GROUP.p) != 1
+        crypto = PublicKeyCrypto(
+            directory={ALICE: SchnorrVerifier(public=stray)}
+        )
+        verifier = ProxyVerifier(
+            server=SERVER, crypto=crypto, clock=clock,
+            cache_config=dataclasses.replace(
+                DEFAULT_CONFIG, batch_verify=batch_verify
+            ),
+        )
+        p = grant_public(
+            ALICE, SchnorrSigner(identity), (), START, START + 100,
+            rng=rng, group=TEST_GROUP,
+        )
+        before = schnorr.registered_key_count()
+        with pytest.raises(ReproError):
+            verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        assert schnorr.registered_key_count() == before
 
 
 class TestTampering:

@@ -20,10 +20,10 @@ from repro.core.verification import (
     PublicKeyCrypto,
     SharedKeyCrypto,
 )
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
 from repro.crypto.schnorr import generate_keypair
+from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import SchnorrSigner
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
