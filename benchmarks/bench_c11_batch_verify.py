@@ -19,9 +19,10 @@ Two cascade shapes at depths 2/4/8:
   workload where per-verifier key tables apply to every link.  This is
   the gated workload: batched must beat baseline by ``--min-speedup``
   (2.0 by default) at depth 8.
-* **bearer** chains — links signed by one-shot embedded proxy keys that
-  can never earn a precompute table, so only the generator-side work
-  accelerates.  Reported for honesty, not gated.
+* **bearer** chains — links signed by embedded proxy keys, which earn a
+  table only on a warm chain-cache hit; with the caches off there is
+  none, so only the generator-side work accelerates.  Reported for
+  honesty, not gated.
 
 Run under pytest for the timing fixtures, or as a script::
 

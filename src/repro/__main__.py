@@ -159,6 +159,7 @@ def trace(
     import dataclasses
 
     from repro.core import vcache
+    from repro.crypto import schnorr
     from repro.obs import Telemetry, render_trace_waterfall
     from repro.obs.figures import run_figure
 
@@ -217,6 +218,11 @@ def trace(
         print(f"  signature memo: {sig_hit:.0f} hits, {sig_miss:.0f} misses")
         print(
             f"  chain prefixes: {chain_hit:.0f} hits, {chain_miss:.0f} misses"
+        )
+        promoted = counters.counter("vcache.keytable.promoted").total()
+        print(
+            f"  key tables: {schnorr.registered_key_count()} live, "
+            f"{promoted:.0f} proxy keys promoted"
         )
         print(f"  evictions: {evictions:.0f}")
         batches = counters.counter("vcache.batch.batches").total()

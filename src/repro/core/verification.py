@@ -398,6 +398,49 @@ class ProxyVerifier:
                 f"{now} + skew {self.max_skew})"
             )
 
+    def _register_key(self, public: _schnorr.SchnorrPublicKey) -> bool:
+        """Give a recurring Schnorr key a precomputed table; count evictions.
+
+        Returns True when a table was newly built.  The table store is
+        process-wide, so an eviction is billed to the verifier whose
+        registration caused it.
+
+        Raises:
+            CryptoError: the key is outside its group's order-q subgroup.
+        """
+        evicted = _schnorr.key_table_evictions()
+        try:
+            return _schnorr.register_verification_key(public)
+        finally:
+            evicted = _schnorr.key_table_evictions() - evicted
+            if evicted:
+                self.telemetry.inc(
+                    "vcache.evictions",
+                    evicted,
+                    help="Verification cache evictions, by layer.",
+                    layer="keytable",
+                )
+
+    def _promote_proxy_key(self, verifier: SchnorrVerifier) -> None:
+        """Give the proxy key of a warm chain a table for its proofs.
+
+        Certificate signatures are absorbed by the chain cache, but the
+        possession proof under the final proxy key is fresh on every
+        request (§3.1, §3.4) — so once the chain cache says this exact
+        proxy has verified here before, its key recurs and earns a table.
+        A key outside the order-q subgroup is refused one; its proofs keep
+        verifying natively, exactly as without promotion.
+        """
+        try:
+            built = self._register_key(verifier.public)
+        except CryptoError:
+            return
+        if built:
+            self.telemetry.inc(
+                "vcache.keytable.promoted",
+                help="Proxy keys given a table on a warm chain hit.",
+            )
+
     # -- the stage 1+2 chain walk (sequential and batched variants) ----------
 
     def _resolve_link(
@@ -491,8 +534,9 @@ class ProxyVerifier:
           failure, matching the sequential walk's incremental puts.
 
         Identity (grantor/delegate) Schnorr keys are registered for
-        fixed-base precomputation on first sight here: they recur across
-        presentations, unlike one-shot embedded proxy keys.  Rotation is
+        precomputation on first sight here: they sign every cold chain
+        they root.  (Embedded proxy keys earn a table later, on a warm
+        chain hit — see :meth:`_promote_proxy_key`.)  Rotation is
         safe because a rotated key is a different ``(p, y)`` table key
         *and* a different chain-cache identity token.  Registration
         refuses a directory key that is not in its group's order-``q``
@@ -510,9 +554,7 @@ class ProxyVerifier:
                     index, cert, audit_trail
                 )
                 if isinstance(identity_verifier, SchnorrVerifier):
-                    _schnorr.register_verification_key(
-                        identity_verifier.public
-                    )
+                    self._register_key(identity_verifier.public)
             except ReproError as exc:
                 pending = exc
                 break
@@ -598,9 +640,7 @@ class ProxyVerifier:
             for index, cert in enumerate(presented.certificates):
                 identity_verifier = self._resolve_link(index, cert, trail)
                 if isinstance(identity_verifier, SchnorrVerifier):
-                    _schnorr.register_verification_key(
-                        identity_verifier.public
-                    )
+                    self._register_key(identity_verifier.public)
                 verifier = (
                     identity_verifier
                     if identity_verifier is not None
@@ -788,6 +828,10 @@ class ProxyVerifier:
         final = certs[-1]
         bearer_use = presented.proof is not None
         if bearer_use:
+            if chain_hits == len(certs) and isinstance(
+                previous, SchnorrVerifier
+            ):
+                self._promote_proxy_key(previous)
             self._verify_possession_proof(presented, previous)
             if (
                 expected_digest is not None

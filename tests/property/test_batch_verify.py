@@ -179,6 +179,70 @@ class TestSchnorrVerifyBatch:
         assert probes == 0
 
 
+def _damage_one_entry(table, exponent):
+    """Damage the first comb entry that ``table.pow(exponent)`` reads."""
+    for index in range(1, len(table._table)):
+        original = table._table[index]
+        table._table[index] = original * 3 % table.p
+        if table.pow(exponent) != pow(table.base, exponent, table.p):
+            return
+        table._table[index] = original
+    raise AssertionError("no single entry changes this power")
+
+
+class TestDamagedKeyTable:
+    """Twins of the corrupted-generator-table tests for a per-key comb:
+    one damaged entry may cost a native re-check, never a verdict."""
+
+    @pytest.fixture
+    def damaged(self, signed_batch):
+        """A valid triple whose key's comb miscomputes exactly the power
+        its verification needs, and a forgery under the same key."""
+        key, message, signature = signed_batch[0]
+        q = TEST_GROUP.q
+        e = int.from_bytes(signature[:32], "big")
+        schnorr.clear_key_tables()
+        schnorr.register_verification_key(key)
+        table = schnorr._KEY_TABLES[(key.group_p, key.y)]
+        _damage_one_entry(table, q - e)
+        assert table.pow(q - e) != pow(key.y, q - e, TEST_GROUP.p)
+        yield (key, message, signature), (key, b"forged", signature)
+        schnorr.clear_key_tables()
+
+    def test_valid_signature_still_accepted(self, damaged):
+        valid, _ = damaged
+        schnorr.verify(*valid)  # no raise: native re-check
+        errors, _ = schnorr.verify_batch([valid, valid], rng=Rng(seed=b"w"))
+        assert errors == [None, None]
+
+    def test_forgery_still_rejected_with_the_same_message(self, damaged):
+        valid, forged = damaged
+        with pytest.raises(SignatureError) as sequential:
+            schnorr.verify(*forged)
+        assert str(sequential.value) == "schnorr signature verification failed"
+        errors, _ = schnorr.verify_batch([valid, forged], rng=Rng(seed=b"w"))
+        assert errors[0] is None
+        assert str(errors[1]) == str(sequential.value)
+
+    def test_precompute_toggle_changes_nothing_observable(self, damaged):
+        valid, forged = damaged
+        previous = schnorr.set_precompute(False)
+        try:
+            schnorr.verify(*valid)
+            with pytest.raises(
+                SignatureError, match="schnorr signature verification failed"
+            ):
+                schnorr.verify(*forged)
+            errors, probes = schnorr.verify_batch(
+                [valid, forged], rng=Rng(seed=b"w")
+            )
+        finally:
+            schnorr.set_precompute(previous)
+        assert errors[0] is None
+        assert str(errors[1]) == "schnorr signature verification failed"
+        assert probes == 0
+
+
 class TestSignatureVerifyBatch:
     def test_wrong_scheme_byte_matches_sequential(self, signed_batch):
         from repro.crypto.signature import SchnorrVerifier

@@ -1,6 +1,8 @@
 """Schnorr signatures, integrated encryption, and Diffie-Hellman."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import dh, schnorr
 from repro.crypto.primes import generate_schnorr_group, is_probable_prime
@@ -211,6 +213,103 @@ class TestMembershipChecks:
         )
         assert str(errors[0]) == "schnorr public key out of range"
         assert errors[1] is None
+
+
+BOTH_TABLES = pytest.mark.parametrize(
+    "table_type",
+    [schnorr.FixedBaseTable, schnorr.CombTable],
+    ids=["window", "comb"],
+)
+
+
+class TestPrecomputedTables:
+    """Both table layouts compute exactly ``base**e mod p`` — or refuse."""
+
+    @BOTH_GROUPS
+    @BOTH_TABLES
+    def test_boundary_exponents_are_exact(self, group, table_type):
+        table = table_type(group.g, group.p, group.q.bit_length())
+        for exponent in (0, 1, group.q - 1, 2**256 - 1):
+            assert table.pow(exponent) == pow(group.g, exponent, group.p)
+
+    @BOTH_GROUPS
+    @BOTH_TABLES
+    @pytest.mark.parametrize("exponent", [2**258, 2**256, -1])
+    def test_out_of_width_exponent_refused(self, group, table_type, exponent):
+        """Used to be a bare IndexError from the window table; a comb
+        would silently have returned the wrong power."""
+        table = table_type(group.g, group.p, group.q.bit_length())
+        with pytest.raises(CryptoError, match="256-bit width"):
+            table.pow(exponent)
+
+    @BOTH_GROUPS
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_comb_equals_native_pow_for_any_base(self, group, data):
+        """Subgroup members and arbitrary field elements alike: the comb
+        is plain arithmetic, membership is not its business."""
+        base = data.draw(st.integers(2, group.p - 2), label="base")
+        if data.draw(st.booleans(), label="in subgroup"):
+            base = pow(group.g, base, group.p)
+        table = schnorr.CombTable(base, group.p, 256)
+        exponents = data.draw(
+            st.lists(st.integers(0, 2**256 - 1), min_size=1, max_size=4),
+            label="exponents",
+        )
+        for exponent in exponents:
+            assert table.pow(exponent) == pow(base, exponent, group.p)
+
+    @BOTH_GROUPS
+    def test_comb_of_non_member_is_still_exact(self, group):
+        base = _non_member(group)
+        table = schnorr.CombTable(base, group.p, 256)
+        assert table.pow(group.q) == pow(base, group.q, group.p) != 1
+
+    @BOTH_GROUPS
+    def test_build_self_check_catches_a_wrong_witness(self, group):
+        with pytest.raises(CryptoError, match="build self-check"):
+            schnorr.CombTable(group.g, group.p, 256, witness=(group.q, 2))
+
+    @BOTH_GROUPS
+    def test_registered_key_verifies_through_its_comb(self, group, rng):
+        key = schnorr.generate_keypair(group, rng=rng)
+        sig = schnorr.sign(key, b"message", rng=rng)
+        schnorr.clear_key_tables()
+        try:
+            assert schnorr.register_verification_key(key.public) is True
+            assert schnorr.register_verification_key(key.public) is False
+            table = schnorr._KEY_TABLES[(group.p, key.y)]
+            assert isinstance(table, schnorr.CombTable)
+            schnorr.verify(key.public, b"message", sig)
+            with pytest.raises(SignatureError, match="verification failed"):
+                schnorr.verify(key.public, b"other", sig)
+        finally:
+            schnorr.clear_key_tables()
+
+    @BOTH_GROUPS
+    def test_refused_key_is_remembered_not_retested(
+        self, group, monkeypatch
+    ):
+        """The subgroup test runs once per key; a second registration is
+        refused from the LRU, and a refusal never counts as a table."""
+        bad = schnorr.SchnorrPublicKey(group_p=group.p, y=_non_member(group))
+        subgroup_tests = []
+
+        def counting_pow(base, exponent, modulus):
+            if (base, exponent) == (bad.y, group.q):
+                subgroup_tests.append(base)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(schnorr, "pow", counting_pow, raising=False)
+        schnorr.clear_key_tables()
+        try:
+            for _ in range(3):
+                with pytest.raises(CryptoError, match="order-q subgroup"):
+                    schnorr.register_verification_key(bad)
+            assert len(subgroup_tests) == 1
+            assert schnorr.registered_key_count() == 0
+        finally:
+            schnorr.clear_key_tables()
 
 
 class TestUnknownModulus:

@@ -27,7 +27,7 @@ from repro.core.restrictions import (
     IssuedFor,
     Quota,
 )
-from repro.core.vcache import DEFAULT_CONFIG
+from repro.core.vcache import DEFAULT_CONFIG, DISABLED_CONFIG
 from repro.core.verification import (
     ProxyVerifier,
     PublicKeyCrypto,
@@ -41,12 +41,14 @@ from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import SchnorrSigner, SchnorrVerifier
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
+    CryptoError,
     ProxyExpiredError,
     ProxyVerificationError,
     ReplayError,
     ReproError,
     RestrictionViolation,
 )
+from repro.obs.telemetry import Telemetry
 
 ALICE = PrincipalId("alice")
 BOB = PrincipalId("bob")
@@ -531,6 +533,252 @@ class TestPublicKeyVerification:
         with pytest.raises(ReproError):
             verifier.verify(present(p, SERVER, clock.now(), "read"), req())
         assert schnorr.registered_key_count() == before
+
+
+@pytest.mark.parametrize(
+    "batch_verify", [True, False], ids=["batched", "sequential"]
+)
+class TestProxyKeyPromotion:
+    """A proxy key earns a table when the chain cache shows it recurs.
+
+    The possession proof is the one signature no cache can absorb, so the
+    embedded key it is made under gets a comb on the second warm bearer
+    presentation — and at no other time, and never at the price of a
+    check."""
+
+    @pytest.fixture(autouse=True)
+    def identity(self, rng):
+        """ALICE's identity key, registered up front so table counts
+        below move only with proxy keys in both walk variants."""
+        schnorr.clear_key_tables()
+        identity = schnorr.generate_keypair(TEST_GROUP, rng=rng)
+        schnorr.register_verification_key(identity.public)
+        yield identity
+        schnorr.clear_key_tables()
+
+    @staticmethod
+    def _verifier(clock, identity, batch_verify, config=DEFAULT_CONFIG,
+                  telemetry=None):
+        crypto = PublicKeyCrypto(
+            directory={ALICE: SchnorrSigner(identity).verifier()}
+        )
+        verifier = ProxyVerifier(
+            server=SERVER, crypto=crypto, clock=clock, telemetry=telemetry,
+            cache_config=dataclasses.replace(
+                config, batch_verify=batch_verify
+            ),
+        )
+        return verifier, crypto
+
+    @staticmethod
+    def _grant(identity, rng, restrictions=(), lifetime=100):
+        return grant_public(
+            ALICE, SchnorrSigner(identity), restrictions,
+            START, START + lifetime, rng=rng, group=TEST_GROUP,
+        )
+
+    @staticmethod
+    def _has_table(holder):
+        """Does this proxy's key (or this identity keypair) hold a table?"""
+        key = getattr(holder, "proxy_key", holder).public
+        return schnorr._KEY_TABLES.get((key.group_p, key.y)) is not None
+
+    def test_second_warm_presentation_promotes_once(
+        self, clock, rng, identity, batch_verify
+    ):
+        telemetry = Telemetry()
+        verifier, _ = self._verifier(
+            clock, identity, batch_verify, telemetry=telemetry
+        )
+        p = self._grant(identity, rng)
+        counts = []
+        for _ in range(4):
+            verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+            counts.append(schnorr.registered_key_count())
+        assert counts == [1, 2, 2, 2]
+        assert self._has_table(p)
+        promoted = telemetry.metrics.counter("vcache.keytable.promoted")
+        assert promoted.total() == 1
+
+    def test_delegate_use_never_promotes(
+        self, clock, rng, identity, batch_verify
+    ):
+        verifier, _ = self._verifier(clock, identity, batch_verify)
+        p = self._grant(identity, rng, (Grantee(principals=(CAROL,)),))
+        for _ in range(3):
+            presented = present(
+                p, SERVER, clock.now(), "read",
+                claimant=CAROL, prove_possession=False,
+            )
+            verified = verifier.verify(presented, req(claimant=CAROL))
+            assert not verified.bearer
+        assert schnorr.registered_key_count() == 1
+
+    def test_without_a_chain_cache_nothing_promotes(
+        self, clock, rng, identity, batch_verify
+    ):
+        verifier, _ = self._verifier(
+            clock, identity, batch_verify, config=DISABLED_CONFIG
+        )
+        p = self._grant(identity, rng)
+        for _ in range(3):
+            verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        assert schnorr.registered_key_count() == 1
+
+    def test_failed_presentations_never_promote(
+        self, clock, rng, identity, batch_verify
+    ):
+        verifier, crypto = self._verifier(clock, identity, batch_verify)
+        p = self._grant(identity, rng, lifetime=10)
+        verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        # Tampered: a different certificate is a different chain — cold.
+        extended = dataclasses.replace(
+            p.certificates[0], expires_at=START + 10_000
+        )
+        tampered = dataclasses.replace(
+            present(p, SERVER, clock.now(), "read"), certificates=(extended,)
+        )
+        with pytest.raises(ProxyVerificationError):
+            verifier.verify(tampered, req())
+        # Failed walk: the grantor is gone before the cache is consulted.
+        crypto.remove_principal(ALICE)
+        with pytest.raises(ProxyVerificationError):
+            verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        crypto.add_principal(ALICE, SchnorrSigner(identity).verifier())
+        # Expired: freshness runs on every link, hot or cold.
+        clock.advance(11)
+        with pytest.raises(ProxyExpiredError):
+            verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        assert schnorr.registered_key_count() == 1
+        assert not self._has_table(p)
+
+    def test_every_proof_check_survives_promotion(
+        self, clock, rng, identity, batch_verify
+    ):
+        verifier, _ = self._verifier(clock, identity, batch_verify)
+        p, other = self._grant(identity, rng), self._grant(identity, rng)
+        for proxy in (p, other, p, other):
+            verifier.verify(
+                present(proxy, SERVER, clock.now(), "read"), req()
+            )
+        assert self._has_table(p) and self._has_table(other)
+
+        good = present(p, SERVER, clock.now(), "read")
+        signature = bytearray(good.proof.signature)
+        signature[40] ^= 0x01
+        bad_proof = dataclasses.replace(
+            good, proof=dataclasses.replace(
+                good.proof, signature=bytes(signature)
+            ),
+        )
+        with pytest.raises(ProxyVerificationError) as promoted:
+            verifier.verify(bad_proof, req())
+        stolen = dataclasses.replace(
+            good, proof=present(other, SERVER, clock.now(), "read").proof
+        )
+        with pytest.raises(
+            ProxyVerificationError, match="possession proof invalid"
+        ):
+            verifier.verify(stolen, req())
+        verifier.verify(good, req())
+        with pytest.raises(ReplayError, match="possession proof replayed"):
+            verifier.verify(good, req())
+
+        # The same tampered proof against a verifier with no tables at all.
+        schnorr.clear_key_tables()
+        native, _ = self._verifier(clock, identity, batch_verify)
+        with pytest.raises(ProxyVerificationError) as unpromoted:
+            native.verify(bad_proof, req())
+        assert str(promoted.value) == str(unpromoted.value)
+        assert type(promoted.value) is type(unpromoted.value)
+
+    def test_out_of_subgroup_embedded_key_stays_native(
+        self, clock, rng, identity, batch_verify, monkeypatch
+    ):
+        """``-g**x`` has order 2q: proofs under it verify whenever the
+        challenge is odd, exactly as before promotion existed.  It is
+        tested for membership once, never tabulated, and registering it
+        by hand is still refused."""
+        p_, q = TEST_GROUP.p, TEST_GROUP.q
+        honest = schnorr.generate_keypair(TEST_GROUP, rng=rng)
+        stray = schnorr.SchnorrPrivateKey(
+            group_p=p_, x=honest.x, y=p_ - honest.y
+        )
+        assert pow(stray.y, q, p_) != 1
+        cert = build_certificate(
+            grantor=ALICE,
+            restrictions=(),
+            key_binding=PublicKeyBinding(
+                scheme="schnorr", key_wire=stray.public.to_wire()
+            ),
+            issued_at=START,
+            expires_at=START + 100,
+            link_kind=LINK_ROOT,
+            signer=SchnorrSigner(identity),
+            rng=rng,
+        )
+        proxy = Proxy(certificates=(cert,), proxy_key=stray)
+
+        def present_with_odd_challenge():
+            while True:
+                presented = present(proxy, SERVER, clock.now(), "read")
+                if presented.proof.signature[32] & 1:
+                    return presented
+
+        subgroup_tests = []
+
+        def counting_pow(base, exponent, modulus):
+            if (base, exponent) == (stray.y, q):
+                subgroup_tests.append(base)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(schnorr, "pow", counting_pow, raising=False)
+        verifier, _ = self._verifier(clock, identity, batch_verify)
+        for _ in range(4):
+            verified = verifier.verify(present_with_odd_challenge(), req())
+            assert verified.bearer
+        assert len(subgroup_tests) == 1
+        assert schnorr.registered_key_count() == 1
+        with pytest.raises(CryptoError, match="order-q subgroup"):
+            schnorr.register_verification_key(stray.public)
+        assert len(subgroup_tests) == 1
+
+    def test_evicted_proxy_key_is_promoted_again(
+        self, clock, rng, identity, batch_verify
+    ):
+        telemetry = Telemetry()
+        verifier, _ = self._verifier(
+            clock, identity, batch_verify, telemetry=telemetry
+        )
+        p = self._grant(identity, rng)
+        for _ in range(2):
+            verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        assert self._has_table(p)
+
+        assert schnorr._MAX_KEY_TABLES == 1024
+        fillers = [
+            schnorr.generate_keypair(TEST_GROUP, rng=rng) for _ in range(1024)
+        ]
+        # Least recently used first: the identity key, then the proxy key.
+        for filler in fillers[:1022]:
+            schnorr.register_verification_key(filler.public)
+        assert schnorr.registered_key_count() == 1024
+        assert self._has_table(identity) and self._has_table(p)
+        schnorr.register_verification_key(fillers[1022].public)
+        assert not self._has_table(identity) and self._has_table(p)
+        schnorr.register_verification_key(fillers[1023].public)
+        assert not self._has_table(p) and self._has_table(fillers[0])
+        assert schnorr.registered_key_count() == 1024
+
+        # The chain cache is still warm, so the very next presentation
+        # rebuilds the table (the batched walk re-registers ALICE too).
+        verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        assert self._has_table(p)
+        assert schnorr.registered_key_count() == 1024
+        metrics = telemetry.metrics
+        assert metrics.counter("vcache.keytable.promoted").total() == 2
+        evicted = metrics.counter("vcache.evictions").value(layer="keytable")
+        assert evicted == (2 if batch_verify else 1)
 
 
 class TestTampering:
