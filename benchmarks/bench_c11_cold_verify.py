@@ -1,23 +1,20 @@
-"""C11 — cold-path chain verification: batched + precomputed vs per-signature.
+"""C11 — cold-path chain verification: precomputed tables vs native ``pow()``.
 
 PR 2's caches made *warm* chains cheap; this benchmark measures the cold
 path they never touch — every presentation fully re-verified (all caches
-disabled) — under three arms:
+disabled) — under two arms:
 
-* **baseline** — per-signature verification with fixed-base precompute
-  disabled: the pre-batching cost model (square-and-multiply ``pow()``
-  per exponentiation, one ``verify()`` per link);
-* **tables** — per-signature verification with the fixed-base generator
-  tables enabled;
-* **batched** — the full fast path: generator + registered-identity-key
-  tables plus the one-shot multi-scalar batch check per chain.
+* **native** — ``set_precompute(False)``: square-and-multiply ``pow()``
+  for every exponentiation;
+* **tables** — the generator's window table plus a comb for every
+  identity key the walk registers on first sight.
 
 Two cascade shapes at depths 2/4/8:
 
 * **delegate** chains (Fig. 4 with an audit trail) — every link signed
   by a *registered* identity key, the CERN-style mediated-delegation
   workload where per-verifier key tables apply to every link.  This is
-  the gated workload: batched must beat baseline by ``--min-speedup``
+  the gated workload: tables must beat native by ``--min-speedup``
   (2.0 by default) at depth 8.
 * **bearer** chains — links signed by embedded proxy keys, which earn a
   table only on a warm chain-cache hit; with the caches off there is
@@ -26,12 +23,11 @@ Two cascade shapes at depths 2/4/8:
 
 Run under pytest for the timing fixtures, or as a script::
 
-    PYTHONPATH=src python benchmarks/bench_c11_batch_verify.py \
-        --json BENCH_batch_verify.json --smoke
+    PYTHONPATH=src python benchmarks/bench_c11_cold_verify.py \
+        --json BENCH_cold_verify.json --smoke
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -57,14 +53,8 @@ CAROL = PrincipalId("carol")
 SERVER = PrincipalId("server")
 DEPTHS = (2, 4, 8)
 
-SEQUENTIAL = dataclasses.replace(DISABLED_CONFIG, batch_verify=False)
-BATCHED = DISABLED_CONFIG  # caches off, batch_verify on
-
-ARMS = (
-    ("baseline", SEQUENTIAL, False),
-    ("tables", SEQUENTIAL, True),
-    ("batched", BATCHED, True),
-)
+#: (arm, precompute enabled)
+ARMS = (("native", False), ("tables", True))
 
 
 def build_bearer_chain(depth):
@@ -114,7 +104,7 @@ WORKLOADS = (
 )
 
 
-def measure(builder, depth, config, precompute, iterations):
+def measure(builder, depth, precompute, iterations):
     """Cold-verify ``iterations`` fresh presentations of one chain.
 
     All verification caches are off, so every presentation re-verifies
@@ -123,7 +113,7 @@ def measure(builder, depth, config, precompute, iterations):
     """
     clock, crypto, proxy, claimant = builder(depth)
     schnorr.clear_key_tables()
-    with vcache_override(config):
+    with vcache_override(DISABLED_CONFIG):
         verifier = ProxyVerifier(server=SERVER, crypto=crypto, clock=clock)
         presentations = [
             present(proxy, SERVER, clock.now(), "read", claimant=claimant)
@@ -148,48 +138,43 @@ def measure(builder, depth, config, precompute, iterations):
 
 
 def run_comparison(iterations, min_speedup):
-    """The full three-arm comparison; returns the JSON payload."""
+    """The full two-arm comparison; returns the JSON payload."""
     results = {}
     rows = []
     for workload, builder in WORKLOADS:
         per_depth = {}
         for depth in DEPTHS:
             arms = {
-                name: measure(builder, depth, config, precompute, iterations)
-                for name, config, precompute in ARMS
+                name: measure(builder, depth, precompute, iterations)
+                for name, precompute in ARMS
             }
-            baseline = arms["baseline"]
+            native = arms["native"]
             per_depth[str(depth)] = {
-                "baseline_ops_per_sec": round(baseline, 2),
+                "native_ops_per_sec": round(native, 2),
                 "tables_ops_per_sec": round(arms["tables"], 2),
-                "batched_ops_per_sec": round(arms["batched"], 2),
-                "tables_speedup": round(arms["tables"] / baseline, 3),
-                "batched_speedup": round(arms["batched"] / baseline, 3),
+                "tables_speedup": round(arms["tables"] / native, 3),
             }
             rows.append(
                 (
                     workload,
                     str(depth),
-                    f"{baseline:.1f}",
+                    f"{native:.1f}",
                     f"{arms['tables']:.1f}",
-                    f"{arms['batched']:.1f}",
-                    f"{per_depth[str(depth)]['batched_speedup']:.2f}x",
+                    f"{per_depth[str(depth)]['tables_speedup']:.2f}x",
                 )
             )
         results[workload] = per_depth
     report(
-        "C11: cold-path cascade verification, per-signature vs batched",
+        "C11: cold-path cascade verification, native pow() vs tables",
         rows,
-        ("workload", "depth", "baseline/s", "tables/s", "batched/s",
-         "speedup"),
+        ("workload", "depth", "native/s", "tables/s", "speedup"),
     )
-    gate = results["delegate"]["8"]["batched_speedup"]
+    gate = results["delegate"]["8"]["tables_speedup"]
     return {
-        "benchmark": "batch_verify",
+        "benchmark": "cold_verify",
         "workload": "cold-cascade-depths-2-4-8",
         "min_speedup": min_speedup,
-        # The headline: batched delegate cascades at depth 8 vs the
-        # per-signature, no-precompute baseline.
+        # The headline: delegate cascades at depth 8, tables vs native.
         "speedup": gate,
         "passed": gate >= min_speedup,
         "workloads": results,
@@ -200,11 +185,10 @@ def run_comparison(iterations, min_speedup):
 # pytest entry points
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "sequential"])
-def test_delegate_cascade_cold_verify(benchmark, batched):
+@pytest.mark.parametrize("precompute", [True, False], ids=["tables", "native"])
+def test_delegate_cascade_cold_verify(benchmark, precompute):
     clock, crypto, proxy, claimant = build_delegate_chain(4)
-    config = BATCHED if batched else SEQUENTIAL
-    with vcache_override(config):
+    with vcache_override(DISABLED_CONFIG):
         verifier = ProxyVerifier(server=SERVER, crypto=crypto, clock=clock)
         context = RequestContext(
             server=SERVER, operation="read", claimant=claimant
@@ -216,19 +200,23 @@ def test_delegate_cascade_cold_verify(benchmark, batched):
             )
             return verifier.verify(presented, context)
 
-        result = benchmark(run)
+        previous = schnorr.set_precompute(precompute)
+        try:
+            result = benchmark(run)
+        finally:
+            schnorr.set_precompute(previous)
     assert result.chain_length == 4
 
 
-def test_batched_faster_than_baseline(benchmark):
+def test_tables_faster_than_native(benchmark):
     """The acceptance claim, in-suite: a quick comparison run."""
     payload = run_comparison(iterations=8, min_speedup=1.0)
-    assert payload["workloads"]["delegate"]["8"]["batched_speedup"] > 1.0
+    assert payload["workloads"]["delegate"]["8"]["tables_speedup"] > 1.0
     benchmark(lambda: None)
 
 
 # ---------------------------------------------------------------------------
-# script mode (CI writes BENCH_batch_verify.json from here)
+# script mode (CI writes BENCH_cold_verify.json from here)
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
@@ -245,8 +233,8 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="fail unless batched delegate depth-8 verification is this "
-        "many times faster than the per-signature baseline "
+        help="fail unless delegate depth-8 verification with tables is "
+        "this many times faster than native pow() "
         "(default 2.0, or 1.5 with --smoke)",
     )
     args = parser.parse_args(argv)
@@ -260,7 +248,7 @@ def main(argv=None) -> int:
     write_bench_json(
         args.json,
         bench_payload(
-            name="batch_verify",
+            name="cold_verify",
             config={
                 "iterations": iterations,
                 "min_speedup": min_speedup,
@@ -272,7 +260,7 @@ def main(argv=None) -> int:
     )
     if not payload["passed"]:
         print(
-            f"FAIL: batched delegate depth-8 speedup "
+            f"FAIL: delegate depth-8 tables speedup "
             f"{payload['speedup']} < {min_speedup}",
             file=sys.stderr,
         )

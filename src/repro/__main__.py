@@ -152,12 +152,9 @@ def trace(
     jsonl: str = "",
     metrics: bool = True,
     verify_cache: bool = True,
-    batch_verify: bool = True,
     follow: str = "",
 ) -> None:
     """Replay one figure under telemetry and print every view of it."""
-    import dataclasses
-
     from repro.core import vcache
     from repro.crypto import schnorr
     from repro.obs import Telemetry, render_trace_waterfall
@@ -166,8 +163,6 @@ def trace(
     config = (
         vcache.DEFAULT_CONFIG if verify_cache else vcache.DISABLED_CONFIG
     )
-    if not batch_verify:
-        config = dataclasses.replace(config, batch_verify=False)
     telemetry = Telemetry(capture_crypto=True)
     try:
         with vcache.override(config):
@@ -225,17 +220,6 @@ def trace(
             f"{promoted:.0f} proxy keys promoted"
         )
         print(f"  evictions: {evictions:.0f}")
-        batches = counters.counter("vcache.batch.batches").total()
-        batch_sigs = counters.counter("vcache.batch.signatures").total()
-        bisections = counters.counter(
-            "vcache.batch.fallback_bisections"
-        ).total()
-        batch_state = "on" if batch_verify else "off (--no-batch-verify)"
-        print(f"batch verify: {batch_state}")
-        print(
-            f"  batches: {batches:.0f} covering {batch_sigs:.0f} signatures, "
-            f"{bisections:.0f} fallback bisections"
-        )
     if jsonl:
         with open(jsonl, "w", encoding="utf-8") as handle:
             handle.write(telemetry.spans_jsonl() + "\n")
@@ -604,11 +588,6 @@ def main(argv=None) -> None:
         help="run with the verification fast path disabled",
     )
     trace_parser.add_argument(
-        "--no-batch-verify",
-        action="store_true",
-        help="verify chain signatures one at a time instead of batched",
-    )
-    trace_parser.add_argument(
         "--follow",
         default="",
         metavar="TRACE_ID",
@@ -915,7 +894,6 @@ def main(argv=None) -> None:
             jsonl=args.jsonl,
             metrics=not args.no_metrics,
             verify_cache=not args.no_verify_cache,
-            batch_verify=not args.no_batch_verify,
             follow=args.follow,
         )
     else:

@@ -38,39 +38,27 @@ from repro.crypto.signature import SignatureCache, set_signature_cache
 
 @dataclass(frozen=True)
 class VerificationCacheConfig:
-    """Sizing and on/off switch for the verification fast path.
+    """On/off switch for the verification fast path.
 
     Attributes:
-        enabled: master switch; ``False`` turns off the chain-prefix
-            cache *and* the global signature memo.
-        signature_cache_size: LRU capacity of the shared signature memo.
-        chain_cache_size: LRU capacity of each verifier's prefix cache.
-        batch_verify: when True the verifier collects a chain's stage
-            1–2 signature checks into one
-            :func:`repro.crypto.signature.verify_batch` call instead of
-            k sequential verifies.  Independent of ``enabled`` — it
-            changes how cold-path signatures are computed, never what is
-            accepted, so it composes with the caches in any combination
-            (``--no-batch-verify`` flips it from the trace CLI).
+        enabled: ``False`` turns off the chain-prefix cache *and* the
+            global signature memo.
     """
 
     enabled: bool = True
-    signature_cache_size: int = 4096
-    chain_cache_size: int = 1024
-    batch_verify: bool = True
 
     def build_chain_cache(self) -> Optional["ChainPrefixCache"]:
         if not self.enabled:
             return None
-        return ChainPrefixCache(max_entries=self.chain_cache_size)
+        return ChainPrefixCache()
 
     def build_signature_cache(self) -> Optional[SignatureCache]:
         if not self.enabled:
             return None
-        return SignatureCache(max_entries=self.signature_cache_size)
+        return SignatureCache()
 
 
-#: Everything on, production sizes.
+#: Everything on.
 DEFAULT_CONFIG = VerificationCacheConfig()
 
 #: Fast path fully off — what ``--no-verify-cache`` installs.

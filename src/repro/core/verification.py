@@ -32,7 +32,7 @@ import hashlib as _hashlib
 import time as _time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.clock import Clock
 from repro.core.certificate import (
@@ -60,10 +60,8 @@ from repro.core.vcache import (
 )
 from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
-from repro.crypto import signature as _signature
 from repro.crypto import symmetric as _symmetric
 from repro.crypto.keys import KeyPair, SymmetricKey
-from repro.crypto.rng import Rng
 from repro.crypto.signature import (
     HmacSigner,
     RsaVerifier,
@@ -312,10 +310,6 @@ class ProxyVerifier:
         self.authenticators = AuthenticatorCache(
             clock, window=freshness_window, max_skew=max_skew
         )
-        # Seeded weight source for the batched multi-scalar check, so
-        # figure traces stay byte-identical run to run and the batch
-        # machinery never draws from a realm's protocol randomness.
-        self._batch_rng = Rng(seed=b"vcache-batch-weights")
 
     # -- helpers ------------------------------------------------------------
 
@@ -441,21 +435,34 @@ class ProxyVerifier:
                 help="Proxy keys given a table on a warm chain hit.",
             )
 
-    # -- the stage 1+2 chain walk (sequential and batched variants) ----------
+    # -- the stage 1+2 chain walk ---------------------------------------------
 
     def _resolve_link(
         self, index: int, cert: ProxyCertificate, audit_trail: list
     ) -> Optional[Verifier]:
         """Per-link freshness + identity-key resolution + kind check.
 
-        Shared by both walk variants; runs on every link of every
-        presentation (hot or cold) so expiry and revocation behave
-        identically regardless of caching or batching.
+        Runs on every link of every presentation (hot or cold) so expiry
+        and revocation behave identically regardless of caching.
+
+        A Schnorr identity (grantor/delegate) key is registered for
+        precomputation on first sight: it signs every cold chain it
+        roots.  (Embedded proxy keys earn a table later, on a warm chain
+        hit — see :meth:`_promote_proxy_key`.)  Rotation is safe because
+        a rotated key is a different ``(p, y)`` table key *and* a
+        different chain-cache identity token.
         """
         self._check_link_times(cert)
         identity_verifier: Optional[Verifier] = None
         if index == 0 or cert.link_kind == LINK_DELEGATE:
             identity_verifier = self.crypto.grantor_verifier(cert.grantor)
+            if isinstance(identity_verifier, SchnorrVerifier):
+                try:
+                    self._register_key(identity_verifier.public)
+                except CryptoError as exc:
+                    raise ProxyVerificationError(
+                        f"link {index}: grantor key refused: {exc}"
+                    ) from exc
             if index > 0:
                 audit_trail.append(cert.grantor)
         elif cert.link_kind != LINK_CASCADE:
@@ -464,13 +471,22 @@ class ProxyVerifier:
             )
         return identity_verifier
 
-    def _walk_chain_sequential(
+    def _walk_chain(
         self,
         certs: Tuple[ProxyCertificate, ...],
         cache: Optional[ChainPrefixCache],
         audit_trail: list,
-    ) -> Tuple[Optional[_PossessionMaterial], int, int, int, None]:
-        """The original link-at-a-time walk (``batch_verify=False``)."""
+        check: Callable[[int, Verifier, bytes, bytes], None],
+    ) -> Tuple[Optional[_PossessionMaterial], int, int, int]:
+        """Walk possession material along the chain, link by link.
+
+        ``check(index, verifier, body, signature)`` is what happens to
+        each link signature that the chain cache does not absorb:
+        :meth:`_verify_presentation` verifies it and raises,
+        :meth:`collect_signature_checks` only records it.  Entries are
+        stored as the walk goes, so the cache only ever holds links
+        before the first failure.
+        """
         previous: Optional[_PossessionMaterial] = None
         prefix_key = _CHAIN_CACHE_DOMAIN
         chain_hits = chain_misses = chain_evictions = 0
@@ -496,121 +512,24 @@ class ProxyVerifier:
                 if identity_verifier is not None
                 else self._verifier_from_material(previous)
             )
-            try:
-                verifier.verify(cert.body_bytes(), cert.signature)
-            except SignatureError as exc:
-                raise ProxyVerificationError(
-                    f"signature of link {index} invalid: {exc}"
-                ) from exc
+            check(index, verifier, cert.body_bytes(), cert.signature)
             previous = self._possession_material(cert, index, previous)
             if cache is not None:
                 chain_evictions += cache.put(prefix_key, previous)
-        return previous, chain_hits, chain_misses, chain_evictions, None
+        return previous, chain_hits, chain_misses, chain_evictions
 
-    def _walk_chain_batched(
-        self,
-        certs: Tuple[ProxyCertificate, ...],
-        cache: Optional[ChainPrefixCache],
-        audit_trail: list,
-    ) -> Tuple[
-        Optional[_PossessionMaterial], int, int, int, _signature.BatchStats
-    ]:
-        """Collect the whole chain's signature checks into one batch call.
-
-        Semantics are identical to :meth:`_walk_chain_sequential` — same
-        accept/reject outcomes, same error messages, same cache
-        behaviour — because the collection pass stops at the first
-        non-signature failure exactly where the sequential walk would,
-        and the batch result is applied in link order:
-
-        * a non-signature error at link ``i`` (expiry, unknown grantor,
-          bad link kind, possession-material failure) is *held pending*;
-          only checks the sequential walk would already have performed
-          (links ``<= i``) have been collected by then;
-        * if the batch reports any bad signature, the lowest-index one
-          wins — in the sequential order every collected check runs
-          before the pending error would have been raised;
-        * chain-cache stores are applied only for links before the first
-          failure, matching the sequential walk's incremental puts.
-
-        Identity (grantor/delegate) Schnorr keys are registered for
-        precomputation on first sight here: they sign every cold chain
-        they root.  (Embedded proxy keys earn a table later, on a warm
-        chain hit — see :meth:`_promote_proxy_key`.)  Rotation is
-        safe because a rotated key is a different ``(p, y)`` table key
-        *and* a different chain-cache identity token.  Registration
-        refuses a directory key that is not in its group's order-``q``
-        subgroup; that refusal is held pending like any other link error.
-        """
-        previous: Optional[_PossessionMaterial] = None
-        prefix_key = _CHAIN_CACHE_DOMAIN
-        chain_hits = chain_misses = 0
-        checks: list = []  # (link index, verifier, body, signature)
-        puts: list = []  # (link index, prefix key, possession material)
-        pending: Optional[ReproError] = None
-        for index, cert in enumerate(certs):
-            try:
-                identity_verifier = self._resolve_link(
-                    index, cert, audit_trail
-                )
-                if isinstance(identity_verifier, SchnorrVerifier):
-                    self._register_key(identity_verifier.public)
-            except ReproError as exc:
-                pending = exc
-                break
-            if cache is not None:
-                token = (
-                    identity_verifier.key_id()
-                    if identity_verifier is not None
-                    else b""
-                )
-                prefix_key = _hashlib.sha256(
-                    prefix_key + cert.digest() + token
-                ).digest()
-                cached = cache.get(prefix_key)
-                if cached is not None:
-                    previous = cached
-                    chain_hits += 1
-                    continue
-                chain_misses += 1
-            verifier = (
-                identity_verifier
-                if identity_verifier is not None
-                else self._verifier_from_material(previous)
-            )
-            checks.append((index, verifier, cert.body_bytes(), cert.signature))
-            try:
-                previous = self._possession_material(cert, index, previous)
-            except ReproError as exc:
-                pending = exc
-                break
-            if cache is not None:
-                puts.append((index, prefix_key, previous))
-
-        errors, batch = _signature.verify_batch(
-            [(v, m, s) for (_, v, m, s) in checks], rng=self._batch_rng
-        )
-        failed_link: Optional[int] = None
-        failure: Optional[SignatureError] = None
-        for (link, _, _, _), error in zip(checks, errors):
-            if error is not None:
-                failed_link, failure = link, error
-                break
-        chain_evictions = 0
-        if cache is not None:
-            for link, key, material in puts:
-                if failed_link is not None and link >= failed_link:
-                    break
-                chain_evictions += cache.put(key, material)
-        if failure is not None:
+    @staticmethod
+    def _verify_link(
+        index: int, verifier: Verifier, body: bytes, signature: bytes
+    ) -> None:
+        try:
+            verifier.verify(body, signature)
+        except SignatureError as exc:
             raise ProxyVerificationError(
-                f"signature of link {failed_link} invalid: {failure}"
-            ) from failure
-        if pending is not None:
-            raise pending
-        return previous, chain_hits, chain_misses, chain_evictions, batch
+                f"signature of link {index} invalid: {exc}"
+            ) from exc
 
-    # -- cross-request batch prefetch ----------------------------------------
+    # -- cross-request prefetch -----------------------------------------------
 
     def collect_signature_checks(
         self, presented: PresentedProxy
@@ -619,9 +538,9 @@ class ProxyVerifier:
 
         Returns ``(verifier, message, signature)`` triples for the chain's
         link signatures and (when present) the possession proof — the same
-        checks the stage 1+2 walk performs — *without* any of the walk's
-        side effects: nothing is cached here, no replay key is registered,
-        and no verdict is produced.  The async runtime's cross-request
+        checks the stage 1+2 walk performs, gathered by that walk with no
+        chain cache — *without* a verdict: nothing is cached here and no
+        replay key is registered.  The async runtime's cross-request
         prefetchers feed these triples from every queued request into one
         :func:`repro.crypto.signature.verify_batch` call, so by the time
         each handler runs its own :meth:`verify`, the process-wide
@@ -634,20 +553,13 @@ class ProxyVerifier:
         results only, and :meth:`verify` re-checks everything.
         """
         checks: list = []
-        previous: Optional[_PossessionMaterial] = None
-        trail: list = []
         try:
-            for index, cert in enumerate(presented.certificates):
-                identity_verifier = self._resolve_link(index, cert, trail)
-                if isinstance(identity_verifier, SchnorrVerifier):
-                    self._register_key(identity_verifier.public)
-                verifier = (
-                    identity_verifier
-                    if identity_verifier is not None
-                    else self._verifier_from_material(previous)
-                )
-                checks.append((verifier, cert.body_bytes(), cert.signature))
-                previous = self._possession_material(cert, index, previous)
+            previous, _, _, _ = self._walk_chain(
+                presented.certificates,
+                None,
+                [],
+                lambda index, *check: checks.append(check),
+            )
             proof = presented.proof
             if proof is not None and previous is not None:
                 checks.append(
@@ -771,29 +683,9 @@ class ProxyVerifier:
         # behave identically hot or cold.
         cache = self.chain_cache
         audit_trail: list = []
-        if self.cache_config.batch_verify:
-            walk = self._walk_chain_batched(certs, cache, audit_trail)
-        else:
-            walk = self._walk_chain_sequential(certs, cache, audit_trail)
-        previous, chain_hits, chain_misses, chain_evictions, batch = walk
-        if batch is not None and batch.batches:
-            telemetry = self.telemetry
-            telemetry.inc(
-                "vcache.batch.batches",
-                batch.batches,
-                help="Batched stage-1/2 signature dispatches.",
-            )
-            telemetry.inc(
-                "vcache.batch.signatures",
-                batch.signatures,
-                help="Signatures verified through the batched path.",
-            )
-            if batch.fallback_bisections:
-                telemetry.inc(
-                    "vcache.batch.fallback_bisections",
-                    batch.fallback_bisections,
-                    help="Aggregate probes spent bisecting failed batches.",
-                )
+        previous, chain_hits, chain_misses, chain_evictions = self._walk_chain(
+            certs, cache, audit_trail, self._verify_link
+        )
         if cache is not None:
             telemetry = self.telemetry
             if chain_hits:

@@ -40,38 +40,31 @@ encryption" functions implement a DH/ElGamal KEM with the library's
 authenticated symmetric cipher, used to seal conventional proxy keys to an
 end-server (§6.1 hybrid scheme).
 
-Modular exponentiation dominates the uncached verification cost, so this
-module carries a fast path with two cooperating pieces:
+Modular exponentiation dominates the uncached verification cost, so a
+base that recurs gets a **precomputed table**, in the layout each kind of
+base can afford.  The generator ``g`` of each group gets a windowed
+:class:`FixedBaseTable` — one lookup and multiply per 6 bits of
+exponent, no squarings, about 6x faster than ``pow()`` on a 256-bit
+exponent, but 0.8 MB and 50 ms to build at 2048 bits: right for one
+table per group.  A verification key gets a Lim–Lee :class:`CombTable`
+— 37 squarings and at most 37 multiplies, about 4x faster than
+``pow()``, for 38 KiB and about one native exponentiation of build
+time: cheap enough for any key seen twice.  Verifiers register
+identity keys on first sight and the *embedded proxy key* of a chain
+once the chain cache reports it warm — the possession proof under that
+key is the one signature every request pays
+(:func:`register_verification_key`).
+Tables refuse an exponent wider than they were built for, self-check
+against ``pow()`` at build time, and verification re-checks any
+*negative* result natively, so a corrupted table can slow verification
+down but never change a verdict.  A table is arithmetic only: the
+``y ** q == 1`` test is made before one is built.
 
-* **Precomputed tables** for a base that recurs, in the layout each kind
-  of base can afford.  The generator ``g`` of each group gets a windowed
-  :class:`FixedBaseTable` — one lookup and multiply per 6 bits of
-  exponent, no squarings, about 6x faster than ``pow()`` on a 256-bit
-  exponent, but 0.8 MB and 50 ms to build at 2048 bits: right for one
-  table per group.  A verification key gets a Lim–Lee :class:`CombTable`
-  — 37 squarings and at most 37 multiplies, about 4x faster than
-  ``pow()``, for 38 KiB and about one native exponentiation of build
-  time: cheap enough for any key seen twice.  Verifiers register
-  identity keys on first sight and the *embedded proxy key* of a chain
-  once the chain cache reports it warm — the possession proof under that
-  key is the one signature every request pays
-  (:func:`register_verification_key`).
-  Tables refuse an exponent wider than they were built for, self-check
-  against ``pow()`` at build time, and the verification fast paths below
-  re-check any *negative* result natively, so a corrupted table can slow
-  verification down but never change a verdict.  A table is arithmetic
-  only: the ``y ** q == 1`` test is made before one is built.
-* **Batch verification** (:func:`verify_batch`) — verifies many
-  ``(key, message, signature)`` triples at once.  All generator-side
-  values ``g**s_i`` are computed through the shared table and validated
-  together by one randomized-linear-combination multi-scalar check
-  (small-exponents test à la Bellare–Garay–Rabin): with random weights
-  ``z_i``, ``prod(u_i**z_i) == g**(sum(z_i*s_i) mod q)`` where the right
-  side is evaluated *natively*, so every fast-path evaluation is
-  confirmed against an independent implementation at the cost of small
-  exponentiations.  On aggregate failure a bisection isolates and
-  repairs the offending entries, preserving exact per-signature error
-  attribution.
+There is no amortized batch verifier.  An ``(e, s)`` signature hides its
+commitment: ``r' = g**s * y**-e`` has to be recomputed per signature to
+be hashed into the challenge, so k signatures cost k commitment pairs
+however they are grouped.  :func:`verify_batch` is :func:`verify` applied
+to a list, reporting per item instead of raising.
 """
 
 from __future__ import annotations
@@ -492,7 +485,7 @@ def _native_recheck(
 ) -> bool:
     """Re-verify one signature with plain pow() (no tables).
 
-    The fast paths call this before reporting a *failure*, so a damaged
+    :func:`_check` calls this before reporting a *failure*, so a damaged
     precomputation table can never turn a valid signature into a
     rejection — the failure verdict always has a native witness.
     """
@@ -503,125 +496,45 @@ def _native_recheck(
     return _challenge(params, r_prime, key.y, message) == e
 
 
+def _check(
+    key: SchnorrPublicKey, message: bytes, signature: bytes
+) -> Optional[SignatureError]:
+    """Every check one signature gets; the error, or None when it verifies."""
+    try:
+        params = _key_params(key, SignatureError)
+        e, s = _parse_signature(params, signature)
+    except SignatureError as exc:
+        return exc
+    r_prime = _commitment(params, key, e, s)
+    if _challenge(params, r_prime, key.y, message) != e:
+        if not (_precompute_enabled and _native_recheck(
+            params, key, message, e, s
+        )):
+            return SignatureError("schnorr signature verification failed")
+    return None
+
+
 def verify(key: SchnorrPublicKey, message: bytes, signature: bytes) -> None:
     """Verify a Schnorr signature.
 
     Raises:
         SignatureError: when the signature does not verify.
     """
-    params = _key_params(key, SignatureError)
-    e, s = _parse_signature(params, signature)
-    r_prime = _commitment(params, key, e, s)
-    if _challenge(params, r_prime, key.y, message) != e:
-        if not (_precompute_enabled and _native_recheck(
-            params, key, message, e, s
-        )):
-            raise SignatureError("schnorr signature verification failed")
-
-
-# ---------------------------------------------------------------------------
-# Batch verification
-# ---------------------------------------------------------------------------
-
-#: Bit width of the random weights in the small-exponents aggregate test.
-#: 32 bits keeps the per-item cost of the independent check negligible
-#: while making a silent fast-path miscomputation survive the check with
-#: probability ~2**-32 (and any survivor is still caught per item by the
-#: challenge-hash comparison, which is deterministic).
-_WEIGHT_BITS = 32
-
-#: Weights come from a dedicated seeded generator by default so batch
-#: behaviour (including any bisection walk) is reproducible run to run
-#: and never perturbs a realm's protocol randomness.
-_BATCH_RNG = Rng(seed=b"schnorr-batch-weights")
-
-
-def _aggregate_ok(
-    params: SchnorrGroup, pairs: Sequence[List[int]], rng: Rng
-) -> bool:
-    """One multi-scalar check that every pair's u equals g**s.
-
-    ``pairs`` holds ``[s, u]`` entries.  LHS exponentiations use native
-    pow with small exponents; the RHS is one native full exponentiation —
-    an evaluation path independent of the fixed-base tables under test.
-    """
-    p, q, g = params.p, params.q, params.g
-    lhs = 1
-    total = 0
-    for s, u in pairs:
-        z = rng.int_below((1 << _WEIGHT_BITS) - 1) + 1
-        lhs = lhs * pow(u, z, p) % p
-        total = (total + z * s) % q
-    return lhs == pow(g, total, p)
-
-
-def _repair_pairs(
-    params: SchnorrGroup, pairs: List[List[int]], rng: Rng
-) -> int:
-    """Bisect a failing aggregate down to the wrong entries and fix them.
-
-    Mutates ``pairs`` in place (replacing bad u values with their native
-    recomputation) and returns the number of aggregate probes performed
-    — the ``vcache.batch.fallback_bisections`` telemetry.
-    """
-    if len(pairs) == 1:
-        s, u = pairs[0]
-        native = pow(params.g, s, params.p)
-        if native != u:
-            pairs[0][1] = native
-        return 1
-    mid = len(pairs) // 2
-    probes = 0
-    for half in (pairs[:mid], pairs[mid:]):
-        probes += 1
-        if not _aggregate_ok(params, half, rng):
-            probes += _repair_pairs(params, half, rng)
-    return probes
+    error = _check(key, message, signature)
+    if error is not None:
+        raise error
 
 
 def verify_batch(
     items: Sequence[Tuple[SchnorrPublicKey, bytes, bytes]],
-    rng: Optional[Rng] = None,
-) -> Tuple[List[Optional[SignatureError]], int]:
-    """Verify many (key, message, signature) triples, amortized.
+) -> List[Optional[SignatureError]]:
+    """Verify many (key, message, signature) triples, one by one.
 
-    Returns ``(errors, bisection_probes)``: ``errors[i]`` is None when
-    item ``i`` verified, else the same :class:`SignatureError` that
-    :func:`verify` would raise for it.  Acceptance and rejection are
-    decided per item exactly as in sequential verification — the batch
-    machinery only changes how the modular exponentiations are computed
-    and cross-checked, never what is accepted.
+    ``errors[i]`` is None when item ``i`` verified, else exactly the
+    :class:`SignatureError` that :func:`verify` would raise for it; a bad
+    item never stops the ones after it.
     """
-    rng = rng or _BATCH_RNG
-    errors: List[Optional[SignatureError]] = [None] * len(items)
-    by_group: Dict[int, list] = {}
-    for index, (key, message, signature) in enumerate(items):
-        try:
-            params = _key_params(key, SignatureError)
-            e, s = _parse_signature(params, signature)
-        except SignatureError as exc:
-            errors[index] = exc
-            continue
-        by_group.setdefault(params.p, []).append((index, key, message, e, s))
-
-    probes = 0
-    for p, group in by_group.items():
-        params = GROUPS[p]
-        pairs = [[s, _gen_pow(params, s)] for (_, _, _, _, s) in group]
-        if _precompute_enabled and len(pairs) >= 2:
-            if not _aggregate_ok(params, pairs, rng):
-                probes += _repair_pairs(params, pairs, rng)
-        for (index, key, message, e, s), (_, u) in zip(group, pairs):
-            v = _key_pow(params, key, params.q - e)
-            r_prime = u * v % params.p
-            if _challenge(params, r_prime, key.y, message) != e:
-                if not (_precompute_enabled and _native_recheck(
-                    params, key, message, e, s
-                )):
-                    errors[index] = SignatureError(
-                        "schnorr signature verification failed"
-                    )
-    return errors, probes
+    return [_check(*item) for item in items]
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.crypto.rng import Rng
-
 from repro.crypto import mac as _mac
 from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
@@ -331,42 +329,22 @@ class SchnorrSigner(SchnorrVerifier, Signer):
 # Batch verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BatchStats:
-    """What one :func:`verify_batch` call actually did.
-
-    ``batches`` counts dispatches into the Schnorr multi-scalar check
-    (0 when every check was a cache hit or a non-Schnorr scheme),
-    ``signatures`` the Schnorr signatures that went through it, and
-    ``fallback_bisections`` the aggregate probes spent isolating bad
-    entries when the randomized linear-combination check failed.
-    """
-
-    batches: int = 0
-    signatures: int = 0
-    fallback_bisections: int = 0
-
-
 def verify_batch(
     checks: Sequence[Tuple[Verifier, bytes, bytes]],
-    rng: Optional[Rng] = None,
-) -> Tuple[List[Optional[SignatureError]], BatchStats]:
-    """Verify many (verifier, message, signature) checks, amortized.
+) -> List[Optional[SignatureError]]:
+    """Verify many (verifier, message, signature) checks.
 
-    Semantically equivalent to calling ``verifier.verify(message,
-    signature)`` for each entry: the same cache lookups, the same
-    observer events, the same positive-only cache stores, and the same
+    Equivalent to calling ``verifier.verify(message, signature)`` for
+    each entry: the same cache lookups, the same observer events, the
+    same positive-only cache stores, and the same
     :class:`SignatureError` messages.  Schnorr checks that miss the
-    cache are verified together through
-    :func:`repro.crypto.schnorr.verify_batch`; every other scheme (and
-    every cache hit) takes the ordinary sequential path inline.
+    cache go to :func:`repro.crypto.schnorr.verify_batch` in one call;
+    every other scheme (and every cache hit) is handled inline.
 
-    Returns ``(errors, stats)`` where ``errors[i]`` is None when check
-    ``i`` verified and the error :meth:`Verifier.verify` would have
-    raised otherwise.
+    ``errors[i]`` is None when check ``i`` verified and the error
+    :meth:`Verifier.verify` would have raised otherwise.
     """
     errors: List[Optional[SignatureError]] = [None] * len(checks)
-    stats = BatchStats()
     cache = _sig_cache
     pending: List[Tuple[int, SchnorrVerifier, bytes, bytes, Optional[SignatureCacheKey]]] = []
     for index, (verifier, message, signature) in enumerate(checks):
@@ -398,15 +376,11 @@ def verify_batch(
         pending.append((index, verifier, message, signature[1:], key))
 
     if pending:
-        stats.batches = 1
-        stats.signatures = len(pending)
         start = _time.perf_counter()
-        batch_errors, probes = _schnorr.verify_batch(
-            [(v.public, m, s) for (_, v, m, s, _) in pending], rng=rng
+        batch_errors = _schnorr.verify_batch(
+            [(v.public, m, s) for (_, v, m, s, _) in pending]
         )
-        elapsed = _time.perf_counter() - start
-        stats.fallback_bisections = probes
-        share = elapsed / len(pending)
+        share = (_time.perf_counter() - start) / len(pending)
         for (index, verifier, _, _, key), error in zip(pending, batch_errors):
             ok = error is None
             if _observer is not None:
@@ -416,7 +390,7 @@ def verify_batch(
             elif key is not None and cache.store(key):
                 if _cache_observer is not None:
                     _cache_observer("evict", verifier.scheme)
-    return errors, stats
+    return errors
 
 
 def signer_for_symmetric(key: SymmetricKey) -> HmacSigner:

@@ -31,10 +31,11 @@ can have requests in flight at once:
   ``max_batch`` messages at a time and hands the batch to an optional
   per-endpoint *prefetcher* (see
   ``EndServer.signature_prefetcher`` / ``PkEndServer.signature_prefetcher``)
-  which warms the process-wide signature cache with one batched
-  verification over every queued request — the cross-request headroom
-  PR 7's batch verifier was designed for.  Prefetching is purely an
-  optimization: failures are never cached and handlers re-verify.
+  which verifies every queued request's signatures ahead of the
+  handlers — the same per-signature work, moved in front of them, so
+  each handler finds the process-wide signature cache warm.  Prefetching
+  is purely an optimization: failures are never cached and handlers
+  re-verify.
 
 Lifecycle: ``async with network.serve(): ...`` spawns one worker per
 registered endpoint and tears them down cleanly — queued requests are

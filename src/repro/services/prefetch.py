@@ -7,19 +7,17 @@ here decodes every queued proxy presentation (and, for the public-key
 server, every signed envelope), collects the signature checks each
 handler is about to perform via
 :meth:`~repro.core.verification.ProxyVerifier.collect_signature_checks`,
-and verifies them all in **one**
-:func:`repro.crypto.signature.verify_batch` call — one randomized
-multi-scalar Schnorr check for the whole batch instead of one
-exponentiation pair per signature.  Positive results land in the
-process-wide signature cache, so each handler's own ``verify`` walk hits
-the cache instead of re-doing the math.
+and runs them all through one
+:func:`repro.crypto.signature.verify_batch` call.  That is the same
+per-signature work, done before the handlers run instead of inside
+them: positive results land in the process-wide signature cache, so each
+handler's own ``verify`` walk hits the cache instead of re-doing the
+math.
 
-This is the cross-request batching window PR 7 left open: within-request
-batching collapses one chain's links; this collapses *many requests'*
-chains.  It is strictly an optimization — failed checks are never
-cached, malformed payloads are skipped, and every handler still runs the
-full authoritative verification — so a hostile payload can waste a
-little prefetch work but can never skip a check.
+It is strictly an optimization — failed checks are never cached,
+malformed payloads are skipped, and every handler still runs the full
+authoritative verification — so a hostile payload can waste a little
+prefetch work but can never skip a check.
 """
 
 from __future__ import annotations
@@ -29,15 +27,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.presentation import PresentedProxy
 from repro.core.verification import ProxyVerifier
 from repro.crypto import signature as _signature
-from repro.crypto.rng import Rng
 from repro.errors import ReproError
 
 #: Extra per-payload collector (e.g. envelope signatures); returns triples.
 ExtraChecks = Callable[[dict], List[tuple]]
-
-#: Minimum checks worth a batch call: below this, the per-call setup of
-#: the multi-scalar check costs more than it saves.
-MIN_BATCH_CHECKS = 2
 
 
 def proxy_request_prefetcher(
@@ -50,15 +43,11 @@ def proxy_request_prefetcher(
     payload)`` pairs, collects signature checks from every ``"request"``
     payload's proxy bundle (both the Kerberos shape,
     ``payload["proxy"]["presented"]``, and the public-key shape where
-    ``payload["proxy"]`` *is* the presentation wire), runs one batched
-    verification to warm the signature cache, and returns how many
+    ``payload["proxy"]`` *is* the presentation wire), verifies them
+    to warm the signature cache, and returns how many
     checks it warmed.  ``extra_checks`` may contribute additional
     triples per payload (the public-key server adds signed envelopes).
     """
-    # The batch weights need randomness but must never consume a realm's
-    # seeded protocol rng, so the prefetcher brings its own source.
-    rng = Rng(seed=b"aio-prefetch-weights")
-
     def prefetch(batch: Sequence[Tuple[str, dict]]) -> int:
         checks: List[tuple] = []
         for msg_type, payload in batch:
@@ -80,9 +69,7 @@ def proxy_request_prefetcher(
             except (ReproError, KeyError, TypeError, ValueError):
                 continue
             checks.extend(verifier.collect_signature_checks(presented))
-        if len(checks) < MIN_BATCH_CHECKS:
-            return 0
-        _signature.verify_batch(checks, rng=rng)
+        _signature.verify_batch(checks)
         return len(checks)
 
     return prefetch

@@ -313,10 +313,11 @@ class PkVerifyScenario(LoadScenario):
 
     Every principal holds a signed restricted proxy from one grantor and
     presents it with a fresh signed envelope and possession proof per
-    request — three Schnorr verifications per op, the stage the async
-    runtime's cross-request batch prefetcher collapses across queued
-    requests.  Uses the small test group so the bottleneck stays the
-    protocol, not 2048-bit modexp on CI runners.
+    request — three Schnorr verifications per op, which the async
+    runtime's cross-request prefetcher runs ahead of the handlers for
+    every request queued in one inbox drain.  Uses the small test group
+    so the bottleneck stays the protocol, not 2048-bit modexp on CI
+    runners.
     """
 
     name = "pk-verify"

@@ -227,60 +227,6 @@ class TestExpositionConformance:
         assert series.exemplars[0] == ("c" * 32, 0.02)
 
 
-class TestBatchExpositionConformance:
-    """The batched-verification counters (``vcache.batch.*``) must expose
-    through the same Prometheus text machinery as every other family."""
-
-    @pytest.fixture(scope="class")
-    def batch_text(self):
-        from repro.obs import Telemetry
-        from repro.obs.figures import run_figure
-
-        # fig6 is the pure public-key figure: its Schnorr chains go
-        # through the batched stage-1/2 path.
-        telemetry = Telemetry(capture_crypto=True)
-        try:
-            run_figure("fig6", telemetry)
-        finally:
-            telemetry.release_crypto()
-        return telemetry, prometheus_text(telemetry.metrics)
-
-    def test_dotted_batch_names_are_sanitized(self, batch_text):
-        _, text = batch_text
-        assert "vcache_batch_batches" in text
-        assert "vcache_batch_signatures" in text
-        assert "vcache.batch" not in text
-
-    def test_batch_counters_are_consistent(self, batch_text):
-        telemetry, _ = batch_text
-        counters = telemetry.metrics
-        batches = counters.counter("vcache.batch.batches").total()
-        signatures = counters.counter("vcache.batch.signatures").total()
-        bisections = counters.counter(
-            "vcache.batch.fallback_bisections"
-        ).total()
-        assert batches > 0
-        # Every batch covers at least one signature, and an all-valid
-        # figure replay never needs the bisection fallback.
-        assert signatures >= batches
-        assert bisections == 0
-
-    def test_every_batch_sample_name_is_legal(self, batch_text):
-        import re
-
-        _, text = batch_text
-        legal = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-        seen = 0
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            sample = line.split("{")[0].split(" ")[0]
-            if sample.startswith("vcache_batch"):
-                seen += 1
-            assert legal.match(sample), line
-        assert seen >= 2
-
-
 class TestUsageExpositionConformance:
     """The usage meter's mirrored ``usage.*`` metrics must honor the same
     format invariants as every other family."""

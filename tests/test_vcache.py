@@ -212,11 +212,19 @@ class TestCacheConfig:
         assert DISABLED_CONFIG.build_signature_cache() is None
 
     def test_enabled_config_sizes(self):
-        config = VerificationCacheConfig(
-            signature_cache_size=7, chain_cache_size=5
+        """The config only switches the caches on; capacity belongs to
+        the caches, and a verifier takes a sized one directly."""
+        fields = dataclasses.fields(VerificationCacheConfig)
+        assert [field.name for field in fields] == ["enabled"]
+        assert DEFAULT_CONFIG.build_signature_cache().max_entries == 4096
+        assert DEFAULT_CONFIG.build_chain_cache().max_entries == 1024
+        assert SignatureCache(max_entries=7).max_entries == 7
+        clock, crypto, _ = hmac_chain(links=1)
+        verifier = ProxyVerifier(
+            server=SERVER, crypto=crypto, clock=clock,
+            chain_cache=ChainPrefixCache(max_entries=5),
         )
-        assert config.build_signature_cache().max_entries == 7
-        assert config.build_chain_cache().max_entries == 5
+        assert verifier.chain_cache.max_entries == 5
 
     def test_override_swaps_and_restores(self):
         before = current_config()

@@ -38,14 +38,17 @@ from repro.crypto.dh import RFC3526_PRIME_2048
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
 from repro.crypto.schnorr_groups import TEST_GROUP
-from repro.crypto.signature import SchnorrSigner, SchnorrVerifier
+from repro.crypto.signature import (
+    SchnorrSigner,
+    SchnorrVerifier,
+    verify_batch,
+)
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
     CryptoError,
     ProxyExpiredError,
     ProxyVerificationError,
     ReplayError,
-    ReproError,
     RestrictionViolation,
 )
 from repro.obs.telemetry import Telemetry
@@ -80,6 +83,17 @@ def req(**kwargs):
     defaults = dict(server=SERVER, operation="read")
     defaults.update(kwargs)
     return RequestContext(**defaults)
+
+
+class PrefetchingVerifier(ProxyVerifier):
+    """What a handler behind the aio prefetcher sees: every presentation's
+    checks have been through ``collect_signature_checks`` and
+    ``verify_batch`` before ``verify`` runs.  Nothing but speed may
+    depend on that."""
+
+    def verify(self, presented, *args, **kwargs):
+        verify_batch(self.collect_signature_checks(presented))
+        return super().verify(presented, *args, **kwargs)
 
 
 class TestBearerVerification:
@@ -460,7 +474,6 @@ class TestPublicKeyVerification:
         with pytest.raises(ProxyVerificationError):
             verifier.verify(present(p, SERVER, clock.now(), "read"), req())
 
-    @pytest.mark.parametrize("batch_verify", [True, False])
     @pytest.mark.parametrize(
         "key_wire",
         [
@@ -471,7 +484,7 @@ class TestPublicKeyVerification:
         ids=["tiny-modulus", "old-safe-prime", "y-out-of-range"],
     )
     def test_unusable_embedded_key_is_a_normal_rejection(
-        self, clock, rng, key_wire, batch_verify
+        self, clock, rng, key_wire
     ):
         """A validly signed link whose embedded proxy key names a modulus
         outside the named-group table (or an out-of-range ``y``) is
@@ -480,12 +493,7 @@ class TestPublicKeyVerification:
         crypto = PublicKeyCrypto(
             directory={ALICE: SchnorrSigner(identity).verifier()}
         )
-        verifier = ProxyVerifier(
-            server=SERVER, crypto=crypto, clock=clock,
-            cache_config=dataclasses.replace(
-                DEFAULT_CONFIG, batch_verify=batch_verify
-            ),
-        )
+        verifier = ProxyVerifier(server=SERVER, crypto=crypto, clock=clock)
         cert = build_certificate(
             grantor=ALICE,
             restrictions=(),
@@ -507,36 +515,43 @@ class TestPublicKeyVerification:
                 present(forged, SERVER, clock.now(), "read"), req()
             )
 
-    @pytest.mark.parametrize("batch_verify", [True, False])
+    @pytest.mark.parametrize("prefetched", [True, False])
     def test_directory_key_outside_subgroup_is_rejected(
-        self, clock, rng, batch_verify
+        self, clock, rng, prefetched
     ):
         """A published identity key that is not in the order-q subgroup
-        never gets a precomputed table and never verifies anything."""
+        never gets a precomputed table and never verifies anything — a
+        typed rejection, with or without a prefetch ahead of it."""
         identity = schnorr.generate_keypair(TEST_GROUP, rng=rng)
         stray = schnorr.SchnorrPublicKey(group_p=TEST_GROUP.p, y=2)
         assert pow(stray.y, TEST_GROUP.q, TEST_GROUP.p) != 1
         crypto = PublicKeyCrypto(
             directory={ALICE: SchnorrVerifier(public=stray)}
         )
-        verifier = ProxyVerifier(
-            server=SERVER, crypto=crypto, clock=clock,
-            cache_config=dataclasses.replace(
-                DEFAULT_CONFIG, batch_verify=batch_verify
-            ),
+        telemetry = Telemetry()
+        verifier = (PrefetchingVerifier if prefetched else ProxyVerifier)(
+            server=SERVER, crypto=crypto, clock=clock, telemetry=telemetry
         )
         p = grant_public(
             ALICE, SchnorrSigner(identity), (), START, START + 100,
             rng=rng, group=TEST_GROUP,
         )
         before = schnorr.registered_key_count()
-        with pytest.raises(ReproError):
+        with pytest.raises(ProxyVerificationError) as refused:
             verifier.verify(present(p, SERVER, clock.now(), "read"), req())
+        assert type(refused.value) is ProxyVerificationError
+        assert str(refused.value) == (
+            "link 0: grantor key refused: "
+            "schnorr public key outside the order-q subgroup"
+        )
         assert schnorr.registered_key_count() == before
+        outcomes = telemetry.metrics.counter("proxy_verifications_total")
+        assert outcomes.value(outcome="ProxyVerificationError") == 1
+        assert outcomes.total() == 1
 
 
 @pytest.mark.parametrize(
-    "batch_verify", [True, False], ids=["batched", "sequential"]
+    "prefetched", [True, False], ids=["batched", "sequential"]
 )
 class TestProxyKeyPromotion:
     """A proxy key earns a table when the chain cache shows it recurs.
@@ -544,12 +559,14 @@ class TestProxyKeyPromotion:
     The possession proof is the one signature no cache can absorb, so the
     embedded key it is made under gets a comb on the second warm bearer
     presentation — and at no other time, and never at the price of a
-    check."""
+    check.  Every case runs through both entry points: ``sequential``
+    hands each presentation straight to ``verify``, ``batched`` puts the
+    aio prefetcher's ``verify_batch`` pass in front of it."""
 
     @pytest.fixture(autouse=True)
     def identity(self, rng):
         """ALICE's identity key, registered up front so table counts
-        below move only with proxy keys in both walk variants."""
+        below move only with proxy keys."""
         schnorr.clear_key_tables()
         identity = schnorr.generate_keypair(TEST_GROUP, rng=rng)
         schnorr.register_verification_key(identity.public)
@@ -557,16 +574,14 @@ class TestProxyKeyPromotion:
         schnorr.clear_key_tables()
 
     @staticmethod
-    def _verifier(clock, identity, batch_verify, config=DEFAULT_CONFIG,
+    def _verifier(clock, identity, prefetched, config=DEFAULT_CONFIG,
                   telemetry=None):
         crypto = PublicKeyCrypto(
             directory={ALICE: SchnorrSigner(identity).verifier()}
         )
-        verifier = ProxyVerifier(
+        verifier = (PrefetchingVerifier if prefetched else ProxyVerifier)(
             server=SERVER, crypto=crypto, clock=clock, telemetry=telemetry,
-            cache_config=dataclasses.replace(
-                config, batch_verify=batch_verify
-            ),
+            cache_config=config,
         )
         return verifier, crypto
 
@@ -584,11 +599,11 @@ class TestProxyKeyPromotion:
         return schnorr._KEY_TABLES.get((key.group_p, key.y)) is not None
 
     def test_second_warm_presentation_promotes_once(
-        self, clock, rng, identity, batch_verify
+        self, clock, rng, identity, prefetched
     ):
         telemetry = Telemetry()
         verifier, _ = self._verifier(
-            clock, identity, batch_verify, telemetry=telemetry
+            clock, identity, prefetched, telemetry=telemetry
         )
         p = self._grant(identity, rng)
         counts = []
@@ -601,9 +616,9 @@ class TestProxyKeyPromotion:
         assert promoted.total() == 1
 
     def test_delegate_use_never_promotes(
-        self, clock, rng, identity, batch_verify
+        self, clock, rng, identity, prefetched
     ):
-        verifier, _ = self._verifier(clock, identity, batch_verify)
+        verifier, _ = self._verifier(clock, identity, prefetched)
         p = self._grant(identity, rng, (Grantee(principals=(CAROL,)),))
         for _ in range(3):
             presented = present(
@@ -615,10 +630,10 @@ class TestProxyKeyPromotion:
         assert schnorr.registered_key_count() == 1
 
     def test_without_a_chain_cache_nothing_promotes(
-        self, clock, rng, identity, batch_verify
+        self, clock, rng, identity, prefetched
     ):
         verifier, _ = self._verifier(
-            clock, identity, batch_verify, config=DISABLED_CONFIG
+            clock, identity, prefetched, config=DISABLED_CONFIG
         )
         p = self._grant(identity, rng)
         for _ in range(3):
@@ -626,9 +641,9 @@ class TestProxyKeyPromotion:
         assert schnorr.registered_key_count() == 1
 
     def test_failed_presentations_never_promote(
-        self, clock, rng, identity, batch_verify
+        self, clock, rng, identity, prefetched
     ):
-        verifier, crypto = self._verifier(clock, identity, batch_verify)
+        verifier, crypto = self._verifier(clock, identity, prefetched)
         p = self._grant(identity, rng, lifetime=10)
         verifier.verify(present(p, SERVER, clock.now(), "read"), req())
         # Tampered: a different certificate is a different chain — cold.
@@ -653,9 +668,9 @@ class TestProxyKeyPromotion:
         assert not self._has_table(p)
 
     def test_every_proof_check_survives_promotion(
-        self, clock, rng, identity, batch_verify
+        self, clock, rng, identity, prefetched
     ):
-        verifier, _ = self._verifier(clock, identity, batch_verify)
+        verifier, _ = self._verifier(clock, identity, prefetched)
         p, other = self._grant(identity, rng), self._grant(identity, rng)
         for proxy in (p, other, p, other):
             verifier.verify(
@@ -686,14 +701,14 @@ class TestProxyKeyPromotion:
 
         # The same tampered proof against a verifier with no tables at all.
         schnorr.clear_key_tables()
-        native, _ = self._verifier(clock, identity, batch_verify)
+        native, _ = self._verifier(clock, identity, prefetched)
         with pytest.raises(ProxyVerificationError) as unpromoted:
             native.verify(bad_proof, req())
         assert str(promoted.value) == str(unpromoted.value)
         assert type(promoted.value) is type(unpromoted.value)
 
     def test_out_of_subgroup_embedded_key_stays_native(
-        self, clock, rng, identity, batch_verify, monkeypatch
+        self, clock, rng, identity, prefetched, monkeypatch
     ):
         """``-g**x`` has order 2q: proofs under it verify whenever the
         challenge is odd, exactly as before promotion existed.  It is
@@ -733,7 +748,7 @@ class TestProxyKeyPromotion:
             return pow(base, exponent, modulus)
 
         monkeypatch.setattr(schnorr, "pow", counting_pow, raising=False)
-        verifier, _ = self._verifier(clock, identity, batch_verify)
+        verifier, _ = self._verifier(clock, identity, prefetched)
         for _ in range(4):
             verified = verifier.verify(present_with_odd_challenge(), req())
             assert verified.bearer
@@ -744,11 +759,11 @@ class TestProxyKeyPromotion:
         assert len(subgroup_tests) == 1
 
     def test_evicted_proxy_key_is_promoted_again(
-        self, clock, rng, identity, batch_verify
+        self, clock, rng, identity, prefetched
     ):
         telemetry = Telemetry()
         verifier, _ = self._verifier(
-            clock, identity, batch_verify, telemetry=telemetry
+            clock, identity, prefetched, telemetry=telemetry
         )
         p = self._grant(identity, rng)
         for _ in range(2):
@@ -771,14 +786,14 @@ class TestProxyKeyPromotion:
         assert schnorr.registered_key_count() == 1024
 
         # The chain cache is still warm, so the very next presentation
-        # rebuilds the table (the batched walk re-registers ALICE too).
+        # rebuilds the table (the walk re-registers ALICE too).
         verifier.verify(present(p, SERVER, clock.now(), "read"), req())
         assert self._has_table(p)
         assert schnorr.registered_key_count() == 1024
         metrics = telemetry.metrics
         assert metrics.counter("vcache.keytable.promoted").total() == 2
         evicted = metrics.counter("vcache.evictions").value(layer="keytable")
-        assert evicted == (2 if batch_verify else 1)
+        assert evicted == 2
 
 
 class TestTampering:

@@ -66,20 +66,6 @@ def test_figure_trace_parity(figure):
     assert cached_tree == uncached_tree
 
 
-@pytest.mark.parametrize("figure", sorted(FIGURES))
-def test_figure_trace_parity_batched_vs_sequential(figure):
-    """Batched stage-1/2 verification must also be trace-invisible: the
-    same figure replayed with ``batch_verify`` on and off renders
-    byte-identical deterministic views."""
-    import dataclasses
-
-    batch_off = dataclasses.replace(DEFAULT_CONFIG, batch_verify=False)
-    on_trace, on_tree = _figure_views(figure, DEFAULT_CONFIG)
-    off_trace, off_tree = _figure_views(figure, batch_off)
-    assert on_trace == off_trace
-    assert on_tree == off_tree
-
-
 # ---------------------------------------------------------------------------
 # VerifiedProxy parity on repeat presentations
 # ---------------------------------------------------------------------------
