@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import FrozenSet, List, Optional, Tuple
+from heapq import merge
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.acl.compound import Anyone, Subject, subject_from_wire
+from repro.acl.compound import (
+    Anyone,
+    SinglePrincipal,
+    Subject,
+    subject_from_wire,
+)
 from repro.core.restrictions import (
     Restriction,
     restrictions_from_wire,
@@ -84,11 +90,41 @@ class AclEntry:
 
 @dataclass
 class AccessControlList:
-    """An ordered list of entries; the first match wins."""
+    """An ordered list of entries; the first match wins.
+
+    ``entries`` is the list and the only thing serialized or compared.
+    Beside it the ACL keeps the positions of every entry whose subject is
+    exactly a :class:`SinglePrincipal`, by principal, and the positions of
+    all the others in one ordered bucket, so :meth:`match` visits only the
+    entries that could name one of the concurring principals — an
+    authorization database holds one entry per user (§3.2), and a shared
+    server must not get slower with every user it serves.  Change the
+    list through :meth:`add` and :meth:`remove_subject`, which keep the
+    index in step.
+    """
 
     entries: List[AclEntry] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._by_principal: Dict[PrincipalId, List[int]] = {}
+        self._others: List[int] = []
+        for position, entry in enumerate(self.entries):
+            self._index(position, entry)
+
+    def _index(self, position: int, entry: AclEntry) -> None:
+        subject = entry.subject
+        if type(subject) is SinglePrincipal:
+            self._by_principal.setdefault(subject.principal, []).append(
+                position
+            )
+        else:
+            self._others.append(position)
+
     def add(self, entry: AclEntry) -> None:
+        self._index(len(self.entries), entry)
         self.entries.append(entry)
 
     def remove_subject(self, subject: Subject) -> int:
@@ -100,6 +136,7 @@ class AccessControlList:
         """
         before = len(self.entries)
         self.entries = [e for e in self.entries if e.subject != subject]
+        self._reindex()
         return before - len(self.entries)
 
     def match(
@@ -110,7 +147,16 @@ class AccessControlList:
         target: Optional[str] = None,
     ) -> Optional[AclEntry]:
         """First entry permitting the request, or None."""
-        for entry in self.entries:
+        buckets = [self._others] if self._others else []
+        for principal in principals:
+            positions = self._by_principal.get(principal)
+            if positions:
+                buckets.append(positions)
+        # Each bucket is ascending, so merging them restores list order.
+        candidates = buckets[0] if len(buckets) == 1 else merge(*buckets)
+        entries = self.entries
+        for position in candidates:
+            entry = entries[position]
             if entry.permits(principals, groups, operation, target):
                 return entry
         return None

@@ -27,6 +27,15 @@ tag    Python type
 
 Lengths are encoded as 4-byte big-endian unsigned integers, which bounds any
 single field at 4 GiB — far beyond anything a proxy certificate carries.
+Containers nest at most :data:`MAX_DEPTH` deep; beyond that both directions
+raise their typed error, never ``RecursionError``.
+
+Each direction is one pass over the bytes.  :func:`encode` appends into a
+single ``bytearray`` (a container reserves its header and patches the length
+in once its payload is behind it); :func:`decode` walks the input in place
+and slices out only the scalars it returns.  The bytes are the ones the
+recursive ``tag + len + payload`` construction produced — the tests keep that
+construction as their reference.
 """
 
 from __future__ import annotations
@@ -37,12 +46,22 @@ from typing import Any
 
 from repro.errors import DecodingError, EncodingError
 
+#: Containers may nest this deep and no deeper, in both directions, so a
+#: hostile frame is a typed error instead of a ``RecursionError``.  The
+#: deepest value any figure, WAL record or snapshot produces nests 11 deep
+#: (``tests/test_depth_limit.py`` measures it).
+MAX_DEPTH = 64
+
 _LEN = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+_HEAD = struct.Struct(">BI")  # tag byte + payload length
+_FLOAT = struct.Struct(">BId")
 
+_NONE = b"N\x00\x00\x00\x00"
+_FALSE = b"F\x00\x00\x00\x01\x00"
+_TRUE = b"F\x00\x00\x00\x01\x01"
 
-def _frame(tag: bytes, payload: bytes) -> bytes:
-    return tag + _LEN.pack(len(payload)) + payload
+_N, _F, _I, _D, _B, _S, _L, _M = b"NFIDBSLM"
 
 
 def encode(value: Any) -> bytes:
@@ -50,37 +69,76 @@ def encode(value: Any) -> bytes:
 
     Raises:
         EncodingError: if the value (or any nested element) is of an
-            unsupported type, or a dict has non-string keys.
+            unsupported type, a dict has non-string keys, or containers
+            nest deeper than :data:`MAX_DEPTH`.
     """
-    if value is None:
-        return _frame(b"N", b"")
-    # bool must be tested before int (bool is a subclass of int).
-    if isinstance(value, bool):
-        return _frame(b"F", b"\x01" if value else b"\x00")
-    if isinstance(value, int):
+    out = bytearray()
+    _encode_into(out, value, type(value), 0)
+    return bytes(out)
+
+
+def _encode_into(out: bytearray, value: Any, kind: type, depth: int) -> None:
+    """Append the encoding of ``value`` (whose ``type`` is ``kind``) to ``out``.
+
+    One pass, one buffer: scalars append header and payload, containers
+    reserve their 5-byte header and patch the length once the payload is
+    behind it.  Exact types are tested first; anything else is mapped to
+    the type it subclasses by :func:`_base_kind` and comes round again.
+    """
+    if kind is str:
+        payload = value.encode("utf-8")
+        out += _HEAD.pack(_S, len(payload))
+        out += payload
+    elif kind is bytes:
+        out += _HEAD.pack(_B, len(value))
+        out += value
+    elif kind is int:
         length = (value.bit_length() + 8) // 8 or 1
-        return _frame(b"I", value.to_bytes(length, "big", signed=True))
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise EncodingError("NaN has no canonical encoding")
-        return _frame(b"D", _F64.pack(value))
-    if isinstance(value, bytes):
-        return _frame(b"B", value)
-    if isinstance(value, str):
-        return _frame(b"S", value.encode("utf-8"))
-    if isinstance(value, (list, tuple)):
-        payload = b"".join(encode(item) for item in value)
-        return _frame(b"L", payload)
-    if isinstance(value, dict):
-        parts = []
+        out += _HEAD.pack(_I, length)
+        out += value.to_bytes(length, "big", signed=True)
+    elif kind is dict:
+        if depth >= MAX_DEPTH:
+            raise EncodingError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
+        header = len(out)
+        out += b"M\x00\x00\x00\x00"
         for key in sorted(value):
             if not isinstance(key, str):
                 raise EncodingError(
                     f"dict keys must be str, got {type(key).__name__}"
                 )
-            parts.append(encode(key))
-            parts.append(encode(value[key]))
-        return _frame(b"M", b"".join(parts))
+            _encode_into(out, key, str, depth)
+            item = value[key]
+            _encode_into(out, item, type(item), depth)
+        _LEN.pack_into(out, header + 1, len(out) - header - 5)
+    elif kind is list or kind is tuple:
+        if depth >= MAX_DEPTH:
+            raise EncodingError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
+        header = len(out)
+        out += b"L\x00\x00\x00\x00"
+        for item in value:
+            _encode_into(out, item, type(item), depth)
+        _LEN.pack_into(out, header + 1, len(out) - header - 5)
+    elif value is None:
+        out += _NONE
+    elif kind is bool:
+        out += _TRUE if value else _FALSE
+    elif kind is float:
+        if math.isnan(value):
+            raise EncodingError("NaN has no canonical encoding")
+        out += _FLOAT.pack(_D, 8, value)
+    else:
+        _encode_into(out, value, _base_kind(value), depth)
+
+
+def _base_kind(value: Any) -> type:
+    """The supported type a subclass instance (``IntEnum``, a ``str``
+    subclass, ...) encodes as.  ``bool`` cannot be subclassed, so it never
+    arrives here and ``int`` cannot claim it."""
+    for kind in (int, float, bytes, str, list, tuple, dict):
+        if isinstance(value, kind):
+            return kind
     raise EncodingError(f"unsupported type: {type(value).__name__}")
 
 
@@ -88,10 +146,11 @@ def decode(data: bytes) -> Any:
     """Decode a byte string produced by :func:`encode`.
 
     Raises:
-        DecodingError: on truncation, trailing garbage, unknown tags, or
-            non-canonical integer encodings.
+        DecodingError: on truncation, trailing garbage, unknown tags,
+            non-canonical integer encodings, or containers nested deeper
+            than :data:`MAX_DEPTH`.
     """
-    value, consumed = _decode_one(data, 0)
+    value, consumed = _decode_one(data, 0, 0)
     if consumed != len(data):
         raise DecodingError(
             f"trailing garbage: {len(data) - consumed} bytes after value"
@@ -99,73 +158,81 @@ def decode(data: bytes) -> Any:
     return value
 
 
-def _decode_one(data: bytes, offset: int) -> tuple:
-    if offset + 5 > len(data):
-        raise DecodingError("truncated TLV header")
-    tag = data[offset : offset + 1]
-    (length,) = _LEN.unpack_from(data, offset + 1)
+def _decode_one(data: bytes, offset: int, depth: int) -> tuple:
+    """Decode the TLV at ``offset``; returns ``(value, end offset)``.
+
+    Dispatches on the tag byte and slices a payload only for the scalar
+    that is built from it — containers walk ``data`` in place.
+    """
     start = offset + 5
+    if start > len(data):
+        raise DecodingError("truncated TLV header")
+    tag = data[offset]
+    (length,) = _LEN.unpack_from(data, offset + 1)
     end = start + length
     if end > len(data):
         raise DecodingError("truncated TLV payload")
-    payload = data[start:end]
 
-    if tag == b"N":
-        if payload:
-            raise DecodingError("None payload must be empty")
-        return None, end
-    if tag == b"F":
-        if payload not in (b"\x00", b"\x01"):
-            raise DecodingError("bool payload must be 00 or 01")
-        return payload == b"\x01", end
-    if tag == b"I":
-        if not payload:
-            raise DecodingError("int payload must be non-empty")
-        value = int.from_bytes(payload, "big", signed=True)
-        # Reject non-minimal encodings so decoding is injective too.
-        minimal = (value.bit_length() + 8) // 8 or 1
-        if len(payload) != minimal:
-            raise DecodingError("non-canonical int encoding")
-        return value, end
-    if tag == b"D":
-        if len(payload) != 8:
-            raise DecodingError("float payload must be 8 bytes")
-        (value,) = _F64.unpack(payload)
-        if math.isnan(value):
-            raise DecodingError("NaN is not a canonical value")
-        return value, end
-    if tag == b"B":
-        return payload, end
-    if tag == b"S":
+    if tag == _S:
         try:
-            return payload.decode("utf-8"), end
+            return data[start:end].decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise DecodingError(f"invalid UTF-8 in string: {exc}") from exc
-    if tag == b"L":
-        items = []
-        pos = start
-        while pos < end:
-            item, pos = _decode_one(data, pos)
-            items.append(item)
-        if pos != end:
-            raise DecodingError("list payload overran its length")
-        return items, end
-    if tag == b"M":
+    if tag == _M:
+        if depth >= MAX_DEPTH:
+            raise DecodingError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
         result = {}
         pos = start
         previous_key = None
         while pos < end:
-            key, pos = _decode_one(data, pos)
-            if not isinstance(key, str):
+            key, pos = _decode_one(data, pos, depth)
+            if type(key) is not str:
                 raise DecodingError("dict key must decode to str")
             if previous_key is not None and key <= previous_key:
                 raise DecodingError("dict keys not in canonical sorted order")
             if pos >= end:
                 raise DecodingError("dict key without value")
-            value, pos = _decode_one(data, pos)
-            result[key] = value
+            result[key], pos = _decode_one(data, pos, depth)
             previous_key = key
         if pos != end:
             raise DecodingError("dict payload overran its length")
         return result, end
-    raise DecodingError(f"unknown tag {tag!r}")
+    if tag == _B:
+        return data[start:end], end
+    if tag == _I:
+        if not length:
+            raise DecodingError("int payload must be non-empty")
+        value = int.from_bytes(data[start:end], "big", signed=True)
+        # Reject non-minimal encodings so decoding is injective too.
+        if length != ((value.bit_length() + 8) // 8 or 1):
+            raise DecodingError("non-canonical int encoding")
+        return value, end
+    if tag == _L:
+        if depth >= MAX_DEPTH:
+            raise DecodingError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
+        items = []
+        pos = start
+        while pos < end:
+            item, pos = _decode_one(data, pos, depth)
+            items.append(item)
+        if pos != end:
+            raise DecodingError("list payload overran its length")
+        return items, end
+    if tag == _N:
+        if length:
+            raise DecodingError("None payload must be empty")
+        return None, end
+    if tag == _F:
+        if length != 1 or data[start] > 1:
+            raise DecodingError("bool payload must be 00 or 01")
+        return data[start] == 1, end
+    if tag == _D:
+        if length != 8:
+            raise DecodingError("float payload must be 8 bytes")
+        (value,) = _F64.unpack_from(data, start)
+        if math.isnan(value):
+            raise DecodingError("NaN is not a canonical value")
+        return value, end
+    raise DecodingError(f"unknown tag {data[offset:offset + 1]!r}")

@@ -159,3 +159,72 @@ class TestRejection:
         bad = b"I" + (0).to_bytes(4, "big")
         with pytest.raises(DecodingError):
             decode(bad)
+
+
+def _tlv(tag: bytes, payload: bytes) -> bytes:
+    return tag + len(payload).to_bytes(4, "big") + payload
+
+
+class TestRejectionMessages:
+    """Every malformed frame is refused with the message — and, where a
+    frame has two defects, the precedence — the decoder has always had."""
+
+    @pytest.mark.parametrize(
+        "blob,message",
+        [
+            (b"", "truncated TLV header"),
+            (b"I\x00\x00", "truncated TLV header"),
+            (_tlv(b"B", b"hello")[:-1], "truncated TLV payload"),
+            # Truncation is noticed before the tag is looked at.
+            (b"Z\x00\x00\x00\x05ab", "truncated TLV payload"),
+            (_tlv(b"Z", b""), "unknown tag b'Z'"),
+            (encode(1) + b"\x00", "trailing garbage: 1 bytes after value"),
+            (_tlv(b"I", b""), "int payload must be non-empty"),
+            (_tlv(b"I", b"\x00\x01"), "non-canonical int encoding"),
+            (_tlv(b"I", b"\xff\xff"), "non-canonical int encoding"),
+            (_tlv(b"F", b"\x02"), "bool payload must be 00 or 01"),
+            (_tlv(b"F", b""), "bool payload must be 00 or 01"),
+            (_tlv(b"F", b"\x00\x00"), "bool payload must be 00 or 01"),
+            (_tlv(b"N", b"\x00"), "None payload must be empty"),
+            (_tlv(b"D", b"\x00" * 7), "float payload must be 8 bytes"),
+            (
+                _tlv(b"D", b"\x7f\xf8\x00\x00\x00\x00\x00\x00"),
+                "NaN is not a canonical value",
+            ),
+            (
+                _tlv(b"S", b"\xff\xfe"),
+                "invalid UTF-8 in string: 'utf-8' codec can't decode byte "
+                "0xff in position 0: invalid start byte",
+            ),
+            (
+                _tlv(b"M", encode(1) + encode(2)),
+                "dict key must decode to str",
+            ),
+            # A malformed key is reported as what is wrong with *it*.
+            (
+                _tlv(b"M", _tlv(b"I", b"\x00\x01") + encode(2)),
+                "non-canonical int encoding",
+            ),
+            (
+                _tlv(b"M", encode("b") + encode(1) + encode("a") + encode(2)),
+                "dict keys not in canonical sorted order",
+            ),
+            (
+                _tlv(b"M", encode("a") + encode(1) + encode("a") + encode(2)),
+                "dict keys not in canonical sorted order",
+            ),
+            (_tlv(b"M", encode("a")), "dict key without value"),
+            (
+                b"L\x00\x00\x00\x05" + _tlv(b"B", b"ab"),
+                "list payload overran its length",
+            ),
+            (
+                b"M\x00\x00\x00\x0c" + encode("a") + _tlv(b"B", b"abcd"),
+                "dict payload overran its length",
+            ),
+        ],
+    )
+    def test_message(self, blob, message):
+        with pytest.raises(DecodingError) as caught:
+            decode(blob)
+        assert str(caught.value) == message
