@@ -16,11 +16,11 @@ import pytest
 
 from conftest import fresh_realm, report
 from repro.acl import AclEntry, SinglePrincipal
-from repro.core.policy import is_narrower
 from repro.core.restrictions import (
     IssuedFor,
     LimitRestriction,
     Quota,
+    is_narrower,
     propagate_restrictions,
 )
 from repro.encoding.identifiers import PrincipalId

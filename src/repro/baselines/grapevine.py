@@ -36,9 +36,6 @@ class GrapevineRegistry(Service):
     def create_group(self, name: str, members=()) -> None:
         self._groups[name] = set(members)
 
-    def add_member(self, name: str, member: PrincipalId) -> None:
-        self._groups.setdefault(name, set()).add(member)
-
     def remove_member(self, name: str, member: PrincipalId) -> None:
         self._groups.get(name, set()).discard(member)
 

@@ -84,9 +84,3 @@ class PlainCapabilityServer(Service):
         if handler is None:
             raise ServiceError(f"no operation {payload['operation']!r}")
         return handler(message.source, payload)
-
-    def revoke(self, token: str) -> bool:
-        """Server-side revocation requires knowing every outstanding copy's
-        token — possible here, but note there is no way to revoke only the
-        copies an untrusted holder passed on."""
-        return self._tokens.pop(token, None) is not None

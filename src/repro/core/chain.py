@@ -1,70 +1,16 @@
-"""Chain-level helpers for cascaded proxies (Fig. 4, §3.4).
+"""Rendering a cascaded proxy chain (Fig. 4, §3.4) for protocol traces.
 
-The cryptographic walk of a chain lives in
-:mod:`repro.core.verification`; this module provides the *structural*
-queries services and tools need without keys: who is involved, what got
-tightened where, and rendering a chain in the paper's bracket notation for
-protocol traces.
+The cryptographic walk of a chain, and everything it derives from one
+(audit trail, expiry, quotas), lives in :mod:`repro.core.verification`;
+this module only prints a chain in the paper's bracket notation, which
+needs no keys.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.certificate import (
-    LINK_CASCADE,
-    LINK_DELEGATE,
-    ProxyCertificate,
-)
-from repro.core.restrictions import Grantee, Quota, Restriction
-from repro.encoding.identifiers import PrincipalId
-
-
-def chain_grantor(certs: Tuple[ProxyCertificate, ...]) -> PrincipalId:
-    """The principal whose rights a chain conveys (the root grantor)."""
-    return certs[0].grantor
-
-
-def audit_trail(certs: Tuple[ProxyCertificate, ...]) -> Tuple[PrincipalId, ...]:
-    """Intermediates that signed delegate links, in order (§3.4).
-
-    Bearer cascades contribute nothing — that is the paper's point about
-    delegate proxies leaving an audit trail where bearer cascades do not.
-    """
-    return tuple(
-        cert.grantor for cert in certs if cert.link_kind == LINK_DELEGATE
-    )
-
-
-def effective_expiry(certs: Tuple[ProxyCertificate, ...]) -> float:
-    """The chain expires when its tightest link does."""
-    return min(cert.expires_at for cert in certs)
-
-
-def effective_quota(
-    certs: Tuple[ProxyCertificate, ...], currency: str
-) -> Optional[int]:
-    """Tightest quota for ``currency`` across the chain, or None if unbounded.
-
-    Quotas are additive restrictions, so the minimum governs.
-    """
-    limits = [
-        r.limit
-        for cert in certs
-        for r in cert.restrictions
-        if isinstance(r, Quota) and r.currency == currency
-    ]
-    return min(limits) if limits else None
-
-
-def named_grantees(
-    certs: Tuple[ProxyCertificate, ...]
-) -> Tuple[PrincipalId, ...]:
-    """Principals named in the *final* link's grantee restriction (if any)."""
-    for restriction in certs[-1].restrictions:
-        if isinstance(restriction, Grantee):
-            return restriction.principals
-    return ()
+from repro.core.certificate import LINK_CASCADE, ProxyCertificate
 
 
 def describe(certs: Tuple[ProxyCertificate, ...]) -> str:
@@ -88,11 +34,3 @@ def describe(certs: Tuple[ProxyCertificate, ...]) -> str:
             signer = f"{cert.grantor} (delegate)"
         lines.append(f"[{names}, {key}]{{{signer}}}")
     return "\n".join(lines)
-
-
-def total_restrictions(certs: Tuple[ProxyCertificate, ...]) -> Tuple[Restriction, ...]:
-    """All restrictions across the chain, in link order (additive union)."""
-    out: List[Restriction] = []
-    for cert in certs:
-        out.extend(cert.restrictions)
-    return tuple(out)

@@ -114,9 +114,6 @@ class Proxy:
             collected.extend(cert.restrictions)
         return tuple(collected)
 
-    def certificates_wire(self) -> list:
-        return [cert.to_wire() for cert in self.certificates]
-
     def pop_signer(self) -> Signer:
         """Signer proving possession of the final proxy key."""
         if self.proxy_key is None:

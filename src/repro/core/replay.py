@@ -258,14 +258,6 @@ class AuthenticatorCache:
         self._seen: Dict[bytes, float] = {}
         self._expiry_heap: List[Tuple[float, bytes]] = []
 
-    @property
-    def window(self) -> float:
-        return self._window
-
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
-
     def register(
         self, digest: bytes, timestamp: Optional[float] = None
     ) -> bool:

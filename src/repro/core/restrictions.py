@@ -708,6 +708,26 @@ def propagate_restrictions(
     return tuple(outgoing)
 
 
+def is_narrower(
+    tighter: Tuple[Restriction, ...],
+    looser: Tuple[Restriction, ...],
+) -> bool:
+    """True when ``tighter`` is a superset of ``looser`` (additive check).
+
+    Because restrictions only ever accumulate, a derived proxy's restriction
+    multiset must contain every restriction of its ancestor.  This is the
+    structural form of the paper's "restrictions may be added, but not
+    removed" (§6.2).
+    """
+    remaining = list(tighter)
+    for restriction in looser:
+        if restriction in remaining:
+            remaining.remove(restriction)
+        else:
+            return False
+    return True
+
+
 def is_bearer(restrictions: Tuple[Restriction, ...]) -> bool:
     """True when no ``grantee`` restriction is present (§7.1).
 

@@ -2,9 +2,11 @@
 
 Everything the paper's mechanisms need from "existing authentication
 systems": random keys, prime generation, RSA signatures and encryption,
-Diffie–Hellman key agreement, authenticated symmetric encryption, and HMAC
-integrity seals — all behind the unified :class:`Signer`/:class:`Verifier`
-interface so the proxy core is agnostic to the mechanism (§6).
+Schnorr signatures and integrated encryption (the DH/ElGamal KEM in
+:func:`repro.crypto.schnorr.encrypt_to`), authenticated symmetric
+encryption, and HMAC integrity seals — all behind the unified
+:class:`Signer`/:class:`Verifier` interface so the proxy core is agnostic
+to the mechanism (§6).
 """
 
 from repro.crypto.keys import KeyPair, SymmetricKey

@@ -1,4 +1,4 @@
-"""Prime generation and primality testing for RSA/DH key generation.
+"""Prime generation and primality testing for RSA keys and Schnorr groups.
 
 Implements deterministic trial division over small primes followed by
 Miller–Rabin with enough rounds that the error probability is negligible for
@@ -82,20 +82,6 @@ def generate_prime(bits: int, rng: Optional[Rng] = None) -> int:
             continue
         if is_probable_prime(candidate, rng=rng):
             return candidate
-
-
-def generate_safe_prime(bits: int, rng: Optional[Rng] = None) -> int:
-    """Generate a safe prime p (p = 2q + 1 with q prime), for DH groups.
-
-    Safe-prime search is slow; library code prefers the fixed RFC group in
-    :mod:`repro.crypto.dh` and uses this only for small test groups.
-    """
-    rng = rng or DEFAULT_RNG
-    while True:
-        q = generate_prime(bits - 1, rng=rng)
-        p = 2 * q + 1
-        if is_probable_prime(p, rng=rng):
-            return p
 
 
 def generate_schnorr_group(

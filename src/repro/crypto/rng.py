@@ -29,11 +29,6 @@ class Rng:
         self._seed = seed
         self._counter = 0
 
-    @property
-    def deterministic(self) -> bool:
-        """True when this generator was seeded."""
-        return self._seed is not None
-
     def bytes(self, n: int) -> bytes:
         """Return ``n`` random bytes."""
         if n < 0:

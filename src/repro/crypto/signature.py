@@ -136,9 +136,6 @@ class SignatureCache:
         self.evictions += evicted
         return evicted
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def stats(self) -> dict:
         return {
             "hits": self.hits,
@@ -146,9 +143,6 @@ class SignatureCache:
             "evictions": self.evictions,
             "entries": len(self._entries),
         }
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 #: The process-wide cache, default-on (see VerificationCacheConfig for the

@@ -62,20 +62,6 @@ class RecoveryReport:
     def ok(self) -> bool:
         return not self.problems
 
-    def describe(self) -> str:
-        kinds = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(self.replayed.items())
-        )
-        parts = [
-            f"snapshot={'yes' if self.snapshot_restored else 'no'}",
-            f"replayed={self.total_replayed}" + (f" ({kinds})" if kinds else ""),
-        ]
-        if self.torn_bytes:
-            parts.append(f"torn_tail={self.torn_bytes}B truncated")
-        if self.problems:
-            parts.append(f"PROBLEMS={len(self.problems)}")
-        return "; ".join(parts)
-
 
 class DurabilityStore:
     """Append-only WAL + periodic snapshot for one server's state."""

@@ -102,7 +102,15 @@ def _encode_into(out: bytearray, value: Any, kind: type, depth: int) -> None:
         depth += 1
         header = len(out)
         out += b"M\x00\x00\x00\x00"
-        for key in sorted(value):
+        try:
+            keys = sorted(value)
+        except TypeError:
+            # Keys of mixed types do not order; name the first non-str one.
+            key = next(k for k in value if not isinstance(k, str))
+            raise EncodingError(
+                f"dict keys must be str, got {type(key).__name__}"
+            ) from None
+        for key in keys:
             if not isinstance(key, str):
                 raise EncodingError(
                     f"dict keys must be str, got {type(key).__name__}"

@@ -115,10 +115,6 @@ class KerberosProxy:
     def grantor(self) -> PrincipalId:
         return self.proxy.grantor
 
-    @property
-    def root_ticket(self) -> Ticket:
-        return self.tickets[0]
-
     def presentation(
         self,
         server: PrincipalId,

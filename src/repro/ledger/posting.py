@@ -195,6 +195,3 @@ class Posting:
                     f"posting {self.description or '<unnamed>'!r} does not "
                     f"conserve funds: net {unbalanced}"
                 )
-
-    def currencies(self) -> Tuple[str, ...]:
-        return tuple(sorted({leg.currency for leg in self.legs}))

@@ -15,7 +15,7 @@ from typing import Optional
 from repro.clock import Clock
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError, ServiceError
-from repro.net.message import Message, encode_error, raise_if_error
+from repro.net.message import Message, encode_error
 from repro.net.network import Network
 from repro.obs.telemetry import Telemetry
 
@@ -124,12 +124,3 @@ class Service:
                     f"{type(exc).__name__}: {exc}"
                 )
             )
-
-    def call(
-        self, destination: PrincipalId, msg_type: str, payload: dict
-    ) -> dict:
-        """Client-side helper: send and raise any transported error."""
-        response = self.network.send(
-            self.principal, destination, msg_type, payload
-        )
-        return raise_if_error(response)

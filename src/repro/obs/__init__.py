@@ -12,7 +12,7 @@ goes*.  This package instruments both:
   ledger postings all join on one trace id;
 * :mod:`repro.obs.store` — the :class:`TraceStore`: completed spans
   indexed by trace id and principal for forensic queries;
-* :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket histograms
+* :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
   with per-bucket trace-id exemplars;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade threaded
   through the network, services, KDC, and verifier (default
@@ -39,7 +39,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
@@ -77,7 +76,6 @@ __all__ = [
     "validate_spans",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",

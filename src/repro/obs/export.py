@@ -4,7 +4,7 @@ Three consumers, three formats:
 
 * machines ingesting traces — :func:`spans_to_jsonl`, one span per line;
 * scrapers ingesting metrics — :func:`prometheus_text`, the Prometheus
-  text exposition format (counters, gauges, histograms with cumulative
+  text exposition format (counters, histograms with cumulative
   ``le`` buckets);
 * humans reading a protocol run — :func:`render_span_tree` (the nested
   activity view) and :func:`render_message_trace` (the flat numbered
@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     Metric,
     MetricsRegistry,
@@ -305,7 +304,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         name = prometheus_name(metric.name)
         lines.append(f"# HELP {name} {metric.help or metric.name}")
         lines.append(f"# TYPE {name} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
+        if isinstance(metric, Counter):
             for key, value in metric.series():
                 lines.append(
                     f"{name}{_format_labels(key)} "

@@ -1,15 +1,14 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The paper's claims are protocol-shape claims, and the ROADMAP's are
 performance claims; both need numbers collected *where the work happens*
 rather than reconstructed afterwards.  This registry is deliberately small —
-three metric kinds, label sets as plain keyword arguments, and a
+two metric kinds, label sets as plain keyword arguments, and a
 Prometheus-compatible data model so :func:`repro.obs.export.prometheus_text`
 can expose everything in one pass:
 
 * **Counter** — monotonically increasing totals (messages sent, tickets
   issued, checks cleared).
-* **Gauge** — last-written values (open sessions, account balances).
 * **Histogram** — observations bucketed into *fixed* upper bounds chosen at
   registration, plus a running sum and count.  Fixed buckets keep every
   observation O(len(buckets)) and make two exports directly comparable.
@@ -73,9 +72,6 @@ class Metric:
         self.name = name
         self.help = help
 
-    def series(self) -> Iterable[Tuple[LabelKey, object]]:
-        raise NotImplementedError
-
 
 class Counter(Metric):
     """A monotonically increasing total, per label set."""
@@ -98,29 +94,6 @@ class Counter(Metric):
     def total(self) -> float:
         """Sum over every label combination."""
         return sum(self._values.values())
-
-    def series(self) -> Iterable[Tuple[LabelKey, float]]:
-        return sorted(self._values.items())
-
-
-class Gauge(Metric):
-    """A value that may go up or down, per label set."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels: object) -> None:
-        self._values[_label_key(labels)] = float(value)
-
-    def add(self, amount: float, **labels: object) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        return self._values.get(_label_key(labels), 0.0)
 
     def series(self) -> Iterable[Tuple[LabelKey, float]]:
         return sorted(self._values.items())
@@ -158,10 +131,6 @@ class HistogramSeries:
                 native = min(native, i)
         if exemplar:
             self.exemplars[native] = (exemplar, value)
-
-    def cumulative(self) -> List[int]:
-        """Cumulative per-bucket counts, Prometheus style (le semantics)."""
-        return self.bucket_counts
 
 
 class Histogram(Metric):
@@ -201,10 +170,6 @@ class Histogram(Metric):
         series = self._series.get(_label_key(labels))
         return series.count if series is not None else 0
 
-    def sum(self, **labels: object) -> float:
-        series = self._series.get(_label_key(labels))
-        return series.sum if series is not None else 0.0
-
     def total_count(self) -> int:
         return sum(s.count for s in self._series.values())
 
@@ -238,9 +203,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._register(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._register(Gauge, name, help)
-
     def histogram(
         self,
         name: str,
@@ -256,6 +218,3 @@ class MetricsRegistry:
 
     def families(self) -> Iterable[Metric]:
         return [self._metrics[name] for name in sorted(self._metrics)]
-
-    def clear(self) -> None:
-        self._metrics.clear()

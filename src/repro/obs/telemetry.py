@@ -115,11 +115,6 @@ class NullTelemetry:
     ) -> None:
         pass
 
-    def set_gauge(
-        self, name: str, value: float, help: str = "", **labels: object
-    ) -> None:
-        pass
-
     def observe(
         self,
         name: str,
@@ -222,11 +217,6 @@ class Telemetry:
         self, name: str, amount: float = 1.0, help: str = "", **labels: object
     ) -> None:
         self.metrics.counter(name, help=help).inc(amount, **labels)
-
-    def set_gauge(
-        self, name: str, value: float, help: str = "", **labels: object
-    ) -> None:
-        self.metrics.gauge(name, help=help).set(value, **labels)
 
     def observe(
         self,

@@ -318,10 +318,6 @@ class Tracer:
         """The open spans, outermost first (a snapshot of the stack)."""
         return tuple(self._stack)
 
-    @property
-    def current_run_id(self) -> Optional[str]:
-        return self._run_id
-
     def current_context(self) -> Optional[TraceContext]:
         """The wire context of the active span, or None outside any span."""
         if not self._stack:

@@ -108,9 +108,6 @@ class ResilientChannel:
 
     # -- replicas ------------------------------------------------------------
 
-    def add_replica_group(self, group: ReplicaGroup) -> None:
-        self._groups[group.logical] = group
-
     def add_replica(
         self, logical: PrincipalId, endpoint: PrincipalId
     ) -> None:

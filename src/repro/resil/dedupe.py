@@ -118,6 +118,3 @@ class ResponseCache:
         """Restore :meth:`capture_state` output (snapshot recovery)."""
         for key, expires_at, response in state["entries"]:
             self.restore(key, float(expires_at), response)
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -91,26 +91,6 @@ class ProxyCache:
             return None
         return proxy
 
-    def revoke(self, end_server: Optional[PrincipalId] = None) -> int:
-        """Drop cached proxies (all, or those for one end-server).
-
-        Mirrors §3.2's revocation story: proxies are short-lived and an
-        operator who revokes rights also flushes caches — a degraded-mode
-        client must not keep exercising revoked credentials it happens to
-        still hold.  Returns the number of entries dropped.
-        """
-        if end_server is None:
-            count = len(self._entries)
-            self._entries.clear()
-            return count
-        doomed = [k for k in self._entries if k[0] == end_server]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class ResilientAuthorizationClient(AuthorizationClient):
     """Fig. 3 client that survives authorization-server outages."""

@@ -182,7 +182,6 @@ class PkEndServer(Service):
         telemetry=None,
         cache_config=None,
         dedupe=None,
-        durability=None,
     ) -> None:
         super().__init__(
             principal, network, clock, telemetry=telemetry, dedupe=dedupe
@@ -207,71 +206,6 @@ class PkEndServer(Service):
         )
         self._operations: Dict[str, Callable] = {}
         self.audit = AuditLog(telemetry=self.telemetry)
-        #: Optional :class:`~repro.durability.DurabilityStore`; same
-        #: contract as the Kerberos end-server — accept-once identifiers,
-        #: cached responses, and the audit trail survive a crash-restart.
-        self.durability = durability
-        self.recovery = None
-        if durability is not None:
-            self._wire_durability()
-            self.recovery = durability.recover()
-
-    def _wire_durability(self) -> None:
-        from repro.audit import AuditRecord
-
-        store = self.durability
-        accept_once = self.verifier.accept_once
-
-        def sink_accept(kind, grantor, identifier, expires_at, used):
-            store.append(
-                "accept",
-                {
-                    "kind": kind,
-                    "grantor": grantor.to_wire(),
-                    "identifier": identifier,
-                    "expires_at": expires_at,
-                    "used": used,
-                },
-            )
-
-        accept_once.commit_sink = sink_accept
-        store.handler(
-            "accept",
-            lambda data: accept_once.restore(
-                data["kind"],
-                PrincipalId.from_wire(data["grantor"]),
-                data["identifier"],
-                float(data["expires_at"]),
-                used=int(data.get("used", 1)),
-            ),
-        )
-        store.snapshotter(
-            "accept_once",
-            accept_once.capture_state,
-            accept_once.restore_state,
-        )
-        if self.dedupe is not None:
-            dedupe = self.dedupe
-            dedupe.sink = lambda key, expires_at, response: store.append(
-                "response",
-                {"key": key, "expires_at": expires_at, "response": response},
-            )
-            store.handler(
-                "response",
-                lambda data: dedupe.restore(
-                    data["key"], float(data["expires_at"]), data["response"]
-                ),
-            )
-            store.snapshotter(
-                "responses", dedupe.capture_state, dedupe.restore_state
-            )
-        audit = self.audit
-        audit.sink = lambda entry: store.append("audit", entry.to_wire())
-        store.handler(
-            "audit",
-            lambda data: audit.restore(AuditRecord.from_wire(data)),
-        )
-        store.snapshotter("audit", audit.capture_state, audit.restore_state)
 
     def register_operation(self, name: str, handler: Callable) -> None:
         self._operations[name] = handler

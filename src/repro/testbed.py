@@ -106,8 +106,7 @@ class Realm:
         :class:`~repro.resil.channel.ResilientChannel` (``realm.channel``)
         — RPCs retry with backoff behind circuit breakers, servers dedupe
         resends, end servers mark grants degraded while their authority is
-        unreachable, and :meth:`kdc_replica` /
-        :meth:`authorization_replica` register failover replicas.
+        unreachable, and :meth:`kdc_replica` registers failover replicas.
 
         ``runtime`` selects the delivery mode when the realm builds its
         own network: ``"sync"`` (the seeded deterministic default) or
@@ -399,39 +398,6 @@ class Realm:
             endpoint=endpoint,
         )
         channel.add_replica(self.kdc.principal, endpoint)
-        return replica
-
-    def authorization_replica(
-        self, primary: AuthorizationServer, name: str
-    ) -> AuthorizationServer:
-        """Stand up an authorization-server replica behind ``primary``.
-
-        The replica serves in the primary's name with the primary's key
-        (tickets clients hold stay valid), and shares its per-end-server
-        databases, sessions, response cache, and audit log.
-        """
-        channel = self._require_channel()
-        endpoint = self.principal(name)
-        replica = AuthorizationServer(
-            primary.principal,
-            self.kdc.database.key_of(primary.principal),
-            self._fabric,
-            self.clock,
-            kerberos=primary.kerberos,
-            default_lifetime=primary.default_lifetime,
-            rng=self.rng.fork(b"authz:" + name.encode()),
-            dedupe=primary.dedupe,
-            endpoint=endpoint,
-            **(
-                {"cache_config": self.verify_cache}
-                if self.verify_cache is not None
-                else {}
-            ),
-        )
-        replica.databases = primary.databases
-        replica.sessions = primary.sessions
-        replica.audit = primary.audit
-        channel.add_replica(primary.principal, endpoint)
         return replica
 
 

@@ -7,12 +7,9 @@ throughput and latency percentiles — see ``docs/scaling.md``.
 """
 
 from repro.workloads.generator import (
-    FileOp,
     Payment,
     Zipf,
     delegation_subsets,
-    file_workload,
-    membership_checks,
     payment_workload,
 )
 from repro.workloads.load import (
@@ -30,10 +27,7 @@ __all__ = [
     "SCENARIOS",
     "run_load",
     "Zipf",
-    "FileOp",
-    "file_workload",
     "Payment",
     "payment_workload",
-    "membership_checks",
     "delegation_subsets",
 ]

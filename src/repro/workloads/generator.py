@@ -3,10 +3,10 @@
 The paper reports no measured workloads (it is a mechanism paper), so the
 benchmarks drive the mechanisms with standard synthetic distributions:
 
-* Zipf-skewed object popularity (a handful of hot files/accounts take most
-  of the traffic, as every storage trace shows);
-* uniform or weighted operation mixes;
-* payment streams with log-normal-ish amounts.
+* Zipf-skewed popularity (a handful of hot merchants take most of the
+  traffic);
+* payment streams with uniform amounts;
+* random object subsets for on-the-fly delegation.
 
 Everything is seeded through :class:`~repro.crypto.rng.Rng`, so a benchmark
 run is exactly reproducible.
@@ -48,38 +48,6 @@ class Zipf:
 
 
 @dataclass(frozen=True)
-class FileOp:
-    """One file-server request."""
-
-    operation: str
-    path: str
-    size: int
-
-
-def file_workload(
-    n_ops: int,
-    n_files: int = 100,
-    read_fraction: float = 0.8,
-    zipf_s: float = 1.0,
-    max_size: int = 4096,
-    rng: Rng = None,
-) -> List[FileOp]:
-    """A read-mostly file workload with Zipf-popular paths."""
-    rng = rng or Rng()
-    popularity = Zipf(n_files, s=zipf_s, rng=rng)
-    ops: List[FileOp] = []
-    threshold = int(read_fraction * 1000)
-    for _ in range(n_ops):
-        path = f"file:/data/{popularity.sample()}"
-        if rng.int_below(1000) < threshold:
-            ops.append(FileOp(operation="read", path=path, size=0))
-        else:
-            size = 1 + rng.int_below(max_size)
-            ops.append(FileOp(operation="write", path=path, size=size))
-    return ops
-
-
-@dataclass(frozen=True)
 class Payment:
     """One payment: payor index, payee index, amount."""
 
@@ -109,21 +77,6 @@ def payment_workload(
             )
         )
     return payments
-
-
-def membership_checks(
-    n_checks: int,
-    n_principals: int,
-    member_fraction: float = 0.7,
-    rng: Rng = None,
-) -> List[Tuple[int, bool]]:
-    """A stream of (principal index, expected-member) membership queries."""
-    rng = rng or Rng()
-    threshold = int(member_fraction * 1000)
-    return [
-        (rng.int_below(n_principals), rng.int_below(1000) < threshold)
-        for _ in range(n_checks)
-    ]
 
 
 def delegation_subsets(

@@ -35,7 +35,6 @@ from repro.core.verification import (
 )
 from repro.crypto import schnorr
 from repro.crypto import signature as sigmod
-from repro.crypto.dh import RFC3526_PRIME_2048
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
 from repro.crypto.schnorr_groups import DEFAULT_GROUP, TEST_GROUP
@@ -47,6 +46,7 @@ from repro.crypto.signature import (
 )
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError, SignatureError
+from tests.conftest import RFC3526_PRIME_2048
 
 START = 1_000_000.0
 ALICE = PrincipalId("alice")

@@ -132,16 +132,3 @@ def test_empty_suffix_is_identity(restrictions, context):
 def test_check_order_irrelevant_for_stateless_restrictions(a, b, context):
     """Without accept-once, conjunction is commutative."""
     assert passes(a + b, context) == passes(b + a, context)
-
-
-@given(restriction_sets, contexts)
-def test_policy_agrees_with_dynamic_check_on_authorized(restrictions, context):
-    """Static may_perform is never *more* permissive than the dynamic check
-    for requests that fail only on the authorized restriction."""
-    from repro.core.policy import may_perform
-
-    if passes(restrictions, context):
-        assert may_perform(
-            restrictions, context.operation, context.target,
-            server=context.server,
-        )

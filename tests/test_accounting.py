@@ -8,9 +8,11 @@ from repro.errors import (
     CheckError,
     InsufficientFundsError,
     ReplayError,
+    RestrictionViolation,
+    ServiceError,
     UnknownAccountError,
 )
-from repro.services.accounting import SETTLEMENT_PREFIX
+from repro.services.accounting import CASHIER_ACCOUNT, SETTLEMENT_PREFIX
 from repro.services.checks import Check
 from repro.testbed import Realm
 
@@ -138,8 +140,6 @@ class TestSameServerChecks:
         check = alice.accounting_client(bank.principal).write_check(
             "alice", bob.principal, "dollars", 30
         )
-        from repro.errors import RestrictionViolation
-
         with pytest.raises(RestrictionViolation):
             bob.accounting_client(bank.principal).deposit_check(
                 check, "bob", amount=31
@@ -152,8 +152,6 @@ class TestSameServerChecks:
         check = alice.accounting_client(bank.principal).write_check(
             "alice", bob.principal, "dollars", 10
         )
-        from repro.errors import RestrictionViolation
-
         with pytest.raises(RestrictionViolation):
             carol.accounting_client(bank.principal).deposit_check(
                 check, "carol"
@@ -380,3 +378,200 @@ class TestCertifiedChecks:
             ),
         )
         assert verified.grantor == bank.principal
+
+
+class TestAccountingEdgeCases:
+    @pytest.fixture
+    def world(self):
+        realm = Realm(seed=b"edge-acct")
+        alice = realm.user("alice")
+        bank = realm.accounting_server("bank")
+        bank.create_account("alice", alice.principal, {"dollars": 10})
+        return realm, alice, bank
+
+    def test_transfer_to_missing_account(self, world):
+        realm, alice, bank = world
+        with pytest.raises(UnknownAccountError):
+            alice.accounting_client(bank.principal).transfer(
+                "alice", "ghost", "dollars", 1
+            )
+
+    def test_bad_target_format(self, world):
+        realm, alice, bank = world
+        from repro.net.message import raise_if_error
+
+        client = alice.client_for(bank.principal)
+        with pytest.raises(ServiceError):
+            client.request("balance", target="not-an-account-target")
+
+    def test_deposit_check_drawn_on_self_via_deposit_op(self, world):
+        """Same-server checks must use the debit path, not deposit-check."""
+        realm, alice, bank = world
+        bob = realm.user("bob")
+        bank.create_account("bob", bob.principal)
+        check = alice.accounting_client(bank.principal).write_check(
+            "alice", bob.principal, "dollars", 1
+        )
+        from repro.kerberos.proxy_support import endorse
+
+        creds = bob.kerberos.get_ticket(bank.principal)
+        endorsed = endorse(
+            check.bundle, creds, bank.principal, (),
+            realm.clock.now(), check.expires_at,
+        )
+        client = bob.client_for(bank.principal)
+        with pytest.raises(CheckError):
+            client.request(
+                "deposit-check",
+                target="account:bob",
+                args={
+                    "bundle": endorsed.transferable(),
+                    "payor_server": bank.principal.to_wire(),
+                    "payor_account": "alice",
+                    "currency": "dollars",
+                    "amount": 1,
+                    "expires_at": check.expires_at,
+                    "payee_account": "bob",
+                },
+            )
+
+    def test_debit_without_proxy_denied(self, world):
+        realm, alice, bank = world
+        client = alice.client_for(bank.principal)
+        with pytest.raises(AuthorizationDenied):
+            client.request(
+                "debit", target="account:alice",
+                args={
+                    "currency": "dollars", "amount": 1,
+                    "credit_account": "alice",
+                },
+                amounts={"dollars": 1},
+            )
+
+    def test_mismatched_amount_declaration(self, world):
+        realm, alice, bank = world
+        bob = realm.user("bob")
+        bank.create_account("bob", bob.principal)
+        check = alice.accounting_client(bank.principal).write_check(
+            "alice", bob.principal, "dollars", 5
+        )
+        from repro.services.checks import account_target
+
+        client = bob.client_for(bank.principal)
+        with pytest.raises(CheckError):
+            client.request(
+                "debit",
+                target=account_target(check.payor_account),
+                args={
+                    "currency": "dollars",
+                    "amount": 5,
+                    "credit_account": "bob",
+                },
+                amounts={"dollars": 3},  # declared != requested
+                proxy=check.bundle,
+            )
+
+
+class TestCashiersChecks:
+    @pytest.fixture
+    def world(self):
+        realm = Realm(seed=b"cashier-test")
+        alice = realm.user("alice")
+        bob = realm.user("bob")
+        bank = realm.accounting_server("bank")
+        bank.create_account("alice", alice.principal, {"dollars": 100})
+        bank.create_account("bob", bob.principal)
+        return realm, alice, bob, bank
+
+    def test_payor_is_the_bank(self, world):
+        realm, alice, bob, bank = world
+        check = alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", bob.principal, "dollars", 40
+        )
+        assert check.payor == bank.principal
+        assert check.drawn_on == bank.principal
+        assert check.payor_account.account == CASHIER_ACCOUNT
+
+    def test_funds_move_at_purchase(self, world):
+        realm, alice, bob, bank = world
+        alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", bob.principal, "dollars", 40
+        )
+        assert bank.accounts["alice"].balance("dollars") == 60
+        assert bank.accounts[CASHIER_ACCOUNT].balance("dollars") == 40
+
+    def test_clears_from_cashier_account(self, world):
+        realm, alice, bob, bank = world
+        check = alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", bob.principal, "dollars", 40
+        )
+        result = bob.accounting_client(bank.principal).deposit_check(
+            check, "bob"
+        )
+        assert result["paid"] == 40
+        assert bank.accounts[CASHIER_ACCOUNT].balance("dollars") == 0
+        assert bank.accounts["bob"].balance("dollars") == 40
+
+    def test_guaranteed_even_if_purchaser_drained(self, world):
+        """The cashier's-check guarantee: purchaser's account is irrelevant
+        after purchase."""
+        realm, alice, bob, bank = world
+        client = alice.accounting_client(bank.principal)
+        check = client.purchase_cashiers_check(
+            "alice", bob.principal, "dollars", 40
+        )
+        client.transfer("alice", "bob", "dollars", 60)  # drain alice
+        result = bob.accounting_client(bank.principal).deposit_check(
+            check, "bob"
+        )
+        assert result["paid"] == 40
+
+    def test_purchase_needs_funds(self, world):
+        realm, alice, bob, bank = world
+        with pytest.raises(InsufficientFundsError):
+            alice.accounting_client(bank.principal).purchase_cashiers_check(
+                "alice", bob.principal, "dollars", 500
+            )
+
+    def test_only_owner_purchases(self, world):
+        realm, alice, bob, bank = world
+        with pytest.raises(AuthorizationDenied):
+            bob.accounting_client(bank.principal).purchase_cashiers_check(
+                "alice", bob.principal, "dollars", 10
+            )
+
+    def test_only_payee_deposits(self, world):
+        realm, alice, bob, bank = world
+        check = alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", bob.principal, "dollars", 10
+        )
+        carol = realm.user("carol")
+        bank.create_account("carol", carol.principal)
+        with pytest.raises(RestrictionViolation):
+            carol.accounting_client(bank.principal).deposit_check(
+                check, "carol"
+            )
+
+    def test_double_deposit_rejected(self, world):
+        realm, alice, bob, bank = world
+        check = alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", bob.principal, "dollars", 10
+        )
+        client = bob.accounting_client(bank.principal)
+        client.deposit_check(check, "bob")
+        with pytest.raises(ReplayError):
+            client.deposit_check(check, "bob")
+
+    def test_cross_server_deposit(self, world):
+        realm, alice, bob, bank = world
+        bank2 = realm.accounting_server("bank2")
+        carol = realm.user("carol")
+        bank2.create_account("carol", carol.principal)
+        check = alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", carol.principal, "dollars", 15
+        )
+        result = carol.accounting_client(bank2.principal).deposit_check(
+            check, "carol"
+        )
+        assert result["cleared"]
+        assert bank2.accounts["carol"].balance("dollars") == 15

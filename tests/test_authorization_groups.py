@@ -3,13 +3,14 @@
 import pytest
 
 from repro.acl import AclEntry, GroupSubject, SinglePrincipal
-from repro.core.restrictions import IssuedFor, Quota
+from repro.core.restrictions import Expiration, Grantee, IssuedFor, Quota
 from repro.errors import (
     AuthorizationDenied,
     RestrictionViolation,
     ServiceError,
 )
 from repro.testbed import Realm
+from repro.kerberos.proxy_support import grant_via_credentials
 
 
 @pytest.fixture
@@ -19,6 +20,8 @@ def world():
     bob = realm.user("bob")
     fs = realm.file_server("files")
     fs.put("doc/x", b"X")
+    fs.put("a", b"A")
+    fs.put("b", b"B")
     azs = realm.authorization_server("authz")
     # Fig. 3: end-server S grants (full) access to authorization server R.
     fs.acl.add(AclEntry(subject=SinglePrincipal(azs.principal)))
@@ -242,3 +245,112 @@ class TestGroupServer:
             "read", "doc/x", proxy=proxy
         )
         assert out["data"] == b"X"
+
+
+class TestAuthorizationMatrix:
+    def test_multi_operation_multi_target(self, world):
+        realm, alice, bob, fs, azs = world
+        azs.database_for(fs.principal).add(
+            AclEntry(
+                subject=SinglePrincipal(bob.principal),
+                operations=("read", "stat"),
+                targets=("a", "b"),
+            )
+        )
+        proxy = bob.authorization_client(azs.principal).authorize(
+            fs.principal, ("read", "stat"), ("a", "b")
+        )
+        client = bob.client_for(fs.principal)
+        assert client.request("read", "a", proxy=proxy)["data"] == b"A"
+        assert client.request("stat", "b", proxy=proxy)["exists"]
+
+    def test_partial_coverage_denied(self, world):
+        """Every requested (op, target) must be covered by the database."""
+        realm, alice, bob, fs, azs = world
+        azs.database_for(fs.principal).add(
+            AclEntry(
+                subject=SinglePrincipal(bob.principal),
+                operations=("read",),
+                targets=("a",),
+            )
+        )
+        with pytest.raises(AuthorizationDenied):
+            bob.authorization_client(azs.principal).authorize(
+                fs.principal, ("read",), ("a", "b")
+            )
+
+    def test_expiration_restriction_in_database(self, world):
+        """An Expiration carried from the database limits the proxy."""
+        realm, alice, bob, fs, azs = world
+        azs.database_for(fs.principal).add(
+            AclEntry(
+                subject=SinglePrincipal(bob.principal),
+                operations=("read",),
+                restrictions=(
+                    Expiration(not_after=realm.clock.now() + 30),
+                ),
+            )
+        )
+        proxy = bob.authorization_client(azs.principal).authorize(
+            fs.principal, ("read",)
+        )
+        client = bob.client_for(fs.principal)
+        assert client.request("read", "a", proxy=proxy)["data"] == b"A"
+        realm.clock.advance(31)
+        with pytest.raises(RestrictionViolation):
+            client.request("read", "a", proxy=proxy)
+
+    def test_empty_operations_rejected(self, world):
+        realm, alice, bob, fs, azs = world
+        with pytest.raises(ServiceError):
+            bob.authorization_client(azs.principal).authorize(
+                fs.principal, ()
+            )
+
+
+class TestIssuedForInIssuerMode:
+    def test_proxy_scoped_to_issuer_accepted(self, world):
+        """A proxy issued-for the authorization server itself passes the
+        issuer-mode check there."""
+        realm, alice, bob, fs, azs = world
+        fs.grant_owner(alice.principal)
+        azs.database_for(fs.principal).add(
+            AclEntry(subject=SinglePrincipal(alice.principal), operations=("read",))
+        )
+        creds = bob.kerberos.get_ticket(azs.principal)
+        # bob holds a proxy from alice usable at the authz server.
+        alice_creds = alice.kerberos.get_ticket(azs.principal)
+        helper = grant_via_credentials(
+            alice_creds,
+            (
+                Grantee(principals=(bob.principal,)),
+                IssuedFor(servers=(azs.principal,)),
+            ),
+            realm.clock.now(),
+        )
+        proxy = bob.authorization_client(azs.principal).authorize(
+            fs.principal, ("read",), proxy=helper
+        )
+        out = bob.client_for(fs.principal).request(
+            "read", "a", proxy=proxy
+        )
+        assert out["data"] == b"A"
+
+    def test_proxy_scoped_elsewhere_rejected(self, world):
+        realm, alice, bob, fs, azs = world
+        azs.database_for(fs.principal).add(
+            AclEntry(subject=SinglePrincipal(alice.principal), operations=("read",))
+        )
+        alice_creds = alice.kerberos.get_ticket(azs.principal)
+        wrong = grant_via_credentials(
+            alice_creds,
+            (
+                Grantee(principals=(bob.principal,)),
+                IssuedFor(servers=(fs.principal,)),  # not for the issuer
+            ),
+            realm.clock.now(),
+        )
+        with pytest.raises(RestrictionViolation):
+            bob.authorization_client(azs.principal).authorize(
+                fs.principal, ("read",), proxy=wrong
+            )

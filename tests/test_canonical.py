@@ -96,6 +96,17 @@ class TestRejection:
         with pytest.raises(EncodingError):
             encode({1: "x"})
 
+    @pytest.mark.parametrize(
+        "value, culprit",
+        [({1: "a", "b": 2}, "int"), ({b"x": 1, "y": 2}, "bytes")],
+    )
+    def test_mixed_type_dict_keys(self, value, culprit):
+        # sorted() cannot order these; that must not escape as TypeError.
+        with pytest.raises(
+            EncodingError, match=f"dict keys must be str, got {culprit}"
+        ):
+            encode(value)
+
     def test_trailing_garbage(self):
         with pytest.raises(DecodingError):
             decode(encode(1) + b"\x00")

@@ -1,0 +1,69 @@
+"""tools/census.py classifies a throw-away package correctly."""
+
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "census", Path(__file__).resolve().parent.parent / "tools" / "census.py"
+)
+census = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(census)
+
+PACKAGE = '''\
+import abc
+
+def product(): return 1
+def tested(): return 2
+def dead(): return 3
+def on_thread(): return 4
+def in_child(): return 5
+
+class Base(abc.ABC):
+    @abc.abstractmethod
+    def stub(self): ...
+'''
+
+# Same name, line and bytecode in two files: the code objects compare equal.
+TWIN = "def twin(): return 6\n"
+
+PRODUCT = '''\
+import subprocess, sys, threading, pkg, pkg.one, pkg.two
+pkg.product()
+pkg.one.twin()
+pkg.two.twin()
+worker = threading.Thread(target=pkg.on_thread)
+worker.start()
+worker.join()
+subprocess.run([sys.executable, "-c", "import pkg; pkg.in_child()"], check=True)
+'''
+
+
+def test_every_function_gets_the_right_verdict(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text(PACKAGE)
+    (tmp_path / "pkg" / "one.py").write_text(TWIN)
+    (tmp_path / "pkg" / "two.py").write_text(TWIN)
+    (tmp_path / "product.py").write_text(PRODUCT)
+    (tmp_path / "tests.py").write_text("import pkg\npkg.tested()\n")
+
+    def run(allowlist):
+        return census.census(
+            tmp_path / "pkg", ["python tests.py"], ["python product.py"],
+            allowlist, tmp_path,
+        )
+
+    report, code = run({})
+    assert code == 1
+    assert "8 functions" in report and "5 reached by the product" in report
+    assert "1 never-executed exempt by rule" in report  # Base.stub
+    never, tests_only = report.split("tests only:")
+    assert "  __init__.py:5  dead  (1)" in never
+    assert "  __init__.py:4  tested  (1)" in tests_only
+    for reached in ("product", "on_thread", "in_child", "stub", "twin"):
+        assert f"  {reached}  " not in report
+    assert "FAIL: 1 never-executed" in report
+
+    allowed, code = run({"__init__.py::dead": "kept for the test"})
+    assert code == 0
+    assert "dead  (1)  -- allowed: kept for the test" in allowed
+    assert run({}) == (report, 1)  # byte-identical on a second run

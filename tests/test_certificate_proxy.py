@@ -13,6 +13,7 @@ from repro.core.certificate import (
     build_certificate,
     key_binding_from_wire,
 )
+from repro.core.chain import describe
 from repro.core.proxy import (
     Proxy,
     cascade,
@@ -290,3 +291,28 @@ class TestPossessionSigner:
     def test_unsupported(self):
         with pytest.raises(ProxyError):
             possession_signer("not-a-key")
+
+
+class TestDescribe:
+    def test_describe_notation(self, shared, rng):
+        p = grant_conventional(
+            ALICE, shared,
+            (Quota(currency="c", limit=100), Grantee(principals=(BOB,))),
+            0.0, 1000.0, rng=rng,
+        )
+        bob_shared = SymmetricKey.generate(rng=rng)
+        p2 = delegate_cascade(
+            p, BOB, HmacSigner(key=bob_shared), PrincipalId("carol"),
+            (Quota(currency="c", limit=10),), 0.0, 500.0, rng=rng,
+        )
+        lines = describe(p2.certificates).splitlines()
+        assert len(lines) == 2
+        assert "Kproxy1" in lines[0]
+        assert str(ALICE) in lines[0]
+        assert "delegate" in lines[1]
+
+    def test_describe_cascade_signs_with_previous_key(self, shared, rng):
+        p = grant_conventional(ALICE, shared, (), 0.0, 1000.0, rng=rng)
+        p2 = cascade(p, (Quota(currency="x", limit=1),), 0.0, 1000.0, rng=rng)
+        lines = describe(p2.certificates).splitlines()
+        assert "Kproxy1" in lines[1]  # Fig. 4: signed by previous proxy key

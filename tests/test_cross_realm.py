@@ -136,3 +136,16 @@ class TestCrossRealmDelegation:
         assert result["paid"] == 35
         assert bank_a.accounts["buyer"].balance("dollars") == 65
         assert bank_b.accounts["merchant"].balance("dollars") == 35
+
+
+class TestKerberosEdgeCases:
+    def test_cross_tgt_reuse_after_expiry(self):
+        realms = federation(["XA.ORG", "XB.ORG"], seed=b"edge-cross")
+        alice = realms["XA.ORG"].user("alice")
+        srv = realms["XB.ORG"].file_server("srv")
+        alice.kerberos.get_ticket(srv.principal)
+        # Push past every lifetime; the client must transparently redo the
+        # whole chain (login, cross TGT, remote TGS).
+        realms["XA.ORG"].clock.advance(9 * 3600)
+        creds = alice.kerberos.get_ticket(srv.principal)
+        assert creds.expires_at > realms["XA.ORG"].clock.now()

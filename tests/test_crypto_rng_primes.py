@@ -4,7 +4,6 @@ import pytest
 
 from repro.crypto.primes import (
     generate_prime,
-    generate_safe_prime,
     is_probable_prime,
 )
 from repro.crypto.rng import Rng
@@ -91,9 +90,3 @@ class TestPrimes:
     def test_small_bits_rejected(self):
         with pytest.raises(ValueError):
             generate_prime(8)
-
-    def test_safe_prime_structure(self):
-        rng = Rng(seed=b"sp")
-        p = generate_safe_prime(64, rng=rng)
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)

@@ -1,10 +1,10 @@
-"""Schnorr signatures, integrated encryption, and Diffie-Hellman."""
+"""Schnorr signatures and integrated encryption."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import dh, schnorr
+from repro.crypto import schnorr
 from repro.crypto.primes import generate_schnorr_group, is_probable_prime
 from repro.crypto.rng import Rng
 from repro.crypto.schnorr_groups import (
@@ -13,8 +13,18 @@ from repro.crypto.schnorr_groups import (
     GROUPS,
     TEST_GROUP,
     TEST_GROUP_SEED,
+    SchnorrGroup,
 )
 from repro.errors import CryptoError, IntegrityError, SignatureError
+from tests.conftest import RFC3526_PRIME_2048
+
+#: A 512-bit safe prime that is in no group table either.
+SAFE_PRIME_512 = int(
+    "FAD304E48D3AE4C94F32D880260DB0089FE4B26A35128A58"
+    "075E30E284F3CAAF65A5448ACE943F6A95F2F37562EAABB6"
+    "1BA0957963E489293105DFB2DD2DB9AB",
+    16,
+)
 
 
 @pytest.fixture
@@ -315,7 +325,7 @@ class TestPrecomputedTables:
 class TestUnknownModulus:
     """A key's ``p`` selects a table entry; it is never trusted as a group."""
 
-    MODULI = [23, dh.RFC3526_PRIME_2048, dh.TEST_PRIME_512]
+    MODULI = [23, RFC3526_PRIME_2048, SAFE_PRIME_512]
 
     @pytest.mark.parametrize("p", MODULI)
     def test_from_wire(self, p):
@@ -348,7 +358,9 @@ class TestUnknownModulus:
 
     def test_keygen_sign_decrypt_register(self, key):
         with pytest.raises(CryptoError, match="unknown schnorr group"):
-            schnorr.generate_keypair(dh.DEFAULT_GROUP)
+            schnorr.generate_keypair(
+                SchnorrGroup(p=RFC3526_PRIME_2048, q=RFC3526_PRIME_2048 >> 1, g=2)
+            )
         stray = schnorr.SchnorrPrivateKey(group_p=23, x=3, y=4)
         with pytest.raises(CryptoError, match="unknown schnorr group"):
             schnorr.sign(stray, b"m")
@@ -358,34 +370,3 @@ class TestUnknownModulus:
             schnorr.register_verification_key(stray.public)
         with pytest.raises(CryptoError, match="unknown schnorr group"):
             _ = stray.public.group
-
-
-class TestDiffieHellman:
-    def test_agreement(self, rng):
-        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        b = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        assert dh.shared_key(a, b.public) == dh.shared_key(b, a.public)
-
-    def test_distinct_pairs_distinct_keys(self, rng):
-        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        b = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        c = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        assert dh.shared_key(a, b.public) != dh.shared_key(a, c.public)
-
-    def test_out_of_range_peer_rejected(self, rng):
-        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        with pytest.raises(CryptoError):
-            dh.shared_key(a, 0)
-        with pytest.raises(CryptoError):
-            dh.shared_key(a, dh.TEST_GROUP.p - 1)
-        with pytest.raises(CryptoError):
-            dh.shared_key(a, dh.TEST_GROUP.p + 5)
-
-    def test_key_length(self, rng):
-        a = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        b = dh.generate_keypair(dh.TEST_GROUP, rng=rng)
-        assert len(dh.shared_key(a, b.public)) == 32
-
-    def test_default_group_is_rfc3526(self):
-        assert dh.DEFAULT_GROUP.p == dh.RFC3526_PRIME_2048
-        assert dh.DEFAULT_GROUP.bit_length == 2048

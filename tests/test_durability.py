@@ -177,6 +177,31 @@ class TestRecoveredBooks:
         assert bank2.accounts["bob"].balance("dollars") == 12
         assert bank2.ledger.audit_discrepancies() == []
 
+    def test_file_server_restart_survives_compaction(self, tmp_path):
+        """Files and owner grants come back from the snapshot, not the log."""
+        realm = Realm(seed=b"durab-files", resilience=True)
+        alice = realm.user("alice")
+        store = DurabilityStore(str(tmp_path / "files"), snapshot_every=3)
+        fs = realm.file_server("files", durability=store)
+        fs.grant_owner(alice.principal)
+        for k in range(7):
+            fs.put(f"doc{k}.txt", b"contents of doc %d" % k)
+        assert store.compactions == 2
+        realm.network.unregister(realm.principal("files"))
+        fs2 = realm.restart_file_server(
+            "files",
+            durability=DurabilityStore(
+                str(tmp_path / "files"), snapshot_every=3
+            ),
+        )
+        assert fs2.recovery is not None and fs2.recovery.problems == []
+        assert fs2.recovery.snapshot_restored
+        assert sorted(fs2.files) == [f"doc{k}.txt" for k in range(7)]
+        client = alice.client_for(fs2.principal)
+        for k in (0, 6):
+            reply = client.request("read", f"doc{k}.txt")
+            assert reply["data"] == b"contents of doc %d" % k
+
     def test_torn_final_append_is_truncated_not_replayed(self, tmp_path):
         realm, alice, bob, bank = build_world(tmp_path, b"durab-torn")
         alice.accounting_client(bank.principal).transfer(

@@ -12,10 +12,12 @@ from repro.core.restrictions import (
 )
 from repro.errors import (
     AuthorizationDenied,
+    ProxyVerificationError,
+    ReproError,
     RestrictionViolation,
     ServiceError,
 )
-from repro.kerberos.proxy_support import grant_via_credentials
+from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
 from repro.testbed import Realm
 
 
@@ -276,3 +278,279 @@ class TestGroupAcl:
             "read", "doc/a.txt", proxy=proxy, group_proxies=[(g, gproxy)]
         )
         assert out["data"] == b"contents A"
+
+
+class TestServiceClientBehaviors:
+    def test_session_reused_across_requests(self, world):
+        realm, alice, bob, fs = world
+        client = alice.client_for(fs.principal)
+        client.request("read", "doc/a.txt")
+        before = realm.network.metrics.snapshot()
+        client.request("read", "doc/a.txt")
+        delta = realm.network.metrics.delta_since(before)
+        assert delta.messages == 2  # no AP re-handshake
+
+    def test_anonymous_without_proxy_denied(self, world):
+        realm, alice, bob, fs = world
+        client = alice.client_for(fs.principal)
+        with pytest.raises(AuthorizationDenied):
+            client.request("read", "doc/a.txt", anonymous=True)
+
+    def test_session_restrictions_per_session(self, world):
+        """Two clients of the same user carry independent sessions."""
+        realm, alice, bob, fs = world
+        restricted = alice.client_for(fs.principal)
+        restricted.establish_session(
+            additional_restrictions=(Quota(currency="bytes", limit=0),)
+        )
+        free = alice.client_for(fs.principal)
+        free.request(
+            "write", "c", args={"data": b"xx"}, amounts={"bytes": 2}
+        )
+        with pytest.raises(RestrictionViolation):
+            restricted.request(
+                "write", "d", args={"data": b"xx"}, amounts={"bytes": 2}
+            )
+
+
+class TestProxyTransfer:
+    def test_transferable_without_key_for_delegates(self, world):
+        """Delegate proxies can be passed around without key material."""
+        realm, alice, bob, fs = world
+        creds = alice.kerberos.get_ticket(fs.principal)
+        proxy = grant_via_credentials(
+            creds, (Grantee(principals=(bob.principal,)),), realm.clock.now()
+        )
+        stripped = KerberosProxy(
+            tickets=proxy.tickets, proxy=proxy.proxy.without_key()
+        )
+        wire = stripped.transferable()
+        assert wire["proxy_key"] is None
+        rebuilt = KerberosProxy.from_transferable(wire)
+        out = bob.client_for(fs.principal).request(
+            "read", "doc/a.txt", proxy=rebuilt
+        )
+        assert out["data"] == b"contents A"
+
+    def test_bearer_without_key_unusable(self, world):
+        realm, alice, bob, fs = world
+        creds = alice.kerberos.get_ticket(fs.principal)
+        proxy = grant_via_credentials(creds, (), realm.clock.now())
+        stripped = KerberosProxy(
+            tickets=proxy.tickets, proxy=proxy.proxy.without_key()
+        )
+        with pytest.raises(ReproError):
+            bob.client_for(fs.principal).request(
+                "read", "doc/a.txt", proxy=stripped, anonymous=True
+            )
+
+
+class TestEndServerEdgeCases:
+    @pytest.fixture
+    def world(self):
+        realm = Realm(seed=b"edge-endserver")
+        alice = realm.user("alice")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        return realm, alice, fs
+
+    def test_unknown_session_id(self, world):
+        realm, alice, fs = world
+        from repro.net.message import raise_if_error
+
+        with pytest.raises(ServiceError):
+            raise_if_error(
+                realm.network.send(
+                    alice.principal, fs.principal, "request",
+                    {
+                        "operation": "read", "target": "doc",
+                        "session_id": b"bogus-session-id", "args": {},
+                        "amounts": {},
+                    },
+                )
+            )
+
+    def test_group_proxy_from_wrong_server_rejected(self, world):
+        """A group proxy must be granted by the group's own server (§3.3)."""
+        realm, alice, fs = world
+        from repro.encoding.identifiers import GroupId
+        from repro.core.restrictions import GroupMembership
+
+        impostor_group = GroupId(
+            server=realm.principal("real-group-server"), group="staff"
+        )
+        # alice (not the group server) mints a proxy claiming membership.
+        creds = alice.kerberos.get_ticket(fs.principal)
+        fake = grant_via_credentials(
+            creds,
+            (GroupMembership(groups=(impostor_group,)),),
+            realm.clock.now(),
+        )
+        client = alice.client_for(fs.principal)
+        with pytest.raises(ProxyVerificationError):
+            client.request(
+                "read", "doc", group_proxies=[(impostor_group, fake)]
+            )
+
+    def test_malformed_request_payload(self, world):
+        realm, alice, fs = world
+        from repro.net.message import is_error
+
+        reply = realm.network.send(
+            alice.principal, fs.principal, "request", {"no": "operation"}
+        )
+        assert is_error(reply)
+
+    def test_handler_exception_becomes_error_payload(self, world):
+        realm, alice, fs = world
+
+        def broken(request):
+            raise ServiceError("deliberate")
+
+        fs.register_operation("boom", broken)
+        client = alice.client_for(fs.principal)
+        with pytest.raises(ServiceError, match="deliberate"):
+            client.request("boom")
+
+
+class TestChallengeBasedPresentation:
+    @pytest.fixture
+    def world(self):
+        realm = Realm(seed=b"challenge-test")
+        alice = realm.user("alice")
+        bob = realm.user("bob")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        creds = alice.kerberos.get_ticket(fs.principal)
+        cap = grant_via_credentials(
+            creds,
+            (Authorized(entries=(AuthorizedEntry("doc", ("read",)),)),),
+            realm.clock.now(),
+        )
+        return realm, alice, bob, fs, cap
+
+    def test_challenge_flow_works(self, world):
+        realm, alice, bob, fs, cap = world
+        client = bob.client_for(fs.principal)
+        out = client.request(
+            "read", "doc", proxy=cap, anonymous=True, use_challenge=True
+        )
+        assert out["data"] == b"data"
+
+    def test_forged_challenge_rejected(self, world):
+        realm, alice, bob, fs, cap = world
+        wire = cap.presentation(
+            fs.principal, realm.clock.now(), "read", target="doc",
+            challenge=b"not-issued-by-server",
+        )
+        payload = {
+            "operation": "read", "target": "doc", "args": {},
+            "amounts": {}, "proxy": wire,
+        }
+        from repro.net.message import raise_if_error
+
+        with pytest.raises(ProxyVerificationError):
+            raise_if_error(
+                realm.network.send(
+                    bob.principal, fs.principal, "request", payload
+                )
+            )
+
+    def test_challenge_single_use(self, world):
+        realm, alice, bob, fs, cap = world
+        challenge = realm.network.send(
+            bob.principal, fs.principal, "get-challenge", {}
+        )["challenge"]
+        wire = cap.presentation(
+            fs.principal, realm.clock.now(), "read", target="doc",
+            challenge=challenge,
+        )
+        payload = {
+            "operation": "read", "target": "doc", "args": {},
+            "amounts": {}, "proxy": wire,
+        }
+        from repro.net.message import raise_if_error
+
+        raise_if_error(
+            realm.network.send(bob.principal, fs.principal, "request", payload)
+        )
+        # The same challenge (even with a fresh proof) is spent.
+        wire2 = cap.presentation(
+            fs.principal, realm.clock.now(), "read", target="doc",
+            challenge=challenge,
+        )
+        payload["proxy"] = wire2
+        with pytest.raises(ProxyVerificationError):
+            raise_if_error(
+                realm.network.send(
+                    bob.principal, fs.principal, "request", payload
+                )
+            )
+
+    def test_expired_challenge_rejected(self, world):
+        realm, alice, bob, fs, cap = world
+        challenge = realm.network.send(
+            bob.principal, fs.principal, "get-challenge", {}
+        )["challenge"]
+        realm.clock.advance(fs.acceptor.verifier.freshness_window + 1)
+        wire = cap.presentation(
+            fs.principal, realm.clock.now(), "read", target="doc",
+            challenge=challenge,
+        )
+        payload = {
+            "operation": "read", "target": "doc", "args": {},
+            "amounts": {}, "proxy": wire,
+        }
+        from repro.net.message import raise_if_error
+
+        with pytest.raises(ProxyVerificationError):
+            raise_if_error(
+                realm.network.send(
+                    bob.principal, fs.principal, "request", payload
+                )
+            )
+
+
+class TestAuditIntegration:
+    def test_proxy_requests_audited(self):
+        realm = Realm(seed=b"audit-int")
+        alice = realm.user("alice")
+        bob = realm.user("bob")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        creds = alice.kerberos.get_ticket(fs.principal)
+        proxy = grant_via_credentials(
+            creds, (Grantee(principals=(bob.principal,)),), realm.clock.now()
+        )
+        bob.client_for(fs.principal).request("read", "doc", proxy=proxy)
+        records = fs.audit.involving(alice.principal)
+        assert len(records) == 1
+        assert records[0].grantor == alice.principal
+        assert records[0].claimant == bob.principal
+        assert records[0].operation == "read"
+
+    def test_direct_requests_not_audited(self):
+        realm = Realm(seed=b"audit-int2")
+        alice = realm.user("alice")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        alice.client_for(fs.principal).request("read", "doc")
+        assert len(fs.audit) == 0
+
+
+class TestSessionRecovery:
+    def test_expired_session_reestablished(self):
+        realm = Realm(seed=b"session-recovery")
+        alice = realm.user("alice")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        client = alice.client_for(fs.principal)
+        assert client.request("read", "doc")["data"] == b"data"
+        # Let the ticket (and therefore the session) expire.
+        realm.clock.advance(9 * 3600)
+        assert client.request("read", "doc")["data"] == b"data"

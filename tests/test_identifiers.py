@@ -89,3 +89,25 @@ class TestAccountId:
     def test_malformed_wire(self):
         with pytest.raises(DecodingError):
             AccountId.from_wire("broken")
+
+
+class TestIdentifierOrdering:
+    def test_sortable_collections(self):
+        principals = sorted(
+            [PrincipalId("b"), PrincipalId("a"), PrincipalId("a", "Z.ORG")]
+        )
+        assert principals[0].name == "a"
+        groups = sorted(
+            [
+                GroupId(server=PrincipalId("s"), group="y"),
+                GroupId(server=PrincipalId("s"), group="x"),
+            ]
+        )
+        assert groups[0].group == "x"
+        accounts = sorted(
+            [
+                AccountId(server=PrincipalId("s"), account="2"),
+                AccountId(server=PrincipalId("s"), account="1"),
+            ]
+        )
+        assert accounts[0].account == "1"

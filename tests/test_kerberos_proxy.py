@@ -32,6 +32,7 @@ from repro.kerberos import (
 )
 from repro.kerberos.proxy_support import endorse
 from repro.net.network import Network
+from repro.testbed import Realm
 
 START = 1_000_000.0
 
@@ -270,3 +271,30 @@ class TestTgsProxy:
         stolen = tgs_proxy.proxy.without_key()
         with pytest.raises(Exception):
             mallory_client.redeem_tgs_proxy(tgt.ticket, stolen, server)
+
+
+class TestKerberosEdgeCases:
+    def test_tgs_proxy_requires_symmetric_key(self):
+        """A Schnorr-keyed proxy cannot ride the TGS proxy exchange."""
+        realm = Realm(seed=b"edge-krb")
+        alice = realm.user("alice")
+        bob = realm.user("bob")
+        fs = realm.file_server("files")
+        tgt = alice.kerberos.login()
+        bob.kerberos.login()
+
+        from repro.core.proxy import grant_public
+        from repro.crypto import schnorr
+        from repro.crypto.schnorr_groups import TEST_GROUP
+        from repro.crypto.signature import SchnorrSigner
+        from repro.errors import ReproError
+
+        identity = schnorr.generate_keypair(TEST_GROUP)
+        pk_proxy = grant_public(
+            alice.principal, SchnorrSigner(identity), (),
+            realm.clock.now(), realm.clock.now() + 100, group=TEST_GROUP,
+        )
+        with pytest.raises(ReproError):
+            bob.kerberos.redeem_tgs_proxy(
+                tgt.ticket, pk_proxy, fs.principal
+            )

@@ -197,6 +197,25 @@ class TestServiceBase:
         with pytest.raises(AuthorizationDenied):
             raise_if_error(network.send(ALICE, SERVER, "go", {}))
 
+    def test_unencodable_value_in_a_handler_is_a_typed_error_reply(
+        self, network, clock
+    ):
+        from repro.encoding.canonical import encode
+
+        class Notary(Service):
+            def op_digest(self, message):
+                # Keyed by a request-supplied value: an int among str keys.
+                claims = {message.payload["n"]: 1, "k": 2}
+                return {"size": len(encode(claims))}
+
+        Notary(SERVER, network, clock)
+        reply = network.send(ALICE, SERVER, "digest", {"n": 5})
+        assert is_error(reply)
+        with pytest.raises(ServiceError, match="dict keys must be str") as info:
+            raise_if_error(reply)
+        assert "got int" in str(info.value)
+        assert "TypeError" not in str(info.value)
+
     def test_hyphen_dispatch(self, network, clock):
         class Hyphen(Service):
             def op_two_words(self, message):
@@ -302,3 +321,41 @@ class TestBlackholeWindows:
         network.heal(SERVER)
         clock.advance(10.0)
         assert network.send(ALICE, SERVER, "ping", {})
+
+
+class TestLatencyModel:
+    def test_zero_jitter_deterministic(self):
+        model = LatencyModel(base=0.002, jitter=0.0)
+        rng = Rng(seed=b"lat")
+        assert model.sample(rng) == 0.002
+
+    def test_jitter_bounded(self):
+        model = LatencyModel(base=0.001, jitter=0.004)
+        rng = Rng(seed=b"lat2")
+        for _ in range(100):
+            sample = model.sample(rng)
+            assert 0.001 <= sample <= 0.005
+
+
+class TestMetricsEdgeCases:
+    def test_delta_math(self, network):
+        network.register(SERVER, lambda m: {"ok": True})
+        s0 = network.metrics.snapshot()
+        network.send(ALICE, SERVER, "a", {})
+        s1 = network.metrics.snapshot()
+        network.send(ALICE, SERVER, "b", {})
+        delta01 = s0.delta_to(s1)
+        delta12 = network.metrics.delta_since(s1)
+        assert delta01.messages == 2
+        assert delta12.messages == 2
+        assert set(delta12.by_type) == {"b", "b-reply"}
+
+    def test_wire_size_positive_and_monotone(self):
+        small = Message(
+            source=ALICE, destination=SERVER, msg_type="t", payload={}
+        )
+        big = Message(
+            source=ALICE, destination=SERVER, msg_type="t",
+            payload={"data": b"x" * 1000},
+        )
+        assert 0 < small.wire_size() < big.wire_size()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
@@ -32,17 +31,6 @@ class TestCounter:
     def test_counters_only_go_up(self):
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
-
-
-class TestGauge:
-    def test_set_overwrites_add_accumulates(self):
-        g = Gauge("sessions")
-        g.set(5, server="s")
-        g.set(3, server="s")
-        assert g.value(server="s") == 3
-        g.add(2, server="s")
-        g.add(-4, server="s")
-        assert g.value(server="s") == 1
 
 
 class TestHistogram:
@@ -85,7 +73,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_default_histogram_buckets(self):
         registry = MetricsRegistry()
@@ -124,7 +112,7 @@ class TestPrometheusText:
     def test_families_sorted_and_unlabelled_series(self):
         registry = MetricsRegistry()
         registry.counter("zeta").inc()
-        registry.gauge("alpha").set(7)
+        registry.counter("alpha").inc(7)
         text = prometheus_text(registry)
         assert text.index("alpha") < text.index("zeta")
         assert "\nalpha 7\n" in text
@@ -156,7 +144,7 @@ class TestExpositionConformance:
 
         registry = MetricsRegistry()
         registry.counter("vcache.sig.hit").inc()
-        registry.gauge("9lives").set(1)
+        registry.counter("9lives").inc()
         registry.histogram("net.latency", buckets=(0.1,)).observe(0.05)
         legal = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
         for line in prometheus_text(registry).splitlines():

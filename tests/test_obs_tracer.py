@@ -169,8 +169,6 @@ class TestTelemetryFacade:
     def test_metric_conveniences(self):
         t = Telemetry()
         t.inc("ops_total", op="x")
-        t.set_gauge("depth", 3)
         t.observe("lat", 0.5, buckets=(1.0,))
         assert t.metrics.counter("ops_total").value(op="x") == 1
-        assert t.metrics.gauge("depth").value() == 3
         assert t.metrics.histogram("lat").count() == 1

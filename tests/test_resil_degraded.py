@@ -57,23 +57,7 @@ class TestProxyCache:
         cache.put(fs.principal, ("read",), ("*",), proxy)
         realm.clock.advance(101.0)
         assert cache.get(fs.principal, ("read",), ("*",)) is None
-        assert len(cache) == 0
-
-    def test_revoke_all_and_per_server(self):
-        realm = Realm(seed=b"cache-unit")
-        alice = realm.user("alice")
-        fs = realm.file_server("files")
-        other = realm.file_server("other")
-        creds = alice.kerberos.get_ticket(fs.principal)
-        proxy = grant_via_credentials(creds, (), realm.clock.now())
-        cache = ProxyCache(realm.clock)
-        cache.put(fs.principal, ("read",), ("*",), proxy)
-        cache.put(other.principal, ("read",), ("*",), proxy)
-        assert cache.revoke(end_server=fs.principal) == 1
-        assert cache.get(fs.principal, ("read",), ("*",)) is None
-        assert cache.get(other.principal, ("read",), ("*",)) is not None
-        assert cache.revoke() == 1
-        assert len(cache) == 0
+        assert not cache._entries  # and the dead entry was evicted
 
 
 class TestDegradedAuthorization:
@@ -117,14 +101,6 @@ class TestDegradedAuthorization:
         # Outlive the issued proxy (authz default lifetime 3600s): the
         # degraded path must not resurrect expired credentials.
         realm.clock.advance(4000.0)
-        with pytest.raises(RetriesExhaustedError):
-            azc.authorize(fs.principal, ("read",))
-
-    def test_revoked_cache_entry_is_refused(self, deployment):
-        realm, fs, authz, azc, client = deployment
-        azc.authorize(fs.principal, ("read",))
-        azc.cache.revoke()
-        realm.network.blackhole(authz.principal)
         with pytest.raises(RetriesExhaustedError):
             azc.authorize(fs.principal, ("read",))
 

@@ -19,6 +19,7 @@ from repro.core.restrictions import (
     Restriction,
     check_all,
     is_bearer,
+    is_narrower,
     propagate_restrictions,
     register_restriction,
     restriction_from_wire,
@@ -366,6 +367,13 @@ class TestFramework:
         assert is_bearer((Quota(currency="x", limit=1),))
         assert not is_bearer((Grantee(principals=(ALICE,)),))
         assert is_bearer(())
+
+    def test_is_narrower(self):
+        loose = (Quota(currency="c", limit=10),)
+        tight = loose + (IssuedFor(servers=(SERVER,)),)
+        assert is_narrower(tight, loose)
+        assert not is_narrower(loose, tight)
+        assert is_narrower(loose, loose)
 
     def test_check_all_additive(self):
         """All restrictions must pass — adding one can only narrow."""

@@ -9,6 +9,7 @@ from repro.core.evaluation import RequestContext
 from repro.core.certificate import (
     LINK_ROOT,
     PublicKeyBinding,
+    SealedKeyBinding,
     build_certificate,
 )
 from repro.core.presentation import PresentedProxy, present
@@ -34,7 +35,6 @@ from repro.core.verification import (
     SharedKeyCrypto,
 )
 from repro.crypto import schnorr
-from repro.crypto.dh import RFC3526_PRIME_2048
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
 from repro.crypto.schnorr_groups import TEST_GROUP
@@ -52,6 +52,7 @@ from repro.errors import (
     RestrictionViolation,
 )
 from repro.obs.telemetry import Telemetry
+from tests.conftest import RFC3526_PRIME_2048
 
 ALICE = PrincipalId("alice")
 BOB = PrincipalId("bob")
@@ -835,3 +836,64 @@ class TestTampering:
         )
         with pytest.raises(ProxyVerificationError):
             verifier.verify(forged, req())
+
+
+class TestVerifierEdgeCases:
+    @pytest.fixture
+    def setup(self, rng):
+        shared = SymmetricKey.generate(rng=rng)
+        clock = SimulatedClock(START)
+        verifier = ProxyVerifier(
+            server=SERVER, crypto=SharedKeyCrypto({ALICE: shared}), clock=clock
+        )
+        proxy = grant_conventional(ALICE, shared, (), START, START + 100, rng)
+        return shared, clock, verifier, proxy
+
+    def test_sealed_fingerprint_mismatch_rejected(self, setup, rng):
+        shared, clock, verifier, proxy = setup
+        cert = proxy.certificates[0]
+        bad_binding = SealedKeyBinding(
+            box=cert.key_binding.box, fingerprint=b"x" * 16
+        )
+        forged = dataclasses.replace(cert, key_binding=bad_binding)
+        presented = PresentedProxy(
+            certificates=(forged,),
+            proof=present(proxy, SERVER, clock.now(), "read").proof,
+        )
+        with pytest.raises(ProxyVerificationError):
+            verifier.verify(
+                presented, RequestContext(server=SERVER, operation="read")
+            )
+
+    def test_unknown_public_binding_scheme(self, setup, rng):
+        shared, clock, verifier, proxy = setup
+        cert = proxy.certificates[0]
+        weird = PublicKeyBinding(scheme="post-quantum", key_wire={"n": 1})
+        forged = dataclasses.replace(cert, key_binding=weird)
+        presented = PresentedProxy(
+            certificates=(forged,),
+            proof=present(proxy, SERVER, clock.now(), "read").proof,
+        )
+        with pytest.raises(ProxyVerificationError):
+            verifier.verify(
+                presented, RequestContext(server=SERVER, operation="read")
+            )
+
+    def test_shared_key_crypto_rejects_hybrid(self, setup):
+        shared, clock, verifier, proxy = setup
+        with pytest.raises(ProxyVerificationError):
+            verifier.crypto.decrypt_hybrid("schnorr-ies", b"box")
+
+    def test_public_crypto_rejects_sealed_root(self, rng):
+        crypto = PublicKeyCrypto()
+        with pytest.raises(ProxyVerificationError):
+            crypto.unseal_root_key(ALICE, b"box")
+
+    def test_public_crypto_without_private_keys(self, rng):
+        crypto = PublicKeyCrypto()
+        with pytest.raises(ProxyVerificationError):
+            crypto.decrypt_hybrid("schnorr-ies", b"box")
+        with pytest.raises(ProxyVerificationError):
+            crypto.decrypt_hybrid("rsa-oaep", b"box")
+        with pytest.raises(ProxyVerificationError):
+            crypto.decrypt_hybrid("unknown-scheme", b"box")
