@@ -37,10 +37,10 @@ SEED = 7
 #: (figure, server to kill, unit tick) arms for the recovery gate.
 FULL_ARMS = (
     ("fig4", "files", 5),
-    ("fig5", "bank-payor", 3),
-    ("fig5", "bank-payee", 7),
+    ("fig5", "bank-a", 3),
+    ("fig5", "bank-b", 7),
 )
-SMOKE_ARMS = (("fig4", "files", 3), ("fig5", "bank-payor", 3))
+SMOKE_ARMS = (("fig4", "files", 3), ("fig5", "bank-a", 3))
 
 
 def time_transfers(transfers: int, durable: bool, data_dir) -> dict:
@@ -145,7 +145,7 @@ def run_suite(arms, units: int, transfers: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def test_crash_restart_recovers_with_parity(benchmark):
-    arm = run_recovery_arm("fig5", "bank-payor", 3, units=8)
+    arm = run_recovery_arm("fig5", "bank-a", 3, units=8)
     assert arm["parity"]
     assert arm["recovery_ok"], arm["recovery_problems"]
     assert arm["finale_matches"]

@@ -664,7 +664,7 @@ def main(argv=None) -> None:
         default="",
         metavar="SERVER:TICK",
         help="kill SERVER before unit TICK and rebuild it from its "
-        "WAL+snapshot (e.g. files:10, bank-payor:6)",
+        "WAL+snapshot (e.g. files:10, bank-a:6)",
     )
     chaos_parser.add_argument(
         "--runtime",

@@ -170,27 +170,19 @@ class _Fuzzer:
                 else None
             ),
         )
-        #: Per-bank durability stores when the campaign crash-restarts;
-        #: empty list entries mean the bank runs memory-only.
-        self._stores: List[Optional[DurabilityStore]] = []
-        for i in range(banks):
-            if crash_restarts > 0:
-                self._stores.append(
+        #: Banks write a WAL only when the campaign crash-restarts them;
+        #: a restart recovers from the dead bank's own store.
+        self.banks: List[AccountingServer] = [
+            self.realm.accounting_server(
+                f"bank{i}",
+                durability=(
                     DurabilityStore(
                         os.path.join(data_dir, f"bank{i}"),
                         telemetry=self.telemetry,
                         server=f"bank{i}",
                     )
-                )
-            else:
-                self._stores.append(None)
-        self.banks: List[AccountingServer] = [
-            self.realm.accounting_server(
-                f"bank{i}",
-                **(
-                    {"durability": self._stores[i]}
-                    if self._stores[i] is not None
-                    else {}
+                    if crash_restarts > 0
+                    else None
                 ),
             )
             for i in range(banks)
@@ -245,29 +237,14 @@ class _Fuzzer:
         bank's books are then subject to the same conservation and audit
         invariants as everyone else's, every remaining episode.
         """
-        old = self.banks[idx]
-        name = f"bank{idx}"
-        routes = dict(old.routes)
-        self.realm.network.unregister(old.principal)
-        with self.telemetry.span(
-            "recovery.crash_restart", server=name, episode=episode
-        ):
-            new = self.realm.restart_accounting_server(
-                name, durability=self._stores[idx]
-            )
-        new.routes.update(routes)
+        new = self.realm.crash_restart(self.banks[idx], episode=episode)
         self.banks[idx] = new
         report.crash_restarts += 1
         recovery = new.recovery
-        if recovery is None:
-            report.violations.append(
-                f"episode {episode}: {name} restarted without recovery"
-            )
-            return
         report.wal_replayed += recovery.total_replayed
         for problem in recovery.problems:
             report.violations.append(
-                f"episode {episode}: {name} recovery: {problem}"
+                f"episode {episode}: bank{idx} recovery: {problem}"
             )
 
     # ------------------------------------------------------------------

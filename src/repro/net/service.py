@@ -114,9 +114,16 @@ class Service:
             # so error replies are visible in traces without parsing bodies.
             span.set(error_reply=f"{type(exc).__name__}: {exc}")
             return encode_error(exc)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (
+            LookupError,
+            ArithmeticError,
+            TypeError,
+            ValueError,
+            AttributeError,
+        ) as exc:
             # Malformed payloads must produce an error reply, not crash
-            # the dispatch loop: everything that arrives is untrusted.
+            # the dispatch loop: everything that arrives is untrusted
+            # (``int(float("inf"))`` overflows, ``[][0]`` is an IndexError).
             span.set(error_reply=f"malformed: {type(exc).__name__}: {exc}")
             return encode_error(
                 ServiceError(

@@ -21,20 +21,26 @@ system would have — drops become latency, never divergence.  With
 ``retry=False`` the same campaign is the control arm: failures surface
 as unrecoverable errors, which is the point of the comparison.
 
-Workloads mirror the paper's figures:
+The figures are not defined here.  A campaign deploys and drives the
+scenario classes of :data:`repro.workloads.load.SCENARIOS` — the same
+``setup → principal → op`` hooks ``python -m repro load`` and the
+end-to-end benchmark run — with one principal (``p0``), so the evidence
+gates exercise the code that is measured:
 
 * ``fig1`` — bearer capability presented anonymously (§3.1).  No
   authority is on the request path, so even a KDC outage only slows
   things down: verification is offline.
-* ``fig3`` — authorization-server grants (§3.2) through
-  :class:`~repro.resil.degraded.ResilientAuthorizationClient`; an
+* ``fig3`` — authorization-server grants (§3.2).  The one figure a
+  campaign specialises: its client is the
+  :class:`~repro.resil.degraded.ResilientAuthorizationClient`, so an
   ``--outage`` window on the authorization server exercises degraded
   mode end to end (cached proxies honoured, grants flagged in the
   audit log).
-* ``fig4`` — a delegate cascade alice → carol → dave presented with a
-  session (§3.4); every unit builds and verifies a fresh chain.
+* ``fig4`` — a delegate cascade alice → carol0 → dave0 presented with a
+  session (§3.4); every unit verifies the chain.
 * ``fig5`` — cross-bank check clearing (§4): write, endorse, deposit,
-  with the inter-bank E2 hop riding the same resilient fabric.
+  with the inter-bank E2 hop (``bank-b`` → ``bank-a``) riding the same
+  resilient fabric.
 """
 
 from __future__ import annotations
@@ -43,18 +49,23 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.acl import AclEntry, SinglePrincipal
-from repro.core.restrictions import Authorized, AuthorizedEntry, Grantee
 from repro.durability import DurabilityStore
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError
 from repro.kerberos.kdc import kdc_principal
-from repro.kerberos.proxy_support import endorse, grant_via_credentials
 from repro.obs.telemetry import Telemetry
 from repro.resil.policy import NO_RETRY, RetryPolicy
+from repro.services.accounting import AccountingServer
 from repro.testbed import Realm
+from repro.workloads.load import (
+    SCENARIOS,
+    Fig3Scenario,
+    LoadConfig,
+    LoadScenario,
+    provision,
+)
 
 #: The campaign policy leans harder on retries than the realm default:
 #: at 30% request loss a send still fails outright only with
@@ -143,10 +154,11 @@ class ChaosReport:
     finale: Any = None
     baseline_finale: Any = None
     extras: Dict[str, int] = field(default_factory=dict)
-    #: Machine-checked recovery failures from crash-restart campaigns:
-    #: unreplayable WAL records, snapshot gaps, and post-recovery ledger
-    #: audit discrepancies.  Empty means every restarted server came back
-    #: with books that balance and an audit trail that parses.
+    #: Machine-checked failures: a restarted server's recovery report
+    #: (unreplayable WAL records, snapshot gaps) and, on both arms, the
+    #: scenario's own ``check()`` — audit counts; for fig5, conservation
+    #: and derived-vs-live ledger parity.  Empty means the books balance
+    #: and every restarted server came back with an audit trail that parses.
     recovery_problems: List[str] = field(default_factory=list)
     #: Pre-rendered causal waterfalls of the offending units, populated
     #: when the campaign fails its promise (forensic auto-dump).
@@ -250,19 +262,18 @@ class ChaosReport:
                 )
                 lines.append(f"  unit {unit.index}: {unit.error}{suffix}")
             lines.append("")
-        if self.spec.crash_restart:
-            if self.recovery_problems:
-                lines.append(
-                    f"recovery: FAIL — {len(self.recovery_problems)} "
-                    "problem(s) rebuilding durable state"
-                )
-                for problem in self.recovery_problems[:5]:
-                    lines.append(f"  {problem}")
-            else:
-                lines.append(
-                    "recovery: OK — restarted server rebuilt from "
-                    "WAL+snapshot with balanced books"
-                )
+        if self.recovery_problems:
+            lines.append(
+                f"recovery: FAIL — {len(self.recovery_problems)} "
+                "problem(s) in the books or the rebuilt durable state"
+            )
+            for problem in self.recovery_problems[:5]:
+                lines.append(f"  {problem}")
+        elif self.spec.crash_restart:
+            lines.append(
+                "recovery: OK — restarted server rebuilt from "
+                "WAL+snapshot with balanced books"
+            )
         mismatched = self.mismatches()
         if mismatched:
             lines.append(
@@ -303,290 +314,70 @@ class ChaosReport:
 
 
 # ---------------------------------------------------------------------------
-# Figure workloads
+# What a campaign adds to a figure
 # ---------------------------------------------------------------------------
 
+#: The figures a campaign can run.  Each is deployed and driven through
+#: the one definition in :data:`repro.workloads.load.SCENARIOS` — the
+#: code ``python -m repro load`` and the end-to-end benchmark measure —
+#: with a single principal (``p0``).
+FIGURES = ("fig1", "fig3", "fig4", "fig5")
 
-class _Workload:
-    """One figure's repeatable unit of work on a live realm.
 
-    ``setup`` builds the deployment and warms tickets/sessions (faults
-    are injected only afterwards, mirroring the figures' convention of
-    omitting key-distribution traffic).  ``unit`` performs one
-    application-level exchange and returns a comparable outcome.
+class _Fig3(Fig3Scenario):
+    """Fig. 3 with the degraded-mode client cache (§3.1–3.2)."""
 
-    ``RESTARTABLE`` names the servers a ``crash_restart`` fault may
-    target: server name -> (state key, server kind).  A targeted server
-    is built with a :class:`~repro.durability.DurabilityStore` (attached
-    via :meth:`attach_durability` before ``setup`` runs) so the crash
-    loses the process but not the WAL.
-    """
-
-    #: server name -> (state key holding the live server, restart kind).
-    RESTARTABLE: Dict[str, Tuple[str, str]] = {}
-
-    def __init__(self) -> None:
-        self._durability: Dict[str, DurabilityStore] = {}
-        #: (name, server) for every crash-restarted server, in order.
-        self.restarted: List[Tuple[str, Any]] = []
-
-    def attach_durability(self, name: str, store: DurabilityStore) -> None:
-        """Give ``name``'s server a durability store before setup."""
-        self._durability[name] = store
-
-    def _server_kwargs(self, name: str) -> dict:
-        store = self._durability.get(name)
-        return {} if store is None else {"durability": store}
-
-    def crash_restart(self, realm: Realm, state: dict, name: str) -> Any:
-        """Kill ``name``'s server and rebuild it from its store.
-
-        The crash model: process state (sessions, in-memory registries,
-        balances) vanishes; the WAL and snapshot on disk survive.  The
-        replacement registers the principal's network handler again and
-        recovers before serving.  Clients notice only as dropped sessions,
-        which the service client re-establishes transparently.
-        """
-        if name not in self.RESTARTABLE:
-            raise ValueError(
-                f"workload cannot crash-restart {name!r}; "
-                f"restartable servers: {sorted(self.RESTARTABLE)}"
-            )
-        state_key, kind = self.RESTARTABLE[name]
-        old = state[state_key]
-        realm.network.unregister(realm.principal(name))
-        kwargs = self._server_kwargs(name)
-        if kind == "accounting":
-            server = realm.restart_accounting_server(name, **kwargs)
-            server.routes.update(old.routes)
-        else:
-            server = realm.restart_file_server(name, **kwargs)
-        state[state_key] = server
-        self.restarted.append((name, server))
-        return server
-
-    def setup(self, realm: Realm) -> dict:
-        raise NotImplementedError
-
-    def unit(self, realm: Realm, state: dict, index: int) -> Any:
-        raise NotImplementedError
-
-    def finale(self, realm: Realm, state: dict) -> Any:
-        return None
-
-    def authority(self, realm: Realm, state: dict) -> PrincipalId:
-        """The principal an ``--outage`` window blackholes."""
-        return kdc_principal(realm.realm)
+    def _authorization_client(self, realm, user, authz):
+        self.azc = user.resilient_authorization_client(
+            authz, telemetry=realm.telemetry
+        )
+        return self.azc
 
     def degraded_counts(self, state: dict) -> Tuple[int, int]:
         """(client-cache grants, server-honoured grants) in degraded mode."""
-        return 0, 0
-
-    def extras(self, state: dict) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        if self.restarted:
-            out["crash restarts"] = len(self.restarted)
-            out["wal records replayed"] = sum(
-                server.recovery.total_replayed
-                for _, server in self.restarted
-                if server.recovery is not None
-            )
-        return out
-
-    def _file_server(self, realm: Realm, docs: int = 5):
-        fs = realm.file_server("files", **self._server_kwargs("files"))
-        for k in range(docs):
-            fs.put(f"doc{k}.txt", b"contents of doc %d" % k)
-        return fs
-
-
-class _Fig1(_Workload):
-    """Bearer capability presented anonymously; verification is offline."""
-
-    RESTARTABLE = {"files": ("fs", "file")}
-
-    def setup(self, realm: Realm) -> dict:
-        alice = realm.user("alice")
-        bob = realm.user("bob")
-        fs = self._file_server(realm)
-        fs.grant_owner(alice.principal)
-        creds = alice.kerberos.get_ticket(fs.principal)
-        capability = grant_via_credentials(
-            creds,
-            (
-                Authorized(
-                    entries=tuple(
-                        AuthorizedEntry(f"doc{k}.txt", ("read",))
-                        for k in range(5)
-                    )
-                ),
-            ),
-            realm.clock.now(),
-            rng=alice.kerberos.rng,
-        )
-        client = bob.client_for(fs.principal)
-        client.request("read", "doc0.txt", proxy=capability, anonymous=True)
-        return {"client": client, "capability": capability, "fs": fs}
-
-    def unit(self, realm: Realm, state: dict, index: int) -> Any:
-        reply = state["client"].request(
-            "read",
-            f"doc{index % 5}.txt",
-            proxy=state["capability"],
-            anonymous=True,
-        )
-        return {"data": reply["data"]}
-
-
-class _Fig3(_Workload):
-    """Authorization-server grants with the degraded-mode client cache."""
-
-    RESTARTABLE = {"files": ("fs", "file")}
-
-    def setup(self, realm: Realm) -> dict:
-        fs = self._file_server(realm)
-        authz = realm.authorization_server("authz")
-        fs.acl.add(AclEntry(subject=SinglePrincipal(authz.principal)))
-        user = realm.user("client")
-        authz.database_for(fs.principal).add(
-            AclEntry(
-                subject=SinglePrincipal(user.principal), operations=("read",)
-            )
-        )
-        azc = user.resilient_authorization_client(
-            authz.principal, telemetry=realm.telemetry
-        )
-        client = user.client_for(fs.principal)
-        azc.service.establish_session()
-        warm = azc.authorize(fs.principal, ("read",))
-        client.establish_session()
-        client.request("read", "doc0.txt", proxy=warm)
-        return {"azc": azc, "client": client, "fs": fs, "authz": authz}
-
-    def unit(self, realm: Realm, state: dict, index: int) -> Any:
-        proxy = state["azc"].authorize(state["fs"].principal, ("read",))
-        reply = state["client"].request(
-            "read", f"doc{index % 5}.txt", proxy=proxy
-        )
-        return {"data": reply["data"]}
-
-    def authority(self, realm: Realm, state: dict) -> PrincipalId:
-        return state["authz"].principal
-
-    def degraded_counts(self, state: dict) -> Tuple[int, int]:
         server_side = sum(
             1 for record in state["fs"].audit.all() if record.degraded
         )
-        return state["azc"].degraded_grants, server_side
+        return self.azc.degraded_grants, server_side
 
 
-class _Fig4(_Workload):
-    """Delegate cascade alice -> carol -> dave, one fresh chain per unit."""
+def scenario_for(figure: str) -> LoadScenario:
+    """The load table's scenario for ``figure``, fig3 specialised."""
+    return _Fig3() if figure == "fig3" else SCENARIOS[figure]()
 
-    RESTARTABLE = {"files": ("fs", "file")}
 
-    def setup(self, realm: Realm) -> dict:
-        alice = realm.user("alice")
-        carol = realm.user("carol")
-        dave = realm.user("dave")
-        fs = self._file_server(realm)
-        fs.grant_owner(alice.principal)
-        state = {
-            "alice": alice,
-            "carol": carol,
-            "dave": dave,
-            "fs": fs,
-            "client": dave.client_for(fs.principal),
+def _authority(realm: Realm, state: dict) -> PrincipalId:
+    """The principal an ``--outage`` window blackholes: the deployment's
+    authorization server where it has one (fig3), else the KDC."""
+    authz = state.get("authz")
+    return authz.principal if authz else kdc_principal(realm.realm)
+
+
+def finale(state: dict) -> Dict[str, Dict[str, Dict[str, int]]]:
+    """Closing books, bank -> account -> balances (fig5; else {})."""
+    return {
+        server.principal.name: {
+            name: dict(account.balances)
+            for name, account in server.accounts.items()
         }
-        state["client"].establish_session()
-        self.unit(realm, state, 0)
-        return state
-
-    def unit(self, realm: Realm, state: dict, index: int) -> Any:
-        alice, carol, dave = state["alice"], state["carol"], state["dave"]
-        fs = state["fs"]
-        now = realm.clock.now()
-        to_carol = grant_via_credentials(
-            alice.kerberos.get_ticket(fs.principal),
-            (Grantee(principals=(carol.principal,)),),
-            now,
-            rng=alice.kerberos.rng,
-        )
-        chain = endorse(
-            to_carol,
-            carol.kerberos.get_ticket(fs.principal),
-            dave.principal,
-            (),
-            now,
-            now + 600.0,
-            rng=carol.kerberos.rng,
-        )
-        reply = state["client"].request(
-            "read", f"doc{index % 5}.txt", proxy=chain
-        )
-        return {"data": reply["data"]}
-
-
-class _Fig5(_Workload):
-    """Cross-bank check clearing; the E2 hop rides the same fabric."""
-
-    RESTARTABLE = {
-        "bank-payor": ("bank_payor", "accounting"),
-        "bank-payee": ("bank_payee", "accounting"),
+        for server in state.values()
+        if isinstance(server, AccountingServer)
     }
 
-    def setup(self, realm: Realm) -> dict:
-        payor = realm.user("payor")
-        payee = realm.user("payee")
-        bank_payor = realm.accounting_server(
-            "bank-payor", **self._server_kwargs("bank-payor")
-        )
-        bank_payee = realm.accounting_server(
-            "bank-payee", **self._server_kwargs("bank-payee")
-        )
-        bank_payor.create_account(
-            "payor", payor.principal, {"dollars": 10_000}
-        )
-        bank_payee.create_account("payee", payee.principal)
-        payor_client = payor.accounting_client(bank_payor.principal)
-        payee_client = payee.accounting_client(bank_payee.principal)
-        check = payor_client.write_check(
-            "payor", payee.principal, "dollars", 1
-        )
-        payee_client.deposit_check(check, "payee")
-        return {
-            "payor_client": payor_client,
-            "payee_client": payee_client,
-            "bank_payor": bank_payor,
-            "bank_payee": bank_payee,
-            "payee": payee,
-        }
 
-    def unit(self, realm: Realm, state: dict, index: int) -> Any:
-        amount = 1 + (index % 7)
-        check = state["payor_client"].write_check(
-            "payor", state["payee"].principal, "dollars", amount
+def _server_key(figure: str, state: dict, name: str) -> str:
+    """The state key of the server a ``crash_restart`` fault names."""
+    servers = {
+        value.principal.name: key
+        for key, value in state.items()
+        if hasattr(value, "durability")
+    }
+    if name not in servers:
+        raise ValueError(
+            f"{figure} cannot crash-restart {name!r}; "
+            f"its servers: {sorted(servers)}"
         )
-        result = state["payee_client"].deposit_check(check, "payee")
-        return {"amount": amount, "paid": int(result["paid"])}
-
-    def finale(self, realm: Realm, state: dict) -> Any:
-        return {
-            "payor": state["bank_payor"]
-            .accounts["payor"]
-            .balance("dollars"),
-            "payee": state["bank_payee"]
-            .accounts["payee"]
-            .balance("dollars"),
-        }
-
-
-WORKLOADS: Dict[str, type] = {
-    "fig1": _Fig1,
-    "fig3": _Fig3,
-    "fig4": _Fig4,
-    "fig5": _Fig5,
-}
+    return servers[name]
 
 
 # ---------------------------------------------------------------------------
@@ -594,87 +385,91 @@ WORKLOADS: Dict[str, type] = {
 # ---------------------------------------------------------------------------
 
 
-def _prepare(
+def _run_arm(
     spec: CampaignSpec, faulted: bool, data_dir: Optional[str]
-) -> Tuple[Realm, _Workload]:
-    """A seeded realm and workload, durability attached, nothing deployed.
-
-    ``kill_primary`` campaigns kill the primary *before* any traffic so
-    even ticket warm-up exercises failover.  Deployment (``setup``) is
-    left to :func:`_run_arm` — on the aio runtime it must happen inside
-    the served loop.
-    """
-    policy = (
-        CAMPAIGN_POLICY if (spec.retry or not faulted) else NO_RETRY
-    )
-    seed = f"chaos-{spec.figure}-{spec.seed}".encode()
+) -> Tuple[Realm, LoadScenario, dict]:
+    """Deploy and run one arm; returns (realm, scenario, results dict)."""
     # The faulted arm records full traces so a failed campaign can dump
     # the offending units' causal history.  The tracer draws ids from its
     # own rng, so tracing never perturbs the realm's seeded behaviour —
     # the baseline stays untraced because parity compares application
     # outcomes, and recording both arms would double the span load.
-    telemetry = Telemetry() if faulted else None
     realm = Realm(
-        seed=seed,
-        resilience=policy,
-        telemetry=telemetry,
+        seed=f"chaos-{spec.figure}-{spec.seed}".encode(),
+        resilience=(
+            CAMPAIGN_POLICY if (spec.retry or not faulted) else NO_RETRY
+        ),
+        telemetry=Telemetry() if faulted else None,
         runtime=spec.runtime,
     )
-    workload = WORKLOADS[spec.figure]()
+    scenario = scenario_for(spec.figure)
     if faulted and spec.crash_restart is not None:
+        # The crash loses the process, not the WAL: the targeted server
+        # is built on a store (the baseline arm stays memory-only).
         name, _ = spec.crash_restart
-        if name not in workload.RESTARTABLE:
-            raise ValueError(
-                f"{spec.figure} cannot crash-restart {name!r}; "
-                f"restartable servers: {sorted(workload.RESTARTABLE)}"
-            )
-        workload.attach_durability(
-            name,
-            DurabilityStore(
+        scenario.stores = {
+            name: DurabilityStore(
                 os.path.join(data_dir, name),
                 telemetry=realm.telemetry,
                 server=name,
-            ),
-        )
+            )
+        }
     if faulted and spec.kill_primary:
+        # Before any traffic, so even ticket warm-up exercises failover.
         realm.kdc_replica("kdc-standby")
         realm.network.blackhole(kdc_principal(realm.realm))
-    return realm, workload
-
-
-def _run_arm(
-    spec: CampaignSpec, faulted: bool, data_dir: Optional[str]
-) -> Tuple[Realm, _Workload, dict]:
-    """Deploy and run one arm; returns (realm, workload, results dict)."""
-    realm, workload = _prepare(spec, faulted, data_dir)
-    out: dict = {}
+    config = LoadConfig(
+        scenario=spec.figure, principals=1, mode=spec.runtime, seed=spec.seed
+    )
+    out: dict = {"restarted": []}
 
     def body() -> None:
-        state = workload.setup(realm)
+        state, (pstate,) = provision(scenario, realm, config)
+        crash_key = crash_tick = None
+        if spec.crash_restart is not None:
+            # Both arms check the name; only the faulted one crashes.
+            name, tick = spec.crash_restart
+            crash_key = _server_key(spec.figure, state, name)
+            crash_tick = tick if faulted else None
+        # One op before any fault, so units meet warm tickets and caches
+        # (the figures' convention of omitting key-distribution traffic).
+        scenario.op(realm, config, state, pstate, 0, 0)
         if realm.telemetry.enabled:
-            # Warm-up traffic (tickets, sessions) is not part of any unit.
+            # Provisioning traffic (tickets, sessions) is part of no unit.
             realm.telemetry.tracer.clear()
             realm.telemetry.store.clear()
         if faulted:
-            _inject(realm, workload, state, spec)
+            _inject(realm, state, spec)
         started = realm.clock.now()
-        out["units"] = _run_units(realm, workload, state, spec, faulted)
+
+        def unit(index: int) -> Any:
+            if index == crash_tick:
+                server = realm.crash_restart(state[crash_key], unit=index)
+                state[crash_key] = server
+                out["restarted"].append(server)
+            return scenario.op(realm, config, state, pstate, 0, index)
+
+        out["units"] = units = _run_units(realm, spec, unit)
         out["state"] = state
         out["sim_seconds"] = realm.clock.now() - started
-        out["finale"] = workload.finale(realm, state)
+        out["finale"] = finale(state)
+        # The scenario's own invariants — audit counts; for fig5,
+        # conservation and derived-vs-live ledger parity — on both arms.
+        out["problems"] = scenario.check(
+            realm, config, state, sum(1 for u in units if u.ok)
+        )
 
     if spec.runtime == "aio":
+        # Deployment included: it must happen inside the served loop.
         from repro.net.aio import drive
 
         drive(realm.network, body)
     else:
         body()
-    return realm, workload, out
+    return realm, scenario, out
 
 
-def _inject(
-    realm: Realm, workload: _Workload, state: dict, spec: CampaignSpec
-) -> None:
+def _inject(realm: Realm, state: dict, spec: CampaignSpec) -> None:
     network = realm.network
     if spec.drop_rate:
         network.set_drop_probability(spec.drop_rate, leg="request")
@@ -686,84 +481,45 @@ def _inject(
         start, stop = spec.outage
         now = realm.clock.now()
         network.blackhole(
-            workload.authority(realm, state),
-            since=now + start,
-            until=now + stop,
+            _authority(realm, state), since=now + start, until=now + stop
         )
 
 
 def _run_units(
-    realm: Realm,
-    workload: _Workload,
-    state: dict,
-    spec: CampaignSpec,
-    faulted: bool = True,
+    realm: Realm, spec: CampaignSpec, unit: Callable[[int], Any]
 ) -> List[UnitResult]:
     from repro.clock import SimulatedClock
 
-    crash = spec.crash_restart if faulted else None
     results: List[UnitResult] = []
     for index in range(spec.units):
         if spec.pacing > 0 and isinstance(realm.clock, SimulatedClock):
             realm.clock.advance(spec.pacing)
-        if crash is not None and index == crash[1]:
-            with realm.telemetry.span(
-                "recovery.crash_restart", server=crash[0], unit=index
-            ):
-                workload.crash_restart(realm, state, crash[0])
-        trace_id = ""
+        trace_id, outcome, error = "", None, ""
         try:
             with realm.telemetry.run(
                 f"{spec.figure}-unit-{index}"
             ) as run_span:
                 trace_id = run_span.trace_id or ""
-                outcome = workload.unit(realm, state, index)
+                outcome = unit(index)
         except ReproError as exc:
-            results.append(
-                UnitResult(
-                    index=index,
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    trace_id=trace_id,
-                )
+            error = f"{type(exc).__name__}: {exc}"
+        results.append(
+            UnitResult(
+                index=index,
+                ok=not error,
+                outcome=outcome,
+                error=error,
+                trace_id=trace_id,
             )
-        else:
-            results.append(
-                UnitResult(
-                    index=index, ok=True, outcome=outcome, trace_id=trace_id
-                )
-            )
+        )
     return results
-
-
-def _recovery_problems(workload: _Workload) -> List[str]:
-    """Machine-check every crash-restarted server's rebuilt state.
-
-    Three layers: the recovery report itself (unreplayable records,
-    snapshot gaps), per-currency conservation, and derived-vs-live audit
-    parity on recovered accounting servers.
-    """
-    problems: List[str] = []
-    for name, server in workload.restarted:
-        recovery = server.recovery
-        if recovery is None:
-            problems.append(f"{name}: restarted without running recovery")
-            continue
-        problems.extend(f"{name}: {p}" for p in recovery.problems)
-        ledger = getattr(server, "ledger", None)
-        if ledger is not None:
-            problems.extend(
-                f"{name}: {p}" for p in ledger.audit_discrepancies()
-            )
-    return problems
 
 
 def run_campaign(spec: CampaignSpec) -> ChaosReport:
     """Run the baseline and the faulted arm; return the comparison."""
-    if spec.figure not in WORKLOADS:
+    if spec.figure not in FIGURES:
         raise ValueError(
-            f"unknown figure {spec.figure!r}; "
-            f"choose from {sorted(WORKLOADS)}"
+            f"unknown figure {spec.figure!r}; choose from {sorted(FIGURES)}"
         )
     if spec.crash_restart is not None:
         _, tick = spec.crash_restart
@@ -778,11 +534,21 @@ def run_campaign(spec: CampaignSpec) -> ChaosReport:
     if spec.crash_restart is not None and data_dir is None:
         data_dir = scratch = tempfile.mkdtemp(prefix="repro-chaos-wal-")
     try:
-        _, base_workload, base = _run_arm(spec, False, data_dir)
-        realm, workload, run = _run_arm(spec, True, data_dir)
-        state = run["state"]
+        _, _, base = _run_arm(spec, False, data_dir)
+        realm, scenario, run = _run_arm(spec, True, data_dir)
+        restarted = run["restarted"]
 
-        degraded_client, degraded_server = workload.degraded_counts(state)
+        degraded_client, degraded_server = (
+            scenario.degraded_counts(run["state"])
+            if isinstance(scenario, _Fig3)
+            else (0, 0)
+        )
+        extras: Dict[str, int] = {}
+        if restarted:
+            extras["crash restarts"] = len(restarted)
+            extras["wal records replayed"] = sum(
+                server.recovery.total_replayed for server in restarted
+            )
         report = ChaosReport(
             spec=spec,
             units=run["units"],
@@ -794,8 +560,16 @@ def run_campaign(spec: CampaignSpec) -> ChaosReport:
             sim_seconds=run["sim_seconds"],
             finale=run["finale"],
             baseline_finale=base["finale"],
-            extras=workload.extras(state),
-            recovery_problems=_recovery_problems(workload),
+            extras=extras,
+            recovery_problems=[
+                *(
+                    f"{server.principal.name}: {problem}"
+                    for server in restarted
+                    for problem in server.recovery.problems
+                ),
+                *(f"baseline: {problem}" for problem in base["problems"]),
+                *run["problems"],
+            ],
         )
         if report.exit_code() != 0 and realm.telemetry.enabled:
             _attach_forensics(report, realm.telemetry)

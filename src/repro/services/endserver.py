@@ -157,6 +157,8 @@ class EndServer(Service):
         #: possession proofs (§2: "a signed or encrypted timestamp or
         #: server challenge").
         self._challenges: Dict[bytes, float] = {}
+        #: When :meth:`_sweep_expired` next scans the two tables above.
+        self._next_sweep = 0.0
         #: Optional :class:`~repro.durability.DurabilityStore`.  When set,
         #: accept-once registrations, ``_rid``-keyed cached responses, and
         #: audit records survive a crash-restart: a server rebuilt from
@@ -283,17 +285,36 @@ class EndServer(Service):
     def op_ap_request(self, message: Message) -> dict:
         """Accept an AP exchange; returns an opaque session id."""
         session = self.ap.accept(message.payload)
+        self._sweep_expired()
         session_id = self._rng.bytes(16)
         self.sessions[session_id] = session
         return {"session_id": session_id}
 
     def op_get_challenge(self, message: Message) -> dict:
         """Issue a nonce for a challenge-based possession proof (§2)."""
+        self._sweep_expired()
         challenge = self._rng.bytes(16)
         self._challenges[challenge] = (
             self.clock.now() + self.acceptor.verifier.freshness_window
         )
         return {"challenge": challenge}
+
+    def _sweep_expired(self) -> None:
+        """Drop expired sessions and unused challenges.
+
+        Called where entries are inserted, and scanning at most once per
+        freshness window, so clients that go away, replaced sessions and
+        challenges never presented cannot accumulate — at a cost the
+        ``request`` path never pays.
+        """
+        now = self.clock.now()
+        if now < self._next_sweep:
+            return
+        self._next_sweep = now + self.acceptor.verifier.freshness_window
+        for sid in [k for k, s in self.sessions.items() if s.expires_at < now]:
+            del self.sessions[sid]
+        for nonce in [k for k, t in self._challenges.items() if t < now]:
+            del self._challenges[nonce]
 
     def _consume_challenge(self, challenge: bytes) -> None:
         """A presented challenge must be ours, fresh, and single-use."""

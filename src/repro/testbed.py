@@ -365,6 +365,36 @@ class Realm:
             **kwargs,
         )
 
+    def crash_restart(self, server, **span_attributes):
+        """Kill ``server`` and rebuild the same kind of server from its
+        own store — the one crash model chaos campaigns and the ledger
+        fuzzer share.
+
+        Process state (sessions, in-memory registries, balances) vanishes;
+        the WAL and snapshot survive.  The replacement registers the
+        principal's handler again, recovers before serving, and keeps the
+        dead instance's inter-bank ``routes`` (configuration, not state).
+        Clients notice only dropped sessions, which they re-establish.
+        """
+        rebuild = {
+            AccountingServer: self.restart_accounting_server,
+            FileServer: self.restart_file_server,
+        }.get(type(server))
+        if rebuild is None or server.durability is None:
+            raise ValueError(
+                f"cannot crash-restart {server.principal}: "
+                "not a server built on a durability store"
+            )
+        name = server.principal.name
+        with self.telemetry.span(
+            "recovery.crash_restart", server=name, **span_attributes
+        ):
+            self.network.unregister(server.principal)
+            new = rebuild(name, durability=server.durability)
+        if isinstance(server, AccountingServer):
+            new.routes.update(server.routes)
+        return new
+
     # ------------------------------------------------------------------
     # Replicas (resilience layer required)
     # ------------------------------------------------------------------

@@ -45,31 +45,29 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.acl import AclEntry, SinglePrincipal
-from repro.clock import SystemClock
 from repro.core.restrictions import (
     Authorized,
     AuthorizedEntry,
     Grantee,
     IssuedFor,
 )
-from repro.crypto.rng import Rng
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError
 from repro.kerberos.proxy_support import endorse, grant_via_credentials
 from repro.ledger.fuzz import non_settlement_totals
 from repro.net.aio import AioNetwork
 from repro.net.message import Message
-from repro.net.network import LatencyModel, Network
+from repro.net.network import LatencyModel
 from repro.net.service import Service
 from repro.obs.telemetry import Telemetry
 from repro.obs.usage import QuantileDigest
 from repro.testbed import Realm
 
-#: Documents provisioned on file-serving scenarios (mirrors the chaos
-#: workloads' five-document file server).
+#: Documents provisioned on file-serving scenarios.
 _DOCS = 5
 
 
@@ -214,7 +212,11 @@ class LoadReport:
 
 
 class LoadScenario:
-    """One way to exercise a realm under load.
+    """One figure's deployment and unit of work — written here, once.
+
+    :func:`run_load`, the chaos campaigns (:mod:`repro.resil.chaos`, one
+    principal), the aio-parity suite and the end-to-end benchmark
+    (``perf/``) all drive these hooks; none keeps a copy of a figure.
 
     Hooks, all run with the network in inline (undilated, unqueued)
     delivery except :meth:`op`:
@@ -222,15 +224,20 @@ class LoadScenario:
     * :meth:`setup` builds shared servers and returns the state dict.
     * :meth:`principal` provisions principal ``i`` (credentials, grants,
       accounts) and returns its private per-principal state.
-    * :meth:`op` runs one request for principal ``i``; it must touch only
-      that principal's state (plus thread-safe server handles), because
-      in aio mode it runs on a client pool thread.
+    * :meth:`op` runs one request for principal ``i``, checks the reply
+      and returns the application outcome (what parity runs compare); it
+      must touch only that principal's state (plus thread-safe server
+      handles), because in aio mode it runs on a client pool thread.
     * :meth:`check` returns invariant violations after the run ([] = ok).
     * :meth:`prefetchers` names (endpoint, prefetcher) pairs to install
       on the aio network for cross-request signature batching.
     """
 
     name = "?"
+    #: server name -> :class:`~repro.durability.DurabilityStore`; a server
+    #: named here is built on its store (crash-restart campaigns assign
+    #: a dict of their own to the instance).
+    stores: Mapping[str, object] = MappingProxyType({})
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
         raise NotImplementedError
@@ -248,7 +255,7 @@ class LoadScenario:
         pstate,
         i: int,
         k: int,
-    ) -> None:
+    ) -> dict:
         raise NotImplementedError
 
     def check(
@@ -300,6 +307,7 @@ class EchoScenario(LoadScenario):
         )
         if reply.get("echo") != k:
             raise ReproError(f"echo mismatch for principal {i} op {k}")
+        return {"echo": k}
 
     def check(self, realm, config, state, ops_ok):
         handled = state["echo"].handled
@@ -401,6 +409,7 @@ class PkVerifyScenario(LoadScenario):
         )
         if reply.get("data") != b"ok":
             raise ReproError(f"pk read failed for principal {i} op {k}")
+        return {"data": reply["data"]}
 
     def check(self, realm, config, state, ops_ok):
         audited = len(state["server"].audit.all())
@@ -417,13 +426,15 @@ class _FileScenario(LoadScenario):
     """Shared scaffolding for the Kerberos file-server figures."""
 
     def _file_server(self, realm: Realm):
-        fs = realm.file_server("files")
+        fs = realm.file_server(
+            "files", durability=self.stores.get("files")
+        )
         for k in range(_DOCS):
             fs.put(f"doc{k}.txt", b"contents of doc %d" % k)
         return fs
 
-    def _check_audit(self, fs, ops_ok: int) -> List[str]:
-        audited = len(fs.audit.all())
+    def check(self, realm, config, state, ops_ok):
+        audited = len(state["fs"].audit.all())
         if audited < ops_ok:
             return [f"audit recorded {audited} < {ops_ok} completed ops"]
         return []
@@ -477,9 +488,7 @@ class Fig1Scenario(_FileScenario):
         )
         if "data" not in reply:
             raise ReproError(f"fig1 read failed for principal {i} op {k}")
-
-    def check(self, realm, config, state, ops_ok):
-        return self._check_audit(state["fs"], ops_ok)
+        return {"data": reply["data"]}
 
 
 class Fig3Scenario(_FileScenario):
@@ -495,7 +504,9 @@ class Fig3Scenario(_FileScenario):
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
         fs = self._file_server(realm)
         authz = realm.authorization_server("authz")
-        fs.acl.add(AclEntry(subject=SinglePrincipal(authz.principal)))
+        # The same entry ``fs.acl.add`` would make, but logged to the
+        # file server's store, so a crash-restart keeps it.
+        fs.grant_owner(authz.principal)
         return {"fs": fs, "authz": authz}
 
     def principal(self, realm, config, state, i):
@@ -507,11 +518,14 @@ class Fig3Scenario(_FileScenario):
                 operations=("read",),
             )
         )
-        azc = user.authorization_client(authz.principal)
+        azc = self._authorization_client(realm, user, authz.principal)
         client = user.client_for(fs.principal)
         azc.service.establish_session()
         client.establish_session()
         return (azc, client)
+
+    def _authorization_client(self, realm, user, authz):
+        return user.authorization_client(authz)
 
     def op(self, realm, config, state, pstate, i, k):
         azc, client = pstate
@@ -519,9 +533,7 @@ class Fig3Scenario(_FileScenario):
         reply = client.request("read", f"doc{k % _DOCS}.txt", proxy=proxy)
         if "data" not in reply:
             raise ReproError(f"fig3 read failed for principal {i} op {k}")
-
-    def check(self, realm, config, state, ops_ok):
-        return self._check_audit(state["fs"], ops_ok)
+        return {"data": reply["data"]}
 
 
 class Fig4Scenario(_FileScenario):
@@ -569,9 +581,7 @@ class Fig4Scenario(_FileScenario):
         reply = client.request("read", f"doc{k % _DOCS}.txt", proxy=chain)
         if "data" not in reply:
             raise ReproError(f"fig4 read failed for principal {i} op {k}")
-
-    def check(self, realm, config, state, ops_ok):
-        return self._check_audit(state["fs"], ops_ok)
+        return {"data": reply["data"]}
 
 
 class Fig5Scenario(LoadScenario):
@@ -590,9 +600,12 @@ class Fig5Scenario(LoadScenario):
     INITIAL = 10_000
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
-        bank_a = realm.accounting_server("bank-a")
-        bank_b = realm.accounting_server("bank-b")
-        return {"bank_a": bank_a, "bank_b": bank_b}
+        return {
+            key: realm.accounting_server(
+                name, durability=self.stores.get(name)
+            )
+            for key, name in (("bank_a", "bank-a"), ("bank_b", "bank-b"))
+        }
 
     def principal(self, realm, config, state, i):
         bank_a, bank_b = state["bank_a"], state["bank_b"]
@@ -615,10 +628,10 @@ class Fig5Scenario(LoadScenario):
             f"payor-{idx}", user.principal, "dollars", amount
         )
         result = payee_client.deposit_check(check, f"payee-{idx}")
-        if int(result["paid"]) != amount:
-            raise ReproError(
-                f"fig5 deposit paid {result['paid']} != {amount}"
-            )
+        paid = int(result["paid"])
+        if paid != amount:
+            raise ReproError(f"fig5 deposit paid {paid} != {amount}")
+        return {"amount": amount, "paid": paid}
 
     def check(self, realm, config, state, ops_ok):
         banks = [state["bank_a"], state["bank_b"]]
@@ -719,6 +732,22 @@ def _build_realm(config: LoadConfig) -> Realm:
     if config.mode == "sync":
         return Realm(runtime="sync", **common)
     raise ValueError(f"mode must be 'aio' or 'sync', not {config.mode!r}")
+
+
+def provision(
+    scenario: LoadScenario, realm: Realm, config: LoadConfig
+) -> Tuple[dict, list]:
+    """Deploy ``scenario`` on ``realm``: ``(state, per-principal states)``.
+
+    Sequential and inline — what every consumer of a scenario runs before
+    its first :meth:`~LoadScenario.op`, so none measures (or injects
+    faults into) Kerberos bootstrapping.
+    """
+    state = scenario.setup(realm, config)
+    return state, [
+        scenario.principal(realm, config, state, i)
+        for i in range(config.principals)
+    ]
 
 
 def _run_one(
@@ -832,11 +861,7 @@ def run_load(config: LoadConfig) -> LoadReport:
 
     # Sequential, undilated provisioning: the run measures the request
     # path, not setup.
-    state = scenario.setup(realm, config)
-    pstates = [
-        scenario.principal(realm, config, state, i)
-        for i in range(config.principals)
-    ]
+    state, pstates = provision(scenario, realm, config)
     setup_messages = realm.network.metrics.messages
     setup_bytes = realm.network.metrics.bytes
     realm.network.time_dilation = config.time_dilation

@@ -18,9 +18,10 @@ from repro.resil.chaos import CampaignSpec, run_campaign
 #: Figure workloads with a restartable server, and which one dies.
 ARMS = [
     ("fig1", "files"),
+    ("fig3", "files"),
     ("fig4", "files"),
-    ("fig5", "bank-payor"),
-    ("fig5", "bank-payee"),
+    ("fig5", "bank-a"),
+    ("fig5", "bank-b"),
 ]
 
 
@@ -55,13 +56,13 @@ class TestSyncParity:
         assert report.finale == report.baseline_finale
 
     def test_accounting_restart_replays_the_ledger_wal(self):
-        report = campaign("fig5", "bank-payor", 6, units=12)
+        report = campaign("fig5", "bank-a", 6, units=12)
         assert report.exit_code() == 0
         assert report.extras["wal records replayed"] > 0
 
     def test_crash_restart_composes_with_message_loss(self):
         report = campaign(
-            "fig5", "bank-payee", 4, units=12, drop_rate=0.1
+            "fig5", "bank-b", 4, units=12, drop_rate=0.1
         )
         assert report.unrecoverable == 0
         assert report.parity
@@ -71,7 +72,7 @@ class TestSyncParity:
 
 class TestAioParity:
     @pytest.mark.parametrize(
-        "figure,server", [("fig4", "files"), ("fig5", "bank-payor")]
+        "figure,server", [("fig4", "files"), ("fig5", "bank-a")]
     )
     def test_aio_runtime_recovers_identically(self, figure, server):
         tick = randomized_tick(figure, server)

@@ -8,9 +8,14 @@ faults must visibly lose work (the control arm proves the campaigns
 actually bite).
 """
 
+import ast
+import inspect
+
 import pytest
 
+from repro.resil import chaos
 from repro.resil.chaos import CampaignSpec, run_campaign
+from repro.workloads.load import SCENARIOS
 
 
 def campaign(**kwargs):
@@ -70,6 +75,30 @@ class TestDegradedCampaign:
         assert report.unrecoverable == 0
         assert report.degraded_client == 0
         assert report.degraded_server == 0
+
+
+class TestOneDefinitionPerFigure:
+    """Drift guard: a campaign runs the scenario the benchmark measures."""
+
+    def test_every_chaos_figure_is_the_load_scenario(self):
+        for figure in chaos.FIGURES:
+            assert isinstance(chaos.scenario_for(figure), SCENARIOS[figure])
+
+    def test_chaos_deploys_nothing_itself(self):
+        calls = {
+            ast.unparse(node.func)
+            for node in ast.walk(ast.parse(inspect.getsource(chaos)))
+            if isinstance(node, ast.Call)
+        }
+        assert "provision" in calls
+        for forbidden in (
+            "realm.user",
+            "realm.file_server",
+            "realm.accounting_server",
+            "grant_via_credentials",
+            "endorse",
+        ):
+            assert not any(call.endswith(forbidden) for call in calls)
 
 
 class TestSpecValidation:

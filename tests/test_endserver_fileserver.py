@@ -402,6 +402,36 @@ class TestEndServerEdgeCases:
         )
         assert is_error(reply)
 
+    def test_non_finite_amount_is_an_error_reply(self, world):
+        """``int(float("inf"))`` is an OverflowError, not a ValueError."""
+        realm, alice, fs = world
+        client = alice.client_for(fs.principal)
+        client.establish_session()
+        before = (dict(fs.files), dict(fs.sessions), fs.audit.all())
+        reply = realm.network.send(
+            alice.principal, fs.principal, "request",
+            {
+                "operation": "read", "target": "doc", "args": {},
+                "session_id": client.session_id(),
+                "amounts": {"x": float("inf")},
+            },
+        )
+        assert reply["__error__"]["kind"] == "service"
+        assert "OverflowError" in reply["__error__"]["detail"]
+        assert (dict(fs.files), dict(fs.sessions), fs.audit.all()) == before
+        assert client.request("read", "doc")["data"] == b"data"
+
+    def test_index_error_in_a_handler_is_an_error_reply(self, world):
+        realm, alice, fs = world
+        fs.register_operation(
+            "first", lambda request: {"item": request.args["items"][0]}
+        )
+        client = alice.client_for(fs.principal)
+        assert client.request("first", args={"items": [7]})["item"] == 7
+        with pytest.raises(ServiceError, match="malformed.*IndexError"):
+            client.request("first", args={"items": []})
+        assert client.request("read", "doc")["data"] == b"data"
+
     def test_handler_exception_becomes_error_payload(self, world):
         realm, alice, fs = world
 
@@ -511,6 +541,63 @@ class TestChallengeBasedPresentation:
                     bob.principal, fs.principal, "request", payload
                 )
             )
+
+
+class TestBoundedTables:
+    """Sessions and challenges nobody comes back for do not pile up."""
+
+    def test_abandoned_and_replaced_sessions_are_swept(self):
+        realm = Realm(seed=b"bounded-sessions")
+        fs = realm.file_server("files")
+        fs.put("doc", b"data")
+        for i in range(5):
+            user = realm.user(f"u{i}")
+            fs.grant_owner(user.principal)
+            client = user.client_for(fs.principal)
+            client.establish_session()
+            client.establish_session()  # replaces a live session
+            assert client.request("read", "doc")["data"] == b"data"
+        assert len(fs.sessions) == 10
+        # Every ticket (and so every session) expires; nobody returns.
+        realm.clock.advance(9 * 3600)
+        late = realm.user("late")
+        fs.grant_owner(late.principal)
+        client = late.client_for(fs.principal)
+        assert client.request("read", "doc")["data"] == b"data"
+        assert list(fs.sessions) == [client.session_id()]
+
+    def test_live_sessions_survive_a_sweep(self):
+        realm = Realm(seed=b"bounded-sessions-live")
+        fs = realm.file_server("files")
+        fs.put("doc", b"data")
+        alice, bob = realm.user("alice"), realm.user("bob")
+        fs.grant_owner(alice.principal)
+        fs.grant_owner(bob.principal)
+        first = alice.client_for(fs.principal)
+        first.establish_session()
+        realm.clock.advance(600.0)  # past the sweep interval, not the ticket
+        bob.client_for(fs.principal).establish_session()
+        assert len(fs.sessions) == 2
+        messages = realm.network.metrics.messages
+        assert first.request("read", "doc")["data"] == b"data"
+        assert realm.network.metrics.messages == messages + 2
+
+    def test_unused_challenges_are_swept(self):
+        realm = Realm(seed=b"bounded-challenges")
+        bob = realm.user("bob")
+        fs = realm.file_server("files")
+
+        def fetch():
+            return realm.network.send(
+                bob.principal, fs.principal, "get-challenge", {}
+            )["challenge"]
+
+        for _ in range(20):
+            fetch()
+        assert len(fs._challenges) == 20
+        realm.clock.advance(fs.acceptor.verifier.freshness_window + 1.0)
+        fresh = fetch()
+        assert list(fs._challenges) == [fresh]
 
 
 class TestAuditIntegration:

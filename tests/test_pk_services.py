@@ -113,6 +113,33 @@ class TestEnvelopeAuthentication:
                 )
             )
 
+    def test_non_finite_amount_is_an_error_reply(self, world):
+        """The same ``int(v)`` as ``EndServer``: an OverflowError must come
+        back as a ``service`` error and consume nothing."""
+        clock, network, directory, server, alice, bob = world
+        from repro.core.presentation import request_digest
+        from repro.net.message import raise_if_error
+
+        envelope = alice._envelope(
+            server.principal, request_digest("read", "doc")
+        ).to_wire()
+        payload = {
+            "operation": "read", "target": "doc", "args": {"path": "doc"},
+            "amounts": {"x": float("inf")}, "envelope": envelope,
+        }
+        reply = network.send(
+            alice.principal, server.principal, "request", payload
+        )
+        assert reply["__error__"]["kind"] == "service"
+        assert "OverflowError" in reply["__error__"]["detail"]
+        assert len(server.audit.all()) == 0
+        # The envelope was not consumed: the well-formed request goes through.
+        payload["amounts"] = {}
+        out = raise_if_error(
+            network.send(alice.principal, server.principal, "request", payload)
+        )
+        assert out["data"] == b"pk data"
+
     def test_envelope_bound_to_request(self, world):
         """An envelope for one request cannot authorize another."""
         clock, network, directory, server, alice, bob = world

@@ -50,9 +50,6 @@ ALLOWLIST: dict[str, str] = {
     "obs/telemetry.py::NullTelemetry.release_crypto": _NULL_OBJECT,
     "core/certificate.py::KeyBinding.__hash__":
         "__eq__ is defined, so __hash__ must be for bindings to stay hashable",
-    "resil/chaos.py::_Workload.authority":
-        "base-class default (--outage blackholes the KDC); CI's one --outage"
-        " run is fig3, which overrides it",
     "workloads/load.py::LoadScenario.check":
         "base-class default (no invariants); every shipped scenario overrides it",
 }
@@ -104,8 +101,8 @@ PRODUCT = [
     "python -m repro load fig5 --principals 25 --ops 2 --concurrency 16 --usage",
     "python -m repro load fig4 --mode sync --principals 10 --ops 2",
     "python -m repro chaos fig4 --seed 7 --crash-restart files:5",
-    "python -m repro chaos fig5 --seed 7 --crash-restart bank-payor:6",
-    "python -m repro chaos fig5 --seed 7 --crash-restart bank-payee:4 --drop-rate 0.1",
+    "python -m repro chaos fig5 --seed 7 --crash-restart bank-a:6",
+    "python -m repro chaos fig5 --seed 7 --crash-restart bank-b:4 --drop-rate 0.1",
     "python -m repro chaos fig4 --seed 7 --crash-restart files:3 --runtime aio",
     "python -m repro fuzz --seed 7 --episodes 150 --crash-restarts 3",
     "python3 perf/run.py --smoke --traced",
