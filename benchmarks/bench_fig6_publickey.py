@@ -151,9 +151,7 @@ def test_pk_service_request(benchmark):
         PrincipalId("pk-srv"), network, clock, directory,
         group=TEST_GROUP, rng=rng,
     )
-    server.register_operation(
-        "read", lambda rights, claimant, args, amounts: {"data": b"d"}
-    )
+    server.register_operation("read", lambda request: {"data": b"d"})
     alice = PkClient(
         PrincipalId("alice-svc"), network, clock, directory,
         group=TEST_GROUP, rng=rng,

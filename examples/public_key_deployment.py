@@ -37,9 +37,7 @@ def main() -> None:
     )
     documents = {"paper.ps": b"ICDCS 1993 camera-ready"}
     server.register_operation(
-        "read", lambda rights, claimant, args, amounts: {
-            "data": documents[args["path"]]
-        }
+        "read", lambda request: {"data": documents[request.args["path"]]}
     )
 
     alice = PkClient(

@@ -564,6 +564,7 @@ def load(args) -> int:
 
 def main(argv=None) -> None:
     from repro.obs.figures import FIGURES
+    from repro.resil.chaos import FIGURES as CHAOS_FIGURES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -620,7 +621,7 @@ def main(argv=None) -> None:
         "chaos",
         help="run a seeded fault campaign against a figure workload",
     )
-    chaos_parser.add_argument("figure", choices=sorted(FIGURES))
+    chaos_parser.add_argument("figure", choices=CHAOS_FIGURES)
     chaos_parser.add_argument(
         "--seed", type=int, default=7, help="campaign seed (default 7)"
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib as _hashlib
 import time as _time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.clock import Clock
@@ -52,6 +52,7 @@ from repro.core.restrictions import (
     Grantee,
     IssuedFor,
     LimitRestriction,
+    Restriction,
 )
 from repro.core.vcache import (
     ChainPrefixCache,
@@ -231,6 +232,8 @@ class VerifiedProxy:
             authority was unreachable — the proxy itself verified offline
             as always (§3.1–3.2: that is the availability mechanism), but
             the server flags the decision for the audit trail.
+        restrictions: every restriction the chain carries, in link order —
+            what an issuing server propagates into what it issues (§7.9).
     """
 
     grantor: PrincipalId
@@ -240,6 +243,9 @@ class VerifiedProxy:
     bearer: bool
     chain_length: int
     degraded: bool = False
+    restrictions: Tuple[Restriction, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
 
 #: What we track while walking the chain: either a symmetric proxy key
@@ -784,6 +790,7 @@ class ProxyVerifier:
             expires_at=expires_at,
             bearer=bearer_use,
             chain_length=len(certs),
+            restrictions=tuple(r for cert in certs for r in cert.restrictions),
         )
 
     def _verify_possession_proof(

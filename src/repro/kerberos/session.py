@@ -74,7 +74,8 @@ class Session:
         presenter: who performed the AP exchange (differs from ``client``
             for proxy tickets).
         session_key: shared key for the session (the authenticator subkey
-            when one was supplied, else the ticket session key).
+            when one was supplied, else the ticket session key; None for
+            a public-key envelope, which agrees no key).
         restrictions: ticket authorization-data plus authenticator
             additions — evaluated on every request in this session.
         expires_at: ticket expiry.
@@ -82,7 +83,7 @@ class Session:
 
     client: PrincipalId
     presenter: PrincipalId
-    session_key: SymmetricKey = field(repr=False)
+    session_key: Optional[SymmetricKey] = field(repr=False)
     restrictions: Tuple[Restriction, ...] = ()
     expires_at: float = float("inf")
 

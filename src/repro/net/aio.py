@@ -29,8 +29,7 @@ can have requests in flight at once:
   where the synchronous mode would serialize the same sleeps.
 * **Cross-request batching**: a worker drains its inbox up to
   ``max_batch`` messages at a time and hands the batch to an optional
-  per-endpoint *prefetcher* (see
-  ``EndServer.signature_prefetcher`` / ``PkEndServer.signature_prefetcher``)
+  per-endpoint *prefetcher* (see ``EndServerBase.signature_prefetcher``)
   which verifies every queued request's signatures ahead of the
   handlers — the same per-signature work, moved in front of them, so
   each handler finds the process-wide signature cache warm.  Prefetching

@@ -259,8 +259,8 @@ def run_fig6(telemetry: Optional[Telemetry] = None) -> Telemetry:
     )
     files = {"doc": b"pk data"}
 
-    def read(rights, claimant, args, amounts):
-        return {"data": files[args["path"]]}
+    def read(request):
+        return {"data": files[request.args["path"]]}
 
     server.register_operation("read", read)
     alice = PkClient(

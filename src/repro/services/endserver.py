@@ -1,22 +1,18 @@
-"""The application end-server framework (§3.5).
+"""The application end-server framework (§3.5, §6).
 
 "Application servers would be designed to base authorization on a local
 access-control-list.  Where a capability-based approach is required, the
 access-control-list would contain a single entry naming the principal ...
 authorized to grant capabilities for server operations."
 
-An :class:`EndServer`:
+:class:`EndServerBase` is the one request pipeline.  §6's point is that
+it does not depend on how the claimant authenticated, so a substrate
+supplies only a front-end:
 
-* accepts Kerberos AP exchanges (sessions with authenticated identity and
-  ticket-borne restrictions);
-* accepts restricted-proxy presentations (the capability path) and group
-  proxies asserting membership (§3.3);
-* authorizes each request against its local ACL using the *rights
-  principal* — the proxy grantor when a proxy is presented, else the
-  session identity — plus asserted groups;
-* enforces restrictions from every layer: proxy chain, ticket
-  authorization-data, session authenticator, and matched ACL entry;
-* dispatches to registered operation handlers.
+* :class:`EndServer` — Kerberos (§6.2): sessions from AP exchanges,
+  ticket-carried proxies, group proxies (§3.3), server challenges (§2);
+* :class:`~repro.services.pk_endserver.PkEndServer` — public key (§6.1):
+  a signed envelope per request, proxies checked against a key directory.
 
 Subclasses (file server, print server, accounting server, authorization
 server...) register operations and supply their own state.
@@ -25,20 +21,22 @@ server...) register operations and supply their own state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.acl import AccessControlList
 from repro.audit import AuditLog, AuditRecord
 from repro.clock import Clock
 from repro.core.evaluation import RequestContext, evaluate
-from repro.core.restrictions import GroupMembership
-from repro.core.verification import VerifiedProxy
+from repro.core.presentation import PresentedProxy
+from repro.core.verification import ProxyVerifier, VerifiedProxy
+from repro.crypto import signature as _signature
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.identifiers import GroupId, PrincipalId
 from repro.errors import (
     AuthorizationDenied,
     ProxyVerificationError,
+    ReproError,
     ServiceError,
 )
 from repro.kerberos.proxy_support import KerberosProxyAcceptor
@@ -55,13 +53,11 @@ class AuthorizedRequest:
     Attributes:
         operation / target / args: the application request.
         rights: the principal whose rights the request proceeds under
-            (proxy grantor, or the session identity).
+            (proxy grantor, or the authenticated identity).
         claimant: authenticated presenter (None for anonymous bearer use).
         groups: memberships asserted via group proxies.
         amounts: resources requested, by currency.
         verified: chain-verification result when a proxy was presented.
-        presented_restrictions: all restrictions carried by the presented
-            chain (for issuing servers to propagate, §7.9).
         session_key: the requester's session key, for replies that must be
             protected from disclosure (Fig. 3's ``{Kproxy}Ksession``).
         request_id: the resilience layer's retry id (``_rid``) when the
@@ -79,56 +75,80 @@ class AuthorizedRequest:
     groups: FrozenSet[GroupId]
     amounts: Dict[str, int]
     verified: Optional[VerifiedProxy] = None
-    presented_restrictions: Tuple = ()
     session_key: Optional[SymmetricKey] = field(default=None, repr=False)
     request_id: Optional[str] = None
+
+    @property
+    def presented_restrictions(self) -> Tuple:
+        """All restrictions carried by the presented chain, in link order
+        (for issuing servers to propagate, §7.9)."""
+        return self.verified.restrictions if self.verified else ()
 
 
 Handler = Callable[[AuthorizedRequest], dict]
 
+#: What a hostile or malformed payload may raise while being decoded.
+_MALFORMED = (ReproError, LookupError, TypeError, ValueError, AttributeError)
 
-class EndServer(Service):
-    """ACL-guarded application server accepting sessions and proxies."""
 
-    #: Issuing servers (authorization server, group server) verify presented
-    #: proxies in issuer mode: end-server-interpreted restrictions are
-    #: propagated into the proxies they issue rather than evaluated against
-    #: the issuing operation itself (§7.9).
-    ISSUER_MODE = False
+def _parse_amounts(raw) -> Dict[str, int]:
+    """Requested resources by currency, exact non-negative ``int`` only: a
+    float would be truncated, a bool or string coerced, and a negative
+    amount passes every quota, so anything else is refused, not repaired."""
+    amounts: Dict[str, int] = {}
+    for currency, value in (raw or {}).items():
+        if type(value) is not int or value < 0:
+            raise ServiceError(
+                f"amount of {currency!r} must be a non-negative integer, "
+                f"not {value!r}"
+            )
+        amounts[str(currency)] = value
+    return amounts
 
-    #: Whether ``__init__`` runs recovery itself.  Subclasses that wire
-    #: additional durable components *after* ``super().__init__`` (the
+
+class EndServerBase(Service):
+    """The request pipeline every end-server runs, whatever the substrate.
+
+    :meth:`op_request` parses the amounts, authenticates the claimant,
+    verifies any proxy in an accept-once transaction, marks degraded
+    grants, evaluates identity restrictions, authorizes against the ACL
+    the *rights principal* (proxy grantor, else the identity) plus
+    asserted groups, evaluates the entry's restrictions, audits the proxy
+    use and dispatches an :class:`AuthorizedRequest`.  A front-end
+    subclass sets :attr:`verifier` and supplies the rest:
+
+    * ``_authenticate(payload)`` — the claimant's
+      :class:`~repro.kerberos.session.Session` (whose restrictions bind
+      the request), or None;
+    * ``_presented(bundle)`` / ``_verify_proxy(bundle, context)`` — a
+      proxy bundle decoded / verified (and :meth:`_assert_groups`);
+    * :meth:`_identity_checks` — identity signatures to prefetch.
+    """
+
+    #: Whether :meth:`_attach_durability` runs recovery itself.
+    #: Subclasses that wire additional durable components afterwards (the
     #: accounting server's ledger, the file server's file store) set this
     #: False and call :meth:`_recover_durable_state` once fully wired —
     #: recovery must see every handler or replay reports problems.
     _DURABILITY_AUTORECOVER = True
 
+    #: ``endserver_requests_total`` path label of a request without a proxy.
+    _IDENTITY_PATH = "session"
+
+    verifier: ProxyVerifier
+
     def __init__(
         self,
         principal: PrincipalId,
-        secret_key: SymmetricKey,
         network: Network,
         clock: Clock,
         acl: Optional[AccessControlList] = None,
-        max_skew: float = 60.0,
         rng: Optional[Rng] = None,
-        telemetry=None,
-        cache_config=None,
-        dedupe=None,
-        endpoint: Optional[PrincipalId] = None,
-        authority_monitor: Optional[
-            Callable[[PrincipalId], bool]
-        ] = None,
-        durability=None,
+        authority_monitor: Optional[Callable[[PrincipalId], bool]] = None,
+        **service,
     ) -> None:
-        super().__init__(
-            principal,
-            network,
-            clock,
-            telemetry=telemetry,
-            dedupe=dedupe,
-            endpoint=endpoint,
-        )
+        """``service``: :class:`Service`'s telemetry, dedupe and endpoint."""
+        super().__init__(principal, network, clock, **service)
         #: Degraded-mode hook (§3.1–3.2): called with a verified grantor;
         #: returning True means that authority is currently unreachable,
         #: so the grant is honoured — proxies verify offline — but marked
@@ -137,59 +157,34 @@ class EndServer(Service):
         self.authority_monitor = authority_monitor
         self.acl = acl if acl is not None else AccessControlList()
         self._rng = rng or DEFAULT_RNG
-        self.ap = ApAcceptor(principal, secret_key, clock, max_skew=max_skew)
-        self.acceptor = KerberosProxyAcceptor(
-            principal,
-            secret_key,
-            clock,
-            max_skew=max_skew,
-            telemetry=self.telemetry,
-            cache_config=cache_config,
-        )
-        self.sessions: Dict[bytes, Session] = {}
         self._operations: Dict[str, Handler] = {}
         #: Every proxy-authorized request is recorded here (§3.4: delegate
         #: chains leave an audit trail; this is where it lands).  The audit
         #: log shares the server's telemetry so each record also lands as a
         #: span event, correlating audit trails with traces by run id.
         self.audit = AuditLog(telemetry=self.telemetry)
-        #: Outstanding server-issued challenges for challenge-based
-        #: possession proofs (§2: "a signed or encrypted timestamp or
-        #: server challenge").
-        self._challenges: Dict[bytes, float] = {}
-        #: When :meth:`_sweep_expired` next scans the two tables above.
-        self._next_sweep = 0.0
-        #: Optional :class:`~repro.durability.DurabilityStore`.  When set,
-        #: accept-once registrations, ``_rid``-keyed cached responses, and
-        #: audit records survive a crash-restart: a server rebuilt from
-        #: the same store still rejects a replayed single-use proxy and
-        #: still answers a resent request from cache (``docs/
-        #: durability.md``).  Sessions are deliberately *not* persisted —
-        #: clients re-establish them, as with any real server restart.
-        self.durability = durability
+        #: Optional :class:`~repro.durability.DurabilityStore`, set by
+        #: :meth:`_attach_durability`.
+        self.durability = None
         #: The :class:`~repro.durability.RecoveryReport` from this
         #: server's startup recovery (None without durability).
         self.recovery = None
-        if durability is not None:
-            self._wire_durability()
-            if self._DURABILITY_AUTORECOVER:
-                self._recover_durable_state()
 
     # ------------------------------------------------------------------
     # Durability wiring
     # ------------------------------------------------------------------
 
-    def _wire_durability(self) -> None:
-        """Connect the durable components to the store.
-
-        Three per-server components persist: the accept-once registry
-        (consumed single-use identifiers — check numbers, §4), the
-        response cache (``_rid`` -> reply, the exactly-once layer), and
-        the audit log.  Each commits to the WAL as it changes and
-        registers a snapshotter for compaction.
-        """
-        store = self.durability
-        accept_once = self.acceptor.verifier.accept_once
+    def _attach_durability(self, durability) -> None:
+        """Persist accept-once registrations, ``_rid``-keyed responses and
+        audit records: each commits to the WAL as it changes and registers
+        a snapshotter, so a server rebuilt from the store still rejects a
+        replayed single-use proxy and answers a resend from cache
+        (``docs/durability.md``).  Sessions are not persisted — clients
+        re-establish them, as after any real restart."""
+        if durability is None:
+            return
+        self.durability = store = durability
+        accept_once = self.verifier.accept_once
 
         def sink_accept(kind, grantor, identifier, expires_at, used):
             store.append(
@@ -256,6 +251,9 @@ class EndServer(Service):
             "audit", audit.capture_state, audit.restore_state
         )
 
+        if self._DURABILITY_AUTORECOVER:
+            self._recover_durable_state()
+
     def _recover_durable_state(self) -> None:
         """Replay snapshot + WAL into the wired components."""
         self.recovery = self.durability.recover()
@@ -266,17 +264,243 @@ class EndServer(Service):
         """Expose an application operation."""
         self._operations[name] = handler
 
-    def signature_prefetcher(self):
+    def signature_prefetcher(self) -> Callable[[Sequence[tuple]], int]:
         """Cross-request batch prefetcher for the async runtime.
 
         Install with ``aio_network.set_prefetcher(server.endpoint,
-        server.signature_prefetcher())``: queued proxy presentations are
-        signature-checked in one batch to warm the verification cache
-        before the handlers run.  See :mod:`repro.services.prefetch`.
+        server.signature_prefetcher())``.  Offered the ``(msg_type,
+        payload)`` pairs of one inbox drain, it collects every request's
+        identity checks (:meth:`_identity_checks`) and proxy-chain checks
+        (:meth:`~repro.core.verification.ProxyVerifier.
+        collect_signature_checks`), runs them all through one
+        :func:`~repro.crypto.signature.verify_batch` call and returns how
+        many it ran.  Positive results land in the signature cache, so
+        each handler's own verification hits it.  Strictly an
+        optimization: failures are never cached, malformed payloads are
+        skipped, and every handler still verifies everything itself.
         """
-        from repro.services.prefetch import proxy_request_prefetcher
 
-        return proxy_request_prefetcher(self.acceptor.verifier)
+        def prefetch(batch: Sequence[tuple]) -> int:
+            checks: List[tuple] = []
+            for msg_type, payload in batch:
+                if msg_type != "request" or not isinstance(payload, dict):
+                    continue
+                try:
+                    checks.extend(self._identity_checks(payload))
+                except _MALFORMED:
+                    pass
+                if payload.get("proxy") is None:
+                    continue
+                try:
+                    presented = self._presented(payload["proxy"])
+                except _MALFORMED:
+                    continue
+                checks.extend(self.verifier.collect_signature_checks(presented))
+            _signature.verify_batch(checks)
+            return len(checks)
+
+        return prefetch
+
+    def _assert_groups(
+        self, group_proxies: list, claimant: Optional[PrincipalId]
+    ) -> FrozenSet[GroupId]:
+        """Memberships asserted by group proxies: none, by default."""
+        return frozenset()
+
+    def _identity_checks(self, payload: dict) -> List[tuple]:
+        """Identity signatures a queued request carries: none, by default."""
+        return []
+
+    # ------------------------------------------------------------------
+    # The request path
+    # ------------------------------------------------------------------
+
+    def op_request(self, message: Message) -> dict:
+        """Authorize and execute one application request.
+
+        Payload fields: ``operation``, ``target``, ``args``, ``amounts``,
+        the front-end's identity fields, and optionally ``proxy`` (a
+        proxy bundle) and ``_rid``.
+        """
+        payload = message.payload
+        operation = payload["operation"]
+        target = payload.get("target")
+        amounts = _parse_amounts(payload.get("amounts"))
+        session = self._authenticate(payload)
+        claimant = session.presenter if session is not None else None
+        # Accept-once identifiers consumed while verifying are rolled back
+        # if the request ultimately fails (the paper records a check number
+        # only once the check is *paid*, §4).
+        with self.verifier.accept_once.transaction():
+            groups = self._assert_groups(
+                payload.get("group_proxies") or [], claimant
+            )
+            context = RequestContext(
+                server=self.principal,
+                operation=operation,
+                target=target,
+                claimant=claimant,
+                supporting_groups=groups,
+                amounts=amounts,
+                time=self.clock.now(),
+                replay_registry=self.verifier.accept_once,
+            )
+            verified: Optional[VerifiedProxy] = None
+            if payload.get("proxy") is not None:
+                verified = self._verify_proxy(payload["proxy"], context)
+                if self.authority_monitor is not None and (
+                    self.authority_monitor(verified.grantor)
+                ):
+                    verified = _dc_replace(verified, degraded=True)
+                    self.telemetry.inc(
+                        "resil.degraded_grants_total",
+                        help="Grants honoured while the issuing authority "
+                        "was unreachable (degraded mode).",
+                        service=str(self.principal),
+                        grantor=str(verified.grantor),
+                    )
+                    if self.telemetry.enabled:
+                        self.telemetry.event(
+                            "degraded.grant",
+                            service=str(self.principal),
+                            grantor=str(verified.grantor),
+                            operation=operation,
+                        )
+                rights = verified.grantor
+            elif session is not None:
+                rights = session.client
+            else:
+                raise AuthorizationDenied(
+                    "request carries neither an authenticated identity "
+                    "nor a proxy"
+                )
+
+            # Identity restrictions (a Kerberos session's ticket and
+            # authenticator restrictions) bind every request (§6.2).
+            if session is not None and session.restrictions:
+                evaluate(
+                    session.restrictions,
+                    context.for_link(
+                        grantor=session.client,
+                        exercisers=frozenset({session.presenter}),
+                        link_expires_at=session.expires_at,
+                    ),
+                    self.telemetry,
+                )
+
+            principals = frozenset(
+                p for p in (rights, claimant) if p is not None
+            )
+            entry = self.acl.authorize(principals, groups, operation, target)
+            if entry.restrictions:
+                evaluate(
+                    entry.restrictions,
+                    context.for_link(
+                        grantor=rights,
+                        exercisers=principals,
+                        link_expires_at=float("inf"),
+                    ),
+                    self.telemetry,
+                )
+
+            handler = self._operations.get(operation)
+            if handler is None:
+                raise ServiceError(
+                    f"{self.principal} has no operation {operation!r}"
+                )
+            if verified is not None:
+                # Only an authorized use of delegated rights is evidence;
+                # a refused request leaves no record (§3.4).
+                self.audit.record(
+                    self.clock.now(), self.principal, verified, operation,
+                    target,
+                )
+            self.telemetry.inc(
+                "endserver_requests_total",
+                help="Authorized application requests, by operation and "
+                "path.",
+                service=str(self.principal),
+                operation=operation,
+                path="proxy" if verified is not None else self._IDENTITY_PATH,
+            )
+            request = AuthorizedRequest(
+                operation=operation,
+                target=target,
+                args=payload.get("args") or {},
+                rights=rights,
+                claimant=claimant,
+                groups=groups,
+                amounts=amounts,
+                verified=verified,
+                session_key=(
+                    session.session_key if session is not None else None
+                ),
+                request_id=payload.get("_rid"),
+            )
+            if self.telemetry.usage is not None:
+                # Metered runs get a handler-proper frame: the profiler can
+                # split authorization overhead from the operation itself.
+                with self.telemetry.span(
+                    "op.exec",
+                    service=str(self.principal),
+                    operation=operation,
+                    principal=str(rights),
+                ):
+                    return handler(request)
+            return handler(request)
+
+
+class EndServer(EndServerBase):
+    """The Kerberos front-end (§6.2): sessions, ticket-carried proxies,
+    group proxies and server challenges."""
+
+    #: Issuing servers (authorization server, group server) verify presented
+    #: proxies in issuer mode: end-server-interpreted restrictions are
+    #: propagated into the proxies they issue rather than evaluated against
+    #: the issuing operation itself (§7.9).
+    ISSUER_MODE = False
+
+    def __init__(
+        self,
+        principal: PrincipalId,
+        secret_key: SymmetricKey,
+        network: Network,
+        clock: Clock,
+        acl: Optional[AccessControlList] = None,
+        max_skew: float = 60.0,
+        rng: Optional[Rng] = None,
+        telemetry=None,
+        cache_config=None,
+        dedupe=None,
+        endpoint: Optional[PrincipalId] = None,
+        authority_monitor: Optional[
+            Callable[[PrincipalId], bool]
+        ] = None,
+        durability=None,
+    ) -> None:
+        super().__init__(
+            principal, network, clock, acl=acl, rng=rng,
+            authority_monitor=authority_monitor, telemetry=telemetry,
+            dedupe=dedupe, endpoint=endpoint,
+        )
+        self.ap = ApAcceptor(principal, secret_key, clock, max_skew=max_skew)
+        self.acceptor = KerberosProxyAcceptor(
+            principal,
+            secret_key,
+            clock,
+            max_skew=max_skew,
+            telemetry=self.telemetry,
+            cache_config=cache_config,
+        )
+        self.verifier = self.acceptor.verifier
+        self.sessions: Dict[bytes, Session] = {}
+        #: Outstanding server-issued challenges for challenge-based
+        #: possession proofs (§2: "a signed or encrypted timestamp or
+        #: server challenge").
+        self._challenges: Dict[bytes, float] = {}
+        #: When :meth:`_sweep_expired` next scans the two tables above.
+        self._next_sweep = 0.0
+        self._attach_durability(durability)
 
     # ------------------------------------------------------------------
     # Session establishment
@@ -295,7 +519,7 @@ class EndServer(Service):
         self._sweep_expired()
         challenge = self._rng.bytes(16)
         self._challenges[challenge] = (
-            self.clock.now() + self.acceptor.verifier.freshness_window
+            self.clock.now() + self.verifier.freshness_window
         )
         return {"challenge": challenge}
 
@@ -310,7 +534,7 @@ class EndServer(Service):
         now = self.clock.now()
         if now < self._next_sweep:
             return
-        self._next_sweep = now + self.acceptor.verifier.freshness_window
+        self._next_sweep = now + self.verifier.freshness_window
         for sid in [k for k, s in self.sessions.items() if s.expires_at < now]:
             del self.sessions[sid]
         for nonce in [k for k, t in self._challenges.items() if t < now]:
@@ -324,7 +548,11 @@ class EndServer(Service):
         if expiry < self.clock.now():
             raise ProxyVerificationError("server challenge expired")
 
-    def _session_for(self, payload: dict) -> Optional[Session]:
+    # ------------------------------------------------------------------
+    # The front-end
+    # ------------------------------------------------------------------
+
+    def _authenticate(self, payload: dict) -> Optional[Session]:
         session_id = payload.get("session_id")
         if session_id is None:
             return None
@@ -335,10 +563,6 @@ class EndServer(Service):
             del self.sessions[session_id]
             raise ServiceError("session expired")
         return session
-
-    # ------------------------------------------------------------------
-    # Group proxies (§3.3)
-    # ------------------------------------------------------------------
 
     def _assert_groups(
         self,
@@ -370,170 +594,17 @@ class EndServer(Service):
             asserted.add(group)
         return frozenset(asserted)
 
-    # ------------------------------------------------------------------
-    # The request path
-    # ------------------------------------------------------------------
+    def _presented(self, bundle: dict) -> PresentedProxy:
+        return PresentedProxy.from_wire(bundle["presented"])
 
-    def op_request(self, message: Message) -> dict:
-        """Authorize and execute one application request.
-
-        Payload fields: ``operation``, ``target``, ``args``, ``amounts``,
-        and optionally ``session_id``, ``proxy`` (a Kerberos proxy bundle),
-        ``group_proxies`` (list of {group, bundle}).
-        """
-        # Accept-once identifiers consumed while verifying are rolled back
-        # if the request ultimately fails (the paper records a check number
-        # only once the check is *paid*, §4).
-        with self.acceptor.verifier.accept_once.transaction():
-            return self._authorized_request(message)
-
-    def _authorized_request(self, message: Message) -> dict:
-        payload = message.payload
-        operation = payload["operation"]
-        target = payload.get("target")
-        amounts = {
-            str(k): int(v) for k, v in (payload.get("amounts") or {}).items()
-        }
-        session = self._session_for(payload)
-        claimant = session.presenter if session is not None else None
-
-        groups = self._assert_groups(
-            payload.get("group_proxies") or [], claimant
+    def _verify_proxy(
+        self, bundle: dict, context: RequestContext
+    ) -> VerifiedProxy:
+        """Consume the §2 server challenge, if the proof names one; open
+        the bundle's tickets and verify the chain."""
+        proof_wire = bundle["presented"].get("proof")
+        if proof_wire is not None and proof_wire.get("challenge"):
+            self._consume_challenge(proof_wire["challenge"])
+        return self.acceptor.accept(
+            bundle, context, issuer_mode=self.ISSUER_MODE
         )
-
-        verified: Optional[VerifiedProxy] = None
-        presented_restrictions: tuple = ()
-        if payload.get("proxy") is not None:
-            proof_wire = payload["proxy"]["presented"].get("proof")
-            if proof_wire is not None and proof_wire.get("challenge"):
-                self._consume_challenge(proof_wire["challenge"])
-            context = RequestContext(
-                server=self.principal,
-                operation=operation,
-                target=target,
-                claimant=claimant,
-                supporting_groups=groups,
-                amounts=amounts,
-            )
-            verified = self.acceptor.accept(
-                payload["proxy"], context, issuer_mode=self.ISSUER_MODE
-            )
-            if self.authority_monitor is not None and self.authority_monitor(
-                verified.grantor
-            ):
-                verified = _dc_replace(verified, degraded=True)
-                self.telemetry.inc(
-                    "resil.degraded_grants_total",
-                    help="Grants honoured while the issuing authority "
-                    "was unreachable (degraded mode).",
-                    service=str(self.principal),
-                    grantor=str(verified.grantor),
-                )
-                if self.telemetry.enabled:
-                    self.telemetry.event(
-                        "degraded.grant",
-                        service=str(self.principal),
-                        grantor=str(verified.grantor),
-                        operation=operation,
-                    )
-            rights = verified.grantor
-            self.audit.record(
-                self.clock.now(), self.principal, verified, operation, target
-            )
-            from repro.core.presentation import PresentedProxy as _PP
-
-            presented_restrictions = tuple(
-                r
-                for cert in _PP.from_wire(
-                    payload["proxy"]["presented"]
-                ).certificates
-                for r in cert.restrictions
-            )
-        elif session is not None:
-            rights = session.client
-        else:
-            raise AuthorizationDenied(
-                "request carries neither a session nor a proxy"
-            )
-
-        # Session (ticket + authenticator) restrictions bind every request
-        # made in the session (§6.2).
-        if session is not None and session.restrictions:
-            evaluate(
-                session.restrictions,
-                RequestContext(
-                    server=self.principal,
-                    operation=operation,
-                    target=target,
-                    claimant=claimant,
-                    supporting_groups=groups,
-                    amounts=amounts,
-                    time=self.clock.now(),
-                    grantor=session.client,
-                    exercisers=frozenset({session.presenter}),
-                    replay_registry=self.acceptor.verifier.accept_once,
-                    link_expires_at=session.expires_at,
-                ),
-                self.telemetry,
-            )
-
-        principals = frozenset(
-            p for p in (rights, claimant) if p is not None
-        )
-        entry = self.acl.authorize(principals, groups, operation, target)
-        if entry.restrictions:
-            evaluate(
-                entry.restrictions,
-                RequestContext(
-                    server=self.principal,
-                    operation=operation,
-                    target=target,
-                    claimant=claimant,
-                    supporting_groups=groups,
-                    amounts=amounts,
-                    time=self.clock.now(),
-                    grantor=rights,
-                    exercisers=principals,
-                    replay_registry=self.acceptor.verifier.accept_once,
-                ),
-                self.telemetry,
-            )
-
-        handler = self._operations.get(operation)
-        if handler is None:
-            raise ServiceError(
-                f"{self.principal} has no operation {operation!r}"
-            )
-        self.telemetry.inc(
-            "endserver_requests_total",
-            help="Authorized application requests, by operation and path.",
-            service=str(self.principal),
-            operation=operation,
-            path="proxy" if verified is not None else "session",
-        )
-        request = AuthorizedRequest(
-            operation=operation,
-            target=target,
-            args=payload.get("args") or {},
-            rights=rights,
-            claimant=claimant,
-            groups=groups,
-            amounts=amounts,
-            verified=verified,
-            presented_restrictions=presented_restrictions,
-            session_key=(
-                session.session_key if session is not None else None
-            ),
-            request_id=payload.get("_rid"),
-        )
-        if self.telemetry.usage is not None:
-            # Metered runs get a handler-proper frame: the profiler can
-            # split authorization overhead from the operation itself.
-            with self.telemetry.span(
-                "op.exec",
-                service=str(self.principal),
-                operation=operation,
-                principal=str(rights),
-            ):
-                return handler(request)
-        return handler(request)

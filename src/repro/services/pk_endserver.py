@@ -14,22 +14,20 @@ Pieces:
 * :class:`SignedEnvelope` — client identity authentication: a signature by
   the claimant's long-term key over (server, timestamp, nonce, request
   digest); replay-suppressed and skew-checked like an authenticator.
-* :class:`PkEndServer` — ACL-guarded application server accepting signed
-  envelopes and Fig. 6 proxy presentations (pure public or §6.1 hybrid
-  bindings), with the same restriction engine and audit log as the
-  Kerberos-backed :class:`~repro.services.endserver.EndServer`.
+* :class:`PkEndServer` — the public-key front-end of the one end-server
+  pipeline (:class:`~repro.services.endserver.EndServerBase`): it checks
+  envelopes and Fig. 6 proxies (pure public or §6.1 hybrid bindings).
 * :class:`PkClient` — the client agent: signs envelopes, attaches proxies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.acl import AccessControlList
-from repro.audit import AuditLog
 from repro.clock import Clock
-from repro.core.evaluation import RequestContext, evaluate
+from repro.core.evaluation import RequestContext
 from repro.core.presentation import (
     PresentedProxy,
     present,
@@ -49,17 +47,15 @@ from repro.crypto.signature import SchnorrSigner, SchnorrVerifier, Verifier
 from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
-    AuthorizationDenied,
     AuthenticatorError,
     ProxyVerificationError,
     ReplayError,
-    ServiceError,
     SignatureError,
     UnknownPrincipalError,
 )
-from repro.net.message import Message
+from repro.kerberos.session import Session
 from repro.net.network import Network
-from repro.net.service import Service
+from repro.services.endserver import EndServerBase
 
 _ENVELOPE_DOMAIN = "repro-pk-envelope-v1"
 
@@ -166,8 +162,10 @@ class SignedEnvelope:
         )
 
 
-class PkEndServer(Service):
-    """ACL-guarded application server for the pure public-key world."""
+class PkEndServer(EndServerBase):
+    """The public-key front-end (§6.1): no KDC, a key directory."""
+
+    _IDENTITY_PATH = "envelope"
 
     def __init__(
         self,
@@ -184,11 +182,10 @@ class PkEndServer(Service):
         dedupe=None,
     ) -> None:
         super().__init__(
-            principal, network, clock, telemetry=telemetry, dedupe=dedupe
+            principal, network, clock, acl=acl, rng=rng,
+            telemetry=telemetry, dedupe=dedupe,
         )
         self.directory = directory
-        self.acl = acl if acl is not None else AccessControlList()
-        self._rng = rng or DEFAULT_RNG
         self.identity = schnorr.generate_keypair(group, rng=self._rng)
         directory.publish(principal, self.identity.public)
         self.verifier = ProxyVerifier(
@@ -204,52 +201,25 @@ class PkEndServer(Service):
             window=self.verifier.freshness_window,
             max_skew=max_skew,
         )
-        self._operations: Dict[str, Callable] = {}
-        self.audit = AuditLog(telemetry=self.telemetry)
-
-    def register_operation(self, name: str, handler: Callable) -> None:
-        self._operations[name] = handler
-
-    def signature_prefetcher(self):
-        """Cross-request batch prefetcher for the async runtime.
-
-        Collects, per queued request, the proxy chain's signature checks
-        *and* the signed envelope's identity check, and verifies them in
-        one batch to warm the signature cache — see
-        :mod:`repro.services.prefetch`.  Never authoritative: the handler
-        re-verifies (and registers replay keys) itself.
-        """
-        from repro.services.prefetch import proxy_request_prefetcher
-
-        def envelope_checks(payload: dict) -> list:
-            wire = payload.get("envelope")
-            if not isinstance(wire, dict):
-                return []
-            envelope = SignedEnvelope.from_wire(wire)
-            return [
-                (
-                    self.directory.verifier_for(envelope.claimant),
-                    envelope.body_bytes(),
-                    envelope.signature,
-                )
-            ]
-
-        return proxy_request_prefetcher(
-            self.verifier, extra_checks=envelope_checks
-        )
 
     # ------------------------------------------------------------------
+    # The front-end
+    # ------------------------------------------------------------------
 
-    def _authenticate_envelope(
-        self, wire: dict, expected_digest: bytes
-    ) -> PrincipalId:
-        envelope = SignedEnvelope.from_wire(wire)
+    def _authenticate(self, payload: dict) -> Optional[Session]:
+        """The signed envelope, if any: a one-request session with no key
+        and no identity restrictions."""
+        if payload.get("envelope") is None:
+            return None
+        envelope = SignedEnvelope.from_wire(payload["envelope"])
         if envelope.server != self.principal:
             raise AuthenticatorError("envelope made for another server")
         now = self.clock.now()
         if abs(envelope.timestamp - now) > self.verifier.max_skew:
             raise AuthenticatorError("envelope outside skew window")
-        if envelope.digest != expected_digest:
+        if envelope.digest != request_digest(
+            payload["operation"], payload.get("target")
+        ):
             raise AuthenticatorError("envelope bound to another request")
         try:
             self.directory.verifier_for(envelope.claimant).verify(
@@ -262,78 +232,31 @@ class PkEndServer(Service):
             timestamp=envelope.timestamp,
         ):
             raise ReplayError("envelope replayed")
-        return envelope.claimant
+        return Session(envelope.claimant, envelope.claimant, None)
 
-    def op_request(self, message: Message) -> dict:
-        payload = message.payload
-        operation = payload["operation"]
-        target = payload.get("target")
-        amounts = {
-            str(k): int(v) for k, v in (payload.get("amounts") or {}).items()
-        }
-        digest = request_digest(operation, target)
+    def _presented(self, bundle: dict) -> PresentedProxy:
+        return PresentedProxy.from_wire(bundle)
 
-        claimant: Optional[PrincipalId] = None
-        if payload.get("envelope") is not None:
-            claimant = self._authenticate_envelope(
-                payload["envelope"], digest
-            )
+    def _verify_proxy(
+        self, bundle: dict, context: RequestContext
+    ) -> VerifiedProxy:
+        return self.verifier.verify(
+            self._presented(bundle),
+            context,
+            expected_digest=request_digest(context.operation, context.target),
+        )
 
-        verified: Optional[VerifiedProxy] = None
-        with self.verifier.accept_once.transaction():
-            if payload.get("proxy") is not None:
-                presented = PresentedProxy.from_wire(payload["proxy"])
-                verified = self.verifier.verify(
-                    presented,
-                    RequestContext(
-                        server=self.principal,
-                        operation=operation,
-                        target=target,
-                        claimant=claimant,
-                        amounts=amounts,
-                    ),
-                    expected_digest=digest,
-                )
-                rights = verified.grantor
-                self.audit.record(
-                    self.clock.now(), self.principal, verified, operation,
-                    target,
-                )
-            elif claimant is not None:
-                rights = claimant
-            else:
-                raise AuthorizationDenied(
-                    "request carries neither an envelope nor a proxy"
-                )
-
-            principals = frozenset(
-                p for p in (rights, claimant) if p is not None
+    def _identity_checks(self, payload: dict) -> List[tuple]:
+        if payload.get("envelope") is None:
+            return []
+        envelope = SignedEnvelope.from_wire(payload["envelope"])
+        return [
+            (
+                self.directory.verifier_for(envelope.claimant),
+                envelope.body_bytes(),
+                envelope.signature,
             )
-            entry = self.acl.authorize(
-                principals, frozenset(), operation, target
-            )
-            if entry.restrictions:
-                evaluate(
-                    entry.restrictions,
-                    RequestContext(
-                        server=self.principal,
-                        operation=operation,
-                        target=target,
-                        claimant=claimant,
-                        amounts=amounts,
-                        time=self.clock.now(),
-                        grantor=rights,
-                        exercisers=principals,
-                        replay_registry=self.verifier.accept_once,
-                    ),
-                    self.telemetry,
-                )
-            handler = self._operations.get(operation)
-            if handler is None:
-                raise ServiceError(f"no operation {operation!r}")
-            return handler(
-                rights, claimant, payload.get("args") or {}, amounts
-            )
+        ]
 
 
 class PkClient:

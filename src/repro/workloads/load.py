@@ -316,7 +316,24 @@ class EchoScenario(LoadScenario):
         return []
 
 
-class PkVerifyScenario(LoadScenario):
+class _EndServerScenario(LoadScenario):
+    """A figure whose every completed op is one audited proxy request to
+    the end-server ``state[SERVER]``, on either authentication front-end."""
+
+    SERVER = "server"
+
+    def check(self, realm, config, state, ops_ok):
+        audited = len(state[self.SERVER].audit.all())
+        if audited < ops_ok:
+            return [f"audit recorded {audited} < {ops_ok} completed ops"]
+        return []
+
+    def prefetchers(self, state):
+        server = state[self.SERVER]
+        return [(server.endpoint, server.signature_prefetcher())]
+
+
+class PkVerifyScenario(_EndServerScenario):
     """Public-key proxy verification under load (Fig. 6 shape, §6.1).
 
     Every principal holds a signed restricted proxy from one grantor and
@@ -349,9 +366,7 @@ class PkVerifyScenario(LoadScenario):
             rng=rng,
             telemetry=realm.telemetry,
         )
-        server.register_operation(
-            "read", lambda rights, claimant, args, amounts: {"data": b"ok"}
-        )
+        server.register_operation("read", lambda request: {"data": b"ok"})
         grantor = PkClient(
             realm.principal("grantor"),
             realm.network,
@@ -411,19 +426,11 @@ class PkVerifyScenario(LoadScenario):
             raise ReproError(f"pk read failed for principal {i} op {k}")
         return {"data": reply["data"]}
 
-    def check(self, realm, config, state, ops_ok):
-        audited = len(state["server"].audit.all())
-        if audited < ops_ok:
-            return [f"audit recorded {audited} < {ops_ok} completed ops"]
-        return []
 
-    def prefetchers(self, state):
-        server = state["server"]
-        return [(server.principal, server.signature_prefetcher())]
-
-
-class _FileScenario(LoadScenario):
+class _FileScenario(_EndServerScenario):
     """Shared scaffolding for the Kerberos file-server figures."""
+
+    SERVER = "fs"
 
     def _file_server(self, realm: Realm):
         fs = realm.file_server(
@@ -432,16 +439,6 @@ class _FileScenario(LoadScenario):
         for k in range(_DOCS):
             fs.put(f"doc{k}.txt", b"contents of doc %d" % k)
         return fs
-
-    def check(self, realm, config, state, ops_ok):
-        audited = len(state["fs"].audit.all())
-        if audited < ops_ok:
-            return [f"audit recorded {audited} < {ops_ok} completed ops"]
-        return []
-
-    def prefetchers(self, state):
-        fs = state["fs"]
-        return [(fs.endpoint, fs.signature_prefetcher())]
 
 
 class Fig1Scenario(_FileScenario):

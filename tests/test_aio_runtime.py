@@ -335,9 +335,7 @@ def _pk_deployment():
         group=TEST_GROUP,
         rng=rng,
     )
-    server.register_operation(
-        "read", lambda rights, claimant, args, amounts: {"data": b"ok"}
-    )
+    server.register_operation("read", lambda request: {"data": b"ok"})
     grantor = PkClient(
         realm.principal("grantor"),
         realm.network,

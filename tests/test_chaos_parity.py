@@ -106,6 +106,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             run_campaign(CampaignSpec(figure="fig9"))
 
+    def test_cli_rejects_a_figure_chaos_cannot_run(self, capsys):
+        """fig6 is a traced figure but not a campaign: argparse refuses it
+        with a usage error instead of a traceback out of run_campaign."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "fig6"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'fig6'" in capsys.readouterr().err
+
     def test_fault_description(self):
         spec = CampaignSpec(
             figure="fig4",

@@ -403,7 +403,8 @@ class TestEndServerEdgeCases:
         assert is_error(reply)
 
     def test_non_finite_amount_is_an_error_reply(self, world):
-        """``int(float("inf"))`` is an OverflowError, not a ValueError."""
+        """An infinite amount is refused by type, before any int() could
+        overflow."""
         realm, alice, fs = world
         client = alice.client_for(fs.principal)
         client.establish_session()
@@ -417,7 +418,7 @@ class TestEndServerEdgeCases:
             },
         )
         assert reply["__error__"]["kind"] == "service"
-        assert "OverflowError" in reply["__error__"]["detail"]
+        assert "amount of 'x'" in reply["__error__"]["detail"]
         assert (dict(fs.files), dict(fs.sessions), fs.audit.all()) == before
         assert client.request("read", "doc")["data"] == b"data"
 

@@ -44,11 +44,11 @@ def world(rng):
     )
     files = {"doc": b"pk data"}
 
-    def read(rights, claimant, args, amounts):
-        return {"data": files[args["path"]]}
+    def read(request):
+        return {"data": files[request.args["path"]]}
 
-    def write(rights, claimant, args, amounts):
-        files[args["path"]] = args["data"]
+    def write(request):
+        files[request.args["path"]] = request.args["data"]
         return {"ok": True}
 
     server.register_operation("read", read)
@@ -114,8 +114,8 @@ class TestEnvelopeAuthentication:
             )
 
     def test_non_finite_amount_is_an_error_reply(self, world):
-        """The same ``int(v)`` as ``EndServer``: an OverflowError must come
-        back as a ``service`` error and consume nothing."""
+        """An infinite amount comes back as a ``service`` error naming the
+        currency, and consumes nothing."""
         clock, network, directory, server, alice, bob = world
         from repro.core.presentation import request_digest
         from repro.net.message import raise_if_error
@@ -131,7 +131,7 @@ class TestEnvelopeAuthentication:
             alice.principal, server.principal, "request", payload
         )
         assert reply["__error__"]["kind"] == "service"
-        assert "OverflowError" in reply["__error__"]["detail"]
+        assert "amount of 'x'" in reply["__error__"]["detail"]
         assert len(server.audit.all()) == 0
         # The envelope was not consumed: the well-formed request goes through.
         payload["amounts"] = {}
@@ -280,9 +280,7 @@ class TestPkProxies:
             PrincipalId("pk-other"), network, clock, directory,
             group=TEST_GROUP, rng=rng,
         )
-        other.register_operation(
-            "read", lambda r, c, a, m: {"data": b"other"}
-        )
+        other.register_operation("read", lambda request: {"data": b"other"})
         other.acl.add(AclEntry(subject=SinglePrincipal(alice.principal)))
         proxy = grant_public(
             alice.principal, alice.signer,

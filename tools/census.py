@@ -93,6 +93,7 @@ PRODUCT = [
     " | grep -A3 'traces recorded' | grep -oE '[0-9a-f]{{32}}' | head -1)",
     "python -m repro usage fig4",
     "python -m repro usage fig5 --charge",
+    "python -m repro usage fig6",
     "python -m repro profile --from {out}/fig5.jsonl",
     "python -m repro profile fig4 --weight count",
     "python -m repro fuzz --seed 7 --episodes 200 --banks 2",
@@ -100,6 +101,7 @@ PRODUCT = [
     "python -m repro load echo --principals 1000 --ops 1 --concurrency 256 --usage",
     "python -m repro load fig5 --principals 25 --ops 2 --concurrency 16 --usage",
     "python -m repro load fig4 --mode sync --principals 10 --ops 2",
+    "python -m repro load pk-verify --mode sync --principals 10 --ops 2",
     "python -m repro chaos fig4 --seed 7 --crash-restart files:5",
     "python -m repro chaos fig5 --seed 7 --crash-restart bank-a:6",
     "python -m repro chaos fig5 --seed 7 --crash-restart bank-b:4 --drop-rate 0.1",
