@@ -10,17 +10,17 @@ Two kinds of replay must be stopped:
   accounting server keeps track of the check number until the expiration
   time on the check" (§4).
 
-Both caches expire entries against the injected clock using an expiry heap,
-so each operation costs O(log n) amortized rather than a full scan — an
-accounting server tracks one entry per *live* check, which can be large.
+Both keep their entries in a :class:`~repro.bounded.BoundedStore`: expiry
+costs O(log n) amortized rather than a full scan — an accounting server
+tracks one entry per *live* check, which can be large.
 """
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.encoding.identifiers import PrincipalId
 
@@ -38,11 +38,11 @@ class AcceptOnceRegistry:
     """
 
     def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._seen: Dict[Tuple[PrincipalId, str], float] = {}
-        self._counts: Dict[Tuple[PrincipalId, str], Tuple[int, float]] = {}
-        #: (expiry, kind, key) min-heap driving amortized expiration.
-        self._expiry_heap: List[tuple] = []
+        #: (grantor, identifier) -> uses (1 here; so far, in ``_counts``),
+        #: held until the proxy expires.  Uncapped: evicting a live
+        #: identifier would re-admit a spent check.
+        self._seen = BoundedStore(now=clock.now)
+        self._counts = BoundedStore(now=clock.now)
         self._txn_stack: List[List[Tuple[str, Tuple[PrincipalId, str]]]] = []
         #: Called with ``(kind, grantor, identifier, expires_at, used)``
         #: once a registration commits — immediately outside a
@@ -59,12 +59,10 @@ class AcceptOnceRegistry:
         expired — the paper keeps check numbers only "until the expiration
         time on the check".
         """
-        self._expire()
         key = (grantor, identifier)
         if key in self._seen:
             return False
-        self._seen[key] = expires_at
-        heapq.heappush(self._expiry_heap, (expires_at, "once", key))
+        self._seen.put(key, 1, expires_at)
         if self._txn_stack:
             self._txn_stack[-1].append(("once", key))
         else:
@@ -84,14 +82,11 @@ class AcceptOnceRegistry:
         Counts expire with the proxy, like accept-once identifiers, and are
         transactional: a failed request does not consume a use.
         """
-        self._expire()
         key = (grantor, identifier)
-        used, _ = self._counts.get(key, (0, 0.0))
+        used = self._counts.get(key, 0)
         if used >= limit:
             return False
-        self._counts[key] = (used + 1, expires_at)
-        if used == 0:
-            heapq.heappush(self._expiry_heap, (expires_at, "count", key))
+        self._counts.put(key, used + 1, expires_at)
         if self._txn_stack:
             self._txn_stack[-1].append(("count", key))
         else:
@@ -113,14 +108,11 @@ class AcceptOnceRegistry:
             yield
         except BaseException:
             for kind, key in added:
-                if kind == "once":
-                    self._seen.pop(key, None)
+                table = self._seen if kind == "once" else self._counts
+                if table.get(key, 0) > 1:
+                    table.put(key, table[key] - 1, table.expiry(key))
                 else:
-                    used, expiry = self._counts.get(key, (0, 0.0))
-                    if used <= 1:
-                        self._counts.pop(key, None)
-                    else:
-                        self._counts[key] = (used - 1, expiry)
+                    table.pop(key)
             raise
         finally:
             self._txn_stack.pop()
@@ -134,18 +126,10 @@ class AcceptOnceRegistry:
         """Report one *committed* registration to the durability sink."""
         if self.commit_sink is None:
             return
-        grantor, identifier = key
-        if kind == "once":
-            expires_at = self._seen.get(key)
-            if expires_at is None:
-                return
-            self.commit_sink(kind, grantor, identifier, expires_at, 1)
-        else:
-            entry = self._counts.get(key)
-            if entry is None:
-                return
-            used, expires_at = entry
-            self.commit_sink(kind, grantor, identifier, expires_at, used)
+        table = self._seen if kind == "once" else self._counts
+        used = table.get(key)
+        if used is not None:
+            self.commit_sink(kind, *key, table.expiry(key), used)
 
     def restore(
         self,
@@ -157,37 +141,28 @@ class AcceptOnceRegistry:
     ) -> None:
         """Re-insert one committed registration during recovery.
 
-        Expired entries are skipped (the paper keeps identifiers only
+        An expired one is not stored (the paper keeps identifiers only
         "until the expiration time" — there is nothing left to protect).
         Counted entries keep the highest replayed use count, so replaying
         N commit records for the same key lands on ``used = N``'s final
         value rather than accumulating.
         """
-        if expires_at < self._clock.now():
-            return
+        table = self._seen if kind == "once" else self._counts
         key = (grantor, identifier)
-        if kind == "once":
-            if key not in self._seen:
-                self._seen[key] = expires_at
-                heapq.heappush(self._expiry_heap, (expires_at, "once", key))
-        else:
-            prior_used, _ = self._counts.get(key, (0, 0.0))
-            self._counts[key] = (max(prior_used, int(used)), expires_at)
-            if prior_used == 0:
-                heapq.heappush(self._expiry_heap, (expires_at, "count", key))
+        table.put(key, max(table.get(key, 0), int(used)), expires_at)
 
     def capture_state(self) -> dict:
         """Snapshot of every live registration (wire-form keys)."""
-        self._expire()
         return {
             "seen": [
                 [grantor.to_wire(), identifier, expires_at]
-                for (grantor, identifier), expires_at in self._seen.items()
+                for (grantor, identifier), _, expires_at
+                in self._seen.entries()
             ],
             "counts": [
                 [grantor.to_wire(), identifier, used, expires_at]
-                for (grantor, identifier), (used, expires_at)
-                in self._counts.items()
+                for (grantor, identifier), used, expires_at
+                in self._counts.entries()
             ],
         }
 
@@ -209,23 +184,7 @@ class AcceptOnceRegistry:
                 used=int(used),
             )
 
-    def _expire(self) -> None:
-        now = self._clock.now()
-        heap = self._expiry_heap
-        while heap and heap[0][0] < now:
-            expiry, kind, key = heapq.heappop(heap)
-            if kind == "once":
-                # Only drop if this heap entry is the live registration
-                # (the key may have been re-registered after rollback).
-                if self._seen.get(key) == expiry:
-                    del self._seen[key]
-            else:
-                entry = self._counts.get(key)
-                if entry is not None and entry[1] == expiry:
-                    del self._counts[key]
-
     def __len__(self) -> int:
-        self._expire()
         return len(self._seen) + len(self._counts)
 
 
@@ -237,9 +196,9 @@ class AuthenticatorCache:
     never be held past ``now + window + max_skew`` (a fresher claimed
     timestamp would be rejected as from-the-future by the caller, so
     nothing legitimately needs to be remembered longer).  On top of the
-    clamp, ``max_entries`` is a hard cap with oldest-expiry-first
-    eviction — an entry evicted early was already unreplayable without
-    also failing the caller's freshness check by the time it mattered.
+    clamp, ``max_entries`` is a hard cap evicting the soonest expiry — an
+    entry evicted early was already unreplayable without also failing the
+    caller's freshness check by the time it mattered.
     """
 
     def __init__(
@@ -249,14 +208,11 @@ class AuthenticatorCache:
         max_skew: float = 60.0,
         max_entries: int = 65536,
     ) -> None:
-        if max_entries <= 0:
-            raise ValueError("authenticator cache needs a positive capacity")
         self._clock = clock
         self._window = window
         self._max_skew = max_skew
-        self._max_entries = max_entries
-        self._seen: Dict[bytes, float] = {}
-        self._expiry_heap: List[Tuple[float, bytes]] = []
+        #: digest -> True, held until its clamped expiry.
+        self._seen = BoundedStore(max_entries, clock.now)
 
     def register(
         self, digest: bytes, timestamp: Optional[float] = None
@@ -268,35 +224,14 @@ class AuthenticatorCache:
         never beyond ``now + window + max_skew`` and never less than until
         ``now`` (so a replay attempted immediately is always caught).
         """
-        self._expire()
         if digest in self._seen:
             return False
         now = self._clock.now()
         base = now if timestamp is None else float(timestamp)
         expires_at = max(now, min(base + self._window,
                                   now + self._window + self._max_skew))
-        self._seen[digest] = expires_at
-        heapq.heappush(self._expiry_heap, (expires_at, digest))
-        while len(self._seen) > self._max_entries:
-            self._evict_oldest()
+        self._seen.put(digest, True, expires_at)
         return True
 
-    def _evict_oldest(self) -> None:
-        heap = self._expiry_heap
-        while heap:
-            expiry, digest = heapq.heappop(heap)
-            if self._seen.get(digest) == expiry:
-                del self._seen[digest]
-                return
-
-    def _expire(self) -> None:
-        now = self._clock.now()
-        heap = self._expiry_heap
-        while heap and heap[0][0] < now:
-            expiry, digest = heapq.heappop(heap)
-            if self._seen.get(digest) == expiry:
-                del self._seen[digest]
-
     def __len__(self) -> int:
-        self._expire()
         return len(self._seen)

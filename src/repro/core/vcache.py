@@ -28,11 +28,11 @@ signature cache.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.bounded import BoundedStore
 from repro.crypto.signature import SignatureCache, set_signature_cache
 
 
@@ -111,44 +111,21 @@ class ChainPrefixCache:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValueError("chain cache needs a positive capacity")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[bytes, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._entries = BoundedStore(max_entries)
 
     def get(self, key: bytes) -> Optional[object]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
+        return self._entries.lookup(key)
 
     def put(self, key: bytes, value: object) -> int:
         """Store a verified prefix; returns how many entries were evicted."""
-        evicted = 0
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            evicted += 1
-        self.evictions += evicted
-        return evicted
+        return self._entries.put(key, value)
 
     def clear(self) -> None:
         self._entries.clear()
 
     def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
+        return self._entries.stats()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -70,10 +70,10 @@ to a list, reporting per item instead of raising.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bounded import BoundedStore
 from repro.crypto import symmetric
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.schnorr_groups import (
@@ -295,9 +295,8 @@ _GENERATOR_TABLES: Dict[int, FixedBaseTable] = {}
 #: promoted on a warm chain hit): 1024 combs are 38 MiB at 2048 bits.
 #: The generator tables are unbounded but there is one per *group*, of
 #: which a process has a few.
-_KEY_TABLES: "OrderedDict[Tuple[int, int], Optional[CombTable]]" = OrderedDict()
 _MAX_KEY_TABLES = 1024
-_key_table_evictions = 0
+_KEY_TABLES = BoundedStore(_MAX_KEY_TABLES)
 
 _NOT_IN_SUBGROUP = "schnorr public key outside the order-q subgroup"
 
@@ -327,11 +326,10 @@ def register_verification_key(key: "SchnorrPublicKey") -> bool:
             built; the refusal is remembered while the key stays in the
             LRU).
     """
-    global _key_table_evictions
     table_key = (key.group_p, key.y)
-    if table_key in _KEY_TABLES:
-        _KEY_TABLES.move_to_end(table_key)
-        if _KEY_TABLES[table_key] is None:
+    known = _KEY_TABLES.lookup(table_key, False)
+    if known is not False:
+        if known is None:
             raise CryptoError(_NOT_IN_SUBGROUP)
         return False
     params = _key_params(key)
@@ -340,10 +338,7 @@ def register_verification_key(key: "SchnorrPublicKey") -> bool:
     if pow(key.y, q, params.p) == 1:
         # The native y**q just computed doubles as the build witness.
         table = CombTable(key.y, params.p, q.bit_length(), witness=(q, 1))
-    _KEY_TABLES[table_key] = table
-    while len(_KEY_TABLES) > _MAX_KEY_TABLES:
-        _KEY_TABLES.popitem(last=False)
-        _key_table_evictions += 1
+    _KEY_TABLES.put(table_key, table)
     if table is None:
         raise CryptoError(_NOT_IN_SUBGROUP)
     return True
@@ -356,7 +351,7 @@ def registered_key_count() -> int:
 
 def key_table_evictions() -> int:
     """How many entries the per-key LRU has evicted since import."""
-    return _key_table_evictions
+    return _KEY_TABLES.evictions
 
 
 def clear_key_tables() -> None:
@@ -374,9 +369,8 @@ def _gen_pow(params: SchnorrGroup, exponent: int) -> int:
 def _key_pow(params: SchnorrGroup, key: "SchnorrPublicKey", exponent: int) -> int:
     """``y ** exponent mod p``, table-accelerated for registered keys."""
     if _precompute_enabled:
-        table = _KEY_TABLES.get((key.group_p, key.y))
+        table = _KEY_TABLES.lookup((key.group_p, key.y))
         if table is not None:
-            _KEY_TABLES.move_to_end((key.group_p, key.y))
             return table.pow(exponent)
     return pow(key.y, exponent, params.p)
 

@@ -41,10 +41,10 @@ from __future__ import annotations
 import hashlib as _hashlib
 import time as _time
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.bounded import BoundedStore
 from repro.crypto import mac as _mac
 from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
@@ -108,41 +108,19 @@ class SignatureCache:
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
-        if max_entries <= 0:
-            raise ValueError("signature cache needs a positive capacity")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[SignatureCacheKey, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._entries = BoundedStore(max_entries)
 
     def lookup(self, key: SignatureCacheKey) -> bool:
         """True iff this exact verification already succeeded."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+        return self._entries.lookup(key, False)
 
     def store(self, key: SignatureCacheKey) -> int:
         """Record a successful verification; returns evictions performed."""
-        evicted = 0
-        self._entries[key] = None
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            evicted += 1
-        self.evictions += evicted
-        return evicted
+        return self._entries.put(key, True)
 
     def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
+        return self._entries.stats()
 
 
 #: The process-wide cache, default-on (see VerificationCacheConfig for the

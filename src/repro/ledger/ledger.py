@@ -45,11 +45,11 @@ land in the obs registry alongside the rest of the server's metrics.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.errors import LedgerError
 from repro.ledger.accounts import Account, Hold
@@ -97,12 +97,9 @@ class Ledger:
         self.server = server
         self.max_journal = max_journal
         self.dedupe_window = dedupe_window
-        self.max_dedupe = max_dedupe
         self.journal: List[PostingRecord] = []
-        #: dedupe_key -> (expires_at, record)
-        self._dedupe: "OrderedDict[str, Tuple[float, PostingRecord]]" = (
-            OrderedDict()
-        )
+        #: dedupe_key -> record, held until ``record.time + dedupe_window``.
+        self._dedupe = BoundedStore(max_dedupe, clock.now)
         self._txn_stack: List[List[PostingRecord]] = []
         self._next_id = 1
         #: Running totals derived purely from committed postings.
@@ -141,7 +138,7 @@ class Ledger:
         """
         posting.validate()
         if dedupe_key is not None:
-            prior = self._dedupe_lookup(dedupe_key)
+            prior = self._dedupe.lookup(dedupe_key)
             if prior is not None:
                 self.postings_deduped += 1
                 self.telemetry.inc(
@@ -184,7 +181,9 @@ class Ledger:
         self._next_id += 1
         self.journal.append(record)
         if dedupe_key is not None:
-            self._dedupe_store(dedupe_key, record)
+            self._dedupe.put(
+                dedupe_key, record, record.time + self.dedupe_window
+            )
         if self._txn_stack:
             self._txn_stack[-1].append(record)
         else:
@@ -359,29 +358,6 @@ class Ledger:
                     self.imported.get(leg.currency, 0) + sign * delta
                 )
 
-    # ------------------------------------------------------------------
-    # Dedupe bookkeeping
-    # ------------------------------------------------------------------
-
-    def _dedupe_lookup(self, key: str) -> Optional[PostingRecord]:
-        entry = self._dedupe.get(key)
-        if entry is None:
-            return None
-        expires_at, record = entry
-        if expires_at < self.clock.now():
-            del self._dedupe[key]
-            return None
-        return record
-
-    def _dedupe_store(self, key: str, record: PostingRecord) -> None:
-        now = self.clock.now()
-        self._dedupe[key] = (now + self.dedupe_window, record)
-        while self._dedupe:
-            oldest_key, (expires_at, _) = next(iter(self._dedupe.items()))
-            if expires_at >= now and len(self._dedupe) <= self.max_dedupe:
-                break
-            del self._dedupe[oldest_key]
-
     def _trim_journal(self) -> None:
         overflow = len(self.journal) - self.max_journal
         if overflow > 0:
@@ -417,14 +393,19 @@ class Ledger:
         mechanics as the original application — so the rebuilt balances,
         holds, derived totals, and dedupe keys are exactly what a live
         server would hold.  The original posting id and timestamp are
-        restored afterwards (``post`` stamps recovery-time values), and
-        the id counter is bumped past the replayed id so post-recovery
-        postings never reuse a pre-crash id.
+        restored afterwards (``post`` stamps recovery-time values), the
+        dedupe key is held until the original ``time + dedupe_window`` as
+        the live server held it, and the id counter is bumped past the
+        replayed id so post-recovery postings never reuse a pre-crash id.
         """
         posting = self._posting_from_wire(data["posting"])
         record = self.post(posting, dedupe_key=data.get("dedupe_key"))
         record.posting_id = int(data["posting_id"])
         record.time = float(data["time"])
+        if record.dedupe_key is not None:
+            self._dedupe.put(
+                record.dedupe_key, record, record.time + self.dedupe_window
+            )
         self._next_id = max(self._next_id, record.posting_id + 1)
         return record
 
@@ -459,7 +440,7 @@ class Ledger:
                     posting_to_wire(record.posting),
                     record.time,
                 ]
-                for key, (expires_at, record) in self._dedupe.items()
+                for key, record, expires_at in self._dedupe.entries()
             ],
         }
 
@@ -481,18 +462,15 @@ class Ledger:
         }
         self.minted = dict(state["minted"])
         self.imported = dict(state["imported"])
-        self._dedupe = OrderedDict()
-        now = self.clock.now()
+        self._dedupe.clear()
         for key, expires_at, posting_id, posting_wire, time in state["dedupe"]:
-            if expires_at < now:
-                continue
             record = PostingRecord(
                 posting_id=int(posting_id),
                 posting=self._posting_from_wire(posting_wire),
                 time=float(time),
                 dedupe_key=key,
             )
-            self._dedupe[key] = (float(expires_at), record)
+            self._dedupe.put(key, record, float(expires_at))
 
     # ------------------------------------------------------------------
     # Invariants

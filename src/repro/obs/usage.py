@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.bounded import BoundedStore
 from repro.obs.metrics import LATENCY_BUCKETS
 
 #: (principal, operation) — the attribution key for every metered cost.
@@ -187,9 +188,8 @@ class UsageMeter:
         self.window_buckets = window_buckets
         self.records: Dict[UsageKey, UsageRecord] = {}
         self.digests: Dict[str, QuantileDigest] = {}
-        #: trace_id -> owning (principal, operation); bounded FIFO.
-        self._owners: "OrderedDict[str, UsageKey]" = OrderedDict()
-        self._max_traces = max_traces
+        #: trace_id -> owning (principal, operation); bounded LRU.
+        self._owners = BoundedStore(max_traces)
         #: span_id -> accumulated child durations (self-time folding).
         self._child_time: Dict[int, float] = {}
         #: perf-counter frames for nested handler self-time.
@@ -211,14 +211,7 @@ class UsageMeter:
     def owner_of(self, trace_id: Optional[str]) -> Optional[UsageKey]:
         if trace_id is None:
             return None
-        return self._owners.get(trace_id)
-
-    def _register_owner(self, trace_id: str, key: UsageKey) -> None:
-        if trace_id in self._owners:
-            return
-        self._owners[trace_id] = key
-        while len(self._owners) > self._max_traces:
-            self._owners.popitem(last=False)
+        return self._owners.lookup(trace_id)
 
     def _resolve(
         self,
@@ -282,8 +275,8 @@ class UsageMeter:
         if not response:
             key = (source, msg_type)
             if trace_id is not None:
-                self._register_owner(trace_id, key)
-                key = self._owners[trace_id]
+                key = self._owners.lookup(trace_id, key)
+                self._owners.put(trace_id, key)
             self._update(key, messages=1, bytes_sent=size)
             leg = "request"
         else:

@@ -18,9 +18,9 @@ carry identical bytes (e.g. two ``get-challenge`` calls).
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Optional
 
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.encoding.canonical import encode
 from repro.net.message import Message
@@ -40,15 +40,16 @@ class ResponseCache:
     ) -> None:
         self.clock = clock
         self.window = window
-        self.max_entries = max_entries
-        #: key -> (expires_at, response payload), insertion-ordered.
-        self._entries: "OrderedDict[bytes, tuple]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        #: key -> response payload, held until stored + ``window``.
+        self._entries = BoundedStore(max_entries, clock.now)
         #: Called with ``(key, expires_at, response)`` on every store —
         #: installed by the durability wiring so cached replies survive a
         #: crash and a post-restart resend is still answered, not re-run.
         self.sink = None
+
+    @property
+    def hits(self) -> int:
+        return self._entries.hits
 
     @staticmethod
     def key_of(message: Message) -> Optional[bytes]:
@@ -70,47 +71,25 @@ class ResponseCache:
             )
         ).digest()
 
-    def _evict(self, now: float) -> None:
-        while self._entries:
-            key, (expires_at, _) = next(iter(self._entries.items()))
-            if expires_at >= now and len(self._entries) <= self.max_entries:
-                break
-            del self._entries[key]
-
     def get(self, key: bytes) -> Optional[dict]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        expires_at, response = entry
-        if expires_at < self.clock.now():
-            del self._entries[key]
-            self.misses += 1
-            return None
-        self.hits += 1
-        return response
+        return self._entries.lookup(key)
 
     def put(self, key: bytes, response: dict) -> None:
-        now = self.clock.now()
-        expires_at = now + self.window
-        self._entries[key] = (expires_at, response)
+        expires_at = self.clock.now() + self.window
+        self._entries.put(key, response, expires_at)
         if self.sink is not None:
             self.sink(key, expires_at, response)
-        self._evict(now)
 
     def restore(self, key: bytes, expires_at: float, response: dict) -> None:
-        """Re-insert one cached response during recovery (skip expired)."""
-        if expires_at < self.clock.now():
-            return
-        self._entries[key] = (float(expires_at), response)
+        """Re-insert one cached response during recovery, as ``put`` would."""
+        self._entries.put(key, response, float(expires_at))
 
     def capture_state(self) -> dict:
         """Snapshot of every live cache entry."""
-        self._evict(self.clock.now())
         return {
             "entries": [
                 [key, expires_at, response]
-                for key, (expires_at, response) in self._entries.items()
+                for key, response, expires_at in self._entries.entries()
             ]
         }
 

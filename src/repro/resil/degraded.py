@@ -18,8 +18,9 @@ is the ``authority_monitor`` hook on
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
@@ -47,8 +48,7 @@ class ProxyCache:
     """Client-side store of issued proxies, keyed by what was asked for."""
 
     def __init__(self, clock: Clock) -> None:
-        self.clock = clock
-        self._entries: Dict[_CacheKey, Tuple[float, KerberosProxy]] = {}
+        self._entries = BoundedStore(now=clock.now)
 
     @staticmethod
     def _key(
@@ -67,12 +67,10 @@ class ProxyCache:
     ) -> None:
         # The cache entry dies with the tightest certificate in the chain;
         # a proxy that would no longer verify is never served.
-        expires_at = min(
-            cert.expires_at for cert in proxy.proxy.certificates
-        )
-        self._entries[self._key(end_server, operations, targets)] = (
-            expires_at,
+        self._entries.put(
+            self._key(end_server, operations, targets),
             proxy,
+            min(cert.expires_at for cert in proxy.proxy.certificates),
         )
 
     def get(
@@ -81,15 +79,7 @@ class ProxyCache:
         operations: Tuple[str, ...],
         targets: Tuple[str, ...],
     ) -> Optional[KerberosProxy]:
-        key = self._key(end_server, operations, targets)
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        expires_at, proxy = entry
-        if expires_at <= self.clock.now():
-            del self._entries[key]
-            return None
-        return proxy
+        return self._entries.lookup(self._key(end_server, operations, targets))
 
 
 class ResilientAuthorizationClient(AuthorizationClient):

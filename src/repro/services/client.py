@@ -94,7 +94,7 @@ class ServiceClient:
             "operation": operation,
             "target": target,
             "args": args or {},
-            "amounts": {k: int(v) for k, v in (amounts or {}).items()},
+            "amounts": dict(amounts or {}),
         }
         if anonymous:
             with_session = False

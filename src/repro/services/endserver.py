@@ -25,6 +25,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.acl import AccessControlList
 from repro.audit import AuditLog, AuditRecord
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.core.evaluation import RequestContext, evaluate
 from repro.core.presentation import PresentedProxy
@@ -493,13 +494,12 @@ class EndServer(EndServerBase):
             cache_config=cache_config,
         )
         self.verifier = self.acceptor.verifier
-        self.sessions: Dict[bytes, Session] = {}
+        #: session id -> Session, held until the session's ticket expires.
+        self.sessions = BoundedStore(now=clock.now)
         #: Outstanding server-issued challenges for challenge-based
         #: possession proofs (§2: "a signed or encrypted timestamp or
-        #: server challenge").
-        self._challenges: Dict[bytes, float] = {}
-        #: When :meth:`_sweep_expired` next scans the two tables above.
-        self._next_sweep = 0.0
+        #: server challenge"), each held for one freshness window.
+        self._challenges = BoundedStore(now=clock.now)
         self._attach_durability(durability)
 
     # ------------------------------------------------------------------
@@ -509,44 +509,24 @@ class EndServer(EndServerBase):
     def op_ap_request(self, message: Message) -> dict:
         """Accept an AP exchange; returns an opaque session id."""
         session = self.ap.accept(message.payload)
-        self._sweep_expired()
         session_id = self._rng.bytes(16)
-        self.sessions[session_id] = session
+        self.sessions.put(session_id, session, session.expires_at)
         return {"session_id": session_id}
 
     def op_get_challenge(self, message: Message) -> dict:
         """Issue a nonce for a challenge-based possession proof (§2)."""
-        self._sweep_expired()
         challenge = self._rng.bytes(16)
-        self._challenges[challenge] = (
-            self.clock.now() + self.verifier.freshness_window
+        self._challenges.put(
+            challenge, True, self.clock.now() + self.verifier.freshness_window
         )
         return {"challenge": challenge}
 
-    def _sweep_expired(self) -> None:
-        """Drop expired sessions and unused challenges.
-
-        Called where entries are inserted, and scanning at most once per
-        freshness window, so clients that go away, replaced sessions and
-        challenges never presented cannot accumulate — at a cost the
-        ``request`` path never pays.
-        """
-        now = self.clock.now()
-        if now < self._next_sweep:
-            return
-        self._next_sweep = now + self.verifier.freshness_window
-        for sid in [k for k, s in self.sessions.items() if s.expires_at < now]:
-            del self.sessions[sid]
-        for nonce in [k for k, t in self._challenges.items() if t < now]:
-            del self._challenges[nonce]
-
     def _consume_challenge(self, challenge: bytes) -> None:
-        """A presented challenge must be ours, fresh, and single-use."""
-        expiry = self._challenges.pop(challenge, None)
-        if expiry is None:
-            raise ProxyVerificationError("unknown or reused server challenge")
-        if expiry < self.clock.now():
-            raise ProxyVerificationError("server challenge expired")
+        """A presented challenge must be ours, unexpired and unused."""
+        if self._challenges.pop(challenge) is None:
+            raise ProxyVerificationError(
+                "unknown, expired or reused server challenge"
+            )
 
     # ------------------------------------------------------------------
     # The front-end
@@ -559,9 +539,6 @@ class EndServer(EndServerBase):
         session = self.sessions.get(session_id)
         if session is None:
             raise ServiceError("unknown session id")
-        if session.expires_at < self.clock.now():
-            del self.sessions[session_id]
-            raise ServiceError("session expired")
         return session
 
     def _assert_groups(

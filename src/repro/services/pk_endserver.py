@@ -318,7 +318,7 @@ class PkClient:
             "operation": operation,
             "target": target,
             "args": args or {},
-            "amounts": {k: int(v) for k, v in (amounts or {}).items()},
+            "amounts": dict(amounts or {}),
         }
         if not anonymous:
             payload["envelope"] = self._envelope(server, digest).to_wire()

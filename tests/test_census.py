@@ -67,3 +67,34 @@ def test_every_function_gets_the_right_verdict(tmp_path):
     assert code == 0
     assert "dead  (1)  -- allowed: kept for the test" in allowed
     assert run({}) == (report, 1)  # byte-identical on a second run
+
+
+def test_tests_only_is_a_ratchet(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text(
+        "def product(): return 1\ndef tested(): return 2\n"
+        "def listed(): return 3\n"
+    )
+    (tmp_path / "product.py").write_text("import pkg\npkg.product()\n")
+    (tmp_path / "tests.py").write_text("import pkg\npkg.tested()\n")
+
+    def run(known, allowlist={}):
+        return census.census(
+            tmp_path / "pkg", ["python tests.py"], ["python product.py"],
+            allowlist, tmp_path, known_tests_only=frozenset(known),
+        )
+
+    report, code = run({"__init__.py::listed"})
+    assert code == 1
+    assert "FAIL: 1 tests-only functions are not in" in report
+    assert "\n  __init__.py::tested" in report.split("FAIL:")[-1]
+    # ``listed`` is never executed now, so the census says it can go.
+    assert "drop from census_tests_only.txt: __init__.py::listed" in report
+
+    report, code = run({"__init__.py::tested"})
+    assert code == 1  # ``listed`` is dead and not allowlisted
+    assert "tests-only functions are not in" not in report
+
+    allowed = {"__init__.py::listed": "kept for the test"}
+    assert run({"__init__.py::tested"}, allowed)[1] == 0
+    assert run(set(), {**allowed, "__init__.py::tested": "reason"})[1] == 0

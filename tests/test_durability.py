@@ -12,10 +12,13 @@ answers resends from cache and still rejects reused check numbers.
 
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.durability import DurabilityStore
+from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReplayError
-from repro.ledger import wal
+from repro.ledger import MINT, Account, Ledger, Posting, credit, wal
 from repro.net.message import raise_if_error
+from repro.resil.dedupe import ResponseCache
 from repro.testbed import Realm
 
 
@@ -269,3 +272,51 @@ class TestJournalTrim:
         counter = telemetry.metrics.get("ledger.journal_trimmed_total")
         assert counter is not None
         assert bank.ledger.journal_trimmed >= 3
+
+
+class TestRecoveredRetention:
+    """A rebuilt retention table holds what the live one held, no more."""
+
+    def test_wal_replay_keeps_the_live_dedupe_expiry(self):
+        """A replayed dedupe key was held ``dedupe_window`` past the
+        *recovery* time: until 1500 instead of 1300 after a 200 s gap."""
+        owner = PrincipalId("alice", "TEST.ORG")
+
+        def books(clock):
+            return Ledger({"a": Account(name="a", owner=owner)}, clock)
+
+        def held(ledger):
+            return [
+                (key, expires_at)
+                for key, expires_at, *_ in ledger.capture_state()["dedupe"]
+            ]
+
+        clock = SimulatedClock(1000.0)
+        live = books(clock)
+        records = []
+        live.commit_sink = lambda record: records.append(
+            live.record_to_wire(record)
+        )
+        live.post(
+            Posting(legs=(credit("a", "usd", 5),), kind=MINT),
+            dedupe_key="rid-1",
+        )
+        snapshot = live.capture_state()
+        clock.advance(200.0)
+        from_wal = books(clock)
+        for data in records:
+            from_wal.replay_record(data)
+        from_snapshot = books(clock)
+        from_snapshot.restore_state(snapshot)
+        assert held(live) == [("rid-1", 1300.0)]
+        assert held(from_wal) == held(from_snapshot) == held(live)
+
+    def test_wal_replay_respects_the_response_cache_cap(self):
+        """Restore never evicted: five replayed records left five live
+        entries in a two-entry cache."""
+        cache = ResponseCache(SimulatedClock(1000.0), max_entries=2)
+        for i in range(5):
+            cache.restore(b"k%d" % i, 1100.0 + i, {"i": i})
+        assert len(cache._entries) == 2
+        kept = cache.capture_state()["entries"]
+        assert [key for key, _, _ in kept] == [b"k3", b"k4"]

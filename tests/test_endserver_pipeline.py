@@ -308,3 +308,37 @@ def test_public_key_front_end_defines_no_pipeline_of_its_own():
         "op_request", "register_operation", "signature_prefetcher",
         "_operations", "audit",
     }
+
+
+def client_request(front, proxy, amounts):
+    """One ``read`` through the front-end's own client library."""
+    if isinstance(front, Kerberos):
+        client = front.bob.client_for(front.server.principal)
+        return client.request("read", "doc", amounts=amounts, proxy=proxy)
+    return front.bob.request(
+        front.server.principal, "read", "doc", amounts=amounts, proxy=proxy
+    )
+
+
+@FRONT_ENDS
+@pytest.mark.parametrize(
+    "value", [2.9, True, "2", -5], ids=["float", "bool", "str", "negative"]
+)
+def test_clients_send_amounts_as_given(front, value):
+    """The clients used to coerce with ``int()``: 2.9 went out as 2."""
+    front = front()
+    grant_acl(
+        front, front.alice.principal,
+        restrictions=(Quota(currency="bytes", limit=2),),
+    )
+    proxy, _ = chain(front)
+    untouched = trace_of(front)
+    with pytest.raises(ServiceError, match="amount of 'bytes'"):
+        client_request(front, proxy, {"bytes": value})
+    assert trace_of(front) == untouched
+    sent = []
+    front.realm.network.add_tap(
+        lambda message: message.msg_type == "request" and sent.append(message)
+    )
+    assert client_request(front, proxy, {"bytes": 2})["data"] == b"data"
+    assert sent[-1].payload["amounts"] == {"bytes": 2}

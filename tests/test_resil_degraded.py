@@ -116,3 +116,19 @@ class TestDegradedAuthorization:
         assert azc.degraded_grants == 1  # unchanged
         client.request("read", "doc", proxy=proxy)
         assert not fs.audit.all()[-1].degraded
+
+
+def test_a_proxy_is_served_up_to_its_expiry_instant():
+    """Expired means ``expires_at < now``, the verifier's comparison: at the
+    instant itself the proxy still verifies, so the cache serves it."""
+    realm = Realm(seed=b"cache-unit")
+    alice = realm.user("alice")
+    fs = realm.file_server("files")
+    creds = alice.kerberos.get_ticket(fs.principal)
+    proxy = grant_via_credentials(
+        creds, (), realm.clock.now(), realm.clock.now() + 100.0
+    )
+    cache = ProxyCache(realm.clock)
+    cache.put(fs.principal, ("read",), ("*",), proxy)
+    realm.clock.advance(100.0)
+    assert cache.get(fs.principal, ("read",), ("*",)) is proxy

@@ -17,7 +17,11 @@ class: *product* (some product command called it), *tests only*, or
 *never executed*.  The script prints the last two as tables and exits 1
 when a never-executed function is neither exempt by rule (abstract stubs,
 ``Protocol`` members, ``__repr__``) nor named, with a reason, in
-``ALLOWLIST`` below.  Tests-only is reported, not gated.
+``ALLOWLIST`` below.  Tests-only is a ratchet: it also exits 1 when a
+tests-only function is neither in ``census_tests_only.txt`` (next to this
+script, one ``file::qualname`` a line) nor in ``ALLOWLIST``, and it names
+the listed functions that are no longer tests-only, so the list can only
+shrink.
 
 Exit codes of the commands are printed when non-zero but not judged: the
 profiler slows everything severalfold, so timing assertions can fail
@@ -38,6 +42,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TESTS_ONLY = Path(__file__).resolve().parent / "census_tests_only.txt"
 
 # Never executed, and kept on purpose.  ``file::qualname`` -> reason.
 _NULL_OBJECT = "null-object mirror of the live class: same surface, by contract"
@@ -274,8 +279,10 @@ def census(
     allowlist: dict[str, str],
     cwd: Path,
     pythonpath: list[Path] = (),
+    known_tests_only: frozenset[str] | None = None,
 ) -> tuple[str, int]:
-    """The report text and the exit code (1: an unexplained dead function)."""
+    """The report text and the exit code: 1 for an unexplained dead
+    function or, given ``known_tests_only``, a tests-only one not in it."""
     src = src.resolve()  # what the hook's abspath() of co_filename yields
     table = function_table(src)
     by_tests = run(tests, src, cwd, list(pythonpath))
@@ -292,6 +299,13 @@ def census(
             silent.append(f)
     never = [f for f in silent if not f.exempt]
     unexplained = [f for f in never if f.key not in allowlist]
+    new_tests_only, droppable = [], []
+    if known_tests_only is not None:
+        new_tests_only = [
+            f for f in tests_only
+            if f.key not in known_tests_only and f.key not in allowlist
+        ]
+        droppable = sorted(known_tests_only - {f.key for f in tests_only})
 
     lines = [
         f"census of {src.name}: {len(table)} functions /"
@@ -313,12 +327,28 @@ def census(
         lines.extend(f"  {f.key}" for f in unexplained)
     else:
         lines.append("ok: every never-executed function is exempt or allowlisted")
-    return "\n".join(lines), 1 if unexplained else 0
+    if new_tests_only:
+        lines.append(
+            f"FAIL: {len(new_tests_only)} tests-only functions are not in"
+            f" {TESTS_ONLY.name}: wire them into a product command, delete"
+            " them, or give them an ALLOWLIST reason"
+        )
+        lines.extend(f"  {f.key}" for f in new_tests_only)
+    lines.extend(
+        f"no longer tests-only, drop from {TESTS_ONLY.name}: {key}"
+        for key in droppable
+    )
+    return "\n".join(lines), 1 if unexplained or new_tests_only else 0
 
 
 def main() -> int:
+    known = frozenset(
+        line.strip() for line in TESTS_ONLY.read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    )
     report, code = census(
-        ROOT / "src" / "repro", TESTS, PRODUCT, ALLOWLIST, ROOT, [ROOT / "benchmarks"]
+        ROOT / "src" / "repro", TESTS, PRODUCT, ALLOWLIST, ROOT,
+        [ROOT / "benchmarks"], known,
     )
     print(report)
     return code
