@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.verification import VerifiedProxy
+from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
 
 
@@ -93,16 +94,20 @@ class AuditRecord:
         )
 
 
-class AuditLog:
-    """Append-only audit store with simple queries."""
+class AuditLog(Durable):
+    """Append-only audit store with simple queries.
+
+    Durable: each record is logged as one ``audit`` record — the trail
+    is evidence, and evidence that dies with the process is no evidence
+    at all.
+    """
+
+    SNAPSHOT = "audit"
+    RECORDS = ("audit",)
 
     def __init__(self, telemetry=None) -> None:
         self._records: List[AuditRecord] = []
         self._telemetry = telemetry
-        #: Called with each appended :class:`AuditRecord` — installed by
-        #: the durability wiring; the audit trail is evidence, and
-        #: evidence that dies with the process is no evidence at all.
-        self.sink = None
 
     def record(
         self,
@@ -124,8 +129,7 @@ class AuditLog:
             degraded=verified.degraded,
         )
         self._records.append(entry)
-        if self.sink is not None:
-            self.sink(entry)
+        self.wal.append("audit", entry.to_wire())
         telemetry = self._telemetry
         if telemetry is not None and telemetry.enabled:
             telemetry.event(
@@ -151,18 +155,16 @@ class AuditLog:
             )
         return entry
 
-    def restore(self, entry: AuditRecord) -> None:
-        """Re-append one record during recovery — no telemetry, no sink
-        (the durability store suppresses its own appends while replaying,
-        but recovery must also not re-count records in the metrics)."""
-        self._records.append(entry)
+    def replay(self, kind: str, data: dict) -> None:
+        """Re-append one record during recovery — without telemetry:
+        recovery must not re-count records in the metrics."""
+        self._records.append(AuditRecord.from_wire(data))
 
     def capture_state(self) -> dict:
         """Snapshot of the full trail."""
         return {"records": [r.to_wire() for r in self._records]}
 
     def restore_state(self, state: dict) -> None:
-        """Restore :meth:`capture_state` output (snapshot recovery)."""
         for data in state["records"]:
             self._records.append(AuditRecord.from_wire(data))
 

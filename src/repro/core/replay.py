@@ -22,10 +22,11 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.bounded import BoundedStore
 from repro.clock import Clock
+from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
 
 
-class AcceptOnceRegistry:
+class AcceptOnceRegistry(Durable):
     """Tracks accept-once identifiers per grantor until they expire (§7.7).
 
     Registrations can be made transactional: the paper records a check
@@ -35,7 +36,14 @@ class AcceptOnceRegistry:
 
     Count-limited identifiers (:meth:`register_counted`) support the
     ``use-limit`` restriction — accept-N rather than accept-once.
+
+    Durable: a registration is logged as one ``accept`` record when it
+    commits — immediately outside a transaction, at the outermost commit
+    inside one, never once rolled back.
     """
+
+    SNAPSHOT = "accept_once"
+    RECORDS = ("accept",)
 
     def __init__(self, clock: Clock) -> None:
         #: (grantor, identifier) -> uses (1 here; so far, in ``_counts``),
@@ -44,11 +52,6 @@ class AcceptOnceRegistry:
         self._seen = BoundedStore(now=clock.now)
         self._counts = BoundedStore(now=clock.now)
         self._txn_stack: List[List[Tuple[str, Tuple[PrincipalId, str]]]] = []
-        #: Called with ``(kind, grantor, identifier, expires_at, used)``
-        #: once a registration commits — immediately outside a
-        #: transaction, at the outermost commit inside one, never for a
-        #: rolled-back registration.  Installed by the durability wiring.
-        self.commit_sink = None
 
     def register(
         self, grantor: PrincipalId, identifier: str, expires_at: float
@@ -99,8 +102,7 @@ class AcceptOnceRegistry:
 
         Nested scopes compose: an inner commit merges its registrations
         into the enclosing frame (an outer failure must still unwind
-        them); only the outermost commit makes them final and emits them
-        to the durability sink.
+        them); only the outermost commit makes them final and logs them.
         """
         added: List[Tuple[str, Tuple[PrincipalId, str]]] = []
         self._txn_stack.append(added)
@@ -123,23 +125,27 @@ class AcceptOnceRegistry:
                 self._emit(kind, key)
 
     def _emit(self, kind: str, key: Tuple[PrincipalId, str]) -> None:
-        """Report one *committed* registration to the durability sink."""
-        if self.commit_sink is None:
-            return
+        """Log one *committed* registration."""
         table = self._seen if kind == "once" else self._counts
         used = table.get(key)
         if used is not None:
-            self.commit_sink(kind, *key, table.expiry(key), used)
+            grantor, identifier = key
+            self.wal.append(
+                "accept",
+                {
+                    "kind": kind,
+                    "grantor": grantor.to_wire(),
+                    "identifier": identifier,
+                    "expires_at": table.expiry(key),
+                    "used": used,
+                },
+            )
 
-    def restore(
-        self,
-        kind: str,
-        grantor: PrincipalId,
-        identifier: str,
-        expires_at: float,
-        used: int = 1,
+    def _restore(
+        self, kind: str, grantor: str, identifier: str, expires_at: float,
+        used: int,
     ) -> None:
-        """Re-insert one committed registration during recovery.
+        """Re-insert one committed registration (wire-form grantor).
 
         An expired one is not stored (the paper keeps identifiers only
         "until the expiration time" — there is nothing left to protect).
@@ -148,8 +154,14 @@ class AcceptOnceRegistry:
         value rather than accumulating.
         """
         table = self._seen if kind == "once" else self._counts
-        key = (grantor, identifier)
-        table.put(key, max(table.get(key, 0), int(used)), expires_at)
+        key = (PrincipalId.from_wire(grantor), identifier)
+        table.put(key, max(table.get(key, 0), int(used)), float(expires_at))
+
+    def replay(self, kind: str, data: dict) -> None:
+        self._restore(
+            data["kind"], data["grantor"], data["identifier"],
+            data["expires_at"], data.get("used", 1),
+        )
 
     def capture_state(self) -> dict:
         """Snapshot of every live registration (wire-form keys)."""
@@ -167,22 +179,10 @@ class AcceptOnceRegistry:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore :meth:`capture_state` output (snapshot recovery)."""
-        for grantor_wire, identifier, expires_at in state["seen"]:
-            self.restore(
-                "once",
-                PrincipalId.from_wire(grantor_wire),
-                identifier,
-                float(expires_at),
-            )
-        for grantor_wire, identifier, used, expires_at in state["counts"]:
-            self.restore(
-                "count",
-                PrincipalId.from_wire(grantor_wire),
-                identifier,
-                float(expires_at),
-                used=int(used),
-            )
+        for grantor, identifier, expires_at in state["seen"]:
+            self._restore("once", grantor, identifier, expires_at, 1)
+        for grantor, identifier, used, expires_at in state["counts"]:
+            self._restore("count", grantor, identifier, expires_at, used)
 
     def __len__(self) -> int:
         return len(self._seen) + len(self._counts)

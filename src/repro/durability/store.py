@@ -1,23 +1,19 @@
 """The durability store: one directory of WAL + snapshot per server.
 
 A :class:`DurabilityStore` is the seam between in-memory server state and
-disk.  Components (the ledger, the accept-once registry, the response
-cache, the audit log, the file store) each register two things:
+disk.  Each persisted component (the ledger with its accounts, the
+accept-once registry, the response cache, the audit log, the file store)
+is a :class:`~repro.durable.Durable`, and :meth:`DurabilityStore.attach`
+binds it once: its record kinds replay through its ``replay``, its state
+is one named part of every snapshot, and its ``wal`` becomes this store.
 
-* a **WAL handler** per record kind — called during :meth:`recover` to
-  re-apply one committed transition;
-* a **snapshotter** — a ``(capture, restore)`` pair used by compaction
-  to fold the WAL into one atomic snapshot, and by recovery to restore
-  that snapshot before replaying whatever the WAL accumulated since.
-
-Writes go through :meth:`append`, which no-ops while :attr:`replaying`
-is set — so components emit to their sink unconditionally and replay
-cannot re-log what it is re-applying.  Every ``snapshot_every`` appends
-the store compacts: capture all components, write the snapshot
-atomically (tmp + rename), truncate the WAL.  Recovery is
-snapshot-then-WAL, with a torn trailing record truncated rather than
-replayed (a crash mid-append must not poison the log — see
-``docs/durability.md``).
+Components write through :meth:`append`, which no-ops while
+:attr:`replaying` is set — so replay cannot re-log what it is
+re-applying.  Every ``snapshot_every`` appends the store compacts:
+capture all components, write the snapshot atomically (tmp + rename),
+truncate the WAL.  Recovery is snapshot-then-WAL, with a torn trailing
+record truncated rather than replayed (a crash mid-append must not poison
+the log — see ``docs/durability.md``).
 
 The exactly-once contract this enables: a server rebuilt from its store
 remembers paid check numbers, consumed accept-once identifiers, and
@@ -31,8 +27,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.durable import Durable
 from repro.ledger import wal
 
 #: File names inside a store directory.
@@ -50,7 +47,7 @@ class RecoveryReport:
     #: Garbage bytes truncated off the WAL tail (a torn final append).
     torn_bytes: int = 0
     #: Anything that prevented a faithful rebuild (unknown record kinds,
-    #: handlers that raised, an unreadable snapshot with a non-empty
+    #: replays that raised, an unreadable snapshot with a non-empty
     #: compaction history).  Empty means the recovery is trustworthy.
     problems: List[str] = field(default_factory=list)
 
@@ -88,11 +85,12 @@ class DurabilityStore:
         self.server = server
         self.sync = sync
         #: Set while :meth:`recover` replays — appends are suppressed so
-        #: components can emit to their sinks unconditionally.
+        #: replay cannot re-log what it is re-applying.
         self.replaying = False
-        self._handlers: Dict[str, Callable[[dict], None]] = {}
-        #: name -> (capture, restore), in registration order.
-        self._snapshotters: "Dict[str, Tuple[Callable[[], dict], Callable[[dict], None]]]" = {}
+        #: Snapshot name -> component, in attach order.
+        self._components: Dict[str, Durable] = {}
+        #: Record kind -> the component that replays it.
+        self._replayers: Dict[str, Durable] = {}
         self.appends = 0
         self.compactions = 0
         self._since_snapshot = 0
@@ -108,18 +106,35 @@ class DurabilityStore:
     def snapshot_path(self) -> str:
         return os.path.join(self.directory, SNAPSHOT_NAME)
 
-    def handler(self, kind: str, fn: Callable[[dict], None]) -> None:
-        """Register the replay function for one WAL record kind."""
-        self._handlers[kind] = fn
+    def attach(self, component: Durable) -> None:
+        """Persist ``component``: replay its record kinds through it, keep
+        its state in every snapshot, and make this store its ``wal``.
 
-    def snapshotter(
-        self,
-        name: str,
-        capture: Callable[[], dict],
-        restore: Callable[[dict], None],
-    ) -> None:
-        """Register one component's snapshot capture/restore pair."""
-        self._snapshotters[name] = (capture, restore)
+        A record kind or snapshot name another attached component already
+        claims is refused: recovery could not tell the two apart.
+        """
+        claimed = [
+            kind for kind in component.RECORDS if kind in self._replayers
+        ]
+        if component.SNAPSHOT in self._components:
+            claimed.append(component.SNAPSHOT)
+        if claimed:
+            raise ValueError(
+                f"{type(component).__name__} claims {claimed}, already "
+                f"attached to the store in {self.directory}"
+            )
+        self._components[component.SNAPSHOT] = component
+        for kind in component.RECORDS:
+            self._replayers[kind] = component
+        component.wal = self
+
+    def reopen(self) -> "DurabilityStore":
+        """The store a new process opens on this directory: the same
+        settings, no component attached, nothing counted yet."""
+        return DurabilityStore(
+            self.directory, self.snapshot_every, self.telemetry,
+            self.server, self.sync,
+        )
 
     # ------------------------------------------------------------------
     # The write path
@@ -149,8 +164,8 @@ class DurabilityStore:
             "wal.compact", server=self.server, appends=self._since_snapshot
         ):
             state = {
-                name: capture()
-                for name, (capture, _) in self._snapshotters.items()
+                name: component.capture_state()
+                for name, component in self._components.items()
             }
             wal.write_snapshot(self.snapshot_path, {"components": state})
             # The snapshot now covers everything the WAL said; records
@@ -170,7 +185,7 @@ class DurabilityStore:
     # ------------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Rebuild registered components: snapshot first, then the WAL.
+        """Rebuild attached components: snapshot first, then the WAL.
 
         A torn trailing record (crash mid-append) is truncated, never
         replayed.  Returns the report; also kept as :attr:`recovered`.
@@ -182,14 +197,14 @@ class DurabilityStore:
                 snapshot = wal.read_snapshot(self.snapshot_path)
                 if snapshot is not None:
                     components = snapshot.get("components", {})
-                    for name, (_, restore) in self._snapshotters.items():
+                    for name, component in self._components.items():
                         if name in components:
-                            restore(components[name])
+                            component.restore_state(components[name])
                     for name in components:
-                        if name not in self._snapshotters:
+                        if name not in self._components:
                             report.problems.append(
                                 f"snapshot component {name!r} has no "
-                                "registered restorer"
+                                "attached component"
                             )
                     report.snapshot_restored = True
                 elif os.path.exists(self.snapshot_path):
@@ -209,14 +224,15 @@ class DurabilityStore:
                     )
                 for record in records:
                     kind = record.get("kind", "")
-                    handler = self._handlers.get(kind)
-                    if handler is None:
+                    component = self._replayers.get(kind)
+                    if component is None:
                         report.problems.append(
-                            f"WAL record kind {kind!r} has no handler"
+                            f"WAL record kind {kind!r} has no attached "
+                            "component"
                         )
                         continue
                     try:
-                        handler(record.get("data", {}))
+                        component.replay(kind, record.get("data", {}))
                     except Exception as exc:
                         report.problems.append(
                             f"replaying {kind!r} failed: "

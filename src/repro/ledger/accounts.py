@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.acl import AccessControlList
+from repro.acl import AccessControlList, AclEntry, SinglePrincipal
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import AccountingError, InsufficientFundsError
 
@@ -39,6 +39,14 @@ class Account:
     acl: AccessControlList = field(default_factory=AccessControlList)
     balances: Dict[str, int] = field(default_factory=dict)
     holds: Dict[str, Hold] = field(default_factory=dict)
+
+    @classmethod
+    def open(cls, name: str, owner: PrincipalId) -> "Account":
+        """A new, empty account whose ACL names its owner alone."""
+        acl = AccessControlList(
+            entries=[AclEntry(subject=SinglePrincipal(owner))]
+        )
+        return cls(name=name, owner=owner, acl=acl)
 
     def balance(self, currency: str) -> int:
         return self.balances.get(currency, 0)

@@ -27,15 +27,14 @@ the balances match:
   objects.  Any drift means funds moved *outside* the ledger — the
   fuzzer asserts this parity after every episode.
 
-* **Durability** — a ``commit_sink`` (installed by the accounting
-  server's :class:`~repro.durability.DurabilityStore` wiring) receives
-  every *committed* posting record: immediately for postings outside a
-  transaction, at the outermost commit for postings inside one, and
-  never for postings that were rolled back.  Recovery replays those
-  records through :meth:`replay_record`, and snapshot compaction uses
-  :meth:`capture_state` / :meth:`restore_state` — so the books, the
-  derived conservation totals, and the idempotency keys all survive a
-  process crash (``docs/durability.md``).
+* **Durability** — the ledger is the accounting server's
+  :class:`~repro.durable.Durable` component: it logs every *committed*
+  posting record (immediately for postings outside a transaction, at the
+  outermost commit for postings inside one, never for postings that were
+  rolled back) and every account it opens, replays both through
+  :meth:`replay`, and snapshots the accounts with its own derived state —
+  so the books, the conservation totals, and the idempotency keys all
+  survive a process crash (``docs/durability.md``).
 
 Telemetry counters (``ledger.postings_applied_total``,
 ``ledger.postings_rolled_back_total``, ``ledger.postings_deduped_total``,
@@ -51,9 +50,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bounded import BoundedStore
 from repro.clock import Clock
+from repro.durable import Durable
+from repro.encoding.identifiers import PrincipalId
 from repro.errors import LedgerError
 from repro.ledger.accounts import Account, Hold
 from repro.ledger.posting import AVAILABLE, CREDIT, DEBIT, HOLD, MINT, INBOUND, Posting
+from repro.ledger.wal import posting_from_wire, posting_to_wire
 
 #: (account, currency) -> integer amount.
 BalanceKey = Tuple[str, str]
@@ -76,8 +78,11 @@ class PostingRecord:
     applied: List[Tuple[object, Optional[Hold]]] = field(default_factory=list)
 
 
-class Ledger:
+class Ledger(Durable):
     """Atomic, journaled, idempotent application of postings to accounts."""
+
+    SNAPSHOT = "accounting"
+    RECORDS = ("posting", "account")
 
     def __init__(
         self,
@@ -114,13 +119,9 @@ class Ledger:
         self.postings_deduped = 0
         #: Journal records discarded by the in-memory bound.  Durability
         #: and recovery never depend on the bounded journal — committed
-        #: postings reach the ``commit_sink`` before any trim — but the
-        #: truncation is counted so it is visible, not silent.
+        #: postings reach the WAL before any trim — but the truncation is
+        #: counted so it is visible, not silent.
         self.journal_trimmed = 0
-        #: Called with each committed :class:`PostingRecord` (outside any
-        #: transaction, or at the outermost commit).  Installed by the
-        #: durability wiring; None means no WAL.
-        self.commit_sink = None
 
     # ------------------------------------------------------------------
     # Applying postings
@@ -233,8 +234,16 @@ class Ledger:
 
     def _commit(self, record: PostingRecord) -> None:
         """A record is final — an outer rollback can no longer undo it."""
-        if self.commit_sink is not None:
-            self.commit_sink(record)
+        self.wal.append("posting", self.record_to_wire(record))
+
+    def open_account(self, account: Account) -> None:
+        """Put ``account`` on the books and log it.  Its existence is not
+        transactional, like the dict it lives in; an opening balance is a
+        posting of its own."""
+        self.accounts[account.name] = account
+        self.wal.append(
+            "account", {"name": account.name, "owner": account.owner.to_wire()}
+        )
 
     # ------------------------------------------------------------------
     # Leg mechanics
@@ -377,8 +386,6 @@ class Ledger:
 
     def record_to_wire(self, record: PostingRecord) -> dict:
         """The WAL payload for one committed record."""
-        from repro.ledger.wal import posting_to_wire
-
         return {
             "posting_id": record.posting_id,
             "posting": posting_to_wire(record.posting),
@@ -386,19 +393,27 @@ class Ledger:
             "dedupe_key": record.dedupe_key,
         }
 
-    def replay_record(self, data: dict) -> PostingRecord:
-        """Re-apply one WAL posting record during recovery.
+    def replay(self, kind: str, data: dict) -> None:
+        """Re-open one account or re-apply one posting during recovery.
 
-        Replays run through :meth:`post` — the same validation and leg
-        mechanics as the original application — so the rebuilt balances,
-        holds, derived totals, and dedupe keys are exactly what a live
-        server would hold.  The original posting id and timestamp are
-        restored afterwards (``post`` stamps recovery-time values), the
-        dedupe key is held until the original ``time + dedupe_window`` as
-        the live server held it, and the id counter is bumped past the
-        replayed id so post-recovery postings never reuse a pre-crash id.
+        An account comes back empty: any opening balance was committed as
+        its own posting record and replays there.  A posting replays
+        through :meth:`post` — the same validation and leg mechanics as
+        the original application — so the rebuilt balances, holds,
+        derived totals, and dedupe keys are exactly what a live server
+        would hold.  The original posting id and timestamp are restored
+        afterwards (``post`` stamps recovery-time values), the dedupe key
+        is held until the original ``time + dedupe_window`` as the live
+        server held it, and the id counter is bumped past the replayed id
+        so post-recovery postings never reuse a pre-crash id.
         """
-        posting = self._posting_from_wire(data["posting"])
+        if kind == "account":
+            if data["name"] not in self.accounts:
+                self.accounts[data["name"]] = Account.open(
+                    data["name"], PrincipalId.from_wire(data["owner"])
+                )
+            return
+        posting = posting_from_wire(data["posting"])
         record = self.post(posting, dedupe_key=data.get("dedupe_key"))
         record.posting_id = int(data["posting_id"])
         record.time = float(data["time"])
@@ -407,66 +422,100 @@ class Ledger:
                 record.dedupe_key, record, record.time + self.dedupe_window
             )
         self._next_id = max(self._next_id, record.posting_id + 1)
-        return record
-
-    @staticmethod
-    def _posting_from_wire(data: dict) -> Posting:
-        from repro.ledger.wal import posting_from_wire
-
-        return posting_from_wire(data)
 
     def capture_state(self) -> dict:
-        """Ledger-internal state for a snapshot (accounts are captured by
-        the owning server — they are shared live objects, not ours)."""
-        from repro.ledger.wal import posting_to_wire
-
+        """The accounts (balances and holds) and the ledger's own derived
+        state: id counter, conservation totals, live dedupe keys."""
         return {
-            "next_id": self._next_id,
-            "derived_available": [
-                [account, currency, amount]
-                for (account, currency), amount in self.derived_available.items()
-            ],
-            "derived_held": [
-                [account, currency, amount]
-                for (account, currency), amount in self.derived_held.items()
-            ],
-            "minted": dict(self.minted),
-            "imported": dict(self.imported),
-            "dedupe": [
-                [
-                    key,
-                    expires_at,
-                    record.posting_id,
-                    posting_to_wire(record.posting),
-                    record.time,
-                ]
-                for key, record, expires_at in self._dedupe.entries()
-            ],
+            "accounts": {
+                name: {
+                    "owner": account.owner.to_wire(),
+                    "balances": dict(account.balances),
+                    "holds": [
+                        {
+                            "check_number": hold.check_number,
+                            "currency": hold.currency,
+                            "amount": hold.amount,
+                            "payee": (
+                                hold.payee.to_wire()
+                                if hold.payee is not None
+                                else None
+                            ),
+                            "expires_at": hold.expires_at,
+                        }
+                        for hold in account.holds.values()
+                    ],
+                }
+                for name, account in self.accounts.items()
+            },
+            "ledger": {
+                "next_id": self._next_id,
+                "derived_available": [
+                    [account, currency, amount]
+                    for (account, currency), amount
+                    in self.derived_available.items()
+                ],
+                "derived_held": [
+                    [account, currency, amount]
+                    for (account, currency), amount
+                    in self.derived_held.items()
+                ],
+                "minted": dict(self.minted),
+                "imported": dict(self.imported),
+                "dedupe": [
+                    [
+                        key,
+                        expires_at,
+                        record.posting_id,
+                        posting_to_wire(record.posting),
+                        record.time,
+                    ]
+                    for key, record, expires_at in self._dedupe.entries()
+                ],
+            },
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore :meth:`capture_state` output (snapshot recovery).
-
-        The in-memory journal is *not* rebuilt — it is a bounded
+        """The in-memory journal is *not* rebuilt — it is a bounded
         diagnostic view, and pre-snapshot records are definitionally
-        beyond its horizon; WAL replay repopulates the recent tail.
-        """
-        self._next_id = int(state["next_id"])
+        beyond its horizon; WAL replay repopulates the recent tail."""
+        # In place: the owning server shares this same dict object.
+        self.accounts.clear()
+        for name, data in state["accounts"].items():
+            account = Account.open(name, PrincipalId.from_wire(data["owner"]))
+            account.balances.update(
+                {str(c): int(v) for c, v in data["balances"].items()}
+            )
+            for hold in data["holds"]:
+                account.holds[hold["check_number"]] = Hold(
+                    check_number=hold["check_number"],
+                    currency=hold["currency"],
+                    amount=int(hold["amount"]),
+                    payee=(
+                        PrincipalId.from_wire(hold["payee"])
+                        if hold.get("payee") is not None
+                        else None
+                    ),
+                    expires_at=hold["expires_at"],
+                )
+            self.accounts[name] = account
+        ledger = state["ledger"]
+        self._next_id = int(ledger["next_id"])
         self.derived_available = {
             (account, currency): amount
-            for account, currency, amount in state["derived_available"]
+            for account, currency, amount in ledger["derived_available"]
         }
         self.derived_held = {
             (account, currency): amount
-            for account, currency, amount in state["derived_held"]
+            for account, currency, amount in ledger["derived_held"]
         }
-        self.minted = dict(state["minted"])
-        self.imported = dict(state["imported"])
+        self.minted = dict(ledger["minted"])
+        self.imported = dict(ledger["imported"])
         self._dedupe.clear()
-        for key, expires_at, posting_id, posting_wire, time in state["dedupe"]:
+        for key, expires_at, posting_id, posting_wire, time in ledger["dedupe"]:
             record = PostingRecord(
                 posting_id=int(posting_id),
-                posting=self._posting_from_wire(posting_wire),
+                posting=posting_from_wire(posting_wire),
                 time=float(time),
                 dedupe_key=key,
             )

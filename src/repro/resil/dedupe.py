@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.bounded import BoundedStore
 from repro.clock import Clock
+from repro.durable import Durable
 from repro.encoding.canonical import encode
 from repro.net.message import Message
 
@@ -29,8 +30,15 @@ from repro.net.message import Message
 RID_KEY = "_rid"
 
 
-class ResponseCache:
-    """Remembers one response per retry id, for a bounded window."""
+class ResponseCache(Durable):
+    """Remembers one response per retry id, for a bounded window.
+
+    Durable: every stored reply is logged as one ``response`` record, so
+    a post-restart resend is still answered, not re-run.
+    """
+
+    SNAPSHOT = "responses"
+    RECORDS = ("response",)
 
     def __init__(
         self,
@@ -42,10 +50,6 @@ class ResponseCache:
         self.window = window
         #: key -> response payload, held until stored + ``window``.
         self._entries = BoundedStore(max_entries, clock.now)
-        #: Called with ``(key, expires_at, response)`` on every store —
-        #: installed by the durability wiring so cached replies survive a
-        #: crash and a post-restart resend is still answered, not re-run.
-        self.sink = None
 
     @property
     def hits(self) -> int:
@@ -77,12 +81,15 @@ class ResponseCache:
     def put(self, key: bytes, response: dict) -> None:
         expires_at = self.clock.now() + self.window
         self._entries.put(key, response, expires_at)
-        if self.sink is not None:
-            self.sink(key, expires_at, response)
+        self.wal.append(
+            "response",
+            {"key": key, "expires_at": expires_at, "response": response},
+        )
 
-    def restore(self, key: bytes, expires_at: float, response: dict) -> None:
-        """Re-insert one cached response during recovery, as ``put`` would."""
-        self._entries.put(key, response, float(expires_at))
+    def replay(self, kind: str, data: dict) -> None:
+        self._entries.put(
+            data["key"], data["response"], float(data["expires_at"])
+        )
 
     def capture_state(self) -> dict:
         """Snapshot of every live cache entry."""
@@ -94,6 +101,5 @@ class ResponseCache:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore :meth:`capture_state` output (snapshot recovery)."""
         for key, expires_at, response in state["entries"]:
-            self.restore(key, float(expires_at), response)
+            self._entries.put(key, response, float(expires_at))

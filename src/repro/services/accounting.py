@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.acl import AccessControlList, AclEntry, SinglePrincipal
+from repro.acl import AccessControlList
 from repro.clock import Clock
 from repro.core.restrictions import (
     AcceptOnce,
@@ -119,11 +119,6 @@ __all__ = [
 class AccountingServer(EndServer):
     """A bank for money-like and resource currencies (§4)."""
 
-    #: The ledger and account store are wired to the durability store
-    #: *after* ``super().__init__`` returns — recovery is deferred until
-    #: every handler is registered (see :meth:`EndServer._wire_durability`).
-    _DURABILITY_AUTORECOVER = False
-
     def __init__(
         self,
         principal: PrincipalId,
@@ -140,6 +135,17 @@ class AccountingServer(EndServer):
         # The server-level ACL is open: authorization is per-account
         # ("each account contains ... an access-control-list", §4).
         kwargs.setdefault("acl", AccessControlList.open_to_all())
+        self.accounts: Dict[str, Account] = {}
+        #: All balance mutations flow through here (see module docstring);
+        #: built first, because recovery at the end of
+        #: ``super().__init__`` replays into it.
+        telemetry = kwargs.get("telemetry")
+        self.ledger = Ledger(
+            self.accounts,
+            clock,
+            telemetry=telemetry if telemetry is not None else network.telemetry,
+            server=str(principal),
+        )
         # Check clearing re-presents the same endorsement chains on every
         # hop (Fig. 5), so the verification fast path matters here most;
         # cache_config is explicit to keep the knob discoverable.
@@ -163,14 +169,6 @@ class AccountingServer(EndServer):
         #: cashier's check): without it, funds could be locked arbitrarily
         #: far past any check's useful life.
         self.max_hold_lifetime = max_hold_lifetime
-        self.accounts: Dict[str, Account] = {}
-        #: All balance mutations flow through here (see module docstring).
-        self.ledger = Ledger(
-            self.accounts,
-            clock,
-            telemetry=self.telemetry,
-            server=str(principal),
-        )
         #: Routing for multi-hop clearing: payor server -> next hop.
         #: Absent entries mean "contact directly".
         self.routes: Dict[PrincipalId, PrincipalId] = {}
@@ -188,9 +186,6 @@ class AccountingServer(EndServer):
         self.register_operation(
             "purchase-cashiers-check", self._op_purchase_cashiers_check
         )
-        if self.durability is not None:
-            self._wire_accounting_durability()
-            self._recover_durable_state()
         # Funds backing outstanding cashier's checks live here; the server
         # itself owns the account and is the payor of such checks.  A
         # recovered server already has it (with whatever balance backs the
@@ -198,96 +193,8 @@ class AccountingServer(EndServer):
         if CASHIER_ACCOUNT not in self.accounts:
             self.create_account(CASHIER_ACCOUNT, self.principal)
 
-    # ------------------------------------------------------------------
-    # Durability wiring (the books)
-    # ------------------------------------------------------------------
-
-    def _wire_accounting_durability(self) -> None:
-        """Persist account creation and every committed posting.
-
-        The ledger's ``commit_sink`` fires per committed
-        :class:`~repro.ledger.ledger.PostingRecord` — at post time outside
-        a transaction, at the outermost commit inside one — so the WAL
-        holds exactly the postings that survived; a rolled-back RPC leaves
-        no trace to replay.  Replay re-posts through the ledger proper,
-        rebuilding balances, holds, derived conservation totals, and
-        dedupe keys with the same code that built them the first time.
-        """
-        store = self.durability
-        ledger = self.ledger
-        ledger.commit_sink = lambda record: store.append(
-            "posting", ledger.record_to_wire(record)
-        )
-        store.handler("posting", ledger.replay_record)
-        store.handler("account", self._replay_account)
-        store.snapshotter(
-            "accounting", self._capture_accounts, self._restore_accounts
-        )
-
-    def _replay_account(self, data: dict) -> None:
-        """Re-create one account (no seed posting — any opening balance
-        was committed as its own WAL posting record and replays there)."""
-        name = data["name"]
-        if name in self.accounts:
-            return
-        owner = PrincipalId.from_wire(data["owner"])
-        acl = AccessControlList(
-            entries=[AclEntry(subject=SinglePrincipal(owner))]
-        )
-        self.accounts[name] = Account(name=name, owner=owner, acl=acl)
-
-    def _capture_accounts(self) -> dict:
-        return {
-            "accounts": {
-                name: {
-                    "owner": account.owner.to_wire(),
-                    "balances": dict(account.balances),
-                    "holds": [
-                        {
-                            "check_number": hold.check_number,
-                            "currency": hold.currency,
-                            "amount": hold.amount,
-                            "payee": (
-                                hold.payee.to_wire()
-                                if hold.payee is not None
-                                else None
-                            ),
-                            "expires_at": hold.expires_at,
-                        }
-                        for hold in account.holds.values()
-                    ],
-                }
-                for name, account in self.accounts.items()
-            },
-            "ledger": self.ledger.capture_state(),
-        }
-
-    def _restore_accounts(self, state: dict) -> None:
-        # In place: the ledger audits against this same dict object.
-        self.accounts.clear()
-        for name, data in state["accounts"].items():
-            owner = PrincipalId.from_wire(data["owner"])
-            acl = AccessControlList(
-                entries=[AclEntry(subject=SinglePrincipal(owner))]
-            )
-            account = Account(name=name, owner=owner, acl=acl)
-            account.balances.update(
-                {str(c): int(v) for c, v in data["balances"].items()}
-            )
-            for hold in data["holds"]:
-                account.holds[hold["check_number"]] = Hold(
-                    check_number=hold["check_number"],
-                    currency=hold["currency"],
-                    amount=int(hold["amount"]),
-                    payee=(
-                        PrincipalId.from_wire(hold["payee"])
-                        if hold.get("payee") is not None
-                        else None
-                    ),
-                    expires_at=hold["expires_at"],
-                )
-            self.accounts[name] = account
-        self.ledger.restore_state(state["ledger"])
+    def _durable(self) -> list:
+        return [*super()._durable(), self.ledger]
 
     # ------------------------------------------------------------------
     # Transaction scope
@@ -317,10 +224,7 @@ class AccountingServer(EndServer):
         """Server-side account creation (also used by ``open-account``)."""
         if name in self.accounts:
             raise AccountingError(f"account {name} already exists")
-        acl = AccessControlList(
-            entries=[AclEntry(subject=SinglePrincipal(owner))]
-        )
-        account = Account(name=name, owner=owner, acl=acl)
+        account = Account.open(name, owner)
         seed = Posting(
             legs=tuple(
                 credit_leg(name, currency, int(amount))
@@ -332,14 +236,7 @@ class AccountingServer(EndServer):
         )
         if seed.legs:
             seed.validate()  # reject malformed initial balances pre-insert
-        self.accounts[name] = account
-        if self.durability is not None:
-            # Logged at insertion (account existence, like the in-memory
-            # dict, is not transactional); the seed posting commits as its
-            # own WAL record through the ledger sink.
-            self.durability.append(
-                "account", {"name": name, "owner": owner.to_wire()}
-            )
+        self.ledger.open_account(account)
         if seed.legs:
             self.ledger.post(seed)
         return account

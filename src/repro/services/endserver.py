@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.acl import AccessControlList
-from repro.audit import AuditLog, AuditRecord
+from repro.audit import AuditLog
 from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.core.evaluation import RequestContext, evaluate
-from repro.core.presentation import PresentedProxy
+from repro.core.presentation import PresentedProxy, request_digest
 from repro.core.verification import ProxyVerifier, VerifiedProxy
 from repro.crypto import signature as _signature
 from repro.crypto.keys import SymmetricKey
@@ -121,17 +121,11 @@ class EndServerBase(Service):
     * ``_authenticate(payload)`` — the claimant's
       :class:`~repro.kerberos.session.Session` (whose restrictions bind
       the request), or None;
-    * ``_presented(bundle)`` / ``_verify_proxy(bundle, context)`` — a
-      proxy bundle decoded / verified (and :meth:`_assert_groups`);
+    * ``_presented(bundle)`` / ``_verify_proxy(bundle, context, digest)``
+      — a proxy bundle decoded / verified, its possession proof bound to
+      this request's ``digest`` (and :meth:`_assert_groups`);
     * :meth:`_identity_checks` — identity signatures to prefetch.
     """
-
-    #: Whether :meth:`_attach_durability` runs recovery itself.
-    #: Subclasses that wire additional durable components afterwards (the
-    #: accounting server's ledger, the file server's file store) set this
-    #: False and call :meth:`_recover_durable_state` once fully wired —
-    #: recovery must see every handler or replay reports problems.
-    _DURABILITY_AUTORECOVER = True
 
     #: ``endserver_requests_total`` path label of a request without a proxy.
     _IDENTITY_PATH = "session"
@@ -175,89 +169,30 @@ class EndServerBase(Service):
     # Durability wiring
     # ------------------------------------------------------------------
 
+    def _durable(self) -> list:
+        """This server's :class:`~repro.durable.Durable` components, in
+        snapshot order; a subclass with state of its own appends it."""
+        return [
+            component
+            for component in (
+                self.verifier.accept_once, self.dedupe, self.audit
+            )
+            if component is not None
+        ]
+
     def _attach_durability(self, durability) -> None:
-        """Persist accept-once registrations, ``_rid``-keyed responses and
-        audit records: each commits to the WAL as it changes and registers
-        a snapshotter, so a server rebuilt from the store still rejects a
-        replayed single-use proxy and answers a resend from cache
-        (``docs/durability.md``).  Sessions are not persisted — clients
-        re-establish them, as after any real restart."""
+        """Attach every :meth:`_durable` component to ``durability`` and
+        recover them, once, before the server answers anything — so a
+        server rebuilt from the store still rejects a replayed single-use
+        proxy and answers a resend from cache (``docs/durability.md``).
+        Sessions are not persisted — clients re-establish them, as after
+        any real restart."""
         if durability is None:
             return
-        self.durability = store = durability
-        accept_once = self.verifier.accept_once
-
-        def sink_accept(kind, grantor, identifier, expires_at, used):
-            store.append(
-                "accept",
-                {
-                    "kind": kind,
-                    "grantor": grantor.to_wire(),
-                    "identifier": identifier,
-                    "expires_at": expires_at,
-                    "used": used,
-                },
-            )
-
-        accept_once.commit_sink = sink_accept
-        store.handler(
-            "accept",
-            lambda data: accept_once.restore(
-                data["kind"],
-                PrincipalId.from_wire(data["grantor"]),
-                data["identifier"],
-                float(data["expires_at"]),
-                used=int(data.get("used", 1)),
-            ),
-        )
-        store.snapshotter(
-            "accept_once",
-            accept_once.capture_state,
-            accept_once.restore_state,
-        )
-
-        if self.dedupe is not None:
-            dedupe = self.dedupe
-
-            def sink_response(key, expires_at, response):
-                store.append(
-                    "response",
-                    {
-                        "key": key,
-                        "expires_at": expires_at,
-                        "response": response,
-                    },
-                )
-
-            dedupe.sink = sink_response
-            store.handler(
-                "response",
-                lambda data: dedupe.restore(
-                    data["key"],
-                    float(data["expires_at"]),
-                    data["response"],
-                ),
-            )
-            store.snapshotter(
-                "responses", dedupe.capture_state, dedupe.restore_state
-            )
-
-        audit = self.audit
-        audit.sink = lambda entry: store.append("audit", entry.to_wire())
-        store.handler(
-            "audit",
-            lambda data: audit.restore(AuditRecord.from_wire(data)),
-        )
-        store.snapshotter(
-            "audit", audit.capture_state, audit.restore_state
-        )
-
-        if self._DURABILITY_AUTORECOVER:
-            self._recover_durable_state()
-
-    def _recover_durable_state(self) -> None:
-        """Replay snapshot + WAL into the wired components."""
-        self.recovery = self.durability.recover()
+        self.durability = durability
+        for component in self._durable():
+            durability.attach(component)
+        self.recovery = durability.recover()
 
     # ------------------------------------------------------------------
 
@@ -348,7 +283,12 @@ class EndServerBase(Service):
             )
             verified: Optional[VerifiedProxy] = None
             if payload.get("proxy") is not None:
-                verified = self._verify_proxy(payload["proxy"], context)
+                # A possession proof is good for the request it was made
+                # for, never for an operation or target resent under it.
+                verified = self._verify_proxy(
+                    payload["proxy"], context,
+                    request_digest(operation, target),
+                )
                 if self.authority_monitor is not None and (
                     self.authority_monitor(verified.grantor)
                 ):
@@ -575,7 +515,7 @@ class EndServer(EndServerBase):
         return PresentedProxy.from_wire(bundle["presented"])
 
     def _verify_proxy(
-        self, bundle: dict, context: RequestContext
+        self, bundle: dict, context: RequestContext, expected_digest: bytes
     ) -> VerifiedProxy:
         """Consume the §2 server challenge, if the proof names one; open
         the bundle's tickets and verify the chain."""
@@ -583,5 +523,6 @@ class EndServer(EndServerBase):
         if proof_wire is not None and proof_wire.get("challenge"):
             self._consume_challenge(proof_wire["challenge"])
         return self.acceptor.accept(
-            bundle, context, issuer_mode=self.ISSUER_MODE
+            bundle, context, expected_digest=expected_digest,
+            issuer_mode=self.ISSUER_MODE,
         )

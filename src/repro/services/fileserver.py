@@ -16,6 +16,7 @@ from typing import Dict, Optional
 from repro.acl import AccessControlList, AclEntry, SinglePrincipal
 from repro.clock import Clock
 from repro.crypto.keys import SymmetricKey
+from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ServiceError
 from repro.net.network import Network
@@ -25,12 +26,15 @@ from repro.services.endserver import AuthorizedRequest, EndServer
 BYTES = "bytes"
 
 
-class FileServer(EndServer):
-    """Flat-namespace file store guarded by an ACL."""
+class FileServer(EndServer, Durable):
+    """Flat-namespace file store guarded by an ACL.
 
-    #: File contents and granted ACL entries are wired after
-    #: ``super().__init__``; recovery runs once everything is registered.
-    _DURABILITY_AUTORECOVER = False
+    Durable: file contents (``file_put``, ``file_del``) and owner grants
+    (``acl_owner``) are logged as they change.
+    """
+
+    SNAPSHOT = "files"
+    RECORDS = ("file_put", "file_del", "acl_owner")
 
     def __init__(
         self,
@@ -41,49 +45,44 @@ class FileServer(EndServer):
         acl: Optional[AccessControlList] = None,
         **kwargs,
     ) -> None:
-        super().__init__(
-            principal, secret_key, network, clock, acl=acl, **kwargs
-        )
+        # Built first: recovery at the end of ``super().__init__`` replays
+        # into them.
         self.files: Dict[str, bytes] = {}
         #: (owner wire, prefix) pairs from :meth:`grant_owner`, kept so a
         #: snapshot can rebuild the granted entries after compaction.
         self._granted_owners = []
+        super().__init__(
+            principal, secret_key, network, clock, acl=acl, **kwargs
+        )
         self.register_operation("read", self._op_read)
         self.register_operation("write", self._op_write)
         self.register_operation("delete", self._op_delete)
         self.register_operation("list", self._op_list)
         self.register_operation("stat", self._op_stat)
-        if self.durability is not None:
-            self._wire_file_durability()
-            self._recover_durable_state()
 
     # -- durability -----------------------------------------------------------
 
-    def _wire_file_durability(self) -> None:
-        """Persist file mutations and owner grants."""
-        store = self.durability
-        store.handler(
-            "file_put",
-            lambda data: self.files.__setitem__(data["path"], data["data"]),
-        )
-        store.handler(
-            "file_del", lambda data: self.files.pop(data["path"], None)
-        )
-        store.handler("acl_owner", self._replay_acl_owner)
-        store.snapshotter(
-            "files", self._capture_files, self._restore_files
-        )
+    def _durable(self) -> list:
+        return [*super()._durable(), self]
 
-    def _replay_acl_owner(self, data: dict) -> None:
-        self._granted_owners.append((data["owner"], data["prefix"]))
+    def _add_owner(self, owner: str, prefix: str) -> None:
+        self._granted_owners.append((owner, prefix))
         self.acl.add(
             AclEntry(
-                subject=SinglePrincipal(PrincipalId.from_wire(data["owner"])),
-                targets=(data["prefix"],),
+                subject=SinglePrincipal(PrincipalId.from_wire(owner)),
+                targets=(prefix,),
             )
         )
 
-    def _capture_files(self) -> dict:
+    def replay(self, kind: str, data: dict) -> None:
+        if kind == "file_put":
+            self.files[data["path"]] = data["data"]
+        elif kind == "file_del":
+            self.files.pop(data["path"], None)
+        else:
+            self._add_owner(data["owner"], data["prefix"])
+
+    def capture_state(self) -> dict:
         return {
             "files": dict(self.files),
             "granted_owners": [
@@ -91,34 +90,24 @@ class FileServer(EndServer):
             ],
         }
 
-    def _restore_files(self, state: dict) -> None:
+    def restore_state(self, state: dict) -> None:
         self.files.update(state["files"])
         for owner, prefix in state["granted_owners"]:
-            self._replay_acl_owner({"owner": owner, "prefix": prefix})
-
-    def _log_put(self, path: str, data: bytes) -> None:
-        if self.durability is not None:
-            self.durability.append(
-                "file_put", {"path": path, "data": data}
-            )
+            self._add_owner(owner, prefix)
 
     # -- convenience for tests/examples -------------------------------------
 
     def grant_owner(self, owner: PrincipalId, prefix: str = "*") -> None:
         """ACL entry giving ``owner`` everything under ``prefix``."""
-        self.acl.add(
-            AclEntry(subject=SinglePrincipal(owner), targets=(prefix,))
-        )
-        self._granted_owners.append((owner.to_wire(), prefix))
-        if self.durability is not None:
-            self.durability.append(
-                "acl_owner", {"owner": owner.to_wire(), "prefix": prefix}
-            )
+        wire = owner.to_wire()
+        self._add_owner(wire, prefix)
+        self.wal.append("acl_owner", {"owner": wire, "prefix": prefix})
 
     def put(self, path: str, data: bytes) -> None:
-        """Server-side seed (bypasses authorization; fixture use only)."""
+        """Store one file and log it: what ``write`` does once authorized,
+        and a server-side seed (bypassing authorization) for fixtures."""
         self.files[path] = data
-        self._log_put(path, data)
+        self.wal.append("file_put", {"path": path, "data": data})
 
     # -- operations ----------------------------------------------------------
 
@@ -150,8 +139,7 @@ class FileServer(EndServer):
             raise ServiceError(
                 f"declared {declared} {BYTES} but wrote {len(data)}"
             )
-        self.files[path] = data
-        self._log_put(path, data)
+        self.put(path, data)
         self.telemetry.inc(
             "fileserver_bytes_written_total",
             len(data),
@@ -163,8 +151,8 @@ class FileServer(EndServer):
     def _op_delete(self, request: AuthorizedRequest) -> dict:
         path = self._require_target(request)
         existed = self.files.pop(path, None) is not None
-        if existed and self.durability is not None:
-            self.durability.append("file_del", {"path": path})
+        if existed:
+            self.wal.append("file_del", {"path": path})
         return {"deleted": existed}
 
     def _op_list(self, request: AuthorizedRequest) -> dict:

@@ -238,12 +238,10 @@ class PkEndServer(EndServerBase):
         return PresentedProxy.from_wire(bundle)
 
     def _verify_proxy(
-        self, bundle: dict, context: RequestContext
+        self, bundle: dict, context: RequestContext, expected_digest: bytes
     ) -> VerifiedProxy:
         return self.verifier.verify(
-            self._presented(bundle),
-            context,
-            expected_digest=request_digest(context.operation, context.target),
+            self._presented(bundle), context, expected_digest=expected_digest
         )
 
     def _identity_checks(self, payload: dict) -> List[tuple]:

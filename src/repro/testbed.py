@@ -336,8 +336,9 @@ class Realm:
 
         The caller unregisters (or just abandons) the dead instance;
         constructing the replacement re-registers the principal's network
-        handler.  Pass the dead server's ``durability`` store to recover
-        its books; without one this models a server that lost everything.
+        handler.  Pass a store opened on the dead server's directory
+        (``store.reopen()``) to recover its books; without one this models
+        a server that lost everything.
         """
         principal, key, agent, tag = self._restart_identity(name)
         kwargs = self._apply_verify_cache(kwargs)
@@ -370,10 +371,11 @@ class Realm:
         own store — the one crash model chaos campaigns and the ledger
         fuzzer share.
 
-        Process state (sessions, in-memory registries, balances) vanishes;
-        the WAL and snapshot survive.  The replacement registers the
-        principal's handler again, recovers before serving, and keeps the
-        dead instance's inter-bank ``routes`` (configuration, not state).
+        Process state (sessions, in-memory registries, balances, the store
+        object itself) vanishes; the WAL and snapshot survive.  The
+        replacement registers the principal's handler again, recovers
+        before serving, and keeps the dead instance's inter-bank
+        ``routes`` (configuration, not state).
         Clients notice only dropped sessions, which they re-establish.
         """
         rebuild = {
@@ -390,7 +392,7 @@ class Realm:
             "recovery.crash_restart", server=name, **span_attributes
         ):
             self.network.unregister(server.principal)
-            new = rebuild(name, durability=server.durability)
+            new = rebuild(name, durability=server.durability.reopen())
         if isinstance(server, AccountingServer):
             new.routes.update(server.routes)
         return new

@@ -22,6 +22,16 @@ from repro.resil.dedupe import ResponseCache
 from repro.testbed import Realm
 
 
+class RecordingWal:
+    """Stands in for a store: keeps what a component appends."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, kind, data):
+        self.records.append((kind, data))
+
+
 def build_world(tmp_path, seed, durable=True):
     """A resilient realm with one durable bank and two funded users."""
     realm = Realm(seed=seed, resilience=True)
@@ -288,15 +298,13 @@ class TestRecoveredRetention:
         def held(ledger):
             return [
                 (key, expires_at)
-                for key, expires_at, *_ in ledger.capture_state()["dedupe"]
+                for key, expires_at, *_
+                in ledger.capture_state()["ledger"]["dedupe"]
             ]
 
         clock = SimulatedClock(1000.0)
         live = books(clock)
-        records = []
-        live.commit_sink = lambda record: records.append(
-            live.record_to_wire(record)
-        )
+        live.wal = log = RecordingWal()
         live.post(
             Posting(legs=(credit("a", "usd", 5),), kind=MINT),
             dedupe_key="rid-1",
@@ -304,8 +312,8 @@ class TestRecoveredRetention:
         snapshot = live.capture_state()
         clock.advance(200.0)
         from_wal = books(clock)
-        for data in records:
-            from_wal.replay_record(data)
+        for kind, data in log.records:
+            from_wal.replay(kind, data)
         from_snapshot = books(clock)
         from_snapshot.restore_state(snapshot)
         assert held(live) == [("rid-1", 1300.0)]
@@ -316,7 +324,11 @@ class TestRecoveredRetention:
         entries in a two-entry cache."""
         cache = ResponseCache(SimulatedClock(1000.0), max_entries=2)
         for i in range(5):
-            cache.restore(b"k%d" % i, 1100.0 + i, {"i": i})
+            cache.replay(
+                "response",
+                {"key": b"k%d" % i, "expires_at": 1100.0 + i,
+                 "response": {"i": i}},
+            )
         assert len(cache._entries) == 2
         kept = cache.capture_state()["entries"]
         assert [key for key, _, _ in kept] == [b"k3", b"k4"]

@@ -44,6 +44,7 @@ class Kerberos:
         self.bob = self.realm.user("bob")
         self.server = self.realm.file_server("files")
         self.server.put("doc", b"data")
+        self.files = self.server.files
         self._session_id = self.bob.client_for(
             self.server.principal
         ).session_id()
@@ -87,7 +88,16 @@ class PublicKey:
             self.realm.clock, directory, group=TEST_GROUP, rng=rng,
             telemetry=self.realm.telemetry,
         )
-        self.server.register_operation("read", lambda request: {"data": b"data"})
+        self.files = {"doc": b"data"}
+        self.server.register_operation(
+            "read", lambda request: {"data": self.files[request.target]}
+        )
+        self.server.register_operation(
+            "delete",
+            lambda request: {
+                "deleted": self.files.pop(request.target, None) is not None
+            },
+        )
         self.alice, self.bob = (
             PkClient(
                 self.realm.principal(name), self.realm.network,
@@ -219,6 +229,29 @@ def test_error_precedence_and_rejections_leave_no_trace(front):
     assert reply["data"] == b"data"
     audit, accept_once = trace_of(front)
     assert len(audit) == 1 and accept_once != untouched[1]
+
+
+@FRONT_ENDS
+def test_possession_proof_bound_to_its_request(front):
+    """bob's anonymous bearer proof, made for ``read doc``, resent with the
+    same bundle as ``delete other``: the Kerberos front-end used to verify
+    the proof without the request digest and deleted the file."""
+    front = front()
+    front.files["other"] = b"keep"
+    grant_acl(front, front.alice.principal)
+    proxy = front.grant((AcceptOnce(identifier="chk-bound"),))
+    body = {
+        "operation": "read", "target": "doc", "args": {}, "amounts": {},
+        "proxy": front.present(proxy, "read", "doc"),
+    }
+    untouched = trace_of(front)
+    with pytest.raises(
+        ProxyVerificationError,
+        match="possession proof bound to a different request",
+    ):
+        send(front, {**body, "operation": "delete", "target": "other"})
+    assert front.files["other"] == b"keep"
+    assert trace_of(front) == untouched
 
 
 @FRONT_ENDS

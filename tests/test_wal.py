@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.durability import DurabilityStore
+from repro.durable import Durable
 from repro.ledger import wal
 from repro.ledger.posting import (
     CREDIT,
@@ -142,33 +143,42 @@ class TestPostingWire:
         assert again.legs[1].hold_payee == payee
 
 
-class _Component:
+class _Component(Durable):
     """A dict-backed component for exercising the store seams."""
 
-    def __init__(self, store):
+    SNAPSHOT = "component"
+    RECORDS = ("put",)
+
+    def __init__(self):
         self.state = {}
-        self.store = store
 
     def put(self, key, value):
         self.state[key] = value
-        self.store.append("put", {"key": key, "value": value})
+        self.wal.append("put", {"key": key, "value": value})
 
-    def wire(self, store):
-        store.handler(
-            "put", lambda d: self.state.__setitem__(d["key"], d["value"])
-        )
-        store.snapshotter(
-            "component",
-            lambda: dict(self.state),
-            lambda s: self.state.update(s),
-        )
+    def replay(self, kind, data):
+        self.state[data["key"]] = data["value"]
+
+    def capture_state(self):
+        return dict(self.state)
+
+    def restore_state(self, state):
+        self.state.update(state)
+
+
+class _Exploding(Durable):
+    SNAPSHOT = "exploding"
+    RECORDS = ("boom",)
+
+    def replay(self, kind, data):
+        raise RuntimeError("bad record")
 
 
 class TestDurabilityStore:
     def build(self, tmp_path, **kwargs):
         store = DurabilityStore(str(tmp_path / "srv"), **kwargs)
-        component = _Component(store)
-        component.wire(store)
+        component = _Component()
+        store.attach(component)
         return store, component
 
     def test_recover_replays_wal(self, tmp_path):
@@ -232,11 +242,7 @@ class TestDurabilityStore:
         component.put("a", 1)
         store.append("boom", {})
         store2, component2 = self.build(tmp_path)
-
-        def explode(data):
-            raise RuntimeError("bad record")
-
-        store2.handler("boom", explode)
+        store2.attach(_Exploding())
         report = store2.recover()
         assert component2.state == {"a": 1}
         assert any("boom" in p for p in report.problems)

@@ -111,6 +111,8 @@ PRODUCT = [
     "python -m repro chaos fig5 --seed 7 --crash-restart bank-a:6",
     "python -m repro chaos fig5 --seed 7 --crash-restart bank-b:4 --drop-rate 0.1",
     "python -m repro chaos fig4 --seed 7 --crash-restart files:3 --runtime aio",
+    "python -m repro chaos fig1 --seed 7 --crash-restart files:6",
+    "python -m repro chaos fig3 --seed 7 --crash-restart files:6 --runtime aio",
     "python -m repro fuzz --seed 7 --episodes 150 --crash-restarts 3",
     "python3 perf/run.py --smoke --traced",
     # -- CLI features no CI job passes the flag for --------------------------
