@@ -2,11 +2,12 @@
 
 The trace-context machinery promises two things at once: every wire
 message carries a traceparent when telemetry is live, and the null
-object costs nearly nothing when it is not.  This benchmark runs the
-complete Fig. 4 protocol (grant, two cascade hops, offline chain
-verification) both ways and gates on the ratio — full tracing (spans,
-span events, trace store indexing, metrics with exemplars) must stay
-under ``--max-overhead`` times the untraced run.
+object costs nearly nothing when it is not.  This benchmark runs
+``run_figure("fig4")`` — deploy the ``fig4`` load scenario, provision
+one delegate chain over Kerberos, and present it to the file server on
+the wire — both ways and gates on the ratio: full tracing (spans, span
+events, trace store indexing, metrics with exemplars) must stay under
+``--max-overhead`` times the untraced run.
 
 Run under pytest for the timing fixtures, or as a script::
 
@@ -23,20 +24,20 @@ import sys
 import time
 
 from conftest import bench_payload, report, write_bench_json
-from repro.obs.figures import run_fig4
 from repro.obs.telemetry import NO_TELEMETRY, Telemetry
+from repro.workloads.load import run_figure
 
 MAX_OVERHEAD = 2.5
 
 
 def run_traced():
-    """One full fig4 protocol run under live telemetry."""
-    return run_fig4(Telemetry())
+    """One full fig4 run under live telemetry."""
+    return run_figure("fig4", Telemetry())
 
 
 def run_untraced():
     """The same run against the null object — the seed-parity path."""
-    return run_fig4(NO_TELEMETRY)
+    return run_figure("fig4", NO_TELEMETRY)
 
 
 def measure(runner, iterations):
@@ -54,7 +55,7 @@ def run_comparison(iterations, max_overhead):
     untraced = measure(run_untraced, iterations)
     overhead = traced / untraced if untraced > 0 else float("inf")
 
-    telemetry = run_fig4(Telemetry())
+    telemetry = run_traced()
     spans = len(telemetry.tracer.spans)
     events = sum(len(s.events) for s in telemetry.tracer.spans)
 
@@ -87,7 +88,11 @@ def run_comparison(iterations, max_overhead):
 
 def test_fig4_traced(benchmark):
     telemetry = benchmark(run_traced)
-    assert len(telemetry.tracer.spans) > 0
+    assert telemetry.tracer.find("net.send")  # the op uses the wire
+    assert telemetry.tracer.find("rpc.handle")
+    # The server's spans ride the request's trace context: one trace.
+    (root,) = telemetry.tracer.roots()
+    assert {s.trace_id for s in telemetry.tracer.spans} == {root.trace_id}
     assert len(telemetry.store) > 0
 
 

@@ -5,8 +5,9 @@ that already exist — the network's ``_observe`` hook, the signature
 observer, span-finish listeners — so attribution must stay cheap: a
 metered run may cost at most ``--max-overhead`` times an unmetered run
 under otherwise identical telemetry (1.5x, the ISSUE acceptance bar).
-Both arms run the complete Fig. 4 protocol with live tracing; only
-``meter_usage`` differs.
+Both arms run ``run_figure("fig4")`` — the ``fig4`` load scenario's
+deployment, provisioning and one delegate-chain request on the wire —
+with live tracing; only ``meter_usage`` differs.
 
 Run under pytest for the timing fixtures, or as a script::
 
@@ -21,20 +22,20 @@ import sys
 import time
 
 from conftest import bench_payload, report, write_bench_json
-from repro.obs.figures import run_fig4
 from repro.obs.telemetry import Telemetry
+from repro.workloads.load import run_figure
 
 MAX_OVERHEAD = 1.5
 
 
 def run_metered():
     """One full fig4 run with per-principal usage attribution live."""
-    return run_fig4(Telemetry(meter_usage=True))
+    return run_figure("fig4", Telemetry(meter_usage=True))
 
 
 def run_unmetered():
     """The same run with identical tracing but no meter attached."""
-    return run_fig4(Telemetry())
+    return run_figure("fig4", Telemetry())
 
 
 def measure(runner, iterations):
@@ -52,7 +53,7 @@ def run_comparison(iterations, max_overhead):
     unmetered = measure(run_unmetered, iterations)
     overhead = metered / unmetered if unmetered > 0 else float("inf")
 
-    telemetry = run_fig4(Telemetry(meter_usage=True))
+    telemetry = run_metered()
     meter = telemetry.usage
     principals = len({key[0] for key in meter.by_principal()})
 
@@ -91,6 +92,7 @@ def run_comparison(iterations, max_overhead):
 def test_fig4_metered(benchmark):
     telemetry = benchmark(run_metered)
     assert telemetry.usage is not None
+    assert telemetry.usage.total_messages() > 0
     assert len(telemetry.usage.by_principal()) > 0
 
 

@@ -4,10 +4,11 @@ With no arguments, runs a condensed end-to-end demonstration of every
 §3/§4 mechanism on a fresh simulated realm, narrating what the paper
 calls each step (for the full walkthroughs see ``examples/``).
 
-``python -m repro trace <figure>`` replays one of the paper's protocol
-figures (fig1, fig3, fig4, fig5, fig6) under live telemetry and prints
-the span tree, the numbered message trace in the figure's notation, and
-the Prometheus metrics the run produced.  ``--follow TRACE_ID`` renders
+``python -m repro trace <scenario>`` replays one warm op of a load
+scenario (fig1, fig3, fig4, fig5, pk-verify, echo) — the op the
+benchmark measures — under live telemetry and prints the span tree, the
+numbered message trace in the figure's notation, and the Prometheus
+metrics the run produced.  ``--follow TRACE_ID`` renders
 one logical request's causal waterfall instead (trace-id prefixes work,
 like git commits).
 
@@ -27,14 +28,15 @@ cashier's checks, malformed arguments; ``--faults`` adds network fault
 injection) and asserts the ledger's conservation invariants after every
 episode.  Exits non-zero on any violation.
 
-``python -m repro usage <figure>`` replays a figure with per-principal
+``python -m repro usage <scenario>`` replays the same op with per-principal
 usage metering on and prints the attribution report (``--top``,
 ``--principal``, ``--json``), the reconciliation verdict against the
 network's own byte counters, and — with ``--charge`` — posts tariffed
 charges through an accounting server's ledger, machine-checking
-conservation afterwards.  Exits non-zero on any mismatch.
+conservation afterwards.  Exits non-zero on any mismatch, and when
+nothing was metered at all.
 
-``python -m repro profile <figure>`` (or ``--from spans.jsonl``) folds
+``python -m repro profile <scenario>`` (or ``--from spans.jsonl``) folds
 the run's spans into flame-graph folded stacks — self-time on the
 simulated clock by default, span counts with ``--weight count`` — and
 can write a speedscope document with ``--speedscope``.
@@ -154,11 +156,11 @@ def trace(
     verify_cache: bool = True,
     follow: str = "",
 ) -> None:
-    """Replay one figure under telemetry and print every view of it."""
+    """Replay one scenario op under telemetry and print every view of it."""
     from repro.core import vcache
     from repro.crypto import schnorr
     from repro.obs import Telemetry, render_trace_waterfall
-    from repro.obs.figures import run_figure
+    from repro.workloads.load import run_figure
 
     config = (
         vcache.DEFAULT_CONFIG if verify_cache else vcache.DISABLED_CONFIG
@@ -326,12 +328,12 @@ def fuzz(args) -> int:
 
 
 def usage(args) -> int:
-    """Replay a figure with metering on; report, reconcile, and charge."""
+    """Replay a scenario op with metering on; report, reconcile, charge."""
     import json
 
     from repro.obs import Telemetry
-    from repro.obs.figures import run_figure
     from repro.obs.usage import Tariff, charges_to_json
+    from repro.workloads.load import run_figure
 
     telemetry = Telemetry(capture_crypto=True, meter_usage=True)
     try:
@@ -350,20 +352,13 @@ def usage(args) -> int:
     )
 
     # The acceptance gate: metered totals must equal the network layer's
-    # own counters exactly — attribution may never invent or lose a byte.
+    # own counters exactly, and be more than nothing.
     net_messages = int(
         telemetry.metrics.counter("network_messages_total").total()
     )
     net_bytes = int(telemetry.metrics.counter("network_bytes_total").total())
-    reconciled = (
-        meter.total_messages() == net_messages
-        and meter.total_bytes() == net_bytes
-    )
-    print(
-        f"\nreconciliation: metered {meter.total_messages()} messages / "
-        f"{meter.total_bytes()} bytes; net counters {net_messages} / "
-        f"{net_bytes} -> {'ok' if reconciled else 'MISMATCH'}"
-    )
+    reconciled, verdict = meter.reconcile(net_messages, net_bytes)
+    print(f"\nreconciliation: {verdict}")
     exit_code = 0 if reconciled else 1
 
     charges = []
@@ -436,9 +431,9 @@ def profile(args) -> int:
         name = args.source
     else:
         if not args.figure:
-            raise SystemExit("profile needs a figure or --from SPANS.JSONL")
+            raise SystemExit("profile needs a scenario or --from SPANS.JSONL")
         from repro.obs import Telemetry
-        from repro.obs.figures import run_figure
+        from repro.workloads.load import run_figure
 
         telemetry = Telemetry(capture_crypto=True, meter_usage=True)
         try:
@@ -459,8 +454,8 @@ def profile(args) -> int:
             print(line)
     else:
         print(
-            "(no positive self-time on the simulated clock — offline "
-            "figures never advance it; try --weight count)"
+            "(no positive self-time on the simulated clock — spans "
+            "that send no message never advance it; try --weight count)"
         )
     if args.speedscope:
         document = speedscope_document(spans, name=name)
@@ -563,8 +558,8 @@ def load(args) -> int:
 
 
 def main(argv=None) -> None:
-    from repro.obs.figures import FIGURES
     from repro.resil.chaos import FIGURES as CHAOS_FIGURES
+    from repro.workloads.load import SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -572,9 +567,9 @@ def main(argv=None) -> None:
     )
     sub = parser.add_subparsers(dest="command")
     trace_parser = sub.add_parser(
-        "trace", help="replay a paper figure under telemetry"
+        "trace", help="replay one scenario op under telemetry"
     )
-    trace_parser.add_argument("figure", choices=sorted(FIGURES))
+    trace_parser.add_argument("figure", choices=sorted(SCENARIOS))
     trace_parser.add_argument(
         "--jsonl", default="", help="also dump spans as JSON lines to a file"
     )
@@ -682,9 +677,9 @@ def main(argv=None) -> None:
     )
     usage_parser = sub.add_parser(
         "usage",
-        help="per-principal usage metering report for a figure workload",
+        help="per-principal usage metering report for one scenario op",
     )
-    usage_parser.add_argument("figure", choices=sorted(FIGURES))
+    usage_parser.add_argument("figure", choices=sorted(SCENARIOS))
     usage_parser.add_argument(
         "--top",
         type=int,
@@ -717,7 +712,7 @@ def main(argv=None) -> None:
         help="fold a run's spans into flame-graph folded stacks",
     )
     profile_parser.add_argument(
-        "figure", nargs="?", choices=sorted(FIGURES)
+        "figure", nargs="?", choices=sorted(SCENARIOS)
     )
     profile_parser.add_argument(
         "--from",
@@ -780,8 +775,6 @@ def main(argv=None) -> None:
     fuzz_parser.add_argument(
         "--json", default="", help="write the campaign summary to a file"
     )
-    from repro.workloads.load import SCENARIOS
-
     load_parser = sub.add_parser(
         "load",
         help="drive N concurrent principals and report throughput + "

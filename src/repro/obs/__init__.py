@@ -19,14 +19,17 @@ goes*.  This package instruments both:
   :data:`NO_TELEMETRY`, a strict no-op);
 * :mod:`repro.obs.export` — JSON-lines traces, Prometheus text exposition,
   and human-readable trace/figure/waterfall renderers;
-* :mod:`repro.obs.figures` — runnable paper-figure protocols for
-  ``python -m repro trace <figure>``;
 * :mod:`repro.obs.usage` — the :class:`UsageMeter`: wire bytes, crypto
   and handler time, retries, and degraded grants attributed to the
   *responsible principal*, priced by a :class:`Tariff` and postable
   into the ledger as conserved charges (§4 usage accounting);
 * :mod:`repro.obs.profile` — folds finished spans into a self-time call
   tree with folded-stack / speedscope flame-graph export.
+
+What ``python -m repro trace``, ``usage`` and ``profile`` record is
+:func:`repro.workloads.load.run_figure`: one warm op of a load scenario,
+the same op the load generator, the chaos campaigns and the benchmark
+drive, with the paper's arrows marked as ``fig.step`` spans.
 """
 
 from repro.obs.context import TraceContext, span_hex_id

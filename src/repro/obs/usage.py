@@ -408,6 +408,22 @@ class UsageMeter:
     def total_bytes(self) -> int:
         return sum(r.bytes_total for r in self.records.values())
 
+    def reconcile(self, net_messages: int, net_bytes: int) -> Tuple[bool, str]:
+        """``(ok, verdict line)`` against the network's own counters; an
+        empty meter fails too, since a reconciliation over nothing proves
+        nothing."""
+        messages, size = self.total_messages(), self.total_bytes()
+        if messages == 0:
+            verdict = "EMPTY"
+        elif (messages, size) == (net_messages, net_bytes):
+            verdict = "ok"
+        else:
+            verdict = "MISMATCH"
+        return verdict == "ok", (
+            f"metered {messages} messages / {size} bytes; net counters "
+            f"{net_messages} / {net_bytes} -> {verdict}"
+        )
+
     def by_principal(self) -> Dict[str, UsageRecord]:
         """Per-principal usage, operations merged."""
         out: Dict[str, UsageRecord] = {}

@@ -64,7 +64,7 @@ from repro.workloads.load import (
     Fig3Scenario,
     LoadConfig,
     LoadScenario,
-    provision,
+    warm_up,
 )
 
 #: The campaign policy leans harder on retries than the realm default:
@@ -424,20 +424,15 @@ def _run_arm(
     out: dict = {"restarted": []}
 
     def body() -> None:
-        state, (pstate,) = provision(scenario, realm, config)
+        # Units meet warm tickets and caches; provisioning traffic is
+        # part of no unit.
+        state, pstate = warm_up(scenario, realm, config)
         crash_key = crash_tick = None
         if spec.crash_restart is not None:
             # Both arms check the name; only the faulted one crashes.
             name, tick = spec.crash_restart
             crash_key = _server_key(spec.figure, state, name)
             crash_tick = tick if faulted else None
-        # One op before any fault, so units meet warm tickets and caches
-        # (the figures' convention of omitting key-distribution traffic).
-        scenario.op(realm, config, state, pstate, 0, 0)
-        if realm.telemetry.enabled:
-            # Provisioning traffic (tickets, sessions) is part of no unit.
-            realm.telemetry.tracer.clear()
-            realm.telemetry.store.clear()
         if faulted:
             _inject(realm, state, spec)
         started = realm.clock.now()

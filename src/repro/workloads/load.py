@@ -63,7 +63,7 @@ from repro.net.aio import AioNetwork
 from repro.net.message import Message
 from repro.net.network import LatencyModel
 from repro.net.service import Service
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import NO_TELEMETRY, Telemetry
 from repro.obs.usage import QuantileDigest
 from repro.testbed import Realm
 
@@ -139,7 +139,8 @@ class LoadReport:
     problems: List[str] = field(default_factory=list)
     #: Runtime counters (aio mode): batches, prefetched checks, ...
     runtime: Dict[str, int] = field(default_factory=dict)
-    #: ``metered m/b vs net m/b -> ok|MISMATCH`` when usage metering ran.
+    #: ``metered m/b vs net m/b -> ok|MISMATCH|EMPTY`` when usage
+    #: metering ran.
     reconciliation: Optional[str] = None
     #: Scenario extras (e.g. fig5 balance totals).
     extras: Dict[str, object] = field(default_factory=dict)
@@ -227,7 +228,9 @@ class LoadScenario:
     * :meth:`op` runs one request for principal ``i``, checks the reply
       and returns the application outcome (what parity runs compare); it
       must touch only that principal's state (plus thread-safe server
-      handles), because in aio mode it runs on a client pool thread.
+      handles), because in aio mode it runs on a client pool thread.  It
+      wraps each of the paper's arrows in a :meth:`step` span, which
+      ``python -m repro trace`` renders as the figure's numbered message.
     * :meth:`check` returns invariant violations after the run ([] = ok).
     * :meth:`prefetchers` names (endpoint, prefetcher) pairs to install
       on the aio network for cross-request signature batching.
@@ -238,6 +241,19 @@ class LoadScenario:
     #: named here is built on its store (crash-restart campaigns assign
     #: a dict of their own to the instance).
     stores: Mapping[str, object] = MappingProxyType({})
+
+    @staticmethod
+    def step(realm: Realm, step, label: str):
+        """One of the paper's arrows as a ``fig.step`` span inside a run
+        (:func:`run_figure`, chaos units), else the shared null context.
+        :func:`run_load` opens no run: its aio client threads share the
+        tracer's one span stack, where a step would adopt other principals'
+        requests and bill them to whoever stepped first."""
+        tracer = realm.telemetry.tracer
+        parent = tracer.current_span if tracer is not None else None
+        if parent is None or parent.run_id is None:
+            return NO_TELEMETRY.span("fig.step")
+        return tracer.span("fig.step", step=step, label=label)
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
         raise NotImplementedError
@@ -414,14 +430,20 @@ class PkVerifyScenario(_EndServerScenario):
 
     def op(self, realm, config, state, pstate, i, k):
         client, proxy = pstate
-        reply = client.request(
-            state["server"].principal,
-            "read",
-            target="doc",
-            args={"path": "doc"},
-            proxy=proxy,
-            anonymous=False,
-        )
+        with self.step(
+            realm,
+            2,
+            "present [read doc, Kproxy-pub]_Kgrantor with a signed "
+            "possession proof; S verifies against the directory",
+        ):
+            reply = client.request(
+                state["server"].principal,
+                "read",
+                target="doc",
+                args={"path": "doc"},
+                proxy=proxy,
+                anonymous=False,
+            )
         if reply.get("data") != b"ok":
             raise ReproError(f"pk read failed for principal {i} op {k}")
         return {"data": reply["data"]}
@@ -477,12 +499,18 @@ class Fig1Scenario(_FileScenario):
 
     def op(self, realm, config, state, pstate, i, k):
         client, capability = pstate
-        reply = client.request(
-            "read",
-            f"doc{k % _DOCS}.txt",
-            proxy=capability,
-            anonymous=True,
-        )
+        with self.step(
+            realm,
+            2,
+            "present [read doc*, Kproxy]_alice as a bearer capability; "
+            "S verifies offline",
+        ):
+            reply = client.request(
+                "read",
+                f"doc{k % _DOCS}.txt",
+                proxy=capability,
+                anonymous=True,
+            )
         if "data" not in reply:
             raise ReproError(f"fig1 read failed for principal {i} op {k}")
         return {"data": reply["data"]}
@@ -526,8 +554,18 @@ class Fig3Scenario(_FileScenario):
 
     def op(self, realm, config, state, pstate, i, k):
         azc, client = pstate
-        proxy = azc.authorize(state["fs"].principal, ("read",))
-        reply = client.request("read", f"doc{k % _DOCS}.txt", proxy=proxy)
+        with self.step(
+            realm,
+            "1+2",
+            "authenticated request -> [op X only]_R, {Kproxy}Ksession",
+        ):
+            proxy = azc.authorize(state["fs"].principal, ("read",))
+        with self.step(
+            realm, 3, "present proxy to S, authenticate with Kproxy"
+        ):
+            reply = client.request(
+                "read", f"doc{k % _DOCS}.txt", proxy=proxy
+            )
         if "data" not in reply:
             raise ReproError(f"fig3 read failed for principal {i} op {k}")
         return {"data": reply["data"]}
@@ -575,7 +613,15 @@ class Fig4Scenario(_FileScenario):
 
     def op(self, realm, config, state, pstate, i, k):
         client, chain = pstate
-        reply = client.request("read", f"doc{k % _DOCS}.txt", proxy=chain)
+        with self.step(
+            realm,
+            3,
+            "present chain [carol]_alice, [dave]_carol to S; "
+            "S verifies every link",
+        ):
+            reply = client.request(
+                "read", f"doc{k % _DOCS}.txt", proxy=chain
+            )
         if "data" not in reply:
             raise ReproError(f"fig4 read failed for principal {i} op {k}")
         return {"data": reply["data"]}
@@ -621,10 +667,16 @@ class Fig5Scenario(LoadScenario):
     def op(self, realm, config, state, pstate, i, k):
         user, payor_client, payee_client, idx = pstate
         amount = 1 + (k % 7)
-        check = payor_client.write_check(
-            f"payor-{idx}", user.principal, "dollars", amount
-        )
-        result = payee_client.deposit_check(check, f"payee-{idx}")
+        with self.step(realm, 1, "check: [payee, $amount, #N]_payor"):
+            check = payor_client.write_check(
+                f"payor-{idx}", user.principal, "dollars", amount
+            )
+        with self.step(
+            realm,
+            "2+3",
+            "E1 deposit at payee's server; E2 forwarded for clearing",
+        ):
+            result = payee_client.deposit_check(check, f"payee-{idx}")
         paid = int(result["paid"])
         if paid != amount:
             raise ReproError(f"fig5 deposit paid {paid} != {amount}")
@@ -747,6 +799,48 @@ def provision(
     ]
 
 
+def warm_up(
+    scenario: LoadScenario, realm: Realm, config: LoadConfig
+) -> Tuple[dict, object]:
+    """Provision one principal and run its op ``k=0``, dropping its spans:
+    the figures leave key-distribution traffic out (§2).  Returns
+    ``(state, pstate)`` with tickets and caches warm."""
+    state, (pstate,) = provision(scenario, realm, config)
+    scenario.op(realm, config, state, pstate, 0, 0)
+    if realm.telemetry.enabled:
+        realm.telemetry.tracer.clear()
+        realm.telemetry.store.clear()
+    return state, pstate
+
+
+def run_figure(
+    name: str, telemetry: Optional[Telemetry] = None
+) -> Telemetry:
+    """Record one warm op of scenario ``name`` on the simulated clock.
+
+    What ``python -m repro trace``, ``usage`` and ``profile`` show: the
+    same op :func:`run_load`, the chaos campaigns and ``perf/`` measure.
+    """
+    scenario = _scenario(name)
+    if telemetry is None:
+        telemetry = Telemetry()
+    realm = Realm(seed=b"obs-" + name.encode(), telemetry=telemetry)
+    config = LoadConfig(scenario=name, principals=1, mode="sync")
+    state, pstate = warm_up(scenario, realm, config)
+    with telemetry.run(name):
+        scenario.op(realm, config, state, pstate, 0, 1)
+    return telemetry
+
+
+def _scenario(name: str) -> LoadScenario:
+    try:
+        return SCENARIOS[name]()
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
+        ) from None
+
+
 def _run_one(
     scenario: LoadScenario,
     realm: Realm,
@@ -846,14 +940,9 @@ def run_load(config: LoadConfig) -> LoadReport:
     Returns the :class:`LoadReport`; ``report.problems`` is non-empty when
     a post-run invariant (audit counts, fig5 conservation) failed.
     """
-    if config.scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {config.scenario!r}; "
-            f"choose from {sorted(SCENARIOS)}"
-        )
+    scenario = _scenario(config.scenario)
     if config.principals < 1:
         raise ValueError("need at least one principal")
-    scenario = SCENARIOS[config.scenario]()
     realm = _build_realm(config)
 
     # Sequential, undilated provisioning: the run measures the request
@@ -914,16 +1003,8 @@ def run_load(config: LoadConfig) -> LoadReport:
     )
     usage = realm.telemetry.usage if realm.telemetry else None
     if usage is not None:
-        net_messages = network.metrics.messages
-        net_bytes = network.metrics.bytes
-        ok = (
-            usage.total_messages() == net_messages
-            and usage.total_bytes() == net_bytes
-        )
-        report.reconciliation = (
-            f"metered {usage.total_messages()} messages / "
-            f"{usage.total_bytes()} bytes; net counters {net_messages} / "
-            f"{net_bytes} -> {'ok' if ok else 'MISMATCH'}"
+        ok, report.reconciliation = usage.reconcile(
+            network.metrics.messages, network.metrics.bytes
         )
         if not ok:
             report.problems.append("usage meter does not reconcile")

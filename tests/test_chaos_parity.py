@@ -90,7 +90,9 @@ class TestOneDefinitionPerFigure:
             for node in ast.walk(ast.parse(inspect.getsource(chaos)))
             if isinstance(node, ast.Call)
         }
-        assert "provision" in calls
+        # Provision, warm-up op and span clearing: the step run_figure
+        # shares (load.warm_up calls load.provision).
+        assert "warm_up" in calls
         for forbidden in (
             "realm.user",
             "realm.file_server",
@@ -107,14 +109,15 @@ class TestSpecValidation:
             run_campaign(CampaignSpec(figure="fig9"))
 
     def test_cli_rejects_a_figure_chaos_cannot_run(self, capsys):
-        """fig6 is a traced figure but not a campaign: argparse refuses it
-        with a usage error instead of a traceback out of run_campaign."""
+        """pk-verify is a traced scenario but not a campaign: argparse
+        refuses it with a usage error instead of a traceback out of
+        run_campaign."""
         from repro.__main__ import main
 
         with pytest.raises(SystemExit) as exit_info:
-            main(["chaos", "fig6"])
+            main(["chaos", "pk-verify"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'fig6'" in capsys.readouterr().err
+        assert "invalid choice: 'pk-verify'" in capsys.readouterr().err
 
     def test_fault_description(self):
         spec = CampaignSpec(

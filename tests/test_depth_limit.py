@@ -21,7 +21,7 @@ from repro.ledger import wal
 from repro.net.message import is_error, raise_if_error
 from repro.net.network import Network
 from repro.net.service import Service
-from repro.obs.figures import FIGURES, run_figure
+from repro.workloads.load import SCENARIOS, run_figure
 from repro.testbed import Realm
 
 TOO_DEEP = [MAX_DEPTH + 1, 5000]
@@ -156,7 +156,7 @@ def test_nothing_the_reproduction_produces_comes_near_the_bound(
     monkeypatch.setattr(canonical, "_encode_into", spy_encode)
     monkeypatch.setattr(canonical, "_decode_one", spy_decode)
 
-    for figure in FIGURES:
+    for figure in SCENARIOS:
         run_figure(figure)
 
     realm = Realm(seed=b"depth-wal", resilience=True)

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.workloads import load
 from repro.workloads.load import SCENARIOS, LoadConfig, run_load
 
 
@@ -70,6 +71,37 @@ class TestScenarios:
         assert report.problems == []
         assert report.reconciliation is not None
         assert report.reconciliation.endswith("-> ok")
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5", "pk-verify"])
+    def test_aio_usage_bills_each_principal_its_own_ops(
+        self, scenario, monkeypatch
+    ):
+        # Concurrent client threads share one tracer; a span one of them
+        # opens around its op must not adopt another principal's
+        # requests.  The sync run, one op at a time, is the truth.
+        def billed(mode):
+            realms = []
+            build = load._build_realm
+
+            def capture(config):
+                realms.append(build(config))
+                return realms[-1]
+
+            monkeypatch.setattr(load, "_build_realm", capture)
+            report = small_run(
+                scenario, mode, principals=6, ops=3, concurrency=6,
+                meter_usage=True,
+            )
+            assert report.problems == []
+            usage = realms[0].telemetry.usage
+            return {
+                principal: (record.messages, record.bytes_total)
+                for principal, record in usage.by_principal().items()
+            }
+
+        sync = billed("sync")
+        assert {f"p{i}@REPRO.ORG" for i in range(6)} <= set(sync)
+        assert billed("aio") == sync
 
     def test_fig5_reports_conserved_balances(self):
         report = small_run("fig5", "aio", principals=3)

@@ -222,7 +222,7 @@ class TestUsageExpositionConformance:
     @pytest.fixture(scope="class")
     def usage_text(self):
         from repro.obs import Telemetry
-        from repro.obs.figures import run_figure
+        from repro.workloads.load import run_figure
 
         telemetry = Telemetry(capture_crypto=True, meter_usage=True)
         try:

@@ -1,7 +1,7 @@
 """Span folding: flame-graph stacks, call trees, speedscope export."""
 
 from repro.obs import Telemetry, load_spans_jsonl, spans_to_jsonl
-from repro.obs.figures import run_figure
+from repro.workloads.load import run_figure
 from repro.obs.profile import (
     folded_stacks,
     frame_name,

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.__main__ import main
 from repro.clock import SimulatedClock
 from repro.encoding.identifiers import PrincipalId
 from repro.ledger import Account, Ledger, Posting, credit
 from repro.net.message import ENVELOPE_KEYS, Message
 from repro.obs import Telemetry
-from repro.obs.figures import run_figure
 from repro.obs.usage import (
     QuantileDigest,
     REVENUE_ACCOUNT,
@@ -18,6 +18,8 @@ from repro.obs.usage import (
     post_usage_charges,
 )
 from repro.testbed import Realm
+from repro.workloads import load
+from repro.workloads.load import SCENARIOS, run_figure
 
 ALICE = PrincipalId("alice")
 BOB = PrincipalId("bob")
@@ -130,21 +132,40 @@ class TestAttribution:
     def test_fig5_clearing_hop_bills_the_principals_not_the_banks(self):
         telemetry = metered_figure("fig5")
         principals = {key[0] for key in telemetry.usage.records}
-        assert "payee@REPRO.ORG" in principals
+        assert "p0@REPRO.ORG" in principals
         assert not any(p.startswith("bank-") for p in principals)
 
 
 class TestReconciliation:
     """The acceptance bar: metered totals equal the network's counters."""
 
-    @pytest.mark.parametrize("figure", ["fig1", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("figure", sorted(SCENARIOS))
     def test_metered_totals_match_network_counters(self, figure):
         telemetry = metered_figure(figure)
         meter = telemetry.usage
         messages = telemetry.metrics.counter("network_messages_total").total()
         wire_bytes = telemetry.metrics.counter("network_bytes_total").total()
-        assert meter.total_messages() == messages
+        assert meter.total_messages() == messages > 0
         assert meter.total_bytes() == wire_bytes
+        assert meter.reconcile(messages, wire_bytes)[0]
+
+    def test_empty_meter_does_not_reconcile(self):
+        ok, verdict = UsageMeter().reconcile(0, 0)
+        assert not ok
+        assert verdict.endswith("-> EMPTY")
+
+    def test_usage_command_fails_when_nothing_was_metered(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            load, "run_figure", lambda name, telemetry=None: telemetry
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["usage", "fig4"])
+        assert exit_info.value.code == 1
+        out = capsys.readouterr().out
+        assert "reconciliation: metered 0 messages" in out
+        assert "-> ok" not in out
 
     def test_per_record_bytes_sum_to_the_total(self):
         meter = metered_figure("fig5").usage
@@ -240,8 +261,9 @@ class TestDeterminism:
 
     def test_report_filters(self):
         meter = metered_figure("fig5").usage
-        only = meter.report(principal="payor@REPRO.ORG")
-        assert "payee@REPRO.ORG" not in only
+        assert "(unattributed)" in meter.report()
+        only = meter.report(principal="p0@REPRO.ORG")
+        assert "(unattributed)" not in only
         top = meter.report(top=1)
         # header + separator + one row + totals line
         assert len(top.splitlines()) == 4

@@ -32,7 +32,7 @@ from repro.errors import (
     ReplayError,
     RestrictionViolation,
 )
-from repro.obs.figures import FIGURES, run_figure
+from repro.workloads.load import SCENARIOS, run_figure
 
 START = 1_000_000.0
 ALICE = PrincipalId("alice")
@@ -58,7 +58,7 @@ def _figure_views(figure, config):
     return (telemetry.render_message_trace(), tree)
 
 
-@pytest.mark.parametrize("figure", sorted(FIGURES))
+@pytest.mark.parametrize("figure", sorted(SCENARIOS))
 def test_figure_trace_parity(figure):
     cached_trace, cached_tree = _figure_views(figure, DEFAULT_CONFIG)
     uncached_trace, uncached_tree = _figure_views(figure, DISABLED_CONFIG)

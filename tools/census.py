@@ -50,6 +50,7 @@ ALLOWLIST: dict[str, str] = {
     "obs/telemetry.py::_NullSpan.attributes": _NULL_OBJECT,
     "obs/telemetry.py::_NullSpan.events": _NULL_OBJECT,
     "obs/telemetry.py::_NullSpan.__bool__": _NULL_OBJECT,
+    "obs/telemetry.py::NullTelemetry.bind_clock": _NULL_OBJECT,
     "obs/telemetry.py::NullTelemetry.current_trace_id": _NULL_OBJECT,
     "obs/telemetry.py::NullTelemetry.capture_crypto": _NULL_OBJECT,
     "obs/telemetry.py::NullTelemetry.release_crypto": _NULL_OBJECT,
@@ -65,7 +66,7 @@ TESTS = [
     "python -m pytest perf/tests -q -p no:cacheprovider",
 ]
 
-_FIGS = "fig1 fig3 fig4 fig5 fig6"
+_FIGS = "fig1 fig3 fig4 fig5 pk-verify"
 _BENCH_SCRIPTS = (
     "c8_verify_cache c11_cold_verify c9_resilience trace_overhead "
     "usage_overhead ledger_fuzz c12_async_load durability"
@@ -96,9 +97,10 @@ PRODUCT = [
     " python -m repro forensics --from {out}/$fig.jsonl --validate; done",
     "python -m repro trace fig5 --follow $(python -m repro trace fig5"
     " | grep -A3 'traces recorded' | grep -oE '[0-9a-f]{{32}}' | head -1)",
+    "python -m repro usage fig1",
     "python -m repro usage fig4",
     "python -m repro usage fig5 --charge",
-    "python -m repro usage fig6",
+    "python -m repro usage pk-verify",
     "python -m repro profile --from {out}/fig5.jsonl",
     "python -m repro profile fig4 --weight count",
     "python -m repro fuzz --seed 7 --episodes 200 --banks 2",
