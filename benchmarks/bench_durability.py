@@ -77,7 +77,7 @@ def run_recovery_arm(figure: str, server: str, tick: int, units: int) -> dict:
             figure=figure,
             seed=SEED,
             units=units,
-            crash_restart=(server, tick),
+            crash_restart=((server, tick),),
         )
     )
     return {

@@ -20,13 +20,12 @@ render one with ``--trace``, or schema-check the dump with
 ``python -m repro chaos <figure>`` runs a seeded fault campaign against
 the same figure workloads on the resilience layer and prints a recovery
 report — retries, failovers, dedupe, degraded grants — plus a parity
-verdict against a fault-free baseline.
-
-``python -m repro fuzz`` drives a seeded random workload across the
-whole accounting surface (checks, endorsement cascades, certified and
-cashier's checks, malformed arguments; ``--faults`` adds network fault
-injection) and asserts the ledger's conservation invariants after every
-episode.  Exits non-zero on any violation.
+verdict against a fault-free baseline.  ``chaos fig5-mix`` drives seeded
+variants across the whole accounting surface (checks, routed clearing,
+certified and cashier's checks, transfers, replays, malformed requests)
+and checks the ledger's conservation invariants after every unit; add
+``--drop-rate``/``--response-drop-rate`` or repeated ``--crash-restart``
+for faults.  Exits non-zero on any violation.
 
 ``python -m repro usage <scenario>`` replays the same op with per-principal
 usage metering on and prints the attribution report (``--top``,
@@ -243,16 +242,15 @@ def chaos(args) -> int:
             )
         if outage[0] >= outage[1]:
             raise SystemExit("--outage window must have START < STOP")
-    crash_restart = None
-    if args.crash_restart:
-        server, sep, tick = args.crash_restart.rpartition(":")
+    crash_restart = []
+    for value in args.crash_restart:
+        server, sep, tick = value.rpartition(":")
         if not sep or not server:
             raise SystemExit(
-                "--crash-restart wants SERVER:TICK, "
-                f"got {args.crash_restart!r}"
+                f"--crash-restart wants SERVER:TICK, got {value!r}"
             )
         try:
-            crash_restart = (server, int(tick))
+            crash_restart.append((server, int(tick)))
         except ValueError:
             raise SystemExit(
                 f"--crash-restart tick must be an integer, got {tick!r}"
@@ -266,65 +264,13 @@ def chaos(args) -> int:
         retry=not args.no_retry,
         outage=outage,
         kill_primary=args.kill_primary,
-        crash_restart=crash_restart,
+        crash_restart=tuple(crash_restart),
         runtime=args.runtime,
         data_dir=args.data_dir or None,
     )
     report = run_campaign(spec)
     print(report.render())
     return report.exit_code()
-
-
-def fuzz(args) -> int:
-    """Run one seeded accounting fuzz campaign; non-zero on violation."""
-    import json
-
-    from repro.ledger.fuzz import run_fuzz
-
-    report = run_fuzz(
-        seed=args.seed,
-        episodes=args.episodes,
-        banks=args.banks,
-        faults=args.faults,
-        crash_restarts=args.crash_restarts,
-    )
-    summary = report.summary()
-    print(
-        f"fuzz: seed={report.seed} banks={report.banks} "
-        f"faults={'on' if report.faults else 'off'}"
-    )
-    print(
-        f"  episodes: {report.episodes} "
-        f"({report.accepted} accepted, {report.rejected} rejected)"
-    )
-    ops = ", ".join(
-        f"{name}={count}" for name, count in sorted(report.op_counts.items())
-    )
-    print(f"  operations: {ops}")
-    print(
-        f"  postings: {report.postings_applied} applied, "
-        f"{report.postings_rolled_back} rolled back, "
-        f"{report.postings_deduped} deduped"
-    )
-    if report.crash_restarts:
-        print(
-            f"  crash-restarts: {report.crash_restarts} "
-            f"({report.wal_replayed} WAL records replayed)"
-        )
-    print(f"  conservation: {summary['conservation']}")
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}")
-    if report.forensics:
-        print("\nforensic traces (offending episodes):")
-        for dump in report.forensics:
-            print()
-            print(dump)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"  wrote {args.json}")
-    return 0 if report.ok else 1
 
 
 def usage(args) -> int:
@@ -558,7 +504,7 @@ def load(args) -> int:
 
 
 def main(argv=None) -> None:
-    from repro.resil.chaos import FIGURES as CHAOS_FIGURES
+    from repro.resil.chaos import CAMPAIGNS
     from repro.workloads.load import SCENARIOS
 
     parser = argparse.ArgumentParser(
@@ -616,7 +562,7 @@ def main(argv=None) -> None:
         "chaos",
         help="run a seeded fault campaign against a figure workload",
     )
-    chaos_parser.add_argument("figure", choices=CHAOS_FIGURES)
+    chaos_parser.add_argument("figure", choices=CAMPAIGNS)
     chaos_parser.add_argument(
         "--seed", type=int, default=7, help="campaign seed (default 7)"
     )
@@ -657,10 +603,11 @@ def main(argv=None) -> None:
     )
     chaos_parser.add_argument(
         "--crash-restart",
-        default="",
+        action="append",
+        default=[],
         metavar="SERVER:TICK",
         help="kill SERVER before unit TICK and rebuild it from its "
-        "WAL+snapshot (e.g. files:10, bank-a:6)",
+        "WAL+snapshot (e.g. files:10, bank-a:6); repeatable",
     )
     chaos_parser.add_argument(
         "--runtime",
@@ -738,42 +685,6 @@ def main(argv=None) -> None:
         default="",
         metavar="FILE",
         help="write a speedscope-compatible JSON document",
-    )
-    fuzz_parser = sub.add_parser(
-        "fuzz",
-        help="fuzz the accounting surface under conservation invariants",
-    )
-    fuzz_parser.add_argument(
-        "--seed", type=int, default=7, help="campaign seed (default 7)"
-    )
-    fuzz_parser.add_argument(
-        "--episodes",
-        type=int,
-        default=200,
-        help="random episodes to run (default 200)",
-    )
-    fuzz_parser.add_argument(
-        "--banks",
-        type=int,
-        default=2,
-        help="accounting servers in the realm (default 2; 3 adds a "
-        "routed collect-check hop)",
-    )
-    fuzz_parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="inject request/response drops under the resilience layer",
-    )
-    fuzz_parser.add_argument(
-        "--crash-restarts",
-        type=int,
-        default=0,
-        metavar="N",
-        help="kill and WAL-recover banks N times across the campaign "
-        "(evenly spaced, round-robin)",
-    )
-    fuzz_parser.add_argument(
-        "--json", default="", help="write the campaign summary to a file"
     )
     load_parser = sub.add_parser(
         "load",
@@ -876,8 +787,6 @@ def main(argv=None) -> None:
         raise SystemExit(usage(args))
     if args.command == "profile":
         raise SystemExit(profile(args))
-    if args.command == "fuzz":
-        raise SystemExit(fuzz(args))
     if args.command == "chaos":
         raise SystemExit(chaos(args))
     if args.command == "forensics":

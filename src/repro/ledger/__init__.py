@@ -4,10 +4,10 @@ Every balance change on an accounting server is a multi-leg
 :class:`~repro.ledger.posting.Posting` applied through a
 :class:`~repro.ledger.ledger.Ledger`: all-or-nothing, journaled,
 conservation-checked per posting, and idempotent under the resilience
-layer's retry ids.  ``repro.ledger.fuzz`` drives the whole accounting
-surface with seeded random workloads — including malformed arguments and
-network fault injection — and asserts the global conservation invariant
-after every episode.
+layer's retry ids.  ``python -m repro chaos fig5-mix`` drives the whole
+accounting surface with seeded op variants — including malformed
+arguments, network fault injection and crash-restarts — and checks the
+global conservation invariant after every unit.
 """
 
 from repro.ledger.accounts import Account, Hold

@@ -24,8 +24,8 @@ the balances match:
 * **Derived balances** — the ledger maintains its own per-account
   running totals from committed postings; :meth:`audit_discrepancies`
   compares them against the live :class:`~repro.ledger.accounts.Account`
-  objects.  Any drift means funds moved *outside* the ledger — the
-  fuzzer asserts this parity after every episode.
+  objects.  Any drift means funds moved *outside* the ledger — fig5's
+  scenario check asserts this parity after every chaos unit.
 
 * **Durability** — the ledger is the accounting server's
   :class:`~repro.durable.Durable` component: it logs every *committed*

@@ -18,7 +18,7 @@ posting kinds are exempt, each for a stated reason:
 * ``inbound`` — value received from a *peer* accounting server during
   cross-server clearing (Fig. 5): the matching debit was booked on the
   payor's server, inside that server's own balanced posting, so the local
-  books legitimately show only the credit side.  The fuzzer's global
+  books legitimately show only the credit side.  Fig5's global
   invariant (sum over non-settlement accounts across all banks) closes
   the loop that per-server conservation cannot see.
 """

@@ -41,6 +41,18 @@ gates exercise the code that is measured:
 * ``fig5`` — cross-bank check clearing (§4): write, endorse, deposit,
   with the inter-bank E2 hop (``bank-b`` → ``bank-a``) riding the same
   resilient fabric.
+* ``fig5-mix`` — §4's whole accounting surface: each unit is one seeded
+  :class:`~repro.workloads.load.Fig5Mix` variant (checks, certified and
+  cashier's checks, transfers, replays, malformed requests) across three
+  banks with a routed clearing hop.  Campaign-only, not a load scenario.
+
+After every unit, on both arms, the campaign runs the scenario's
+``check()`` (for fig5: per-currency conservation, ledger audit parity,
+no open transaction) and reports each problem once, tagged with the
+unit after which it first appeared.  The faulted arm keeps a unit's
+spans only while it decides whether the unit offended — failed, diverged
+from the baseline, or broke ``check()`` — and renders at most
+:data:`FORENSIC_DUMP_LIMIT` offenders' traces on the spot.
 """
 
 from __future__ import annotations
@@ -49,12 +61,14 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.clock import SimulatedClock
 from repro.durability import DurabilityStore
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReproError
 from repro.kerberos.kdc import kdc_principal
+from repro.obs.export import render_trace_waterfall
 from repro.obs.telemetry import Telemetry
 from repro.resil.policy import NO_RETRY, RetryPolicy
 from repro.services.accounting import AccountingServer
@@ -62,6 +76,7 @@ from repro.testbed import Realm
 from repro.workloads.load import (
     SCENARIOS,
     Fig3Scenario,
+    Fig5Mix,
     LoadConfig,
     LoadScenario,
     warm_up,
@@ -95,11 +110,12 @@ class CampaignSpec:
     #: on the simulated fabric; pacing spreads them out so ``outage``
     #: windows expressed in seconds actually overlap the workload.
     pacing: float = 1.0
-    #: Kill a workload server mid-campaign and rebuild it from its
-    #: durability store: ``(server_name, tick)`` crashes ``server_name``
-    #: just before unit ``tick`` runs.  Only the faulted arm crashes; the
-    #: baseline stays up, so parity proves recovery is lossless.
-    crash_restart: Optional[Tuple[str, int]] = None
+    #: Kill workload servers mid-campaign and rebuild each from its
+    #: durability store: every ``(server_name, tick)`` pair crashes
+    #: ``server_name`` just before unit ``tick`` runs.  Only the faulted
+    #: arm crashes; the baseline stays up, so parity proves recovery is
+    #: lossless.
+    crash_restart: Tuple[Tuple[str, int], ...] = ()
     #: Delivery runtime for both arms: ``"sync"`` or ``"aio"``.
     runtime: str = "sync"
     #: Directory for WAL/snapshot files (a temp dir, removed after the
@@ -118,11 +134,11 @@ class CampaignSpec:
         if self.kill_primary:
             parts.append("primary KDC killed (replica stands in)")
         if self.crash_restart:
-            server, tick = self.crash_restart
-            parts.append(
-                f"crash-restart {server} before unit {tick} "
-                "(recover from WAL)"
+            kills = ", ".join(
+                f"{server} before unit {tick}"
+                for server, tick in self.crash_restart
             )
+            parts.append(f"crash-restart {kills} (recover from WAL)")
         return ", ".join(parts) if parts else "none"
 
 
@@ -156,12 +172,14 @@ class ChaosReport:
     extras: Dict[str, int] = field(default_factory=dict)
     #: Machine-checked failures: a restarted server's recovery report
     #: (unreplayable WAL records, snapshot gaps) and, on both arms, the
-    #: scenario's own ``check()`` — audit counts; for fig5, conservation
-    #: and derived-vs-live ledger parity.  Empty means the books balance
-    #: and every restarted server came back with an audit trail that parses.
+    #: scenario's own ``check()`` after every unit — audit counts; for
+    #: fig5, conservation and derived-vs-live ledger parity — each problem
+    #: once, as ``unit N: problem`` for the unit after which it appeared.
+    #: Empty means the books balance and every restarted server came back
+    #: with an audit trail that parses.
     recovery_problems: List[str] = field(default_factory=list)
-    #: Pre-rendered causal waterfalls of the offending units, populated
-    #: when the campaign fails its promise (forensic auto-dump).
+    #: Pre-rendered causal waterfalls of the first offending units of a
+    #: resilient run (forensic auto-dump).
     forensics: List[str] = field(default_factory=list)
 
     # -- derived -----------------------------------------------------------
@@ -317,11 +335,15 @@ class ChaosReport:
 # What a campaign adds to a figure
 # ---------------------------------------------------------------------------
 
-#: The figures a campaign can run.  Each is deployed and driven through
-#: the one definition in :data:`repro.workloads.load.SCENARIOS` — the
-#: code ``python -m repro load`` and the end-to-end benchmark measure —
-#: with a single principal (``p0``).
+#: The load-table figures a campaign can run.  Each is deployed and
+#: driven through the one definition in
+#: :data:`repro.workloads.load.SCENARIOS` — the code ``python -m repro
+#: load`` and the end-to-end benchmark measure — with a single principal
+#: (``p0``).
 FIGURES = ("fig1", "fig3", "fig4", "fig5")
+#: Everything ``python -m repro chaos`` runs: the figures and the
+#: campaign-only fig5 variant mix.
+CAMPAIGNS = (*FIGURES, Fig5Mix.name)
 
 
 class _Fig3(Fig3Scenario):
@@ -342,8 +364,10 @@ class _Fig3(Fig3Scenario):
 
 
 def scenario_for(figure: str) -> LoadScenario:
-    """The load table's scenario for ``figure``, fig3 specialised."""
-    return _Fig3() if figure == "fig3" else SCENARIOS[figure]()
+    """The load table's scenario for ``figure``, fig3 specialised, or the
+    campaign-only fig5 variant mix."""
+    special = {"fig3": _Fig3, Fig5Mix.name: Fig5Mix}
+    return (special.get(figure) or SCENARIOS[figure])()
 
 
 def _authority(realm: Realm, state: dict) -> PrincipalId:
@@ -385,10 +409,22 @@ def _server_key(figure: str, state: dict, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: A failed campaign dumps at most this many unit traces — enough to
+#: diagnose, small enough to read in a CI log.
+FORENSIC_DUMP_LIMIT = 3
+
+
 def _run_arm(
-    spec: CampaignSpec, faulted: bool, data_dir: Optional[str]
+    spec: CampaignSpec,
+    data_dir: Optional[str],
+    baseline: Optional[List[UnitResult]] = None,
 ) -> Tuple[Realm, LoadScenario, dict]:
-    """Deploy and run one arm; returns (realm, scenario, results dict)."""
+    """Deploy and run one arm; returns (realm, scenario, results dict).
+
+    ``baseline`` is the fault-free arm's units: given, this is the
+    faulted arm, which compares each unit to it as the unit ends.
+    """
+    faulted = baseline is not None
     # The faulted arm records full traces so a failed campaign can dump
     # the offending units' causal history.  The tracer draws ids from its
     # own rng, so tracing never perturbs the realm's seeded behaviour —
@@ -403,16 +439,16 @@ def _run_arm(
         runtime=spec.runtime,
     )
     scenario = scenario_for(spec.figure)
-    if faulted and spec.crash_restart is not None:
-        # The crash loses the process, not the WAL: the targeted server
+    if faulted and spec.crash_restart:
+        # The crash loses the process, not the WAL: every targeted server
         # is built on a store (the baseline arm stays memory-only).
-        name, _ = spec.crash_restart
         scenario.stores = {
             name: DurabilityStore(
                 os.path.join(data_dir, name),
                 telemetry=realm.telemetry,
                 server=name,
             )
+            for name in dict.fromkeys(name for name, _ in spec.crash_restart)
         }
     if faulted and spec.kill_primary:
         # Before any traffic, so even ticket warm-up exercises failover.
@@ -421,38 +457,81 @@ def _run_arm(
     config = LoadConfig(
         scenario=spec.figure, principals=1, mode=spec.runtime, seed=spec.seed
     )
-    out: dict = {"restarted": []}
+    telemetry = realm.telemetry
+    out: dict = {"restarted": [], "problems": [], "forensics": []}
 
     def body() -> None:
         # Units meet warm tickets and caches; provisioning traffic is
         # part of no unit.
         state, pstate = warm_up(scenario, realm, config)
-        crash_key = crash_tick = None
-        if spec.crash_restart is not None:
+        crashes: Dict[int, List[str]] = {}
+        for name, tick in spec.crash_restart:
             # Both arms check the name; only the faulted one crashes.
-            name, tick = spec.crash_restart
-            crash_key = _server_key(spec.figure, state, name)
-            crash_tick = tick if faulted else None
+            key = _server_key(spec.figure, state, name)
+            if faulted:
+                crashes.setdefault(tick, []).append(key)
         if faulted:
             _inject(realm, state, spec)
         started = realm.clock.now()
-
-        def unit(index: int) -> Any:
-            if index == crash_tick:
-                server = realm.crash_restart(state[crash_key], unit=index)
-                state[crash_key] = server
-                out["restarted"].append(server)
-            return scenario.op(realm, config, state, pstate, 0, index)
-
-        out["units"] = units = _run_units(realm, spec, unit)
+        units: List[UnitResult] = []
+        seen: set = set()
+        for index in range(spec.units):
+            if spec.pacing > 0 and isinstance(realm.clock, SimulatedClock):
+                realm.clock.advance(spec.pacing)
+            trace_id, outcome, error = "", None, ""
+            try:
+                with telemetry.run(f"{spec.figure}-unit-{index}") as run_span:
+                    trace_id = run_span.trace_id or ""
+                    for key in crashes.get(index, ()):
+                        state[key] = realm.crash_restart(
+                            state[key], unit=index
+                        )
+                        out["restarted"].append(state[key])
+                    outcome = scenario.op(
+                        realm, config, state, pstate, 0, index
+                    )
+            except ReproError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            unit = UnitResult(
+                index=index,
+                ok=not error,
+                outcome=outcome,
+                error=error,
+                trace_id=trace_id,
+            )
+            units.append(unit)
+            fresh = [
+                problem
+                for problem in scenario.check(
+                    realm, config, state, sum(1 for u in units if u.ok)
+                )
+                if problem not in seen
+            ]
+            seen.update(fresh)
+            out["problems"].extend(f"unit {index}: {p}" for p in fresh)
+            if faulted:
+                theirs = baseline[index]
+                offended = (
+                    fresh
+                    or not unit.ok
+                    or (theirs.ok and unit.outcome != theirs.outcome)
+                )
+                if (
+                    offended
+                    and spec.retry
+                    and len(out["forensics"]) < FORENSIC_DUMP_LIMIT
+                ):
+                    spans = telemetry.store.by_trace(trace_id)
+                    if spans:
+                        out["forensics"].append(render_trace_waterfall(spans))
+                # Rendered or not, nothing needs the unit's spans again:
+                # a long campaign's memory stays flat.
+                telemetry.tracer.clear()
+                telemetry.store.clear()
+        out["units"] = units
         out["state"] = state
         out["sim_seconds"] = realm.clock.now() - started
         out["finale"] = finale(state)
-        # The scenario's own invariants — audit counts; for fig5,
-        # conservation and derived-vs-live ledger parity — on both arms.
-        out["problems"] = scenario.check(
-            realm, config, state, sum(1 for u in units if u.ok)
-        )
 
     if spec.runtime == "aio":
         # Deployment included: it must happen inside the served loop.
@@ -480,57 +559,30 @@ def _inject(realm: Realm, state: dict, spec: CampaignSpec) -> None:
         )
 
 
-def _run_units(
-    realm: Realm, spec: CampaignSpec, unit: Callable[[int], Any]
-) -> List[UnitResult]:
-    from repro.clock import SimulatedClock
-
-    results: List[UnitResult] = []
-    for index in range(spec.units):
-        if spec.pacing > 0 and isinstance(realm.clock, SimulatedClock):
-            realm.clock.advance(spec.pacing)
-        trace_id, outcome, error = "", None, ""
-        try:
-            with realm.telemetry.run(
-                f"{spec.figure}-unit-{index}"
-            ) as run_span:
-                trace_id = run_span.trace_id or ""
-                outcome = unit(index)
-        except ReproError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        results.append(
-            UnitResult(
-                index=index,
-                ok=not error,
-                outcome=outcome,
-                error=error,
-                trace_id=trace_id,
-            )
-        )
-    return results
-
-
 def run_campaign(spec: CampaignSpec) -> ChaosReport:
     """Run the baseline and the faulted arm; return the comparison."""
-    if spec.figure not in FIGURES:
+    if spec.figure not in CAMPAIGNS:
         raise ValueError(
-            f"unknown figure {spec.figure!r}; choose from {sorted(FIGURES)}"
+            f"unknown figure {spec.figure!r}; choose from {sorted(CAMPAIGNS)}"
         )
-    if spec.crash_restart is not None:
-        _, tick = spec.crash_restart
+    if spec.units < 1:
+        raise ValueError("a campaign needs at least one unit")
+    for _, tick in spec.crash_restart:
         if not 0 <= tick < spec.units:
             raise ValueError(
                 f"crash-restart tick {tick} must fall inside the "
                 f"campaign's {spec.units} units"
             )
+    if len(set(spec.crash_restart)) < len(spec.crash_restart):
+        raise ValueError("a crash-restart (server, tick) may appear once")
 
     data_dir = spec.data_dir
     scratch: Optional[str] = None
-    if spec.crash_restart is not None and data_dir is None:
+    if spec.crash_restart and data_dir is None:
         data_dir = scratch = tempfile.mkdtemp(prefix="repro-chaos-wal-")
     try:
-        _, _, base = _run_arm(spec, False, data_dir)
-        realm, scenario, run = _run_arm(spec, True, data_dir)
+        _, _, base = _run_arm(spec, data_dir)
+        realm, scenario, run = _run_arm(spec, data_dir, base["units"])
         restarted = run["restarted"]
 
         degraded_client, degraded_server = (
@@ -544,7 +596,7 @@ def run_campaign(spec: CampaignSpec) -> ChaosReport:
             extras["wal records replayed"] = sum(
                 server.recovery.total_replayed for server in restarted
             )
-        report = ChaosReport(
+        return ChaosReport(
             spec=spec,
             units=run["units"],
             baseline_units=base["units"],
@@ -565,31 +617,8 @@ def run_campaign(spec: CampaignSpec) -> ChaosReport:
                 *(f"baseline: {problem}" for problem in base["problems"]),
                 *run["problems"],
             ],
+            forensics=run["forensics"],
         )
-        if report.exit_code() != 0 and realm.telemetry.enabled:
-            _attach_forensics(report, realm.telemetry)
-        return report
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
-
-
-#: A failed campaign dumps at most this many unit traces — enough to
-#: diagnose, small enough to read in a CI log.
-FORENSIC_DUMP_LIMIT = 3
-
-
-def _attach_forensics(report: ChaosReport, telemetry: Telemetry) -> None:
-    """Render the causal traces of the units that broke the promise."""
-    from repro.obs.export import render_trace_waterfall
-
-    mismatched = set(report.mismatches())
-    offenders = [
-        unit
-        for unit in report.units
-        if (not unit.ok or unit.index in mismatched) and unit.trace_id
-    ]
-    for unit in offenders[:FORENSIC_DUMP_LIMIT]:
-        spans = telemetry.store.by_trace(unit.trace_id)
-        if spans:
-            report.forensics.append(render_trace_waterfall(spans))

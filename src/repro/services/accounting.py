@@ -42,7 +42,7 @@ duplicate funds (see ``docs/accounting.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.acl import AccessControlList
 from repro.clock import Clock
@@ -113,7 +113,32 @@ __all__ = [
     "CASHIER_ACCOUNT",
     "Hold",
     "SETTLEMENT_PREFIX",
+    "non_settlement_totals",
 ]
+
+
+def non_settlement_totals(
+    servers: Iterable["AccountingServer"],
+) -> Dict[str, int]:
+    """Available + held funds over every non-settlement account.
+
+    Settlement accounts are excluded because they are local mirrors of
+    claims whose matching entry lives on a *peer* server; the cashier
+    account is included — funds backing outstanding cashier's checks are
+    still funds.
+    """
+    totals: Dict[str, int] = {}
+    for server in servers:
+        for name, account in server.accounts.items():
+            if name.startswith(SETTLEMENT_PREFIX):
+                continue
+            for currency, amount in account.balances.items():
+                totals[currency] = totals.get(currency, 0) + amount
+            for hold in account.holds.values():
+                totals[hold.currency] = (
+                    totals.get(hold.currency, 0) + hold.amount
+                )
+    return {c: v for c, v in totals.items() if v}
 
 
 class AccountingServer(EndServer):

@@ -368,8 +368,7 @@ class Realm:
 
     def crash_restart(self, server, **span_attributes):
         """Kill ``server`` and rebuild the same kind of server from its
-        own store — the one crash model chaos campaigns and the ledger
-        fuzzer share.
+        own store — the one crash model of chaos campaigns.
 
         Process state (sessions, in-memory registries, balances, the store
         object itself) vanishes; the WAL and snapshot survive.  The

@@ -41,12 +41,13 @@ Design points:
 from __future__ import annotations
 
 import asyncio
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.acl import AclEntry, SinglePrincipal
 from repro.core.restrictions import (
@@ -56,15 +57,21 @@ from repro.core.restrictions import (
     IssuedFor,
 )
 from repro.encoding.identifiers import PrincipalId
-from repro.errors import ReproError
+from repro.errors import NetworkError, ReproError, ResilienceError
 from repro.kerberos.proxy_support import endorse, grant_via_credentials
-from repro.ledger.fuzz import non_settlement_totals
 from repro.net.aio import AioNetwork
 from repro.net.message import Message
 from repro.net.network import LatencyModel
 from repro.net.service import Service
 from repro.obs.telemetry import NO_TELEMETRY, Telemetry
 from repro.obs.usage import QuantileDigest
+from repro.services.accounting import (
+    CASHIER_ACCOUNT,
+    SETTLEMENT_PREFIX,
+    AccountingClient,
+    non_settlement_totals,
+)
+from repro.services.checks import account_target
 from repro.testbed import Realm
 
 #: Documents provisioned on file-serving scenarios.
@@ -231,7 +238,8 @@ class LoadScenario:
       handles), because in aio mode it runs on a client pool thread.  It
       wraps each of the paper's arrows in a :meth:`step` span, which
       ``python -m repro trace`` renders as the figure's numbered message.
-    * :meth:`check` returns invariant violations after the run ([] = ok).
+    * :meth:`check` returns invariant violations ([] = ok): after the
+      run, and in chaos campaigns after every unit.
     * :meth:`prefetchers` names (endpoint, prefetcher) pairs to install
       on the aio network for cross-request signature batching.
     """
@@ -632,29 +640,38 @@ class Fig5Scenario(LoadScenario):
 
     Every principal holds a funded account at bank A and an empty account
     at bank B, and each op writes a check on A and deposits it at B — the
-    inter-bank E2 hop rides the same fabric as a nested send.  The
-    post-run check is global: per-currency conservation over both banks'
-    non-settlement accounts plus both ledgers' audit parity.
+    inter-bank E2 hop rides the same fabric as a nested send.  The check
+    is global: per-currency conservation over every bank's
+    non-settlement accounts, every ledger's audit parity, and no ledger
+    transaction left open.
     """
 
     name = "fig5"
 
-    #: Funds minted into each principal's payor account.
-    INITIAL = 10_000
+    #: What provisioning mints per principal (into its payor account):
+    #: :meth:`check`'s conservation target.  A constant, not a sum over
+    #: the books' MINT postings, so the check cannot restate what it
+    #: checks.
+    MINT: Mapping[str, int] = MappingProxyType({"dollars": 10_000})
+    #: state key -> bank name.
+    BANKS: Tuple[Tuple[str, str], ...] = (
+        ("bank_a", "bank-a"),
+        ("bank_b", "bank-b"),
+    )
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
         return {
             key: realm.accounting_server(
                 name, durability=self.stores.get(name)
             )
-            for key, name in (("bank_a", "bank-a"), ("bank_b", "bank-b"))
+            for key, name in self.BANKS
         }
 
     def principal(self, realm, config, state, i):
         bank_a, bank_b = state["bank_a"], state["bank_b"]
         user = realm.user(f"p{i}")
         bank_a.create_account(
-            f"payor-{i}", user.principal, {"dollars": self.INITIAL}
+            f"payor-{i}", user.principal, dict(self.MINT)
         )
         bank_b.create_account(f"payee-{i}", user.principal)
         payor_client = user.accounting_client(bank_a.principal)
@@ -682,15 +699,13 @@ class Fig5Scenario(LoadScenario):
             raise ReproError(f"fig5 deposit paid {paid} != {amount}")
         return {"amount": amount, "paid": paid}
 
+    def _banks(self, state: dict) -> list:
+        return [state[key] for key, _ in self.BANKS]
+
     def check(self, realm, config, state, ops_ok):
-        banks = [state["bank_a"], state["bank_b"]]
+        banks = self._banks(state)
         problems: List[str] = []
-        provisioned = sum(
-            1
-            for name in state["bank_a"].accounts
-            if name.startswith("payor-")
-        )
-        expected = {"dollars": provisioned * self.INITIAL}
+        expected = {c: config.principals * v for c, v in self.MINT.items()}
         totals = non_settlement_totals(banks)
         if totals != expected:
             problems.append(
@@ -698,19 +713,289 @@ class Fig5Scenario(LoadScenario):
                 f"!= minted {expected}"
             )
         for bank in banks:
+            name = bank.principal.name
             for problem in bank.ledger.audit_discrepancies():
-                problems.append(f"{bank.principal.name} audit: {problem}")
+                problems.append(f"{name} audit: {problem}")
+            if bank.ledger.in_transaction():
+                problems.append(f"{name} left a ledger transaction open")
         return problems
 
     def prefetchers(self, state):
-        out = []
-        for bank in (state["bank_a"], state["bank_b"]):
-            out.append((bank.endpoint, bank.signature_prefetcher()))
-        return out
+        return [
+            (bank.endpoint, bank.signature_prefetcher())
+            for bank in self._banks(state)
+        ]
 
     def extras(self, realm, state):
-        totals = non_settlement_totals([state["bank_a"], state["bank_b"]])
-        return {"balances": totals}
+        return {"balances": non_settlement_totals(self._banks(state))}
+
+
+class _Actor(NamedTuple):
+    """One :class:`Fig5Mix` user: an account at one bank."""
+
+    bank: str  # state key
+    account: str
+    client: AccountingClient
+
+
+def _scaled(mint: Mapping[str, int], factor: int) -> Mapping[str, int]:
+    return MappingProxyType({c: factor * v for c, v in mint.items()})
+
+
+#: Network and retry failures leave a request's fate unknown; every
+#: other :class:`ReproError` is a server's refusal.
+_UNRECOVERABLE = (NetworkError, ResilienceError)
+
+
+class Fig5Mix(Fig5Scenario):
+    """§4's whole accounting surface as Fig. 5 op variants.
+
+    Three banks: ``bank-a`` clears checks drawn on ``bank-c`` through
+    ``bank-b`` (Fig. 5's "subsequent accounting servers repeat the
+    process"), and the direct pairs clear as in ``fig5``.  Each principal
+    owns two users per bank with one funded account each.  ``op(k)``
+    draws one variant by :data:`VARIANTS` weight from an rng seeded with
+    (run seed, principal, k), so both arms of a campaign draw alike
+    whatever the network did:
+
+    * ``check`` — same-bank, cross-bank and routed deposits, partial
+      deposits and overdraft attempts;
+    * ``certified`` — certify, then clear, clear in part, let lapse and
+      cancel, or leave held;
+    * ``cashiers`` — buy a cashier's check, the payee deposits it;
+    * ``transfer`` — between a bank's two accounts (quota allocation);
+    * ``replay`` — deposit one check twice;
+    * ``malformed`` — one of six requests a server must refuse.
+
+    A refusal is an outcome, ``{"variant": v, "refused": error type}``,
+    which parity compares across arms; a network or retry failure fails
+    the unit.  An accepted malformed request or replayed check raises
+    :class:`AssertionError`, which no campaign catches.
+
+    :meth:`check` is ``fig5``'s, over three banks.  Not in
+    :data:`SCENARIOS`: the lapse advances the simulated clock, and
+    ``load`` runs on real time; ``python -m repro chaos fig5-mix`` runs it.
+    """
+
+    name = "fig5-mix"
+
+    BANKS = Fig5Scenario.BANKS + (("bank_c", "bank-c"),)
+    USERS_PER_BANK = 2
+    #: Minted into each user's account.
+    ACCOUNT_MINT: Mapping[str, int] = MappingProxyType(
+        {"dollars": 1_000, "pages": 400}
+    )
+    MINT = _scaled(ACCOUNT_MINT, len(BANKS) * USERS_PER_BANK)
+    #: Variant -> weight.
+    VARIANTS: Mapping[str, float] = MappingProxyType(
+        {
+            "check": 0.34,
+            "certified": 0.18,
+            "cashiers": 0.12,
+            "transfer": 0.14,
+            "replay": 0.07,
+            "malformed": 0.15,
+        }
+    )
+
+    def setup(self, realm: Realm, config: LoadConfig) -> dict:
+        state = super().setup(realm, config)
+        # bank-a reaches bank-c through bank-b: the routed collect-check hop.
+        state["bank_a"].routes[state["bank_c"].principal] = state[
+            "bank_b"
+        ].principal
+        return state
+
+    def principal(self, realm, config, state, i):
+        cast = []
+        for key, _ in self.BANKS:
+            bank = state[key]
+            for n in range(1, self.USERS_PER_BANK + 1):
+                user = realm.user(f"p{i}-{key[-1]}{n}")
+                account = f"acct-{user.principal.name}"
+                bank.create_account(account, user.principal)
+                for currency, amount in self.ACCOUNT_MINT.items():
+                    bank.mint(account, currency, amount)
+                client = user.accounting_client(bank.principal)
+                client.service.establish_session()
+                cast.append(_Actor(key, account, client))
+        return cast
+
+    def op(self, realm, config, state, pstate, i, k):
+        rng = random.Random(f"fig5-mix:{config.seed}:{i}:{k}")
+        (variant,) = rng.choices(
+            list(self.VARIANTS), weights=list(self.VARIANTS.values())
+        )
+        try:
+            outcome = getattr(self, f"_{variant}")(realm, state, pstate, rng)
+        except _UNRECOVERABLE:
+            raise
+        except ReproError as exc:
+            return {"variant": variant, "refused": type(exc).__name__}
+        return {"variant": variant, **outcome}
+
+    # -- variants: each returns its outcome or raises -----------------------
+
+    @staticmethod
+    def _amount(rng: random.Random) -> int:
+        """Mostly affordable, occasionally an overdraft attempt."""
+        if rng.random() < 0.15:
+            return rng.randint(5_000, 50_000)
+        return rng.randint(1, 120)
+
+    def _currency(self, rng: random.Random) -> str:
+        return rng.choice(sorted(self.ACCOUNT_MINT))
+
+    @staticmethod
+    def _partial(rng: random.Random, amount: int, odds: float) -> int:
+        """Sometimes less than the face value ("the payee transfers up
+        to that limit")."""
+        if amount > 1 and rng.random() < odds:
+            return rng.randint(1, amount)
+        return amount
+
+    def _check(self, realm, state, cast, rng):
+        payor, payee = rng.sample(cast, 2)
+        currency, amount = self._currency(rng), self._amount(rng)
+        check = payor.client.write_check(
+            payor.account, payee.client.principal, currency, amount
+        )
+        deposit = self._partial(rng, amount, 0.25)
+        reply = payee.client.deposit_check(
+            check, payee.account, amount=deposit
+        )
+        return {
+            "route": f"{payor.bank}->{payee.bank}",
+            "paid": int(reply["paid"]),
+        }
+
+    def _certified(self, realm, state, cast, rng):
+        payor, payee = rng.sample(cast, 2)
+        currency, amount = self._currency(rng), rng.randint(1, 100)
+        fate = rng.random()
+        lifetime = 60.0 if fate < 0.25 else 3600.0
+        check = payor.client.write_check(
+            payor.account,
+            payee.client.principal,
+            currency,
+            amount,
+            lifetime=lifetime,
+        )
+        payor.client.certify_check(check, state[payee.bank].principal)
+        route = f"{payor.bank}->{payee.bank}"
+        if fate < 0.25:
+            # Let the certification lapse, then reclaim the hold.
+            realm.clock.advance(lifetime + 1.0)
+            reply = payor.client.cancel_certified_check(
+                payor.account, check.number
+            )
+            return {"route": route, "lapsed": int(reply["returned"])}
+        if fate < 0.85:
+            deposit = self._partial(rng, amount, 0.4)
+            reply = payee.client.deposit_check(
+                check, payee.account, amount=deposit
+            )
+            return {"route": route, "paid": int(reply["paid"])}
+        # The hold stays outstanding: conservation counts held funds.
+        return {"route": route, "held": amount}
+
+    def _cashiers(self, realm, state, cast, rng):
+        payor, payee = rng.sample(cast, 2)
+        currency, amount = self._currency(rng), rng.randint(1, 100)
+        check = payor.client.purchase_cashiers_check(
+            payor.account, payee.client.principal, currency, amount
+        )
+        reply = payee.client.deposit_check(check, payee.account)
+        return {
+            "route": f"{payor.bank}->{payee.bank}",
+            "paid": int(reply["paid"]),
+        }
+
+    def _transfer(self, realm, state, cast, rng):
+        source = rng.choice(cast)
+        (destination,) = [
+            a for a in cast if a.bank == source.bank and a is not source
+        ]
+        amount = self._amount(rng)
+        source.client.transfer(
+            source.account, destination.account, self._currency(rng), amount
+        )
+        return {"moved": amount}
+
+    def _replay(self, realm, state, cast, rng):
+        payor, payee = rng.sample(cast, 2)
+        currency, amount = self._currency(rng), rng.randint(1, 60)
+        check = payor.client.write_check(
+            payor.account, payee.client.principal, currency, amount
+        )
+        paid = int(payee.client.deposit_check(check, payee.account)["paid"])
+        try:
+            payee.client.deposit_check(check, payee.account)
+        except _UNRECOVERABLE:
+            raise
+        except ReproError as exc:
+            return {"paid": paid, "replay": type(exc).__name__}
+        raise AssertionError("fig5-mix: a check was deposited twice")
+
+    def _malformed(self, realm, state, cast, rng):
+        actor, peer = rng.choice(cast), rng.choice(cast)
+        client, currency = actor.client, self._currency(rng)
+        kind = rng.randrange(6)
+        if kind == 0:
+            client.transfer(
+                actor.account,
+                actor.account,
+                currency,
+                rng.choice([0, -1, -50]),
+            )
+        elif kind == 1:
+            client.transfer(actor.account, "no-such-account", currency, 10)
+        elif kind == 2:
+            client.open_account(
+                rng.choice(
+                    [
+                        CASHIER_ACCOUNT,
+                        SETTLEMENT_PREFIX + state[peer.bank].principal.name,
+                        f"{SETTLEMENT_PREFIX}intruder",
+                    ]
+                )
+            )
+        elif kind == 3:
+            # A certification hold dated absurdly far ahead.  The client
+            # helper cannot produce it (``draw_check`` clamps the check to
+            # the ticket lifetime), so forge the request a hostile client
+            # would send.
+            check = client.write_check(
+                actor.account, peer.client.principal, currency, 10
+            )
+            client.service.request(
+                "certify-check",
+                target=account_target(check.payor_account),
+                args={
+                    "account": check.payor_account.account,
+                    "check_number": check.number,
+                    "payee": check.payee.to_wire(),
+                    "currency": check.currency,
+                    "amount": check.amount,
+                    "end_server": state[peer.bank].principal.to_wire(),
+                    "expires_at": realm.clock.now() + 10.0**9,
+                },
+            )
+        elif kind == 4:
+            client.purchase_cashiers_check(
+                actor.account,
+                peer.client.principal,
+                currency,
+                10,
+                lifetime=10.0**9,
+            )
+        else:
+            # A negative-amount certification (once deleted the hold).
+            check = client.write_check(
+                actor.account, peer.client.principal, currency, -25
+            )
+            client.certify_check(check, state[peer.bank].principal)
+        raise AssertionError("fig5-mix: a malformed request was accepted")
 
 
 SCENARIOS: Dict[str, type] = {

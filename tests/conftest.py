@@ -95,3 +95,39 @@ def server():
 def realm():
     """A fresh single-realm deployment on a simulated network."""
     return Realm(seed=b"test-realm")
+
+
+@pytest.fixture
+def fig5_mix(monkeypatch):
+    """Run a ``fig5-mix`` chaos campaign and demand what every one must
+    show: every variant reached, the routed ``bank-a`` → ``bank-b`` →
+    ``bank-c`` clearing hop taken, every invariant held after every unit
+    on both arms, and parity with the fault-free baseline.  A campaign
+    whose draws contain no ``bank-c`` → ``bank-a`` deposit passes
+    ``routed=False`` and is held to everything else."""
+    from repro.resil.chaos import CampaignSpec, run_campaign
+    from repro.services.accounting import AccountingServer
+    from repro.workloads.load import Fig5Mix
+
+    collectors = []
+    collect = AccountingServer._op_collect_check
+
+    def counted(self, request):
+        collectors.append(self.principal.name)
+        return collect(self, request)
+
+    # Only a routed deposit sends collect-check: the hop's middle bank.
+    monkeypatch.setattr(AccountingServer, "_op_collect_check", counted)
+
+    def run(routed=True, **fields):
+        collectors.clear()
+        report = run_campaign(CampaignSpec(figure="fig5-mix", **fields))
+        assert report.recovery_problems == [], report.render()
+        assert report.exit_code() == 0, report.render()
+        variants = {unit.outcome["variant"] for unit in report.units}
+        assert variants == set(Fig5Mix.VARIANTS)
+        if routed:
+            assert "bank-b" in collectors
+        return report
+
+    return run

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.ledger.fuzz import run_fuzz
+from repro.resil import chaos
 from repro.resil.chaos import CampaignSpec, run_campaign
 
 #: Figure workloads with a restartable server, and which one dies.
@@ -31,7 +31,7 @@ def campaign(figure, server, tick, **kwargs):
     return run_campaign(
         CampaignSpec(
             figure=figure,
-            crash_restart=(server, tick),
+            crash_restart=((server, tick),),
             **kwargs,
         )
     )
@@ -104,24 +104,118 @@ class TestSpecValidation:
 
 
 class TestFuzzCrashRestarts:
-    def test_short_campaign_with_restarts_holds_invariants(self):
-        report = run_fuzz(seed=11, episodes=80, banks=2, crash_restarts=3)
-        assert report.ok, report.violations
-        assert report.crash_restarts == 3
-        assert report.wal_replayed > 0
+    """The variant mix with banks killed and WAL-recovered mid-campaign;
+    the invariants hold the recovered books to the same standard, after
+    every unit."""
 
-    def test_restarts_compose_with_injected_faults(self):
-        report = run_fuzz(
-            seed=23, episodes=60, banks=2, faults=True, crash_restarts=2
+    @staticmethod
+    def restarted(report, count):
+        assert report.extras["crash restarts"] == count
+        assert report.extras["wal records replayed"] > 0
+
+    def test_short_campaign_with_restarts_holds_invariants(self, fig5_mix):
+        report = fig5_mix(
+            seed=11,
+            units=80,
+            crash_restart=(("bank-a", 20), ("bank-b", 40), ("bank-c", 60)),
         )
-        assert report.ok, report.violations
-        assert report.crash_restarts == 2
+        self.restarted(report, 3)
 
-    def test_three_bank_topology_restarts_round_robin(self):
-        report = run_fuzz(seed=5, episodes=60, banks=3, crash_restarts=3)
-        assert report.ok, report.violations
-        assert report.crash_restarts == 3
+    def test_restarts_compose_with_injected_faults(self, fig5_mix):
+        # Seed 23's 60 units draw no routed deposit; the next test
+        # takes the hop under the same faults and restarts.
+        report = fig5_mix(
+            routed=False,
+            seed=23,
+            units=60,
+            crash_restart=(("bank-a", 20), ("bank-b", 40)),
+            drop_rate=0.04,
+            response_drop_rate=0.03,
+        )
+        self.restarted(report, 2)
+        assert report.stats["retries"] >= 1
+
+    def test_routed_hop_composes_with_restarts_and_faults(self, fig5_mix):
+        report = fig5_mix(
+            seed=24,
+            units=60,
+            crash_restart=(("bank-a", 20), ("bank-b", 40)),
+            drop_rate=0.04,
+            response_drop_rate=0.03,
+        )
+        self.restarted(report, 2)
+        assert report.stats["retries"] >= 1
+
+    def test_three_bank_topology_restarts_round_robin(self, fig5_mix):
+        report = fig5_mix(
+            seed=5,
+            units=60,
+            crash_restart=(("bank-a", 15), ("bank-b", 30), ("bank-c", 45)),
+        )
+        self.restarted(report, 3)
 
     def test_negative_restarts_rejected(self):
         with pytest.raises(ValueError):
-            run_fuzz(seed=1, episodes=10, crash_restarts=-1)
+            run_campaign(
+                CampaignSpec(
+                    "fig5-mix", units=10, crash_restart=(("bank-a", -1),)
+                )
+            )
+
+    @pytest.mark.parametrize(
+        "units,crash_restart",
+        [
+            (0, ()),
+            (10, (("bank-a", 10),)),
+            (10, (("bank-b", 3), ("bank-b", 3))),
+        ],
+        ids=["no-units", "tick-past-the-end", "duplicate-restart"],
+    )
+    def test_bad_campaign_rejected_before_any_work(
+        self, monkeypatch, units, crash_restart
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an arm ran")
+
+        monkeypatch.setattr(chaos, "_run_arm", no_work)
+        with pytest.raises(ValueError):
+            run_campaign(
+                CampaignSpec(
+                    "fig5-mix", units=units, crash_restart=crash_restart
+                )
+            )
+
+    def test_cli_crash_restart_is_repeatable(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "chaos",
+                    "fig5-mix",
+                    "--units",
+                    "12",
+                    "--crash-restart",
+                    "bank-a:4",
+                    "--crash-restart",
+                    "bank-c:8",
+                ]
+            )
+        out = capsys.readouterr().out
+        assert exit_info.value.code == 0, out
+        assert "bank-a before unit 4, bank-c before unit 8" in out
+        assert "recovery: OK" in out
+        assert "crash restarts ................. 2" in out
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("bank-a", "wants SERVER:TICK"),
+            ("bank-a:x", "tick must be an integer"),
+        ],
+    )
+    def test_cli_malformed_crash_restart_exits(self, value, message):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit, match=message):
+            main(["chaos", "fig5-mix", "--crash-restart", value])

@@ -265,12 +265,66 @@ class TestForensicAutoDump:
         # Traced on the faulted arm all the same — every unit has an id.
         assert all(len(u.trace_id) == 32 for u in report.units)
 
-    def test_clean_fuzz_keeps_store_bounded_and_no_forensics(self):
-        from repro.ledger.fuzz import run_fuzz
+    def test_clean_fuzz_keeps_store_bounded_and_no_forensics(
+        self, monkeypatch
+    ):
+        from repro.resil import chaos
+        from repro.resil.chaos import CampaignSpec, run_campaign
 
-        report = run_fuzz(seed=3, episodes=12, banks=2)
-        assert report.ok
+        made, unit_spans = [], []
+
+        class Recording(Telemetry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+                clear = self.store.clear
+
+                def counted_clear():
+                    unit_spans.append(len(self.store))
+                    clear()
+
+                self.store.clear = counted_clear
+
+        monkeypatch.setattr(chaos, "Telemetry", Recording)
+        report = run_campaign(CampaignSpec("fig5-mix", seed=3, units=60))
+        assert report.exit_code() == 0
         assert report.forensics == []
+        (telemetry,) = made
+        # Warm-up plus one clear per unit, each of one unit's spans.
+        assert len(unit_spans) == 61
+        assert len(telemetry.store) <= max(unit_spans)
+        assert len(telemetry.tracer.spans) <= max(unit_spans)
+
+    def test_unit_that_breaks_the_books_is_named_and_dumped(
+        self, monkeypatch
+    ):
+        """The check runs after every unit: a credit outside the ledger
+        during unit 5 is pinned on unit 5, whose trace is dumped."""
+        from repro.resil import chaos
+        from repro.resil.chaos import CampaignSpec, run_campaign
+        from repro.workloads.load import Fig5Scenario
+
+        class Leaky(Fig5Scenario):
+            def op(self, realm, config, state, pstate, i, k):
+                outcome = super().op(realm, config, state, pstate, i, k)
+                if k == 5:
+                    payee = state["bank_b"].accounts[f"payee-{i}"]
+                    payee.balances["dollars"] += 1
+                return outcome
+
+        monkeypatch.setattr(chaos, "scenario_for", lambda figure: Leaky())
+        report = run_campaign(CampaignSpec("fig5", seed=7, units=8))
+        assert report.exit_code() == 1
+        faulted = [
+            p for p in report.recovery_problems if not p.startswith("baseline")
+        ]
+        assert faulted[0].startswith("unit 5: conservation broken")
+        assert not any(
+            p.startswith(f"unit {n}:") for n in range(5) for p in faulted
+        )
+        assert "recovery: FAIL" in report.render()
+        assert report.forensics
+        assert report.units[5].trace_id in report.forensics[0]
 
 
 class TestCli:

@@ -69,7 +69,7 @@ TESTS = [
 _FIGS = "fig1 fig3 fig4 fig5 pk-verify"
 _BENCH_SCRIPTS = (
     "c8_verify_cache c11_cold_verify c9_resilience trace_overhead "
-    "usage_overhead ledger_fuzz c12_async_load durability"
+    "usage_overhead c12_async_load durability"
 ).split()
 
 PRODUCT = [
@@ -91,6 +91,9 @@ PRODUCT = [
     "python -m repro chaos fig3 --seed 7 --drop-rate 0.1 --outage 5:400",
     "python -m repro chaos fig4 --seed 7 --drop-rate 0.2",
     "python -m repro chaos fig5 --seed 7 --drop-rate 0.1 --response-drop-rate 0.15",
+    "python -m repro chaos fig5-mix --seed 7 --units 200",
+    "python -m repro chaos fig5-mix --seed 11 --units 200 --drop-rate 0.04"
+    " --response-drop-rate 0.03",
     "python -m repro chaos fig4 --seed 7 --drop-rate 0.2 --no-retry",
     f"for fig in {_FIGS}; do"
     " python -m repro trace $fig --jsonl {out}/$fig.jsonl;"
@@ -103,8 +106,6 @@ PRODUCT = [
     "python -m repro usage pk-verify",
     "python -m repro profile --from {out}/fig5.jsonl",
     "python -m repro profile fig4 --weight count",
-    "python -m repro fuzz --seed 7 --episodes 200 --banks 2",
-    "python -m repro fuzz --seed 11 --episodes 200 --banks 3 --faults",
     "python -m repro load echo --principals 1000 --ops 1 --concurrency 256 --usage",
     "python -m repro load fig5 --principals 25 --ops 2 --concurrency 16 --usage",
     "python -m repro load fig4 --mode sync --principals 10 --ops 2",
@@ -115,7 +116,8 @@ PRODUCT = [
     "python -m repro chaos fig4 --seed 7 --crash-restart files:3 --runtime aio",
     "python -m repro chaos fig1 --seed 7 --crash-restart files:6",
     "python -m repro chaos fig3 --seed 7 --crash-restart files:6 --runtime aio",
-    "python -m repro fuzz --seed 7 --episodes 150 --crash-restarts 3",
+    "python -m repro chaos fig5-mix --seed 7 --units 150 --crash-restart bank-a:37"
+    " --crash-restart bank-b:74 --crash-restart bank-c:111",
     "python3 perf/run.py --smoke --traced",
     # -- CLI features no CI job passes the flag for --------------------------
     "python -m repro profile fig4 --speedscope {out}/fig4.speedscope.json",
