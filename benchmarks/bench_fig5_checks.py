@@ -92,7 +92,8 @@ def test_fig5_message_trace_report(benchmark):
         realm, payor, payee, bank_payor, bank_payee = build_world(hops)
         payor_client = payor.accounting_client(bank_payor.principal)
         payee_client = payee.accounting_client(bank_payee.principal)
-        # Warm every server's tickets with one clearing, then measure.
+        # Warm every server's tickets and peer sessions with one
+        # clearing, then measure.
         check = payor_client.write_check(
             "payor", payee.principal, "dollars", 1
         )
@@ -116,6 +117,13 @@ def test_fig5_message_trace_report(benchmark):
         rows,
         ("topology", "total msgs", "msgs to payor's server", "chain links"),
     )
+    # One message pair per hop (E1, then E2 over each bank pair's reused
+    # session), and only the final debit reaches the payor's server.
+    assert rows == [
+        ("2 servers", 4, 1, 2),
+        ("3 servers", 6, 1, 3),
+        ("4 servers", 8, 1, 4),
+    ]
     benchmark(lambda: None)
 
 

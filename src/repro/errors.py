@@ -126,6 +126,12 @@ class AuthorizationDenied(ServiceError):
     """The end-server's policy denied the request."""
 
 
+class UnknownSessionError(ServiceError):
+    """The request names a session the end-server does not hold: its
+    ticket expired, or the server restarted.  Nothing was consumed, so
+    the client re-establishes the session and resends (§6.2)."""
+
+
 class AccountingError(ServiceError):
     """Base class for accounting failures."""
 

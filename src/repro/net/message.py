@@ -108,6 +108,7 @@ _ERROR_KEY = "__error__"
 #: Exceptions that may cross the wire, by stable kind tag.
 _WIRE_ERRORS: Dict[str, Type[Exception]] = {
     "authorization-denied": _errors.AuthorizationDenied,
+    "unknown-session": _errors.UnknownSessionError,
     "proxy-verification": _errors.ProxyVerificationError,
     "proxy-expired": _errors.ProxyExpiredError,
     "restriction-violation": _errors.RestrictionViolation,

@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.acl import AccessControlList
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.core.restrictions import (
     AcceptOnce,
@@ -100,6 +101,11 @@ from repro.services.endserver import AuthorizedRequest, EndServer
 
 #: Prefix for auto-created inter-server settlement accounts.
 SETTLEMENT_PREFIX = "settlement:"
+
+#: How many peer banks keep an open session here (see
+#: ``AccountingServer._peer``): a deposit names its payor's server, so the
+#: table is capped, and an evicted peer just re-establishes.
+MAX_PEERS = 64
 
 #: The server-owned account that backs cashier's checks (§4: "cashier's
 #: checks are also easily supported by this accounting model" — the paper
@@ -197,6 +203,9 @@ class AccountingServer(EndServer):
         #: Routing for multi-hop clearing: payor server -> next hop.
         #: Absent entries mean "contact directly".
         self.routes: Dict[PrincipalId, PrincipalId] = {}
+        #: peer bank -> the :class:`ServiceClient` holding our session
+        #: there, kept only once the session is up.
+        self._peers = BoundedStore(max_entries=MAX_PEERS)
         self._rng_local = rng or DEFAULT_RNG
         self.register_operation("open-account", self._op_open_account)
         self.register_operation("balance", self._op_balance)
@@ -580,6 +589,21 @@ class AccountingServer(EndServer):
 
     # -- deposits (payee side server, Fig. 5 E1/E2) -----------------------
 
+    def _peer(self, server: PrincipalId) -> ServiceClient:
+        """Our session-holding client at peer bank ``server``.
+
+        A ticket and its session key serve until they expire (§6.2), so
+        the first clearing to a peer pays the AP exchange and later ones
+        reuse it; a session the peer lost (ticket expiry, restart) is
+        re-established by :meth:`ServiceClient.request`.
+        """
+        client = self._peers.lookup(server)
+        if client is None:
+            client = ServiceClient(self.kerberos, server)
+            client.establish_session()
+            self._peers.put(server, client)
+        return client
+
     def _clear_remotely(
         self,
         bundle: KerberosProxy,
@@ -594,7 +618,7 @@ class AccountingServer(EndServer):
         If a route is configured, endorse to the next hop and let it
         collect; otherwise present the chain to the payor's server
         directly.  Either way we are a named grantee of the chain's final
-        link, so we authenticate (AP session) and present.
+        link, so we present over our session with that peer.
         """
         next_hop = self.routes.get(payor_server)
         if next_hop is None or next_hop == payor_server:
@@ -607,8 +631,7 @@ class AccountingServer(EndServer):
                     currency=currency,
                     amount=amount,
                 )
-            client = ServiceClient(self.kerberos, payor_server)
-            return client.request(
+            return self._peer(payor_server).request(
                 DEBIT_OPERATION,
                 target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
                 args={
@@ -641,8 +664,7 @@ class AccountingServer(EndServer):
             expires_at=expires_at,
             rng=self._rng_local,
         )
-        client = ServiceClient(self.kerberos, next_hop)
-        return client.request(
+        return self._peer(next_hop).request(
             "collect-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
             args={

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.restrictions import Restriction
 from repro.encoding.identifiers import GroupId, PrincipalId
-from repro.errors import ServiceError
+from repro.errors import UnknownSessionError
 from repro.kerberos.client import KerberosClient
 from repro.kerberos.proxy_support import KerberosProxy
 from repro.kerberos.session import make_ap_request
@@ -130,12 +130,10 @@ class ServiceClient:
             ]
         try:
             return self._send("request", payload)
-        except ServiceError as exc:
-            # Sessions expire with their tickets; re-establish once and
-            # retry.  Safe to resend verbatim: the server rejects a dead
-            # session before consuming any proof or challenge.
-            if with_session and "session" in str(exc):
-                self._session_id = None
-                payload["session_id"] = self.session_id()
-                return self._send("request", payload)
-            raise
+        except UnknownSessionError:
+            # Sessions end with their tickets or a server restart;
+            # re-establish once and retry.  Safe to resend verbatim: the
+            # server rejects a dead session before consuming any proof or
+            # challenge.
+            payload["session_id"] = self.establish_session()
+            return self._send("request", payload)

@@ -39,6 +39,7 @@ from repro.errors import (
     ProxyVerificationError,
     ReproError,
     ServiceError,
+    UnknownSessionError,
 )
 from repro.kerberos.proxy_support import KerberosProxyAcceptor
 from repro.kerberos.session import ApAcceptor, Session
@@ -478,7 +479,7 @@ class EndServer(EndServerBase):
             return None
         session = self.sessions.get(session_id)
         if session is None:
-            raise ServiceError("unknown session id")
+            raise UnknownSessionError("unknown session id")
         return session
 
     def _assert_groups(

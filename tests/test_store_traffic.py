@@ -174,13 +174,13 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[fs].verifier.authenticators._seen': (0, 0, 8, 4),
           'signature-cache._entries': (0, 36, 28, 8),
           'key-tables': (0, 12, 0, 0)},
- 'fig5': {'state[bank_a].sessions': (0, 0, 0, 15),
+ 'fig5': {'state[bank_a].sessions': (0, 0, 0, 4),
           'state[bank_a]._challenges': (0, 0, 0, 0),
           'state[bank_b].sessions': (0, 0, 0, 3),
           'state[bank_b]._challenges': (0, 0, 0, 0),
           'state[bank_a].ledger._dedupe': (0, 0, 0, 0),
           'state[bank_b].ledger._dedupe': (0, 0, 0, 0),
-          'state[bank_a].ap._replay._seen': (0, 0, 11, 4),
+          'state[bank_a].ap._replay._seen': (0, 0, 0, 4),
           'state[bank_a].verifier.chain_cache._entries': (0, 24, 22, 2),
           'state[bank_a].verifier.accept_once._seen': (0, 0, 0, 12),
           'state[bank_a].verifier.accept_once._counts': (0, 0, 0, 0),
