@@ -13,9 +13,10 @@ The certificate embeds the *verification side* of the proxy key as a
 * :class:`SealedKeyBinding` — conventional scheme (§6.2): a symmetric proxy
   key sealed so the end-server can recover it.  In a root certificate the
   sealing key is one the grantor shares with the end-server (a Kerberos
-  session key); in a cascaded certificate it is the *previous* proxy key
-  (Fig. 4 — each link is signed, and its key sealed, under the key of the
-  link before it).
+  session key); in a delegate certificate it is the one the *endorser*
+  shares with the end-server; in a cascaded certificate it is the
+  *previous* proxy key (Fig. 4 — each link is signed, and its key sealed,
+  under the key of the link before it).
 * :class:`HybridKeyBinding` — hybrid scheme (§6.1): a symmetric proxy key
   encrypted in the *public key of the end-server*, so a public-key-signed
   certificate can carry a cheap conventional proxy key.
@@ -114,7 +115,9 @@ class SealedKeyBinding(KeyBinding):
 
     Attributes:
         box: the sealed key (under a grantor↔end-server shared key for root
-            links; under the previous proxy key for cascade links).
+            links; under the endorser↔end-server shared key — the link's
+            own signing key — for delegate links; under the previous proxy
+            key for cascade links).
         fingerprint: fingerprint of the sealed key, letting holders match
             keys without unsealing.
     """

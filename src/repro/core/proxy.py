@@ -21,6 +21,13 @@ Cascading functions cover §3.4's two flavours:
   proxy key; anonymous, no audit trail.
 * :func:`delegate_cascade` — delegate cascade: the new link is signed by the
   named intermediate's own identity key, leaving an audit trail.
+
+Both follow one key-kind rule: a new link's proxy key is of the kind of the
+key that signs the link.  A link signed under a shared key (an HMAC signer:
+a symmetric previous proxy key, or a Kerberos intermediate's session key)
+binds a fresh symmetric key sealed under that same shared key, so only the
+end-server can recover it (§6.2); any other signer binds a fresh Schnorr
+keypair (Fig. 6).
 """
 
 from __future__ import annotations
@@ -125,6 +132,28 @@ class Proxy:
         return Proxy(certificates=self.certificates, proxy_key=None)
 
 
+def _mint_link_key(
+    signer: Signer, group: SchnorrGroup, rng: Rng
+) -> Tuple[ProxyKeyMaterial, KeyBinding]:
+    """A fresh proxy key for a link ``signer`` signs, and its binding.
+
+    The key-kind rule: under a shared-key (HMAC) signer the key is
+    symmetric, sealed under the signer's own key so that only the end-server
+    sharing it can recover it (§6.2); under any other signer it is a
+    Schnorr keypair in ``group`` whose public half rides in the link.
+    """
+    if isinstance(signer, HmacSigner):
+        key = SymmetricKey.generate(rng=rng)
+        return key, SealedKeyBinding(
+            box=_symmetric.seal(signer.key.secret, key.secret, rng=rng),
+            fingerprint=key.fingerprint(),
+        )
+    private = _schnorr.generate_keypair(group=group, rng=rng)
+    return private, PublicKeyBinding(
+        scheme="schnorr", key_wire=private.public.to_wire()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Granting (§2, §6)
 # ---------------------------------------------------------------------------
@@ -147,11 +176,8 @@ def grant_conventional(
     single end-server, §6.3).
     """
     rng = rng or DEFAULT_RNG
-    proxy_key = SymmetricKey.generate(rng=rng)
-    binding = SealedKeyBinding(
-        box=_symmetric.seal(shared_key.secret, proxy_key.secret, rng=rng),
-        fingerprint=proxy_key.fingerprint(),
-    )
+    signer = HmacSigner(key=shared_key)
+    proxy_key, binding = _mint_link_key(signer, DEFAULT_GROUP, rng)
     cert = build_certificate(
         grantor=grantor,
         restrictions=restrictions,
@@ -159,7 +185,7 @@ def grant_conventional(
         issued_at=issued_at,
         expires_at=expires_at,
         link_kind=LINK_ROOT,
-        signer=HmacSigner(key=shared_key),
+        signer=signer,
         rng=rng,
     )
     return Proxy(certificates=(cert,), proxy_key=proxy_key)
@@ -273,24 +299,12 @@ def cascade(
         )
     rng = rng or DEFAULT_RNG
     signer = proxy.pop_signer()
-
-    if isinstance(proxy.proxy_key, SymmetricKey):
-        # New symmetric key sealed under the previous proxy key: the
-        # end-server recovers the chain of keys link by link (Fig. 4).
-        new_key: ProxyKeyMaterial = SymmetricKey.generate(rng=rng)
-        binding: KeyBinding = SealedKeyBinding(
-            box=_symmetric.seal(
-                proxy.proxy_key.secret, new_key.secret, rng=rng
-            ),
-            fingerprint=new_key.fingerprint(),
-        )
-    else:
-        new_key = _schnorr.generate_keypair(
-            group=proxy.proxy_key.public.group, rng=rng
-        )
-        binding = PublicKeyBinding(
-            scheme="schnorr", key_wire=new_key.public.to_wire()
-        )
+    group = (
+        proxy.proxy_key.public.group
+        if isinstance(proxy.proxy_key, _schnorr.SchnorrPrivateKey)
+        else DEFAULT_GROUP
+    )
+    new_key, binding = _mint_link_key(signer, group, rng)
 
     cert = build_certificate(
         # The chain originator's rights continue to flow; the cascade link
@@ -330,7 +344,11 @@ def delegate_cascade(
     intermediate's identity key is what "leaves an audit trail".
 
     The new link names ``subordinate`` as its grantee (the subordinate acts
-    *as the intermediate*, under its own identity).
+    *as the intermediate*, under its own identity).  Its proxy key follows
+    the signer's kind: an :class:`HmacSigner` intermediate (a Kerberos
+    endorser's session key with the end-server) binds a symmetric key
+    sealed under that session key; any other signer binds a Schnorr keypair
+    in ``group``.
     """
     grantees = [
         r for r in proxy.final.restrictions if isinstance(r, Grantee)
@@ -344,10 +362,7 @@ def delegate_cascade(
             f"{intermediate} is not a named grantee of this proxy"
         )
     rng = rng or DEFAULT_RNG
-    new_key = _schnorr.generate_keypair(group=group, rng=rng)
-    binding = PublicKeyBinding(
-        scheme="schnorr", key_wire=new_key.public.to_wire()
-    )
+    new_key, binding = _mint_link_key(intermediate_signer, group, rng)
     restrictions = (Grantee(principals=(subordinate,)),) + tuple(
         additional_restrictions
     )

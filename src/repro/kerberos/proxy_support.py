@@ -7,8 +7,10 @@ inside the ticket — which only the end-server can open — the proxy travels
 "accompanied by credentials authenticating the grantor to the end-server".
 
 Delegate-cascaded links (§3.4, e.g. check endorsements in Fig. 5) are signed
-by each intermediate's *own* session key with the end-server, so the bundle
-carries one ticket per identity-signing principal:
+by each intermediate's *own* session key with the end-server, and each binds
+a fresh symmetric proxy key sealed under that same session key, so the
+bundle carries one ticket per identity-signing principal and no public-key
+material:
 
 * :func:`grant_via_credentials` — grantor side: mint the proxy from cached
   credentials for a server.
@@ -77,9 +79,10 @@ def endorse(
     """Delegate-cascade a Kerberos-carried proxy (Fig. 5 endorsement).
 
     The intermediate (a named grantee of the current final link) signs the
-    new link with its session key for the same end-server and attaches its
-    ticket so the end-server can verify the signature.  The result carries
-    the full audit trail of endorsers (§3.4).
+    new link with its session key for the same end-server, seals the link's
+    fresh symmetric proxy key under that session key, and attaches its
+    ticket so the end-server can verify the signature and open the key.
+    The result carries the full audit trail of endorsers (§3.4).
     """
     rng = rng or DEFAULT_RNG
     new_proxy = delegate_cascade(
@@ -149,23 +152,21 @@ class KerberosProxy:
     def transferable(self) -> dict:
         """Wire form for handing the proxy itself to another principal.
 
-        Includes the private proxy-key material only for symmetric keys and
-        only because the recipient needs it to exercise a bearer proxy; the
-        caller must send this over a protected channel (§2: "care must be
-        taken to protect the proxy key from disclosure").
+        Includes the proxy key (symmetric: every key of a Kerberos chain
+        is, §6.2) because the recipient needs it to prove possession; the
+        caller must send this over a protected channel (§2: "care must be taken to
+        protect the proxy key from disclosure").  A delegate chain handed to
+        the grantee its final link names needs no key — that grantee
+        presents it under its own authenticated identity — so it goes as
+        ``handoff(proxy.without_key())``.
         """
         key = self.proxy.proxy_key
-        key_wire: Optional[bytes]
-        if isinstance(key, SymmetricKey):
-            key_wire = key.secret
-        else:
-            key_wire = None
         return {
             "tickets": [t.to_wire() for t in self.tickets],
             "certificates": [
                 c.to_wire() for c in self.proxy.certificates
             ],
-            "proxy_key": key_wire,
+            "proxy_key": None if key is None else key.secret,
         }
 
     @classmethod

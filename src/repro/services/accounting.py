@@ -103,7 +103,7 @@ from repro.services.endserver import AuthorizedRequest, EndServer
 SETTLEMENT_PREFIX = "settlement:"
 
 #: How many peer banks keep an open session here (see
-#: ``AccountingServer._peer``): a deposit names its payor's server, so the
+#: ``AccountingServer.peer``): a deposit names its payor's server, so the
 #: table is capped, and an evicted peer just re-establishes.
 MAX_PEERS = 64
 
@@ -589,13 +589,14 @@ class AccountingServer(EndServer):
 
     # -- deposits (payee side server, Fig. 5 E1/E2) -----------------------
 
-    def _peer(self, server: PrincipalId) -> ServiceClient:
+    def peer(self, server: PrincipalId) -> ServiceClient:
         """Our session-holding client at peer bank ``server``.
 
         A ticket and its session key serve until they expire (§6.2), so
-        the first clearing to a peer pays the AP exchange and later ones
-        reuse it; a session the peer lost (ticket expiry, restart) is
-        re-established by :meth:`ServiceClient.request`.
+        the first call for a peer — the first clearing there, or a
+        deployment provisioning the pair ahead of time — pays the AP
+        exchange and later ones reuse it; a session the peer lost (ticket
+        expiry, restart) is re-established by :meth:`ServiceClient.request`.
         """
         client = self._peers.lookup(server)
         if client is None:
@@ -631,7 +632,7 @@ class AccountingServer(EndServer):
                     currency=currency,
                     amount=amount,
                 )
-            return self._peer(payor_server).request(
+            return self.peer(payor_server).request(
                 DEBIT_OPERATION,
                 target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
                 args={
@@ -664,11 +665,15 @@ class AccountingServer(EndServer):
             expires_at=expires_at,
             rng=self._rng_local,
         )
-        return self._peer(next_hop).request(
+        return self.peer(next_hop).request(
             "collect-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
             args={
-                "bundle": endorsed.transferable(),
+                # The next hop presents the chain as its named grantee
+                # over its own session; the endorsement's key stays here.
+                "bundle": endorsed.handoff(
+                    endorsed.proxy.without_key()
+                ).transferable(),
                 "payor_server": payor_server.to_wire(),
                 "payor_account": payor_account,
                 "currency": currency,
@@ -680,8 +685,9 @@ class AccountingServer(EndServer):
     def _op_deposit_check(self, request: AuthorizedRequest) -> dict:
         """E1: the payee deposits an endorsed check with us (its server).
 
-        Args: ``bundle`` (transferable chain already endorsed by the payee
-        to us), ``payor_server``, ``payor_account``, ``currency``,
+        Args: ``bundle`` (the chain already endorsed by the payee to us,
+        without the endorsement's key: we present it as its named grantee),
+        ``payor_server``, ``payor_account``, ``currency``,
         ``amount``, ``expires_at``, ``payee_account`` (to credit here).
         """
         if request.claimant is None:
@@ -855,7 +861,7 @@ class AccountingServer(EndServer):
         Args: ``account`` (purchaser's), ``payee``, ``currency``,
         ``amount``, ``expires_at``.
         """
-        if request.claimant is None:
+        if request.session_key is None or request.claimant is None:
             raise AuthorizationDenied(
                 "cashier's checks are sold only over authenticated sessions"
             )
@@ -893,7 +899,11 @@ class AccountingServer(EndServer):
             expires_at=expires_at,
             rng=self._rng_local,
         )
-        return {"check": check.to_wire()}
+        # The check's terms travel as they are; its root proxy key only as
+        # Fig. 3's {Kproxy}Ksession, like a certification proxy above.
+        wire = check.to_wire()
+        wire["bundle"] = seal_proxy_delivery(check.bundle, request.session_key)
+        return {"check": wire}
 
     def _op_cancel_certified_check(self, request: AuthorizedRequest) -> dict:
         """Return expired-hold funds to the account owner."""
@@ -1040,7 +1050,11 @@ class AccountingClient:
             "deposit-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{payee_account}",
             args={
-                "bundle": endorsed.transferable(),
+                # Our server presents the chain as its named grantee over
+                # its own session (§3.4); the endorsement's key stays here.
+                "bundle": endorsed.handoff(
+                    endorsed.proxy.without_key()
+                ).transferable(),
                 "payor_server": check.drawn_on.to_wire(),
                 "payor_account": check.payor_account.account,
                 "currency": check.currency,
@@ -1105,4 +1119,11 @@ class AccountingClient:
                 "expires_at": self.service.kerberos.clock.now() + lifetime,
             },
         )
-        return Check.from_wire(reply["check"])
+        session_key = self.service.kerberos.get_ticket(
+            self.server
+        ).session_key
+        wire = dict(reply["check"])
+        wire["bundle"] = open_proxy_delivery(
+            wire["bundle"], session_key
+        ).transferable()
+        return Check.from_wire(wire)

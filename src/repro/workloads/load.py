@@ -660,12 +660,17 @@ class Fig5Scenario(LoadScenario):
     )
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
-        return {
+        state = {
             key: realm.accounting_server(
                 name, durability=self.stores.get(name)
             )
             for key, name in self.BANKS
         }
+        # Sessions are part of provisioning, not of the measured op: bank
+        # B clears at bank A over one session it opens here, not inside
+        # whichever depositor's op would reach it first.
+        state["bank_b"].peer(state["bank_a"].principal)
+        return state
 
     def principal(self, realm, config, state, i):
         bank_a, bank_b = state["bank_a"], state["bank_b"]

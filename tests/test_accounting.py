@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.encoding.canonical import encode
 from repro.errors import (
     AccountingError,
     AuthorizationDenied,
@@ -12,6 +13,7 @@ from repro.errors import (
     ServiceError,
     UnknownAccountError,
 )
+from repro.net import Eavesdropper
 from repro.services.accounting import CASHIER_ACCOUNT, SETTLEMENT_PREFIX
 from repro.services.checks import Check
 from repro.testbed import Realm
@@ -561,6 +563,30 @@ class TestCashiersChecks:
         client.deposit_check(check, "bob")
         with pytest.raises(ReplayError):
             client.deposit_check(check, "bob")
+
+    def test_root_proxy_key_crosses_no_frame(self, world):
+        """Fig. 3's {Kproxy}Ksession: the purchase reply seals the check's
+        root proxy key under the purchaser's session key."""
+        realm, alice, bob, bank = world
+        bank2 = realm.accounting_server("bank2")
+        carol = realm.user("carol")
+        bank2.create_account("carol", carol.principal)
+        mallory = Eavesdropper()
+        mallory.attach(realm.network)
+        check = alice.accounting_client(bank.principal).purchase_cashiers_check(
+            "alice", carol.principal, "dollars", 15
+        )
+        result = carol.accounting_client(bank2.principal).deposit_check(
+            check, "carol"
+        )
+        assert result["cleared"]
+        assert bank2.accounts["carol"].balance("dollars") == 15
+        key = check.bundle.proxy.proxy_key.secret
+        assert len(key) == 32
+        assert mallory.messages_of_type("request-reply")
+        assert not any(
+            key in encode(message.payload) for message in mallory.captured
+        )
 
     def test_cross_server_deposit(self, world):
         realm, alice, bob, bank = world

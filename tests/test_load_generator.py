@@ -32,6 +32,28 @@ def small_run(scenario: str, mode: str, **overrides):
     return run_load(LoadConfig(**config))
 
 
+def billed(monkeypatch, scenario, mode):
+    """``principal -> (messages, bytes)`` the usage meter billed over a
+    metered six-principal run of ``scenario``."""
+    realms = []
+    build = load._build_realm
+
+    def capture(config):
+        realms.append(build(config))
+        return realms[-1]
+
+    monkeypatch.setattr(load, "_build_realm", capture)
+    report = small_run(
+        scenario, mode, principals=6, ops=3, concurrency=6, meter_usage=True
+    )
+    assert report.problems == []
+    usage = realms[0].telemetry.usage
+    return {
+        principal: (record.messages, record.bytes_total)
+        for principal, record in usage.by_principal().items()
+    }
+
+
 class TestScenarios:
     @pytest.mark.parametrize("mode", ["sync", "aio"])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -79,29 +101,39 @@ class TestScenarios:
         # Concurrent client threads share one tracer; a span one of them
         # opens around its op must not adopt another principal's
         # requests.  The sync run, one op at a time, is the truth.
-        def billed(mode):
-            realms = []
-            build = load._build_realm
-
-            def capture(config):
-                realms.append(build(config))
-                return realms[-1]
-
-            monkeypatch.setattr(load, "_build_realm", capture)
-            report = small_run(
-                scenario, mode, principals=6, ops=3, concurrency=6,
-                meter_usage=True,
-            )
-            assert report.problems == []
-            usage = realms[0].telemetry.usage
-            return {
-                principal: (record.messages, record.bytes_total)
-                for principal, record in usage.by_principal().items()
-            }
-
-        sync = billed("sync")
+        sync = billed(monkeypatch, scenario, "sync")
         assert {f"p{i}@REPRO.ORG" for i in range(6)} <= set(sync)
-        assert billed("aio") == sync
+        assert billed(monkeypatch, scenario, "aio") == sync
+
+    def test_lazy_peer_session_is_billed_once_to_one_depositor(
+        self, monkeypatch
+    ):
+        # Unprovisioned, bank B opens its session at bank A inside the
+        # first deposit to reach it: the trace's first owner pays for it.
+        # Under aio which depositor is first is up to the scheduler, so
+        # pin only that exactly one pays, once, the same on both runtimes.
+        class LazyPeers(load.Fig5Scenario):
+            def setup(self, realm, config):
+                return {
+                    key: realm.accounting_server(name)
+                    for key, name in self.BANKS
+                }
+
+        warm = billed(monkeypatch, "fig5", "sync")
+        monkeypatch.setitem(SCENARIOS, "fig5", LazyPeers)
+        session_costs = set()
+        for mode in ("sync", "aio"):
+            lazy = billed(monkeypatch, "fig5", mode)
+            assert set(lazy) == set(warm) - {"bank-b@REPRO.ORG"}
+            extra = {
+                p: (lazy[p][0] - warm[p][0], lazy[p][1] - warm[p][1])
+                for p in lazy
+                if lazy[p] != warm[p]
+            }
+            assert len(extra) == 1 and next(iter(extra)).startswith("p")
+            session_costs.add(next(iter(extra.values())))
+        # Billed once: the depositor pays what provisioning bills bank B.
+        assert session_costs == {warm["bank-b@REPRO.ORG"]}
 
     def test_fig5_reports_conserved_balances(self):
         report = small_run("fig5", "aio", principals=3)

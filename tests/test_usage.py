@@ -131,9 +131,14 @@ class TestAttribution:
 
     def test_fig5_clearing_hop_bills_the_principals_not_the_banks(self):
         telemetry = metered_figure("fig5")
-        principals = {key[0] for key in telemetry.usage.records}
-        assert "p0@REPRO.ORG" in principals
-        assert not any(p.startswith("bank-") for p in principals)
+        records = telemetry.usage.records
+        # Both deposits (warm-up and measured) bill p0 for E1 and for the
+        # E2 hop inside it: two message pairs each.
+        assert records[("p0@REPRO.ORG", "request")].messages == 8
+        # A bank is billed only for its own Kerberos provisioning (its
+        # session with its peer bank), never for a request.
+        banks = {op for p, op in records if p.startswith("bank-")}
+        assert banks <= {"as-request", "tgs-request", "ap-request"}
 
 
 class TestReconciliation:
