@@ -7,7 +7,6 @@ from repro.acl.compound import (
     GroupSubject,
     SinglePrincipal,
     Subject,
-    subject_from_wire,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "GroupSubject",
     "Anyone",
     "Compound",
-    "subject_from_wire",
 ]

@@ -20,21 +20,14 @@ from fnmatch import fnmatchcase
 from heapq import merge
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.acl.compound import (
-    Anyone,
-    SinglePrincipal,
-    Subject,
-    subject_from_wire,
-)
-from repro.core.restrictions import (
-    Restriction,
-    restrictions_from_wire,
-    restrictions_to_wire,
-)
+from repro.acl.compound import Anyone, SinglePrincipal, Subject
+from repro.core.restrictions import Restriction
 from repro.encoding.identifiers import GroupId, PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import AuthorizationDenied
 
 
+@wire
 @dataclass(frozen=True)
 class AclEntry:
     """One line of an ACL.
@@ -67,32 +60,14 @@ class AclEntry:
             return True
         return any(fnmatchcase(target, pattern) for pattern in self.targets)
 
-    def to_wire(self) -> dict:
-        return {
-            "subject": self.subject.to_wire(),
-            "operations": (
-                None if self.operations is None else list(self.operations)
-            ),
-            "targets": list(self.targets),
-            "restrictions": restrictions_to_wire(self.restrictions),
-        }
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AclEntry":
-        ops = wire["operations"]
-        return cls(
-            subject=subject_from_wire(wire["subject"]),
-            operations=None if ops is None else tuple(ops),
-            targets=tuple(wire["targets"]),
-            restrictions=restrictions_from_wire(wire["restrictions"]),
-        )
-
-
+@wire(root="entries")
 @dataclass
 class AccessControlList:
     """An ordered list of entries; the first match wins.
 
-    ``entries`` is the list and the only thing serialized or compared.
+    ``entries`` is the list and the only thing serialized (as a bare list)
+    or compared.
     Beside it the ACL keeps the positions of every entry whose subject is
     exactly a :class:`SinglePrincipal`, by principal, and the positions of
     all the others in one ordered bucket, so :meth:`match` visits only the
@@ -177,13 +152,6 @@ class AccessControlList:
                 f"{target if target is not None else '<any>'}"
             )
         return entry
-
-    def to_wire(self) -> list:
-        return [entry.to_wire() for entry in self.entries]
-
-    @classmethod
-    def from_wire(cls, wire: list) -> "AccessControlList":
-        return cls(entries=[AclEntry.from_wire(e) for e in wire])
 
     @classmethod
     def open_to_all(cls) -> "AccessControlList":

@@ -25,11 +25,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
-from repro.encoding.canonical import encode
 from repro.encoding.identifiers import GroupId, PrincipalId
-from repro.errors import DecodingError
+from repro.encoding.schema import union, wire
 
 
+@union("kind", "KIND")
 class Subject(ABC):
     """Who (or what combination) an ACL entry names."""
 
@@ -43,22 +43,8 @@ class Subject(ABC):
     ) -> bool:
         """True when the concurring principals/groups satisfy this subject."""
 
-    @abstractmethod
-    def to_wire(self) -> dict:
-        """Serialize, including the ``kind`` discriminator."""
 
-    @classmethod
-    @abstractmethod
-    def from_wire(cls, wire: dict) -> "Subject":
-        """Reconstruct (``kind`` already dispatched)."""
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subject) and self.to_wire() == other.to_wire()
-
-    def __hash__(self) -> int:
-        return hash(encode(self.to_wire()))
-
-
+@wire
 @dataclass(frozen=True, eq=False)
 class SinglePrincipal(Subject):
     KIND = "principal"
@@ -72,14 +58,8 @@ class SinglePrincipal(Subject):
     ) -> bool:
         return self.principal in principals
 
-    def to_wire(self) -> dict:
-        return {"kind": self.KIND, "principal": self.principal.to_wire()}
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SinglePrincipal":
-        return cls(principal=PrincipalId.from_wire(wire["principal"]))
-
-
+@wire
 @dataclass(frozen=True, eq=False)
 class GroupSubject(Subject):
     """Matches when membership in the group has been asserted (§3.3).
@@ -100,14 +80,8 @@ class GroupSubject(Subject):
     ) -> bool:
         return self.group in groups
 
-    def to_wire(self) -> dict:
-        return {"kind": self.KIND, "group": self.group.to_wire()}
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "GroupSubject":
-        return cls(group=GroupId.from_wire(wire["group"]))
-
-
+@wire
 @dataclass(frozen=True, eq=False)
 class Anyone(Subject):
     KIND = "anyone"
@@ -119,14 +93,8 @@ class Anyone(Subject):
     ) -> bool:
         return True
 
-    def to_wire(self) -> dict:
-        return {"kind": self.KIND}
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Anyone":
-        return cls()
-
-
+@wire
 @dataclass(frozen=True, eq=False)
 class Compound(Subject):
     """k-of-n over nested subjects (§3.5 compound principal identifiers)."""
@@ -159,30 +127,3 @@ class Compound(Subject):
         )
         return satisfied >= self.needed
 
-    def to_wire(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "subjects": [s.to_wire() for s in self.subjects],
-            "required": self.required,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Compound":
-        return cls(
-            subjects=tuple(subject_from_wire(s) for s in wire["subjects"]),
-            required=int(wire["required"]),
-        )
-
-
-_SUBJECT_KINDS = {
-    cls.KIND: cls
-    for cls in (SinglePrincipal, GroupSubject, Anyone, Compound)
-}
-
-
-def subject_from_wire(wire: dict) -> Subject:
-    try:
-        cls = _SUBJECT_KINDS[wire["kind"]]
-    except (KeyError, TypeError) as exc:
-        raise DecodingError(f"unknown subject: {wire!r}") from exc
-    return cls.from_wire(wire)

@@ -23,11 +23,14 @@ from typing import List, Optional, Tuple
 from repro.core.verification import VerifiedProxy
 from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 
 
+@wire
 @dataclass(frozen=True)
 class AuditRecord:
-    """One verified use of delegated rights."""
+    """One verified use of delegated rights; its wire form is the WAL and
+    snapshot payload."""
 
     time: float
     server: PrincipalId
@@ -56,42 +59,6 @@ class AuditRecord:
         if self.degraded:
             text += " [degraded]"
         return text
-
-    def to_wire(self) -> dict:
-        """WAL/snapshot payload form (canonically encodable)."""
-        return {
-            "time": self.time,
-            "server": self.server.to_wire(),
-            "grantor": self.grantor.to_wire(),
-            "claimant": (
-                self.claimant.to_wire() if self.claimant is not None else None
-            ),
-            "intermediates": [p.to_wire() for p in self.intermediates],
-            "operation": self.operation,
-            "target": self.target,
-            "bearer": self.bearer,
-            "degraded": self.degraded,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "AuditRecord":
-        return cls(
-            time=float(data["time"]),
-            server=PrincipalId.from_wire(data["server"]),
-            grantor=PrincipalId.from_wire(data["grantor"]),
-            claimant=(
-                PrincipalId.from_wire(data["claimant"])
-                if data.get("claimant") is not None
-                else None
-            ),
-            intermediates=tuple(
-                PrincipalId.from_wire(p) for p in data["intermediates"]
-            ),
-            operation=data["operation"],
-            target=data["target"],
-            bearer=bool(data["bearer"]),
-            degraded=bool(data.get("degraded", False)),
-        )
 
 
 class AuditLog(Durable):

@@ -56,7 +56,6 @@ from repro.core.restrictions import (
     check_all,
     is_bearer,
     propagate_restrictions,
-    register_restriction,
     restriction_from_wire,
     restrictions_from_wire,
     restrictions_to_wire,
@@ -84,7 +83,6 @@ __all__ = [
     "Expiration",
     "UseLimit",
     "TimeWindow",
-    "register_restriction",
     "restriction_from_wire",
     "restrictions_from_wire",
     "restrictions_to_wire",

@@ -34,20 +34,17 @@ Certificate link kinds (``link_kind``):
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.restrictions import (
-    Restriction,
-    restrictions_from_wire,
-    restrictions_to_wire,
-)
+from repro.core.restrictions import Restriction, restrictions_to_wire
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.signature import Signer
 from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
-from repro.errors import DecodingError, ProxyError
+from repro.encoding.schema import union, wire
+from repro.errors import ProxyError
 
 #: Version string bound into every signature so future format changes can
 #: never be confused with this one.
@@ -67,27 +64,14 @@ _LINK_KINDS = (LINK_ROOT, LINK_CASCADE, LINK_DELEGATE)
 # Key bindings
 # ---------------------------------------------------------------------------
 
+@union("kind", "KIND")
 class KeyBinding(ABC):
     """The end-server-visible side of a proxy key."""
 
     KIND: str = ""
 
-    @abstractmethod
-    def to_wire(self) -> dict:
-        """Serialize (including the ``kind`` discriminator)."""
 
-    @classmethod
-    @abstractmethod
-    def from_wire(cls, wire: dict) -> "KeyBinding":
-        """Reconstruct (``kind`` already dispatched)."""
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, KeyBinding) and self.to_wire() == other.to_wire()
-
-    def __hash__(self) -> int:
-        return hash(encode(self.to_wire()))
-
-
+@wire
 @dataclass(frozen=True, eq=False)
 class PublicKeyBinding(KeyBinding):
     """Fig. 6: the proxy key in the certificate is a public key.
@@ -99,16 +83,10 @@ class PublicKeyBinding(KeyBinding):
     KIND = "public"
 
     scheme: str
-    key_wire: dict
-
-    def to_wire(self) -> dict:
-        return {"kind": self.KIND, "scheme": self.scheme, "key": dict(self.key_wire)}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PublicKeyBinding":
-        return cls(scheme=wire["scheme"], key_wire=dict(wire["key"]))
+    key_wire: dict = field(metadata={"key": "key"})
 
 
+@wire
 @dataclass(frozen=True, eq=False)
 class SealedKeyBinding(KeyBinding):
     """§6.2: a symmetric proxy key sealed for recovery by the end-server.
@@ -125,16 +103,10 @@ class SealedKeyBinding(KeyBinding):
     KIND = "sealed"
 
     box: bytes = field(repr=False)
-    fingerprint: bytes
-
-    def to_wire(self) -> dict:
-        return {"kind": self.KIND, "box": self.box, "fp": self.fingerprint}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SealedKeyBinding":
-        return cls(box=wire["box"], fingerprint=wire["fp"])
+    fingerprint: bytes = field(metadata={"key": "fp"})
 
 
+@wire
 @dataclass(frozen=True, eq=False)
 class HybridKeyBinding(KeyBinding):
     """§6.1 hybrid: symmetric proxy key encrypted to the end-server's
@@ -153,46 +125,14 @@ class HybridKeyBinding(KeyBinding):
     box: bytes = field(repr=False)
     scheme: str
     server: PrincipalId
-    fingerprint: bytes
-
-    def to_wire(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "box": self.box,
-            "scheme": self.scheme,
-            "server": self.server.to_wire(),
-            "fp": self.fingerprint,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "HybridKeyBinding":
-        return cls(
-            box=wire["box"],
-            scheme=wire["scheme"],
-            server=PrincipalId.from_wire(wire["server"]),
-            fingerprint=wire["fp"],
-        )
-
-
-_BINDING_KINDS = {
-    PublicKeyBinding.KIND: PublicKeyBinding,
-    SealedKeyBinding.KIND: SealedKeyBinding,
-    HybridKeyBinding.KIND: HybridKeyBinding,
-}
-
-
-def key_binding_from_wire(wire: dict) -> KeyBinding:
-    try:
-        cls = _BINDING_KINDS[wire["kind"]]
-    except (KeyError, TypeError) as exc:
-        raise DecodingError(f"unknown key binding: {wire!r}") from exc
-    return cls.from_wire(wire)
+    fingerprint: bytes = field(metadata={"key": "fp"})
 
 
 # ---------------------------------------------------------------------------
 # The certificate
 # ---------------------------------------------------------------------------
 
+@wire
 @dataclass(frozen=True)
 class ProxyCertificate:
     """One signed link of a proxy (Fig. 1 / Fig. 4 / Fig. 6).
@@ -290,31 +230,6 @@ class ProxyCertificate:
 
     # -- wire -------------------------------------------------------------
 
-    def to_wire(self) -> dict:
-        return {
-            "grantor": self.grantor.to_wire(),
-            "restrictions": restrictions_to_wire(self.restrictions),
-            "key_binding": self.key_binding.to_wire(),
-            "issued_at": float(self.issued_at),
-            "expires_at": float(self.expires_at),
-            "link_kind": self.link_kind,
-            "nonce": self.nonce,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ProxyCertificate":
-        return cls(
-            grantor=PrincipalId.from_wire(wire["grantor"]),
-            restrictions=restrictions_from_wire(wire["restrictions"]),
-            key_binding=key_binding_from_wire(wire["key_binding"]),
-            issued_at=float(wire["issued_at"]),
-            expires_at=float(wire["expires_at"]),
-            link_kind=wire["link_kind"],
-            nonce=wire["nonce"],
-            signature=wire["signature"],
-        )
-
     def to_bytes(self) -> bytes:
         cached = self.__dict__.get("_encoded")
         if cached is not None:
@@ -327,10 +242,7 @@ class ProxyCertificate:
     def from_bytes(cls, data: bytes) -> "ProxyCertificate":
         from repro.encoding.canonical import decode
 
-        wire = decode(data)
-        if not isinstance(wire, dict):
-            raise DecodingError("certificate wire form must be a dict")
-        return cls.from_wire(wire)
+        return cls.from_wire(decode(data))
 
 
 def build_certificate(

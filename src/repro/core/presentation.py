@@ -29,6 +29,7 @@ from repro.core.certificate import ProxyCertificate
 from repro.core.proxy import Proxy
 from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 
 _POP_DOMAIN = "repro-proxy-pop-v1"
 
@@ -40,6 +41,7 @@ def request_digest(operation: str, target: Optional[str], payload: bytes = b"") 
     ).digest()
 
 
+@wire
 @dataclass(frozen=True)
 class PossessionProof:
     """A signed timestamp (and optional server challenge) proving key possession.
@@ -91,27 +93,6 @@ class PossessionProof:
         """Digest used by the end-server's authenticator replay cache."""
         return hashlib.sha256(self.body_bytes() + self.signature).digest()
 
-    def to_wire(self) -> dict:
-        return {
-            "server": self.server.to_wire(),
-            "timestamp": float(self.timestamp),
-            "challenge": self.challenge,
-            "digest": self.digest,
-            "nonce": self.nonce,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PossessionProof":
-        return cls(
-            server=PrincipalId.from_wire(wire["server"]),
-            timestamp=float(wire["timestamp"]),
-            challenge=wire["challenge"],
-            digest=wire["digest"],
-            nonce=wire["nonce"],
-            signature=wire["signature"],
-        )
-
 
 def make_possession_proof(
     proxy: Proxy,
@@ -138,6 +119,7 @@ def make_possession_proof(
     )
 
 
+@wire
 @dataclass(frozen=True)
 class PresentedProxy:
     """What travels to (or arrives at) an end-server: chain + proofs.
@@ -151,33 +133,6 @@ class PresentedProxy:
     certificates: Tuple[ProxyCertificate, ...]
     proof: Optional[PossessionProof] = None
     claimant: Optional[PrincipalId] = None
-
-    def to_wire(self) -> dict:
-        return {
-            "certificates": [c.to_wire() for c in self.certificates],
-            "proof": None if self.proof is None else self.proof.to_wire(),
-            "claimant": (
-                None if self.claimant is None else self.claimant.to_wire()
-            ),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "PresentedProxy":
-        return cls(
-            certificates=tuple(
-                ProxyCertificate.from_wire(c) for c in wire["certificates"]
-            ),
-            proof=(
-                None
-                if wire["proof"] is None
-                else PossessionProof.from_wire(wire["proof"])
-            ),
-            claimant=(
-                None
-                if wire["claimant"] is None
-                else PrincipalId.from_wire(wire["claimant"])
-            ),
-        )
 
 
 def present(

@@ -22,24 +22,28 @@ Implemented types (paper section in parentheses):
   ACL-entry restriction lists (§3.5) where there is no certificate envelope
   to carry an expiry.
 
-Each restriction knows how to serialize itself to the canonical wire form
-(a ``dict`` of plain values) and how to ``check`` a
-:class:`~repro.core.evaluation.RequestContext`, raising
-:class:`~repro.errors.RestrictionViolation` on failure.
+Each restriction is a :func:`~repro.encoding.schema.wire` dataclass — its
+wire form (a ``dict`` tagged by ``type``) comes from its field declarations
+— and knows how to ``check`` a :class:`~repro.core.evaluation.RequestContext`,
+raising :class:`~repro.errors.RestrictionViolation` on failure.  An
+application declares a restriction of its own the same way; the Kerberos
+protocol's authorization-data field is likewise open-ended (§6.2).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, Tuple, Type
+from typing import List, Optional, Tuple
 
 from repro.core.evaluation import RequestContext
 from repro.encoding.identifiers import GroupId, PrincipalId
+from repro.encoding.schema import decoder, union, wire
 from repro.errors import ReplayError, RestrictionError, RestrictionViolation
 
 
+@union("type", "TYPE")
 class Restriction(ABC):
     """A typed subfield of a proxy's restrictions collection."""
 
@@ -51,60 +55,10 @@ class Restriction(ABC):
         """Raise :class:`RestrictionViolation` unless the request satisfies
         this restriction."""
 
-    @abstractmethod
-    def to_wire(self) -> dict:
-        """Serialize to a dict of canonical-encodable values (incl. type)."""
 
-    @classmethod
-    @abstractmethod
-    def from_wire(cls, wire: dict) -> "Restriction":
-        """Reconstruct from :meth:`to_wire` output (type already dispatched)."""
-
-    # Restrictions are value objects; equality on the wire form keeps all
-    # subclasses consistent and hashable for set-based dedup.
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Restriction) and self.to_wire() == other.to_wire()
-        )
-
-    def __hash__(self) -> int:
-        from repro.encoding.canonical import encode
-
-        return hash(encode(self.to_wire()))
-
-
-_REGISTRY: Dict[str, Type[Restriction]] = {}
-
-
-def register_restriction(cls: Type[Restriction]) -> Type[Restriction]:
-    """Class decorator registering a restriction type for wire decoding.
-
-    Applications may register their own restriction types; the Kerberos
-    protocol's authorization-data field is likewise open-ended (§6.2).
-    """
-    if not cls.TYPE:
-        raise RestrictionError(f"{cls.__name__} has no TYPE tag")
-    if cls.TYPE in _REGISTRY and _REGISTRY[cls.TYPE] is not cls:
-        raise RestrictionError(f"duplicate restriction type {cls.TYPE!r}")
-    _REGISTRY[cls.TYPE] = cls
-    return cls
-
-
-def restriction_from_wire(wire: dict) -> Restriction:
-    """Decode any registered restriction from its wire dict."""
-    try:
-        type_tag = wire["type"]
-    except (KeyError, TypeError) as exc:
-        raise RestrictionError(f"restriction wire form lacks type: {wire!r}") from exc
-    try:
-        cls = _REGISTRY[type_tag]
-    except KeyError as exc:
-        raise RestrictionError(f"unknown restriction type {type_tag!r}") from exc
-    return cls.from_wire(wire)
-
-
-def restrictions_from_wire(wires: List[dict]) -> Tuple[Restriction, ...]:
-    return tuple(restriction_from_wire(w) for w in wires)
+#: Decode any declared restriction from its wire dict.
+restriction_from_wire = Restriction.from_wire
+restrictions_from_wire = decoder(Tuple[Restriction, ...], "Restriction", "list")
 
 
 def restrictions_to_wire(restrictions: Tuple[Restriction, ...]) -> List[dict]:
@@ -115,7 +69,7 @@ def restrictions_to_wire(restrictions: Tuple[Restriction, ...]) -> List[dict]:
 # §7.1 grantee
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class Grantee(Restriction):
     """Principals authorized to use the proxy, and how many must concur.
@@ -148,28 +102,12 @@ class Grantee(Restriction):
                 f"present (named: {[str(p) for p in self.principals]})",
             )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "principals": [p.to_wire() for p in self.principals],
-            "required": self.required,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Grantee":
-        return cls(
-            principals=tuple(
-                PrincipalId.from_wire(p) for p in wire["principals"]
-            ),
-            required=int(wire["required"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # §7.2 for-use-by-group
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class ForUseByGroup(Restriction):
     """Groups whose membership must be asserted to use the proxy (k-of-n).
@@ -202,26 +140,12 @@ class ForUseByGroup(Restriction):
                 f"asserted",
             )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "groups": [g.to_wire() for g in self.groups],
-            "required": self.required,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "ForUseByGroup":
-        return cls(
-            groups=tuple(GroupId.from_wire(g) for g in wire["groups"]),
-            required=int(wire["required"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # §7.3 issued-for
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class IssuedFor(Restriction):
     """Servers authorized to accept the proxy.
@@ -245,24 +169,12 @@ class IssuedFor(Restriction):
                 f"proxy not issued for server {context.server}",
             )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "servers": [s.to_wire() for s in self.servers],
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "IssuedFor":
-        return cls(
-            servers=tuple(PrincipalId.from_wire(s) for s in wire["servers"])
-        )
-
 
 # ---------------------------------------------------------------------------
 # §7.4 quota
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class Quota(Restriction):
     """Limit on the quantity of a resource that may be consumed (§7.4).
@@ -291,18 +203,12 @@ class Quota(Restriction):
                 f"{self.limit}",
             )
 
-    def to_wire(self) -> dict:
-        return {"type": self.TYPE, "currency": self.currency, "limit": self.limit}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Quota":
-        return cls(currency=wire["currency"], limit=int(wire["limit"]))
-
 
 # ---------------------------------------------------------------------------
 # §7.5 authorized
 # ---------------------------------------------------------------------------
 
+@wire
 @dataclass(frozen=True)
 class AuthorizedEntry:
     """One (object pattern, operations) pair in an ``authorized`` restriction.
@@ -323,24 +229,8 @@ class AuthorizedEntry:
             return True
         return operation in self.operations
 
-    def to_wire(self) -> dict:
-        return {
-            "target": self.target,
-            "operations": (
-                None if self.operations is None else list(self.operations)
-            ),
-        }
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AuthorizedEntry":
-        ops = wire["operations"]
-        return cls(
-            target=wire["target"],
-            operations=None if ops is None else tuple(ops),
-        )
-
-
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class Authorized(Restriction):
     """Complete list of objects (and operations) the proxy may touch (§7.5).
@@ -369,26 +259,12 @@ class Authorized(Restriction):
             f"authorized list",
         )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "entries": [e.to_wire() for e in self.entries],
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Authorized":
-        return cls(
-            entries=tuple(
-                AuthorizedEntry.from_wire(e) for e in wire["entries"]
-            )
-        )
-
 
 # ---------------------------------------------------------------------------
 # §7.6 group-membership
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class GroupMembership(Restriction):
     """Limits the groups whose membership this proxy can assert (§7.6).
@@ -416,22 +292,12 @@ class GroupMembership(Restriction):
                 f"proxy cannot assert membership in {context.asserting_group}",
             )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "groups": [g.to_wire() for g in self.groups],
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "GroupMembership":
-        return cls(groups=tuple(GroupId.from_wire(g) for g in wire["groups"]))
-
 
 # ---------------------------------------------------------------------------
 # §7.7 accept-once
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class AcceptOnce(Restriction):
     """The end-server must accept this proxy at most once (§7.7).
@@ -469,13 +335,6 @@ class AcceptOnce(Restriction):
                 f"{context.grantor} already accepted"
             )
 
-    def to_wire(self) -> dict:
-        return {"type": self.TYPE, "identifier": self.identifier}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AcceptOnce":
-        return cls(identifier=wire["identifier"])
-
 
 # ---------------------------------------------------------------------------
 # use-limit (from the restriction vocabulary of the companion TR [10]:
@@ -483,7 +342,7 @@ class AcceptOnce(Restriction):
 # proxies generalize accept-once)
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class UseLimit(Restriction):
     """The end-server accepts this proxy at most ``limit`` times.
@@ -527,23 +386,12 @@ class UseLimit(Restriction):
                 f"exhausted ({self.limit} uses)"
             )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "identifier": self.identifier,
-            "limit": self.limit,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "UseLimit":
-        return cls(identifier=wire["identifier"], limit=int(wire["limit"]))
-
 
 # ---------------------------------------------------------------------------
 # time-window (TR vocabulary: restrict use to hours of the day)
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class TimeWindow(Restriction):
     """The proxy is honoured only within a daily time window.
@@ -581,23 +429,12 @@ class TimeWindow(Restriction):
                 f"[{self.start:.0f}, {self.end:.0f})",
             )
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "start": float(self.start),
-            "end": float(self.end),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "TimeWindow":
-        return cls(start=float(wire["start"]), end=float(wire["end"]))
-
 
 # ---------------------------------------------------------------------------
 # §7.8 limit-restriction
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class LimitRestriction(Restriction):
     """Nested restrictions enforced only by the named servers (§7.8).
@@ -623,28 +460,12 @@ class LimitRestriction(Restriction):
         for inner in self.restrictions:
             inner.check(context)
 
-    def to_wire(self) -> dict:
-        return {
-            "type": self.TYPE,
-            "servers": [s.to_wire() for s in self.servers],
-            "restrictions": [r.to_wire() for r in self.restrictions],
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "LimitRestriction":
-        return cls(
-            servers=tuple(PrincipalId.from_wire(s) for s in wire["servers"]),
-            restrictions=tuple(
-                restriction_from_wire(r) for r in wire["restrictions"]
-            ),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Expiration (carried as a restriction inside ACL entries, §3.5)
 # ---------------------------------------------------------------------------
 
-@register_restriction
+@wire
 @dataclass(frozen=True, eq=False)
 class Expiration(Restriction):
     """Validity deadline carried inside a restrictions list.
@@ -664,13 +485,6 @@ class Expiration(Restriction):
                 self.TYPE,
                 f"expired at {self.not_after}, now {context.time}",
             )
-
-    def to_wire(self) -> dict:
-        return {"type": self.TYPE, "not_after": float(self.not_after)}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Expiration":
-        return cls(not_after=float(wire["not_after"]))
 
 
 # ---------------------------------------------------------------------------

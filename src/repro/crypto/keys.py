@@ -19,12 +19,15 @@ from typing import Optional
 from repro.crypto import rsa as _rsa
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.symmetric import KEY_LEN
+from repro.encoding.schema import leaf
 from repro.errors import KeyError_
 
 
+@leaf(bytes, lambda key: key.secret, lambda secret: SymmetricKey(secret))
 @dataclass(frozen=True)
 class SymmetricKey:
-    """A shared secret key for sealing and HMAC signing."""
+    """A shared secret key for sealing and HMAC signing; on the wire, its
+    secret (inside sealed boxes only)."""
 
     secret: bytes = field(repr=False)
 

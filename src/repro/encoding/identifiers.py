@@ -11,16 +11,17 @@ A :class:`PrincipalId` names any principal: a user, a host, or a service
 (servers are principals too — they authenticate, grant proxies, and appear on
 ACLs).  :class:`GroupId` and :class:`AccountId` are the composed global names.
 
-All identifier types are frozen dataclasses so they are hashable, usable as
-dict keys, and trivially encodable by :mod:`repro.encoding.canonical` via
-:meth:`to_wire` / :meth:`from_wire`.
+All identifier types are frozen dataclasses so they are hashable and usable
+as dict keys.  On the wire each is its ``str`` rendering, a
+:func:`~repro.encoding.schema.leaf` whose ``from_wire`` refuses anything
+but a ``str`` that parses back to the same name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import DecodingError
+from repro.encoding.schema import leaf
 
 #: Separator in the human-readable rendering ``name@realm``.
 _REALM_SEP = "@"
@@ -38,6 +39,18 @@ def _check_component(component: str, what: str) -> None:
         )
 
 
+def _principal(text: str) -> "PrincipalId":
+    # A missing separator leaves an empty component, which is refused.
+    name, _, realm = text.partition(_REALM_SEP)
+    return PrincipalId(name, realm)
+
+
+def _composed(cls: type, text: str):
+    server, _, local = text.partition(_COMPOSE_SEP)
+    return cls(PrincipalId.from_wire(server), local)
+
+
+@leaf(str, str, _principal)
 @dataclass(frozen=True, order=True)
 class PrincipalId:
     """A globally-unique principal name, ``name`` within ``realm``.
@@ -56,16 +69,6 @@ class PrincipalId:
     def __str__(self) -> str:
         return f"{self.name}{_REALM_SEP}{self.realm}"
 
-    def to_wire(self) -> str:
-        return str(self)
-
-    @classmethod
-    def from_wire(cls, wire: str) -> "PrincipalId":
-        name, sep, realm = wire.partition(_REALM_SEP)
-        if not sep or not name or not realm:
-            raise DecodingError(f"malformed principal id: {wire!r}")
-        return cls(name=name, realm=realm)
-
     @classmethod
     def parse(cls, text: str) -> "PrincipalId":
         """Parse ``name@realm`` or bare ``name`` (default realm)."""
@@ -74,6 +77,7 @@ class PrincipalId:
         return cls(name=text)
 
 
+@leaf(str, str, lambda text: _composed(GroupId, text))
 @dataclass(frozen=True, order=True)
 class GroupId:
     """Global group name: (group server principal, local group name) — §3.3."""
@@ -87,17 +91,8 @@ class GroupId:
     def __str__(self) -> str:
         return f"{self.server}{_COMPOSE_SEP}{self.group}"
 
-    def to_wire(self) -> str:
-        return str(self)
 
-    @classmethod
-    def from_wire(cls, wire: str) -> "GroupId":
-        server_part, sep, group = wire.partition(_COMPOSE_SEP)
-        if not sep or not group:
-            raise DecodingError(f"malformed group id: {wire!r}")
-        return cls(server=PrincipalId.from_wire(server_part), group=group)
-
-
+@leaf(str, str, lambda text: _composed(AccountId, text))
 @dataclass(frozen=True, order=True)
 class AccountId:
     """Global account name: (accounting server principal, account name) — §4."""
@@ -110,13 +105,3 @@ class AccountId:
 
     def __str__(self) -> str:
         return f"{self.server}{_COMPOSE_SEP}{self.account}"
-
-    def to_wire(self) -> str:
-        return str(self)
-
-    @classmethod
-    def from_wire(cls, wire: str) -> "AccountId":
-        server_part, sep, account = wire.partition(_COMPOSE_SEP)
-        if not sep or not account:
-            raise DecodingError(f"malformed account id: {wire!r}")
-        return cls(server=PrincipalId.from_wire(server_part), account=account)

@@ -1,0 +1,402 @@
+"""Declared wire schemas: every ``to_wire``/``from_wire`` pair comes from
+the fields it converts.
+
+§7 calls a proxy's restrictions "a collection of typed subfields", and
+every type that crosses a trust boundary here is one.  :func:`wire` reads
+a dataclass's annotations once and installs the pair:
+
+* **exact types** — an ``int`` field takes an ``int`` (not a ``bool``, not
+  a ``float``), a ``float`` field a ``float``, a ``str`` field a ``str``;
+* **containers** — ``Tuple[X, ...]`` and ``List[X]`` travel as lists of
+  ``X``, a scalar, ``dict`` or another declared type; ``Dict[str, S]`` as
+  a dict of scalars; ``Optional[X]`` as ``X`` or ``None``;
+* **bounds** — ``field(metadata=...)`` may hold ``min_len`` (of a string,
+  bytes or container), ``min`` and ``max`` (of a number, or of each number
+  a container holds), and ``key`` (the field's name on the wire);
+* **keys** — every field's key must be present and no other may be;
+* **tags** — a :func:`union` base maps its tag (``type``, ``kind``) to the
+  declared subclass that decodes the rest;
+* **leaves** — :func:`leaf` types (identifiers, keys) are one scalar.
+
+Whatever does not fit is refused with one :class:`WireSchemaError` naming
+the type, the field and what was wrong; a refusal from the class's own
+``__post_init__`` is reported the same way.  Nothing is coerced, so one
+value has exactly one accepted wire form: a wire dict that decodes
+re-encodes to the same bytes, and a body re-encoded from decoded fields
+(``ProxyCertificate.body_bytes``) is the body that arrived.
+
+``to_wire`` emits ``float(v)`` for a ``float`` field and every other value
+as it is, as the hand-written encoders this replaces did.  Both directions
+sit on every request's path, so each pair is generated as straight-line
+code, the way :mod:`dataclasses` generates ``__init__`` — on the type's
+first use, so a process compiles only the types its messages carry.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import typing
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Mapping, Optional
+
+from repro.encoding.canonical import encode
+from repro.errors import ReproError, WireSchemaError
+
+__all__ = ["WireSchemaError", "WIRE_TYPES", "decoder", "leaf", "union", "wire"]
+
+#: Every class :func:`wire` declared, in definition order.
+WIRE_TYPES: List[type] = []
+
+_SCALARS = (str, bytes, int, float, bool)
+
+#: What a class's ``__post_init__`` (or a leaf's parser) raises to refuse
+#: a value; reported as :class:`WireSchemaError`.
+_REFUSALS = (ReproError, ValueError, TypeError)
+
+
+def _refusal(owner: str, name: Optional[str], problem: str) -> WireSchemaError:
+    where = owner if name is None else f"{owner}.{name}"
+    return WireSchemaError(f"{where}: {problem}")
+
+
+def _wrong_type(owner: str, name: Optional[str], kind: type, value: Any) -> None:
+    raise _refusal(
+        owner, name, f"expected {kind.__name__}, got {type(value).__name__}"
+    )
+
+
+def _items(value: Any, owner: str, name: str) -> Any:
+    if type(value) is not list and type(value) is not tuple:
+        _wrong_type(owner, name, list, value)
+    return value
+
+
+def _at_least(value: Any, length: int, owner: str, name: str) -> Any:
+    if len(value) < length:
+        raise _refusal(owner, name, f"shorter than {length}")
+    return value
+
+
+def _bounded(kind: type, owner: str, name: str, meta: Mapping) -> Callable:
+    """Exact ``kind`` within ``meta``'s bounds; ``key`` names a dict entry."""
+    low, high = meta.get("min"), meta.get("max")
+
+    def decode(value, key=None):
+        if type(value) is kind and (low is None or low <= value) and (
+            high is None or value <= high
+        ):
+            return value
+        where = name if key is None else f"{name}[{key!r}]"
+        if type(value) is not kind:
+            _wrong_type(owner, where, kind, value)
+        bound = f"below {low!r}" if low is not None and value < low else (
+            f"above {high!r}"
+        )
+        raise _refusal(owner, where, f"{value!r} is {bound}")
+
+    return decode
+
+
+def _scalars_by_str(decode: Callable, owner: str, name: str) -> Callable:
+    def decode_map(value):
+        if type(value) is not dict:
+            _wrong_type(owner, name, dict, value)
+        for key in value:
+            if type(key) is not str:
+                raise _refusal(owner, name, f"key {key!r} is not a str")
+        return {key: decode(item, key) for key, item in value.items()}
+
+    return decode_map
+
+
+class _Source:
+    """Python expressions that encode and decode one declared type's
+    fields, and the objects they name."""
+
+    def __init__(self, owner: str) -> None:
+        self.owner = owner
+        self.scope: Dict[str, Any] = {
+            "_wrong_type": _wrong_type,
+            "_items": _items,
+            "_at_least": _at_least,
+            "_refusal": _refusal,
+            "_shape_problem": _shape_problem,
+            "_REFUSALS": _REFUSALS,
+            "WireSchemaError": WireSchemaError,
+        }
+
+    def name(self, obj: Any) -> str:
+        key = f"_x{len(self.scope)}"
+        self.scope[key] = obj
+        return key
+
+    def encode(self, hint: Any, got: str, depth: int = 0) -> str:
+        """The wire form of ``got``, a value annotated ``hint``."""
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        var = f"_v{depth}"
+        if origin is typing.Union:
+            (inner,) = [a for a in args if a is not type(None)]
+            each = self.encode(inner, var, depth + 1)
+            if each == var:
+                return got
+            return f"(None if ({var} := {got}) is None else {each})"
+        if origin in (tuple, list):
+            return f"[{self.encode(args[0], var, depth + 1)} for {var} in {got}]"
+        if hint is float:
+            return f"float({got})"
+        if hint is dict or origin is dict:
+            return f"dict({got})"
+        if hint in _SCALARS:
+            return got
+        return f"{self.name(self._declared(hint))}.__wire__({got})"
+
+    def decode(
+        self, hint: Any, got: str, field: str, meta: Mapping, depth: int = 0
+    ) -> str:
+        """The value of wire ``got``, annotated ``hint``, or a raised
+        :class:`WireSchemaError` — never a coerced value."""
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        owner, var = self.owner, f"_v{depth}"
+        if origin is typing.Union:
+            (inner,) = [a for a in args if a is not type(None)]
+            each = self.decode(inner, var, field, meta, depth + 1)
+            return f"(None if ({var} := {got}) is None else {each})"
+        if origin in (tuple, list):
+            if origin is tuple and args[1:] != (Ellipsis,):
+                raise TypeError(f"{owner}.{field}: only Tuple[X, ...] is declarable")
+            each = self.decode(args[0], var, field, meta, depth + 1)
+            items = f"[{each} for {var} in _items({got}, {owner!r}, {field!r})]"
+            return items if origin is list else f"tuple({items})"
+        if origin is dict:
+            if args[0] is not str or args[1] not in _SCALARS:
+                raise TypeError(
+                    f"{owner}.{field}: only Dict[str, scalar] is declarable"
+                )
+            each = _bounded(args[1], owner, field, meta)
+            return f"{self.name(_scalars_by_str(each, owner, field))}({got})"
+        if hint is dict or hint in _SCALARS:
+            if meta.get("min") is None and meta.get("max") is None:
+                kind = self.name(hint)
+                value = f"dict({var})" if hint is dict else var  # a copy
+                return (
+                    f"({value} if type({var} := {got}) is {kind} "
+                    f"else _wrong_type({owner!r}, {field!r}, {kind}, {var}))"
+                )
+            return f"{self.name(_bounded(hint, owner, field, meta))}({got})"
+        leaf = vars(self._declared(hint)).get("__wire_leaf__")
+        if leaf is not None:  # the type check inline, the parse called
+            kind, parse = map(self.name, leaf)
+            return (
+                f"({parse}({var}) if type({var} := {got}) is {kind} "
+                f"else _wrong_type({owner!r}, {field!r}, {kind}, {var}))"
+            )
+        return f"{self.name(hint)}.from_wire({got})"
+
+    def field(self, hint: Any, got: str, field: str, meta: Mapping) -> str:
+        """:meth:`decode`, then the field's ``min_len``."""
+        expr = self.decode(hint, got, field, meta)
+        if "min_len" in meta:
+            expr = f"_at_least({expr}, {meta['min_len']!r}, {self.owner!r}, {field!r})"
+        return expr
+
+    def _declared(self, hint: Any) -> type:
+        if getattr(hint, "__wire__", None) is None:
+            raise TypeError(f"{self.owner}: {hint!r} has no wire form")
+        return hint
+
+    def compile(self, source: str) -> Dict[str, Any]:
+        exec(compile(source, f"<wire {self.owner}>", "exec"), self.scope)
+        return self.scope
+
+    def refusing(self, header: str, expr: str, checks: str = "") -> str:
+        """A function that runs ``checks`` and returns ``expr``; refusals
+        by a class's own ``__post_init__`` or a leaf's parse become
+        :class:`WireSchemaError`."""
+        return (
+            f"{header}\n{checks}"
+            "    try:\n"
+            f"        return {expr}\n"
+            "    except WireSchemaError:\n"
+            "        raise\n"
+            "    except _REFUSALS as exc:\n"
+            f"        raise _refusal({self.owner!r}, None, str(exc)) from exc\n"
+        )
+
+
+def decoder(hint: Any, owner: str, name: str, **meta: Any) -> Callable:
+    """The decoder :func:`wire` would build for one field ``owner.name``
+    annotated ``hint`` with bounds ``meta`` — for a value that is not a
+    field of any declared class (a request's ``amounts``)."""
+    source = _Source(owner)
+    expr = source.field(hint, "value", name, meta)
+    return source.compile(source.refusing("def decode(value):", expr))["decode"]
+
+
+def _shape_problem(value: Any, keys: frozenset) -> str:
+    if type(value) is not dict:
+        return f"expected dict, got {type(value).__name__}"
+    missing = ", ".join(sorted(keys - value.keys()))
+    extra = ", ".join(sorted(map(repr, value.keys() - keys)))
+    return "; ".join(
+        filter(None, [missing and f"missing {missing}", extra and f"unknown {extra}"])
+    )
+
+
+def wire(cls: Optional[type] = None, *, root: Optional[str] = None):
+    """Class decorator: derive ``to_wire``/``from_wire`` from the fields of
+    dataclass ``cls`` (see the module docstring).
+
+    A subclass of a :func:`union` base is registered under its tag and
+    carries it in its wire dict.  ``root`` names the one field whose wire
+    form is the whole object's (a bare list, for instance).
+
+    The tag is registered now; the pair is generated on the type's first
+    use and replaces these placeholders.  Generated code reaches another
+    declared type's codec through its class, never a placeholder.
+    """
+    if cls is None:
+        return lambda c: wire(c, root=root)
+    head = {} if root is not None else _register_tag(cls, cls.__name__)
+
+    def generate() -> None:
+        to_wire, from_wire = _generate(cls, head, root)
+        cls.to_wire = cls.__wire__ = to_wire
+        cls.from_wire = classmethod(from_wire)
+
+    def to_wire(self):
+        generate()
+        return cls.__wire__(self)
+
+    def from_wire(klass, value):
+        generate()
+        return cls.from_wire(value)
+
+    cls.to_wire = cls.__wire__ = to_wire
+    cls.from_wire = classmethod(from_wire)
+    WIRE_TYPES.append(cls)
+    return cls
+
+
+def _generate(cls: type, head: Dict[str, str], root: Optional[str]) -> tuple:
+    owner = cls.__name__
+    hints = typing.get_type_hints(cls)
+    source = _Source(owner)
+    scope = source.scope
+    scope["_cls"] = cls
+    specs = dataclasses.fields(cls)
+    if root is not None:
+        (spec,) = [f for f in specs if f.name == root]
+        encoded = source.encode(hints[root], f"self.{root}")
+        check = ""
+        built = f"{root}=" + source.field(
+            hints[root], "value", root, spec.metadata
+        )
+    else:
+        keys = {spec.metadata.get("key", spec.name): spec for spec in specs}
+        scope["_keys"] = frozenset(head) | frozenset(keys)
+        encoded = "{%s}" % ", ".join(
+            [f"{key!r}: {tag!r}" for key, tag in head.items()]
+            + [
+                f"{key!r}: " + source.encode(hints[spec.name], f"self.{spec.name}")
+                for key, spec in keys.items()
+            ]
+        )
+        check = (
+            "    if type(value) is not dict or value.keys() != _keys:\n"
+            f"        raise _refusal({owner!r}, None, _shape_problem(value, _keys))\n"
+        ) + "".join(
+            f"    if value[{key!r}] != {tag!r}:\n"
+            f"        raise _refusal({owner!r}, {key!r}, "
+            f"'expected {tag}, got %r' % (value[{key!r}],))\n"
+            for key, tag in head.items()
+        )
+        built = ", ".join(
+            f"{spec.name}="
+            + source.field(
+                hints[spec.name], f"value[{key!r}]", spec.name, spec.metadata
+            )
+            for key, spec in keys.items()
+        )
+    source.compile(
+        f"def to_wire(self):\n    return {encoded}\n"
+        + source.refusing("def from_wire(klass, value):", f"_cls({built})", check)
+    )
+    return scope["to_wire"], scope["from_wire"]
+
+
+def _register_tag(cls: type, owner: str) -> Dict[str, str]:
+    """``{tag key: tag}`` for a member of a :func:`union`, else ``{}``."""
+    for base in cls.__mro__[1:]:
+        if "__wire_union__" in vars(base):
+            tag_key, tag_attr, registry = base.__wire_union__
+            tag = getattr(cls, tag_attr, "")
+            if not tag or tag in registry:
+                raise TypeError(f"{owner}: missing or duplicate {tag_key} {tag!r}")
+            registry[tag] = cls
+            return {tag_key: tag}
+    return {}
+
+
+def union(key: str, attr: str):
+    """Class decorator for the base of a tagged union: its ``from_wire``
+    reads ``key`` and hands the dict to the :func:`wire` subclass whose
+    class attribute ``attr`` holds that tag.
+
+    Members are value objects: one value has one wire form, so they
+    compare and hash by it (their dataclasses say ``eq=False``)."""
+
+    def declare(base: type) -> type:
+        registry: Dict[str, type] = {}
+        owner = base.__name__
+
+        def from_wire(klass, value):
+            try:
+                member = registry[value[key]]
+            except (KeyError, TypeError):
+                tag = value.get(key) if type(value) is dict else None
+                raise _refusal(owner, key, f"unknown {key} {tag!r}") from None
+            return member.from_wire(value)
+
+        def __eq__(self, other):
+            return isinstance(other, base) and self.to_wire() == other.to_wire()
+
+        def __hash__(self):
+            return hash(encode(self.to_wire()))
+
+        base.__wire_union__ = (key, attr, registry)
+        base.__wire__ = methodcaller("to_wire")
+        base.from_wire = classmethod(from_wire)
+        base.__eq__, base.__hash__ = __eq__, __hash__
+        return base
+
+    return declare
+
+
+def leaf(kind: type, encode: Callable[[Any], Any], decode: Callable[[Any], Any]):
+    """Class decorator for a type whose wire form is one ``kind`` value:
+    ``to_wire`` is ``encode(self)`` and ``from_wire`` refuses anything
+    but a ``kind`` before handing it to ``decode``."""
+
+    def declare(cls: type) -> type:
+        owner = cls.__name__
+
+        def to_wire(self):
+            return encode(self)
+
+        def from_wire(klass, value):
+            if type(value) is not kind:
+                _wrong_type(owner, None, kind, value)
+            try:
+                return decode(value)
+            except WireSchemaError:
+                raise
+            except _REFUSALS as exc:
+                raise _refusal(owner, None, str(exc)) from exc
+
+        cls.to_wire = to_wire
+        cls.__wire__ = encode
+        cls.__wire_leaf__ = (kind, decode)
+        cls.from_wire = classmethod(from_wire)
+        return cls
+
+    return declare

@@ -25,6 +25,12 @@ class DecodingError(EncodingError):
     """The byte string is not a valid canonical encoding."""
 
 
+class WireSchemaError(DecodingError):
+    """A wire value does not fit its declared schema
+    (:mod:`repro.encoding.schema`): the message names the type, the field
+    and what was wrong.  Refused, never coerced."""
+
+
 # ---------------------------------------------------------------------------
 # Cryptography
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Optional, Tuple
 
 from repro.clock import Clock
+from repro.core.certificate import ProxyCertificate
 from repro.core.evaluation import RequestContext, evaluate
 from repro.core.presentation import PresentedProxy, present
 from repro.core.proxy import Proxy, delegate_cascade, grant_conventional
@@ -38,6 +39,7 @@ from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.signature import HmacSigner
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import leaf, wire
 from repro.errors import TicketError
 from repro.kerberos.ticket import Credentials, Ticket
 
@@ -103,6 +105,22 @@ def endorse(
     )
 
 
+@wire
+@dataclass(frozen=True)
+class _Transferable:
+    """A :class:`KerberosProxy`'s wire form: the chain flattened beside
+    its tickets, with the proxy key (or None)."""
+
+    tickets: Tuple[Ticket, ...]
+    certificates: Tuple[ProxyCertificate, ...]
+    proxy_key: Optional[SymmetricKey]
+
+
+@leaf(
+    dict,
+    lambda kproxy: kproxy.transferable(),
+    lambda value: KerberosProxy.from_transferable(value),
+)
 @dataclass(frozen=True)
 class KerberosProxy:
     """A proxy plus the tickets authenticating its identity signers.
@@ -160,30 +178,14 @@ class KerberosProxy:
         presents it under its own authenticated identity — so it goes as
         ``handoff(proxy.without_key())``.
         """
-        key = self.proxy.proxy_key
-        return {
-            "tickets": [t.to_wire() for t in self.tickets],
-            "certificates": [
-                c.to_wire() for c in self.proxy.certificates
-            ],
-            "proxy_key": None if key is None else key.secret,
-        }
+        return _Transferable(
+            self.tickets, self.proxy.certificates, self.proxy.proxy_key
+        ).to_wire()
 
     @classmethod
     def from_transferable(cls, wire: dict) -> "KerberosProxy":
-        from repro.core.certificate import ProxyCertificate
-
-        key = wire.get("proxy_key")
-        proxy = Proxy(
-            certificates=tuple(
-                ProxyCertificate.from_wire(c) for c in wire["certificates"]
-            ),
-            proxy_key=None if key is None else SymmetricKey(secret=key),
-        )
-        return cls(
-            tickets=tuple(Ticket.from_wire(t) for t in wire["tickets"]),
-            proxy=proxy,
-        )
+        form = _Transferable.from_wire(wire)
+        return cls(form.tickets, Proxy(form.certificates, form.proxy_key))
 
     def handoff(self, proxy: Proxy) -> "KerberosProxy":
         """Re-bundle after cascading the inner proxy (same tickets)."""

@@ -17,18 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.restrictions import Restriction, restrictions_from_wire, restrictions_to_wire
+from repro.core.restrictions import Restriction
 from repro.crypto import symmetric as _symmetric
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.canonical import decode, encode
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import IntegrityError, TicketError
 
 _TICKET_AD = b"krb-ticket-v5"
 _AUTHENTICATOR_AD = b"krb-authenticator-v5"
 
 
+@wire
 @dataclass(frozen=True)
 class TicketBody:
     """Cleartext contents of a ticket (always travels sealed)."""
@@ -41,34 +43,8 @@ class TicketBody:
     authorization_data: Tuple[Restriction, ...] = ()
     proxiable: bool = True
 
-    def to_wire(self) -> dict:
-        return {
-            "client": self.client.to_wire(),
-            "server": self.server.to_wire(),
-            "session_key": self.session_key.secret,
-            "auth_time": float(self.auth_time),
-            "expires_at": float(self.expires_at),
-            "authorization_data": restrictions_to_wire(
-                self.authorization_data
-            ),
-            "proxiable": self.proxiable,
-        }
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "TicketBody":
-        return cls(
-            client=PrincipalId.from_wire(wire["client"]),
-            server=PrincipalId.from_wire(wire["server"]),
-            session_key=SymmetricKey(secret=wire["session_key"]),
-            auth_time=float(wire["auth_time"]),
-            expires_at=float(wire["expires_at"]),
-            authorization_data=restrictions_from_wire(
-                wire["authorization_data"]
-            ),
-            proxiable=bool(wire["proxiable"]),
-        )
-
-
+@wire
 @dataclass(frozen=True)
 class Ticket:
     """A sealed ticket: opaque to everyone but the named server."""
@@ -110,16 +86,8 @@ class Ticket:
             raise TicketError("ticket server name mismatch")
         return body
 
-    def to_wire(self) -> dict:
-        return {"server": self.server.to_wire(), "blob": self.blob}
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Ticket":
-        return cls(
-            server=PrincipalId.from_wire(wire["server"]), blob=wire["blob"]
-        )
-
-
+@wire
 @dataclass(frozen=True)
 class AuthenticatorBody:
     """Cleartext authenticator: proves live possession of the session key.
@@ -135,32 +103,8 @@ class AuthenticatorBody:
     subkey: Optional[SymmetricKey] = field(default=None, repr=False)
     authorization_data: Tuple[Restriction, ...] = ()
 
-    def to_wire(self) -> dict:
-        return {
-            "client": self.client.to_wire(),
-            "timestamp": float(self.timestamp),
-            "subkey": None if self.subkey is None else self.subkey.secret,
-            "authorization_data": restrictions_to_wire(
-                self.authorization_data
-            ),
-        }
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AuthenticatorBody":
-        return cls(
-            client=PrincipalId.from_wire(wire["client"]),
-            timestamp=float(wire["timestamp"]),
-            subkey=(
-                None
-                if wire["subkey"] is None
-                else SymmetricKey(secret=wire["subkey"])
-            ),
-            authorization_data=restrictions_from_wire(
-                wire["authorization_data"]
-            ),
-        )
-
-
+@wire
 @dataclass(frozen=True)
 class Authenticator:
     """Sealed authenticator (under the ticket's session key)."""
@@ -196,13 +140,6 @@ class Authenticator:
                 f"authenticator failed to open: {exc}"
             ) from exc
         return AuthenticatorBody.from_wire(wire)
-
-    def to_wire(self) -> dict:
-        return {"blob": self.blob}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Authenticator":
-        return cls(blob=wire["blob"])
 
 
 @dataclass(frozen=True)

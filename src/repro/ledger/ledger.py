@@ -61,6 +61,18 @@ from repro.ledger.wal import posting_from_wire, posting_to_wire
 BalanceKey = Tuple[str, str]
 
 
+class Problem(str):
+    """One finding of a consistency check: its text, plus a ``key`` — the
+    subject, kind and currency it is about — that stays the same while the
+    numbers in the text move, so a drift is reported once, not once per
+    check that still sees it."""
+
+    def __new__(cls, text: str, subject: str, kind: str, currency: str = ""):
+        problem = super().__new__(cls, text)
+        problem.key = (subject, kind, currency)
+        return problem
+
+
 @dataclass
 class PostingRecord:
     """One committed posting in the journal."""
@@ -542,7 +554,7 @@ class Ledger(Durable):
                 out[currency] = out.get(currency, 0) + amount
         return {c: v for c, v in out.items() if v}
 
-    def audit_discrepancies(self) -> List[str]:
+    def audit_discrepancies(self) -> List[Problem]:
         """Differences between derived balances and live account state.
 
         Empty means parity: every unit of every currency on the books is
@@ -550,7 +562,7 @@ class Ledger(Durable):
         outside the ledger (or a rollback half-applied) — the exact class
         of corruption this subsystem exists to rule out.
         """
-        problems: List[str] = []
+        problems: List[Problem] = []
         currencies_by_account: Dict[str, set] = {}
         for name, account in self.accounts.items():
             bucket = currencies_by_account.setdefault(name, set())
@@ -567,23 +579,26 @@ class Ledger(Durable):
                 actual_held = account.held_total(currency) if account else 0
                 want_avail = self.derived_available.get((name, currency), 0)
                 want_held = self.derived_held.get((name, currency), 0)
-                if actual_avail != want_avail:
-                    problems.append(
-                        f"{name}/{currency}: available {actual_avail} != "
-                        f"ledger-derived {want_avail}"
-                    )
-                if actual_held != want_held:
-                    problems.append(
-                        f"{name}/{currency}: held {actual_held} != "
-                        f"ledger-derived {want_held}"
-                    )
+                for kind, actual, want in (
+                    ("available", actual_avail, want_avail),
+                    ("held", actual_held, want_held),
+                ):
+                    if actual != want:
+                        problems.append(Problem(
+                            f"{name}/{currency}: {kind} {actual} != "
+                            f"ledger-derived {want}",
+                            name, kind, currency,
+                        ))
         conservation = self.totals()
         expected = self.expected_totals()
-        if conservation != expected:
-            problems.append(
-                f"conservation: on-book totals {conservation} != "
-                f"minted+imported {expected}"
-            )
+        for currency in sorted(set(conservation) | set(expected)):
+            actual, want = conservation.get(currency), expected.get(currency)
+            if actual != want:
+                problems.append(Problem(
+                    f"conservation: on-book {currency} total {actual} != "
+                    f"minted+imported {want}",
+                    "on-book", "conservation", currency,
+                ))
         return problems
 
     def in_transaction(self) -> bool:

@@ -124,6 +124,7 @@ _WIRE_ERRORS: Dict[str, Type[Exception]] = {
     "kerberos": _errors.KerberosError,
     "service": _errors.ServiceError,
     "delegation": _errors.DelegationError,
+    "malformed": _errors.WireSchemaError,
 }
 _KIND_BY_TYPE = {cls: kind for kind, cls in _WIRE_ERRORS.items()}
 

@@ -500,14 +500,16 @@ def _run_arm(
                 trace_id=trace_id,
             )
             units.append(unit)
-            fresh = [
-                problem
-                for problem in scenario.check(
-                    realm, config, state, sum(1 for u in units if u.ok)
-                )
-                if problem not in seen
-            ]
-            seen.update(fresh)
+            # Each problem once: by its key (what drifted), not its text,
+            # whose numbers may move on every unit that still sees it.
+            fresh = []
+            for problem in scenario.check(
+                realm, config, state, sum(1 for u in units if u.ok)
+            ):
+                key = getattr(problem, "key", problem)
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(problem)
             out["problems"].extend(f"unit {index}: {p}" for p in fresh)
             if faulted:
                 theirs = baseline[index]

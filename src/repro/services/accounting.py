@@ -42,6 +42,7 @@ duplicate funds (see ``docs/accounting.md``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.acl import AccessControlList
@@ -56,12 +57,12 @@ from repro.core.restrictions import (
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.identifiers import AccountId, PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import (
     AccountingError,
     AuthorizationDenied,
     CheckError,
     DecodingError,
-    InsufficientFundsError,
     ServiceError,
     UnknownAccountError,
 )
@@ -147,6 +148,81 @@ def non_settlement_totals(
     return {c: v for c, v in totals.items() if v}
 
 
+# ---------------------------------------------------------------------------
+# Declared operation arguments, decoded before any ledger work
+# ---------------------------------------------------------------------------
+
+#: Amounts are positive integers.  Negative amounts used to slip through
+#: to the certified-hold path, which deleted the hold and over-credited the
+#: remainder before the final credit raised (partial-state corruption).
+_POSITIVE = {"min": 1}
+
+
+@wire
+@dataclass(frozen=True)
+class _NoArgs:
+    """The target names the account."""
+
+
+@wire
+@dataclass(frozen=True)
+class _Payment:
+    currency: str = field(metadata={"min_len": 1})
+    amount: int = field(metadata=_POSITIVE)
+
+
+@wire
+@dataclass(frozen=True)
+class _TransferArgs(_Payment):
+    to: str
+
+
+@wire
+@dataclass(frozen=True)
+class _DebitArgs(_Payment):
+    credit_account: str
+
+
+@wire
+@dataclass(frozen=True)
+class _CollectArgs(_Payment):
+    """A chain endorsed to us: we present it as its named grantee, so the
+    endorsement's key stays with the endorser."""
+
+    bundle: KerberosProxy
+    payor_server: PrincipalId
+    payor_account: str
+    expires_at: float
+
+
+@wire
+@dataclass(frozen=True)
+class _DepositArgs(_CollectArgs):
+    payee_account: str
+
+
+@wire
+@dataclass(frozen=True)
+class _HeldArgs:
+    account: str
+    check_number: str
+
+
+@wire
+@dataclass(frozen=True)
+class _CashiersArgs(_Payment):
+    account: str
+    payee: PrincipalId
+    expires_at: float
+
+
+@wire
+@dataclass(frozen=True)
+class _CertifyArgs(_CashiersArgs):
+    check_number: str
+    end_server: PrincipalId  # where the certification will be shown
+
+
 class AccountingServer(EndServer):
     """A bank for money-like and resource currencies (§4)."""
 
@@ -207,19 +283,20 @@ class AccountingServer(EndServer):
         #: there, kept only once the session is up.
         self._peers = BoundedStore(max_entries=MAX_PEERS)
         self._rng_local = rng or DEFAULT_RNG
-        self.register_operation("open-account", self._op_open_account)
-        self.register_operation("balance", self._op_balance)
-        self.register_operation("transfer", self._op_transfer)
-        self.register_operation(DEBIT_OPERATION, self._op_debit)
-        self.register_operation("deposit-check", self._op_deposit_check)
-        self.register_operation("collect-check", self._op_collect_check)
-        self.register_operation("certify-check", self._op_certify_check)
-        self.register_operation(
-            "cancel-certified-check", self._op_cancel_certified_check
-        )
-        self.register_operation(
-            "purchase-cashiers-check", self._op_purchase_cashiers_check
-        )
+        for name, handler, args in (
+            ("open-account", self._op_open_account, _NoArgs),
+            ("balance", self._op_balance, _NoArgs),
+            ("transfer", self._op_transfer, _TransferArgs),
+            (DEBIT_OPERATION, self._op_debit, _DebitArgs),
+            ("deposit-check", self._op_deposit_check, _DepositArgs),
+            ("collect-check", self._op_collect_check, _CollectArgs),
+            ("certify-check", self._op_certify_check, _CertifyArgs),
+            ("cancel-certified-check", self._op_cancel_certified_check,
+             _HeldArgs),
+            ("purchase-cashiers-check", self._op_purchase_cashiers_check,
+             _CashiersArgs),
+        ):
+            self.register_operation(name, handler, args)
         # Funds backing outstanding cashier's checks live here; the server
         # itself owns the account and is the payor of such checks.  A
         # recovered server already has it (with whatever balance backs the
@@ -388,26 +465,8 @@ class AccountingServer(EndServer):
         return target[len(ACCOUNT_TARGET_PREFIX):]
 
     # ------------------------------------------------------------------
-    # Boundary validation
+    # Boundary validation (the rest is declared in the ``Args`` types)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _validate_amount(amount) -> int:
-        """Amounts are positive integers — checked before any mutation.
-
-        Negative amounts used to slip through to the certified-hold path,
-        which deleted the hold and over-credited the remainder before the
-        final credit raised (partial-state corruption).
-        """
-        if (
-            not isinstance(amount, int)
-            or isinstance(amount, bool)
-            or amount <= 0
-        ):
-            raise AccountingError(
-                f"amount must be a positive integer, got {amount!r}"
-            )
-        return amount
 
     def _validate_expiry(self, expires_at: float) -> float:
         """Client-supplied expiries must land in a sane, bounded window."""
@@ -455,11 +514,11 @@ class AccountingServer(EndServer):
 
     def _op_transfer(self, request: AuthorizedRequest) -> dict:
         """Intra-server transfer (quota allocate/release uses this, §4)."""
+        args = request.args
         source = self._account(self._target_account_name(request))
         self._authorize_account(source, request, "transfer")
-        destination = self._account(request.args["to"])
-        currency = request.args["currency"]
-        amount = self._validate_amount(int(request.args["amount"]))
+        destination = self._account(args.to)
+        currency, amount = args.currency, args.amount
         self.ledger.post(
             Posting(
                 legs=(
@@ -510,13 +569,12 @@ class AccountingServer(EndServer):
             )
         account = self._account(self._target_account_name(request))
         self._authorize_account(account, request, DEBIT_OPERATION)
-        currency = request.args["currency"]
-        amount = self._validate_amount(int(request.args["amount"]))
+        currency, amount = request.args.currency, request.args.amount
         if request.amounts.get(currency, 0) != amount:
             raise CheckError(
                 "declared amounts do not match the requested transfer"
             )
-        credit_name = request.args["credit_account"]
+        credit_name = request.args.credit_account
         check_number = self._check_number_from(request)
 
         if credit_name.startswith(SETTLEMENT_PREFIX):
@@ -605,15 +663,7 @@ class AccountingServer(EndServer):
             self._peers.put(server, client)
         return client
 
-    def _clear_remotely(
-        self,
-        bundle: KerberosProxy,
-        payor_server: PrincipalId,
-        payor_account: str,
-        currency: str,
-        amount: int,
-        expires_at: float,
-    ) -> dict:
+    def _clear_remotely(self, args: _CollectArgs) -> dict:
         """Forward an endorsed check toward the payor's server (E2...).
 
         If a route is configured, endorse to the next hop and let it
@@ -621,6 +671,10 @@ class AccountingServer(EndServer):
         directly.  Either way we are a named grantee of the chain's final
         link, so we present over our session with that peer.
         """
+        payor_server, currency, amount = (
+            args.payor_server, args.currency, args.amount
+        )
+        target = f"{ACCOUNT_TARGET_PREFIX}{args.payor_account}"
         next_hop = self.routes.get(payor_server)
         if next_hop is None or next_hop == payor_server:
             if self.telemetry.enabled:
@@ -634,14 +688,14 @@ class AccountingServer(EndServer):
                 )
             return self.peer(payor_server).request(
                 DEBIT_OPERATION,
-                target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
-                args={
-                    "currency": currency,
-                    "amount": amount,
-                    "credit_account": f"{SETTLEMENT_PREFIX}{self.principal.name}",
-                },
+                target=target,
+                args=_DebitArgs(
+                    currency,
+                    amount,
+                    credit_account=f"{SETTLEMENT_PREFIX}{self.principal.name}",
+                ).to_wire(),
                 amounts={currency: amount},
-                proxy=bundle,
+                proxy=args.bundle,
             )
         # Multi-hop: add our own endorsement naming the next hop (the
         # paper's "subsequent accounting servers repeat the process").
@@ -657,49 +711,39 @@ class AccountingServer(EndServer):
             )
         credentials = self.kerberos.get_ticket(payor_server)
         endorsed = endorse(
-            bundle,
+            args.bundle,
             credentials,
             subordinate=next_hop,
             additional_restrictions=(),
             issued_at=self.clock.now(),
-            expires_at=expires_at,
+            expires_at=args.expires_at,
             rng=self._rng_local,
         )
         return self.peer(next_hop).request(
             "collect-check",
-            target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
-            args={
+            target=target,
+            args=_CollectArgs(
+                currency,
+                amount,
                 # The next hop presents the chain as its named grantee
                 # over its own session; the endorsement's key stays here.
-                "bundle": endorsed.handoff(
-                    endorsed.proxy.without_key()
-                ).transferable(),
-                "payor_server": payor_server.to_wire(),
-                "payor_account": payor_account,
-                "currency": currency,
-                "amount": amount,
-                "expires_at": expires_at,
-            },
+                bundle=endorsed.handoff(endorsed.proxy.without_key()),
+                payor_server=payor_server,
+                payor_account=args.payor_account,
+                expires_at=args.expires_at,
+            ).to_wire(),
         )
 
     def _op_deposit_check(self, request: AuthorizedRequest) -> dict:
-        """E1: the payee deposits an endorsed check with us (its server).
-
-        Args: ``bundle`` (the chain already endorsed by the payee to us,
-        without the endorsement's key: we present it as its named grantee),
-        ``payor_server``, ``payor_account``, ``currency``,
-        ``amount``, ``expires_at``, ``payee_account`` (to credit here).
-        """
+        """E1: the payee deposits an endorsed check with us (its server)."""
         if request.claimant is None:
             raise AuthorizationDenied(
                 "deposits require an authenticated session"
             )
-        payee_account = self._account(request.args["payee_account"])
+        args = request.args
+        payee_account = self._account(args.payee_account)
         self._authorize_account(payee_account, request, "transfer")
-        bundle = KerberosProxy.from_transferable(request.args["bundle"])
-        payor_server = PrincipalId.from_wire(request.args["payor_server"])
-        currency = request.args["currency"]
-        amount = self._validate_amount(int(request.args["amount"]))
+        payor_server, currency = args.payor_server, args.currency
 
         if payor_server == self.principal:
             raise CheckError(
@@ -709,14 +753,7 @@ class AccountingServer(EndServer):
         # until the payor's server pays; in this synchronous implementation
         # the collection happens before we return, so the uncollected state
         # is visible only through the metrics/audit trail.
-        result = self._clear_remotely(
-            bundle,
-            payor_server,
-            request.args["payor_account"],
-            currency,
-            amount,
-            float(request.args["expires_at"]),
-        )
+        result = self._clear_remotely(args)
         paid = int(result["paid"])
         # The matching debit was booked on the payor's server (inside its
         # own balanced posting), so locally this is inbound value.
@@ -746,28 +783,18 @@ class AccountingServer(EndServer):
             raise AuthorizationDenied(
                 "collection requires an authenticated session"
             )
-        bundle = KerberosProxy.from_transferable(request.args["bundle"])
-        payor_server = PrincipalId.from_wire(request.args["payor_server"])
-        currency = request.args["currency"]
-        amount = self._validate_amount(int(request.args["amount"]))
-        result = self._clear_remotely(
-            bundle,
-            payor_server,
-            request.args["payor_account"],
-            currency,
-            amount,
-            float(request.args["expires_at"]),
-        )
+        args = request.args
+        result = self._clear_remotely(args)
         predecessor = self._settlement_account(request.claimant)
         self.ledger.post(
             Posting(
                 legs=(
                     credit_leg(
-                        predecessor.name, currency, int(result["paid"])
+                        predecessor.name, args.currency, int(result["paid"])
                     ),
                 ),
                 kind=INBOUND,
-                description=f"collection hop toward {payor_server}",
+                description=f"collection hop toward {args.payor_server}",
             ),
             dedupe_key=request.request_id,
         )
@@ -778,30 +805,22 @@ class AccountingServer(EndServer):
     # ------------------------------------------------------------------
 
     def _op_certify_check(self, request: AuthorizedRequest) -> dict:
-        """Place a hold and issue the certification proxy.
-
-        Args: ``account``, ``check_number``, ``payee``, ``currency``,
-        ``amount``, ``end_server`` (where the certification will be shown),
-        ``expires_at``.
-        """
+        """Place a hold and issue the certification proxy."""
         if request.session_key is None or request.claimant is None:
             raise AuthorizationDenied(
                 "certification requires an authenticated session"
             )
-        account = self._account(request.args["account"])
+        args = request.args
+        account = self._account(args.account)
         self._authorize_account(account, request, DEBIT_OPERATION)
-        check_number = request.args["check_number"]
+        check_number = args.check_number
         if check_number in account.holds:
             raise CheckError(
                 f"check {check_number} is already certified"
             )
-        currency = request.args["currency"]
-        amount = self._validate_amount(int(request.args["amount"]))
-        expires_at = self._validate_expiry(
-            float(request.args["expires_at"])
-        )
-        payee = PrincipalId.from_wire(request.args["payee"])
-        end_server = PrincipalId.from_wire(request.args["end_server"])
+        currency, amount = args.currency, args.amount
+        expires_at = self._validate_expiry(args.expires_at)
+        payee, end_server = args.payee, args.end_server
 
         # The hold (§4): one posting moves the funds from the available
         # balance into the named hold.  It stays inside this request's
@@ -856,23 +875,17 @@ class AccountingServer(EndServer):
         payee.  The payee can verify the payor is the accounting server
         itself — the strongest guarantee the model offers, stronger than a
         certified check because no purchaser account is involved at
-        clearing time.
-
-        Args: ``account`` (purchaser's), ``payee``, ``currency``,
-        ``amount``, ``expires_at``.
+        clearing time.  ``account`` is the purchaser's.
         """
         if request.session_key is None or request.claimant is None:
             raise AuthorizationDenied(
                 "cashier's checks are sold only over authenticated sessions"
             )
-        account = self._account(request.args["account"])
+        args = request.args
+        account = self._account(args.account)
         self._authorize_account(account, request, DEBIT_OPERATION)
-        currency = request.args["currency"]
-        amount = self._validate_amount(int(request.args["amount"]))
-        expires_at = self._validate_expiry(
-            float(request.args["expires_at"])
-        )
-        payee = PrincipalId.from_wire(request.args["payee"])
+        currency, amount, payee = args.currency, args.amount, args.payee
+        expires_at = self._validate_expiry(args.expires_at)
 
         cashier = self._account(CASHIER_ACCOUNT)
         self.ledger.post(
@@ -907,9 +920,9 @@ class AccountingServer(EndServer):
 
     def _op_cancel_certified_check(self, request: AuthorizedRequest) -> dict:
         """Return expired-hold funds to the account owner."""
-        account = self._account(request.args["account"])
+        account = self._account(request.args.account)
         self._authorize_account(account, request, DEBIT_OPERATION)
-        check_number = request.args["check_number"]
+        check_number = request.args.check_number
         hold = account.holds.get(check_number)
         if hold is None:
             raise CheckError(f"no hold for check {check_number}")

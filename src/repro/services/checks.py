@@ -34,6 +34,7 @@ from repro.core.restrictions import (
 )
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.identifiers import AccountId, PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import CheckError
 from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
 from repro.kerberos.ticket import Credentials
@@ -48,6 +49,7 @@ def account_target(account: AccountId) -> str:
     return f"{ACCOUNT_TARGET_PREFIX}{account.account}"
 
 
+@wire
 @dataclass(frozen=True)
 class Check:
     """A drawn check: metadata plus the underlying restricted proxy.
@@ -69,31 +71,6 @@ class Check:
     def drawn_on(self) -> PrincipalId:
         """The accounting server holding the payor's account."""
         return self.payor_account.server
-
-    def to_wire(self) -> dict:
-        return {
-            "number": self.number,
-            "payor": self.payor.to_wire(),
-            "payor_account": self.payor_account.to_wire(),
-            "payee": self.payee.to_wire(),
-            "currency": self.currency,
-            "amount": self.amount,
-            "expires_at": float(self.expires_at),
-            "bundle": self.bundle.transferable(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Check":
-        return cls(
-            number=wire["number"],
-            payor=PrincipalId.from_wire(wire["payor"]),
-            payor_account=AccountId.from_wire(wire["payor_account"]),
-            payee=PrincipalId.from_wire(wire["payee"]),
-            currency=wire["currency"],
-            amount=int(wire["amount"]),
-            expires_at=float(wire["expires_at"]),
-            bundle=KerberosProxy.from_transferable(wire["bundle"]),
-        )
 
 
 def draw_check(

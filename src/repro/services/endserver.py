@@ -21,7 +21,9 @@ server...) register operations and supply their own state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 from repro.acl import AccessControlList
 from repro.audit import AuditLog
@@ -34,6 +36,7 @@ from repro.crypto import signature as _signature
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.identifiers import GroupId, PrincipalId
+from repro.encoding.schema import decoder
 from repro.errors import (
     AuthorizationDenied,
     ProxyVerificationError,
@@ -53,7 +56,10 @@ class AuthorizedRequest:
     """Everything a request handler may rely on — already verified.
 
     Attributes:
-        operation / target / args: the application request.
+        operation / target: the application request.
+        args: its arguments — an instance of the operation's declared
+            ``Args`` type (see :meth:`EndServerBase.register_operation`),
+            or the raw dict for an operation that declares none.
         rights: the principal whose rights the request proceeds under
             (proxy grantor, or the authenticated identity).
         claimant: authenticated presenter (None for anonymous bearer use).
@@ -71,7 +77,7 @@ class AuthorizedRequest:
 
     operation: str
     target: Optional[str]
-    args: dict
+    args: Any
     rights: PrincipalId
     claimant: Optional[PrincipalId]
     groups: FrozenSet[GroupId]
@@ -93,28 +99,20 @@ Handler = Callable[[AuthorizedRequest], dict]
 _MALFORMED = (ReproError, LookupError, TypeError, ValueError, AttributeError)
 
 
-def _parse_amounts(raw) -> Dict[str, int]:
-    """Requested resources by currency, exact non-negative ``int`` only: a
-    float would be truncated, a bool or string coerced, and a negative
-    amount passes every quota, so anything else is refused, not repaired."""
-    amounts: Dict[str, int] = {}
-    for currency, value in (raw or {}).items():
-        if type(value) is not int or value < 0:
-            raise ServiceError(
-                f"amount of {currency!r} must be a non-negative integer, "
-                f"not {value!r}"
-            )
-        amounts[str(currency)] = value
-    return amounts
+#: Requested resources by currency, exact non-negative ``int`` only: a
+#: float would be truncated, a bool or string coerced, and a negative
+#: amount passes every quota, so anything else is refused, not repaired.
+_parse_amounts = decoder(Dict[str, int], "request", "amounts", min=0)
 
 
 class EndServerBase(Service):
     """The request pipeline every end-server runs, whatever the substrate.
 
-    :meth:`op_request` parses the amounts, authenticates the claimant,
-    verifies any proxy in an accept-once transaction, marks degraded
-    grants, evaluates identity restrictions, authorizes against the ACL
-    the *rights principal* (proxy grantor, else the identity) plus
+    :meth:`op_request` parses the amounts and the operation's declared
+    arguments, authenticates the claimant, verifies any proxy in an
+    accept-once transaction, marks degraded grants, evaluates identity
+    restrictions, authorizes against the ACL the *rights principal*
+    (proxy grantor, else the identity) plus
     asserted groups, evaluates the entry's restrictions, audits the proxy
     use and dispatches an :class:`AuthorizedRequest`.  A front-end
     subclass sets :attr:`verifier` and supplies the rest:
@@ -153,7 +151,8 @@ class EndServerBase(Service):
         self.authority_monitor = authority_monitor
         self.acl = acl if acl is not None else AccessControlList()
         self._rng = rng or DEFAULT_RNG
-        self._operations: Dict[str, Handler] = {}
+        #: operation -> (handler, declared ``Args`` type or None).
+        self._operations: Dict[str, Tuple[Handler, Optional[type]]] = {}
         #: Every proxy-authorized request is recorded here (§3.4: delegate
         #: chains leave an audit trail; this is where it lands).  The audit
         #: log shares the server's telemetry so each record also lands as a
@@ -197,9 +196,16 @@ class EndServerBase(Service):
 
     # ------------------------------------------------------------------
 
-    def register_operation(self, name: str, handler: Handler) -> None:
-        """Expose an application operation."""
-        self._operations[name] = handler
+    def register_operation(
+        self, name: str, handler: Handler, args: Optional[type] = None
+    ) -> None:
+        """Expose an application operation.  With ``args``, a
+        :func:`~repro.encoding.schema.wire` type, the request's arguments
+        are decoded into it before anything else runs — a malformed one
+        is refused before verification, authorization or any state
+        change — and the handler receives the instance as
+        :attr:`AuthorizedRequest.args`."""
+        self._operations[name] = (handler, args)
 
     def signature_prefetcher(self) -> Callable[[Sequence[tuple]], int]:
         """Cross-request batch prefetcher for the async runtime.
@@ -262,7 +268,12 @@ class EndServerBase(Service):
         payload = message.payload
         operation = payload["operation"]
         target = payload.get("target")
-        amounts = _parse_amounts(payload.get("amounts"))
+        amounts = _parse_amounts(payload.get("amounts", {}))
+        handler, declared = self._operations.get(operation, (None, None))
+        if declared is not None:
+            args = declared.from_wire(payload.get("args", {}))
+        else:
+            args = payload.get("args") or {}
         session = self._authenticate(payload)
         claimant = session.presenter if session is not None else None
         # Accept-once identifiers consumed while verifying are rolled back
@@ -345,7 +356,6 @@ class EndServerBase(Service):
                     self.telemetry,
                 )
 
-            handler = self._operations.get(operation)
             if handler is None:
                 raise ServiceError(
                     f"{self.principal} has no operation {operation!r}"
@@ -368,7 +378,7 @@ class EndServerBase(Service):
             request = AuthorizedRequest(
                 operation=operation,
                 target=target,
-                args=payload.get("args") or {},
+                args=args,
                 rights=rights,
                 claimant=claimant,
                 groups=groups,

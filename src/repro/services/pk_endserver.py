@@ -46,6 +46,7 @@ from repro.crypto.schnorr_groups import DEFAULT_GROUP, SchnorrGroup
 from repro.crypto.signature import SchnorrSigner, SchnorrVerifier, Verifier
 from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import (
     AuthenticatorError,
     ProxyVerificationError,
@@ -105,6 +106,7 @@ class _DirectoryCrypto(PublicKeyCrypto):
             ) from None
 
 
+@wire
 @dataclass(frozen=True)
 class SignedEnvelope:
     """Identity authentication for one request (the PK 'authenticator')."""
@@ -138,27 +140,6 @@ class SignedEnvelope:
     def body_bytes(self) -> bytes:
         return self.signed_body(
             self.claimant, self.server, self.timestamp, self.nonce, self.digest
-        )
-
-    def to_wire(self) -> dict:
-        return {
-            "claimant": self.claimant.to_wire(),
-            "server": self.server.to_wire(),
-            "timestamp": float(self.timestamp),
-            "nonce": self.nonce,
-            "digest": self.digest,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "SignedEnvelope":
-        return cls(
-            claimant=PrincipalId.from_wire(wire["claimant"]),
-            server=PrincipalId.from_wire(wire["server"]),
-            timestamp=float(wire["timestamp"]),
-            nonce=wire["nonce"],
-            digest=wire["digest"],
-            signature=wire["signature"],
         )
 
 

@@ -59,6 +59,7 @@ from repro.core.restrictions import (
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import NetworkError, ReproError, ResilienceError
 from repro.kerberos.proxy_support import endorse, grant_via_credentials
+from repro.ledger.ledger import Problem
 from repro.net.aio import AioNetwork
 from repro.net.message import Message
 from repro.net.network import LatencyModel
@@ -336,7 +337,10 @@ class EchoScenario(LoadScenario):
     def check(self, realm, config, state, ops_ok):
         handled = state["echo"].handled
         if handled < ops_ok:
-            return [f"echo server handled {handled} < {ops_ok} completed ops"]
+            return [Problem(
+                f"echo server handled {handled} < {ops_ok} completed ops",
+                "echo", "handled",
+            )]
         return []
 
 
@@ -349,7 +353,10 @@ class _EndServerScenario(LoadScenario):
     def check(self, realm, config, state, ops_ok):
         audited = len(state[self.SERVER].audit.all())
         if audited < ops_ok:
-            return [f"audit recorded {audited} < {ops_ok} completed ops"]
+            return [Problem(
+                f"audit recorded {audited} < {ops_ok} completed ops",
+                self.SERVER, "audited",
+            )]
         return []
 
     def prefetchers(self, state):
@@ -709,20 +716,30 @@ class Fig5Scenario(LoadScenario):
 
     def check(self, realm, config, state, ops_ok):
         banks = self._banks(state)
-        problems: List[str] = []
+        problems: List[Problem] = []
         expected = {c: config.principals * v for c, v in self.MINT.items()}
         totals = non_settlement_totals(banks)
-        if totals != expected:
-            problems.append(
-                f"conservation broken: non-settlement totals {totals} "
-                f"!= minted {expected}"
-            )
+        for currency in sorted(set(totals) | set(expected)):
+            total, minted = totals.get(currency), expected.get(currency)
+            if total != minted:
+                problems.append(Problem(
+                    f"conservation broken: non-settlement {currency} total "
+                    f"{total} != minted {minted}",
+                    "non-settlement", "conservation", currency,
+                ))
         for bank in banks:
             name = bank.principal.name
             for problem in bank.ledger.audit_discrepancies():
-                problems.append(f"{name} audit: {problem}")
+                subject, kind, currency = problem.key
+                problems.append(Problem(
+                    f"{name} audit: {problem}",
+                    f"{name}/{subject}", kind, currency,
+                ))
             if bank.ledger.in_transaction():
-                problems.append(f"{name} left a ledger transaction open")
+                problems.append(Problem(
+                    f"{name} left a ledger transaction open",
+                    name, "open-transaction",
+                ))
         return problems
 
     def prefetchers(self, state):
@@ -770,7 +787,7 @@ class Fig5Mix(Fig5Scenario):
     * ``cashiers`` — buy a cashier's check, the payee deposits it;
     * ``transfer`` — between a bank's two accounts (quota allocation);
     * ``replay`` — deposit one check twice;
-    * ``malformed`` — one of six requests a server must refuse.
+    * ``malformed`` — one of seven requests a server must refuse.
 
     A refusal is an outcome, ``{"variant": v, "refused": error type}``,
     which parity compares across arms; a network or retry failure fails
@@ -945,7 +962,7 @@ class Fig5Mix(Fig5Scenario):
     def _malformed(self, realm, state, cast, rng):
         actor, peer = rng.choice(cast), rng.choice(cast)
         client, currency = actor.client, self._currency(rng)
-        kind = rng.randrange(6)
+        kind = rng.randrange(7)
         if kind == 0:
             client.transfer(
                 actor.account,
@@ -994,12 +1011,30 @@ class Fig5Mix(Fig5Scenario):
                 10,
                 lifetime=10.0**9,
             )
-        else:
+        elif kind == 5:
             # A negative-amount certification (once deleted the hold).
             check = client.write_check(
                 actor.account, peer.client.principal, currency, -25
             )
             client.certify_check(check, state[peer.bank].principal)
+        else:
+            # A transfer that would go through but for an argument off
+            # its declared type, or a key none declares: once coerced
+            # (2.9 moved 2, "5" moved 5) or ignored.
+            (mate,) = [
+                a for a in cast if a.bank == actor.bank and a is not actor
+            ]
+            args = {"to": mate.account, "currency": currency, "amount": 5}
+            bad = rng.choice([2.9, True, "5", None])
+            if bad is None:
+                args["memo"] = "x"
+            else:
+                args["amount"] = bad
+            client.service.request(
+                "transfer",
+                target=account_target(client.account_id(actor.account)),
+                args=args,
+            )
         raise AssertionError("fig5-mix: a malformed request was accepted")
 
 

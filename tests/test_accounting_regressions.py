@@ -26,6 +26,7 @@ from repro.errors import (
     AccountingError,
     CheckError,
     ReproError,
+    WireSchemaError,
 )
 from repro.kerberos.proxy_support import grant_via_credentials
 from repro.services.accounting import CASHIER_ACCOUNT, SETTLEMENT_PREFIX
@@ -258,7 +259,7 @@ class TestBoundaryValidation:
         self, realm, bank, alice, bob, amount
     ):
         client = alice.accounting_client(bank.principal)
-        with pytest.raises(AccountingError, match="positive"):
+        with pytest.raises(WireSchemaError, match="amount: .* is below 1"):
             client.transfer("alice", "bob", "dollars", amount)
         assert bank.accounts["alice"].balance("dollars") == 100
         assert bank.accounts["bob"].balance("dollars") == 0

@@ -9,7 +9,7 @@ from repro.acl import (
     Compound,
     GroupSubject,
     SinglePrincipal,
-    subject_from_wire,
+    Subject,
 )
 from repro.core.restrictions import Quota
 from repro.encoding.identifiers import GroupId, PrincipalId
@@ -84,11 +84,11 @@ class TestSubjects:
             ),
         ]
         for s in subjects:
-            assert subject_from_wire(s.to_wire()) == s
+            assert Subject.from_wire(s.to_wire()) == s
 
     def test_unknown_subject_kind(self):
         with pytest.raises(DecodingError):
-            subject_from_wire({"kind": "martian"})
+            Subject.from_wire({"kind": "martian"})
 
 
 class TestAclEntry:

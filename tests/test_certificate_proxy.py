@@ -7,11 +7,11 @@ from repro.core.certificate import (
     LINK_DELEGATE,
     LINK_ROOT,
     HybridKeyBinding,
+    KeyBinding,
     ProxyCertificate,
     PublicKeyBinding,
     SealedKeyBinding,
     build_certificate,
-    key_binding_from_wire,
 )
 from repro.core.chain import describe
 from repro.core.proxy import (
@@ -110,7 +110,7 @@ class TestCertificate:
 
     def test_unknown_binding_kind_rejected(self):
         with pytest.raises(DecodingError):
-            key_binding_from_wire({"kind": "nope"})
+            KeyBinding.from_wire({"kind": "nope"})
 
     def test_binding_wire_round_trips(self):
         for binding in (
@@ -121,7 +121,7 @@ class TestCertificate:
                 fingerprint=b"f" * 16,
             ),
         ):
-            assert key_binding_from_wire(binding.to_wire()) == binding
+            assert KeyBinding.from_wire(binding.to_wire()) == binding
 
 
 class TestGranting:

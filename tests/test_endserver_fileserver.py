@@ -417,8 +417,8 @@ class TestEndServerEdgeCases:
                 "amounts": {"x": float("inf")},
             },
         )
-        assert reply["__error__"]["kind"] == "service"
-        assert "amount of 'x'" in reply["__error__"]["detail"]
+        assert reply["__error__"]["kind"] == "malformed"
+        assert "amounts['x']" in reply["__error__"]["detail"]
         assert (dict(fs.files), dict(fs.sessions), fs.audit.all()) == before
         assert client.request("read", "doc")["data"] == b"data"
 

@@ -20,6 +20,7 @@ from repro.errors import (
     ProxyVerificationError,
     RestrictionViolation,
     ServiceError,
+    WireSchemaError,
 )
 from repro.kerberos.proxy_support import grant_via_credentials
 from repro.net.message import raise_if_error
@@ -210,7 +211,7 @@ def test_error_precedence_and_rejections_leave_no_trace(front):
         assert trace_of(front) == untouched
 
     refused(
-        ServiceError, "amount of 'bytes'",
+        WireSchemaError, r"amounts\['bytes'\]",
         amounts={"bytes": -1}, valid_identity=False, tamper=True,
     )
     refused(*front.auth_error, valid_identity=False, tamper=True)
@@ -268,7 +269,7 @@ def test_malformed_amount_refused_before_authentication(front, value):
     proxy, _ = chain(front)
     body = payload(front, proxy=proxy, amounts={"bytes": value})
     untouched = trace_of(front)
-    with pytest.raises(ServiceError, match="amount of 'bytes'"):
+    with pytest.raises(WireSchemaError, match=r"amounts\['bytes'\]"):
         send(front, body)
     assert trace_of(front) == untouched
     # Nothing was consumed: the same envelope or session, proof and
@@ -366,7 +367,7 @@ def test_clients_send_amounts_as_given(front, value):
     )
     proxy, _ = chain(front)
     untouched = trace_of(front)
-    with pytest.raises(ServiceError, match="amount of 'bytes'"):
+    with pytest.raises(WireSchemaError, match=r"amounts\['bytes'\]"):
         client_request(front, proxy, {"bytes": value})
     assert trace_of(front) == untouched
     sent = []

@@ -114,8 +114,8 @@ class TestEnvelopeAuthentication:
             )
 
     def test_non_finite_amount_is_an_error_reply(self, world):
-        """An infinite amount comes back as a ``service`` error naming the
-        currency, and consumes nothing."""
+        """An infinite amount comes back as a ``malformed`` error naming
+        the currency, and consumes nothing."""
         clock, network, directory, server, alice, bob = world
         from repro.core.presentation import request_digest
         from repro.net.message import raise_if_error
@@ -130,8 +130,8 @@ class TestEnvelopeAuthentication:
         reply = network.send(
             alice.principal, server.principal, "request", payload
         )
-        assert reply["__error__"]["kind"] == "service"
-        assert "amount of 'x'" in reply["__error__"]["detail"]
+        assert reply["__error__"]["kind"] == "malformed"
+        assert "amounts['x']" in reply["__error__"]["detail"]
         assert len(server.audit.all()) == 0
         # The envelope was not consumed: the well-formed request goes through.
         payload["amounts"] = {}

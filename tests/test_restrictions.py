@@ -1,5 +1,7 @@
 """The restriction vocabulary (§7): semantics of every restriction type."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.clock import SimulatedClock
@@ -21,16 +23,17 @@ from repro.core.restrictions import (
     is_bearer,
     is_narrower,
     propagate_restrictions,
-    register_restriction,
     restriction_from_wire,
     restrictions_from_wire,
     restrictions_to_wire,
 )
 from repro.encoding.identifiers import GroupId, PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import (
     ReplayError,
     RestrictionError,
     RestrictionViolation,
+    WireSchemaError,
 )
 
 ALICE = PrincipalId("alice")
@@ -395,17 +398,19 @@ class TestFramework:
         assert restrictions_from_wire(wires) == restrictions
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(RestrictionError):
+        with pytest.raises(WireSchemaError):
             restriction_from_wire({"type": "no-such-restriction"})
 
     def test_missing_type_rejected(self):
-        with pytest.raises(RestrictionError):
+        with pytest.raises(WireSchemaError):
             restriction_from_wire({"oops": 1})
 
     def test_custom_restriction_registrable(self):
-        """The vocabulary is open-ended, like V5 authorization-data (§6.2)."""
+        """The vocabulary is open-ended, like V5 authorization-data (§6.2):
+        an application declares its own restriction type."""
 
-        @register_restriction
+        @wire
+        @dataclass(frozen=True, eq=False)
         class BusinessHours(Restriction):
             TYPE = "x-business-hours"
 
@@ -413,34 +418,22 @@ class TestFramework:
                 if not 9 * 3600 <= context.time % 86400 < 17 * 3600:
                     raise RestrictionViolation(self.TYPE, "outside hours")
 
-            def to_wire(self):
-                return {"type": self.TYPE}
-
-            @classmethod
-            def from_wire(cls, wire):
-                return cls()
-
         decoded = restriction_from_wire({"type": "x-business-hours"})
+        assert isinstance(decoded, BusinessHours)
         decoded.check(ctx(time=10 * 3600.0))
         with pytest.raises(RestrictionViolation):
             decoded.check(ctx(time=3 * 3600.0))
 
     def test_duplicate_type_registration_rejected(self):
-        with pytest.raises(RestrictionError):
+        with pytest.raises(TypeError, match="duplicate"):
 
-            @register_restriction
+            @wire
+            @dataclass(frozen=True, eq=False)
             class Fake(Restriction):
                 TYPE = "quota"  # collides
 
                 def check(self, context):
                     pass
-
-                def to_wire(self):
-                    return {"type": self.TYPE}
-
-                @classmethod
-                def from_wire(cls, wire):
-                    return cls()
 
     def test_restrictions_hashable_for_dedup(self):
         a = Quota(currency="x", limit=1)

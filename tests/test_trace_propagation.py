@@ -326,6 +326,36 @@ class TestForensicAutoDump:
         assert report.forensics
         assert report.units[5].trace_id in report.forensics[0]
 
+    def test_a_growing_drift_is_reported_once(self, monkeypatch):
+        """A drift whose text carries a moving balance is one problem per
+        key (subject, kind, currency), not one per unit that still sees
+        it: reported at the unit it began, with that unit the only
+        offender dumped."""
+        from repro.resil import chaos
+        from repro.resil.chaos import CampaignSpec, run_campaign
+        from repro.workloads.load import Fig5Scenario
+
+        class Drifting(Fig5Scenario):
+            def op(self, realm, config, state, pstate, i, k):
+                outcome = super().op(realm, config, state, pstate, i, k)
+                if k >= 2:
+                    payee = state["bank_b"].accounts[f"payee-{i}"]
+                    payee.balances["dollars"] += 1
+                return outcome
+
+        monkeypatch.setattr(chaos, "scenario_for", lambda figure: Drifting())
+        report = run_campaign(CampaignSpec("fig5", seed=7, units=8))
+        faulted = [
+            p for p in report.recovery_problems if not p.startswith("baseline")
+        ]
+        assert [p.split(": ", 2)[1] for p in faulted] == [
+            "conservation broken",
+            "bank-b audit",
+        ]
+        assert all(p.startswith("unit 2: ") for p in faulted)
+        assert len(report.forensics) == 1
+        assert report.units[2].trace_id in report.forensics[0]
+
 
 class TestCli:
     def test_trace_follow_renders_a_waterfall(self, capsys):
