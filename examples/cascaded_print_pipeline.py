@@ -16,7 +16,7 @@ from repro.core.evaluation import RequestContext
 from repro.core.restrictions import Grantee, Quota
 from repro.errors import ReproError
 from repro.kerberos.proxy_support import endorse, grant_via_credentials
-from repro.services.printserver import PAGES
+from repro.services.printserver import PAGES, AllocateArgs
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
 
     printer = realm.print_server("printer")
     alice.client_for(printer.principal).request(
-        "allocate", args={"pages": 100}
+        "allocate", args=AllocateArgs(pages=100).to_wire()
     )
     print("alice has 100 pages allocated at the printer\n")
 

@@ -37,7 +37,7 @@ def main() -> None:
     )
     documents = {"paper.ps": b"ICDCS 1993 camera-ready"}
     server.register_operation(
-        "read", lambda request: {"data": documents[request.args["path"]]}
+        "read", lambda request: {"data": documents[request.target]}
     )
 
     alice = PkClient(
@@ -53,7 +53,6 @@ def main() -> None:
     print("1. alice authenticates by signature (no tickets anywhere):")
     out = alice.request(
         server.principal, "read", target="paper.ps",
-        args={"path": "paper.ps"},
     )
     print(f"   read -> {out['data']!r}")
 
@@ -69,7 +68,7 @@ def main() -> None:
     )
     out = bob.request(
         server.principal, "read", target="paper.ps",
-        args={"path": "paper.ps"}, proxy=proxy, anonymous=True,
+        proxy=proxy, anonymous=True,
     )
     print(f"   bob, anonymous bearer -> {out['data']!r}")
 
@@ -83,7 +82,7 @@ def main() -> None:
     )
     out = bob.request(
         server.principal, "read", target="paper.ps",
-        args={"path": "paper.ps"}, proxy=hybrid, anonymous=True,
+        proxy=hybrid, anonymous=True,
     )
     print(f"   bob via hybrid proxy -> {out['data']!r}")
 
@@ -93,7 +92,7 @@ def main() -> None:
         try:
             bob.request(
                 server.principal, "read", target="paper.ps",
-                args={"path": "paper.ps"}, proxy=bundle, anonymous=True,
+                proxy=bundle, anonymous=True,
             )
         except ReproError as exc:
             print(f"   {label} proxy now refused: {exc}")

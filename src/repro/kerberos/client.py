@@ -8,33 +8,37 @@ proxy for the ticket-granting service).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.clock import Clock
 from repro.core.presentation import present
 from repro.core.proxy import Proxy
-from repro.core.restrictions import (
-    Restriction,
-    restrictions_from_wire,
-)
-from repro.crypto import symmetric as _symmetric
+from repro.core.restrictions import Restriction
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
-from repro.encoding.canonical import decode
 from repro.encoding.identifiers import PrincipalId
-from repro.errors import IntegrityError, KerberosError
+from repro.errors import KerberosError
 from repro.kerberos.kdc import (
     cross_realm_principal,
     kdc_principal,
     tgs_principal,
 )
 from repro.kerberos.session import make_ap_request
-from repro.kerberos.ticket import Credentials, Ticket
+from repro.kerberos.ticket import (
+    AsReplyPart,
+    AsRequest,
+    Credentials,
+    KdcReply,
+    ProxyReplyPart,
+    TgsProxyRequest,
+    TgsReplyPart,
+    TgsRequest,
+    Ticket,
+    open_value,
+)
 from repro.net.message import raise_if_error
 from repro.net.network import Network
-
-_AS_REPLY_AD = b"krb-as-reply"
-_TGS_REPLY_AD = b"krb-tgs-reply"
 
 
 class KerberosClient:
@@ -67,11 +71,46 @@ class KerberosClient:
 
     # ------------------------------------------------------------------
 
-    def _call_kdc(self, msg_type: str, payload: dict) -> dict:
-        response = self.network.send(
-            self.principal, self._kdc, msg_type, payload
+    def _exchange(
+        self,
+        msg_type: str,
+        request,
+        key: SymmetricKey,
+        part: type,
+        kdc: Optional[PrincipalId] = None,
+        client: Optional[PrincipalId] = None,
+    ) -> Credentials:
+        """Send ``request`` to ``kdc`` (our realm's by default) and open the
+        reply into ``client``'s (our) credentials: its ticket, and its
+        secret ``part`` sealed under ``key``.  A part that carries a nonce
+        must echo the request's, or the reply answers some other request —
+        a replayed old one, say (RFC 4120 §3.1.5)."""
+        reply = KdcReply.from_wire(
+            raise_if_error(
+                self.network.send(
+                    self.principal, kdc or self._kdc, msg_type,
+                    request.to_wire(),
+                )
+            )
         )
-        return raise_if_error(response)
+        secret = open_value(
+            part, key.secret, reply.enc_part, part.AD,
+            KerberosError, f"{msg_type} reply",
+        )
+        if getattr(secret, "nonce", None) != getattr(request, "nonce", None):
+            raise KerberosError(
+                f"{msg_type} reply does not echo the request's nonce"
+            )
+        return Credentials(
+            ticket=reply.ticket,
+            session_key=secret.session_key,
+            client=client or self.principal,
+            expires_at=secret.expires_at,
+            authorization_data=getattr(secret, "authorization_data", ()),
+        )
+
+    def _nonce(self) -> int:
+        return int.from_bytes(self._rng.bytes(4), "big")
 
     def login(
         self,
@@ -83,85 +122,40 @@ class KerberosClient:
         ``authorization_data`` restricts the TGT itself — §6.3's observation
         that initial authentication is the granting of a proxy.
         """
-        from repro.core.restrictions import restrictions_to_wire
-
-        reply = self._call_kdc(
+        authorization_data = tuple(authorization_data)
+        tgt = self._exchange(
             "as-request",
-            {
-                "client": self.principal.to_wire(),
-                "till": till,
-                "authorization_data": restrictions_to_wire(
-                    tuple(authorization_data)
-                ),
-                "nonce": int.from_bytes(self._rng.bytes(4), "big"),
-            },
+            AsRequest(self.principal, till, authorization_data, self._nonce()),
+            self._secret_key,
+            AsReplyPart,
         )
-        try:
-            enc = decode(
-                _symmetric.unseal(
-                    self._secret_key.secret,
-                    reply["enc_part"],
-                    associated_data=_AS_REPLY_AD,
-                )
-            )
-        except IntegrityError as exc:
-            raise KerberosError(f"AS reply failed to open: {exc}") from exc
-        self.tgt = Credentials(
-            ticket=Ticket.from_wire(reply["ticket"]),
-            session_key=SymmetricKey(secret=enc["session_key"]),
-            client=self.principal,
-            expires_at=float(enc["expires_at"]),
-            authorization_data=tuple(authorization_data),
-        )
+        # An AS reply does not repeat the restrictions its request asked for.
+        self.tgt = replace(tgt, authorization_data=authorization_data)
         return self.tgt
 
     def _tgs_exchange(
         self,
-        kdc: PrincipalId,
         tgt: Credentials,
         server: PrincipalId,
-        additional_restrictions: Tuple[Restriction, ...],
-        till: Optional[float],
+        additional_restrictions: Tuple[Restriction, ...] = (),
+        till: Optional[float] = None,
     ) -> Credentials:
-        """One TGS exchange against ``kdc`` using ``tgt``."""
+        """One TGS exchange using ``tgt``, with the KDC of ``server``'s
+        realm (ours, for a cross-realm TGT)."""
         ap = make_ap_request(
             tgt,
             self.clock,
             authorization_data=tuple(additional_restrictions),
             rng=self._rng,
         )
-        reply = raise_if_error(
-            self.network.send(
-                self.principal,
-                kdc,
-                "tgs-request",
-                {
-                    "ticket": ap["ticket"],
-                    "authenticator": ap["authenticator"],
-                    "server": server.to_wire(),
-                    "till": till,
-                    "nonce": int.from_bytes(self._rng.bytes(4), "big"),
-                },
-            )
-        )
-        try:
-            enc = decode(
-                _symmetric.unseal(
-                    tgt.session_key.secret,
-                    reply["enc_part"],
-                    associated_data=_TGS_REPLY_AD,
-                )
-            )
-        except IntegrityError as exc:
-            raise KerberosError(f"TGS reply failed to open: {exc}") from exc
-        return Credentials(
-            ticket=Ticket.from_wire(reply["ticket"]),
-            session_key=SymmetricKey(secret=enc["session_key"]),
-            client=self.principal,
-            expires_at=float(enc["expires_at"]),
-            authorization_data=restrictions_from_wire(
-                enc["authorization_data"]
+        return self._exchange(
+            "tgs-request",
+            TgsRequest(
+                ap.ticket, ap.authenticator, server, till, self._nonce()
             ),
+            tgt.session_key,
+            TgsReplyPart,
+            kdc_principal(server.realm),
         )
 
     def _home_tgt(self) -> Credentials:
@@ -176,11 +170,8 @@ class KerberosClient:
         if cached is not None and cached.expires_at > self.clock.now():
             return cached
         cross = self._tgs_exchange(
-            self._kdc,
             self._home_tgt(),
             cross_realm_principal(remote_realm, self.principal.realm),
-            (),
-            None,
         )
         self._cross_tgts[remote_realm] = cross
         return cross
@@ -209,23 +200,14 @@ class KerberosClient:
             and self._cache[server].expires_at > self.clock.now()
         ):
             return self._cache[server]
-        if server.realm == self.principal.realm:
-            credentials = self._tgs_exchange(
-                self._kdc,
-                self._home_tgt(),
-                server,
-                additional_restrictions,
-                till,
-            )
-        else:
-            cross_tgt = self._cross_realm_tgt(server.realm)
-            credentials = self._tgs_exchange(
-                kdc_principal(server.realm),
-                cross_tgt,
-                server,
-                additional_restrictions,
-                till,
-            )
+        tgt = (
+            self._home_tgt()
+            if server.realm == self.principal.realm
+            else self._cross_realm_tgt(server.realm)
+        )
+        credentials = self._tgs_exchange(
+            tgt, server, additional_restrictions, till
+        )
         if not additional_restrictions:
             self._cache[server] = credentials
         return credentials
@@ -255,37 +237,12 @@ class KerberosClient:
             operation="obtain-ticket",
             target=str(server),
         )
-        reply = self._call_kdc(
-            "tgs-proxy-request",
-            {
-                "grantor_ticket": grantor_ticket.to_wire(),
-                "proxy": presented.to_wire(),
-                "grantee": self.principal.to_wire(),
-                "server": server.to_wire(),
-            },
-        )
-        if proxy.proxy_key is None or not isinstance(
-            proxy.proxy_key, SymmetricKey
-        ):
+        if not isinstance(proxy.proxy_key, SymmetricKey):
             raise KerberosError("TGS proxies use symmetric proxy keys")
-        try:
-            enc = decode(
-                _symmetric.unseal(
-                    proxy.proxy_key.secret,
-                    reply["enc_part"],
-                    associated_data=_TGS_REPLY_AD,
-                )
-            )
-        except IntegrityError as exc:
-            raise KerberosError(
-                f"TGS proxy reply failed to open: {exc}"
-            ) from exc
-        return Credentials(
-            ticket=Ticket.from_wire(reply["ticket"]),
-            session_key=SymmetricKey(secret=enc["session_key"]),
+        return self._exchange(
+            "tgs-proxy-request",
+            TgsProxyRequest(grantor_ticket, presented, self.principal, server),
+            proxy.proxy_key,
+            ProxyReplyPart,
             client=proxy.grantor,
-            expires_at=float(enc["expires_at"]),
-            authorization_data=restrictions_from_wire(
-                enc["authorization_data"]
-            ),
         )

@@ -25,23 +25,16 @@ contrasts with Sollins-style online verification.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
 from repro.clock import Clock
 from repro.core.certificate import ProxyCertificate
-from repro.core.presentation import PresentedProxy
-from repro.core.restrictions import (
-    Grantee,
-    Restriction,
-    restrictions_from_wire,
-    restrictions_to_wire,
-)
+from repro.core.restrictions import Grantee, Restriction
 from repro.core.verification import ProxyVerifier, SharedKeyCrypto
 from repro.core.evaluation import RequestContext
-from repro.crypto import symmetric as _symmetric
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
-from repro.encoding.canonical import encode
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
     AuthenticatorError,
@@ -50,17 +43,22 @@ from repro.errors import (
 )
 from repro.kerberos.database import PrincipalDatabase
 from repro.kerberos.ticket import (
-    Authenticator,
+    ApRequest,
+    AsReplyPart,
+    AsRequest,
     AuthenticatorBody,
+    KdcReply,
+    ProxyReplyPart,
     Ticket,
+    TgsProxyRequest,
+    TgsReplyPart,
+    TgsRequest,
     TicketBody,
+    seal_value,
 )
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.service import Service
-
-_AS_REPLY_AD = b"krb-as-reply"
-_TGS_REPLY_AD = b"krb-tgs-reply"
 
 #: Default ticket lifetime, seconds.
 DEFAULT_LIFETIME = 8 * 3600.0
@@ -126,68 +124,75 @@ class KeyDistributionCenter(Service):
         #: TGS) are accepted by our TGS exchange.
         self._cross_keys: Dict[PrincipalId, SymmetricKey] = {}
 
-    def _count_issued(self, exchange: str) -> None:
+    def _issue(
+        self,
+        exchange: str,
+        reply_key: bytes,
+        part: type,
+        nonce: Optional[int] = None,
+        **ticket,
+    ) -> dict:
+        """Issue one ticket, whatever the exchange: a fresh session key
+        goes into the ticket (the :class:`TicketBody` fields ``ticket``),
+        sealed under its server's key, and into the reply's secret
+        ``part``, sealed under ``reply_key``.  The part repeats the
+        ticket's fields it declares, and echoes the request's ``nonce``."""
+        server_key = self.database.key_of(ticket["server"])
+        body = TicketBody(
+            session_key=SymmetricKey.generate(rng=self._rng), **ticket
+        )
+        sealed = Ticket.seal(body, server_key, rng=self._rng)
+        echoed = {} if nonce is None else {"nonce": nonce}
+        secret = part(
+            **{
+                spec.name: getattr(body, spec.name)
+                for spec in fields(part)
+                if spec.name != "nonce"
+            },
+            **echoed,
+        )
+        enc_part = seal_value(reply_key, secret, secret.AD, self._rng)
         self.telemetry.inc(
             "kdc_tickets_issued_total",
             help="Tickets issued by the KDC, by exchange kind.",
             realm=self.realm,
             exchange=exchange,
         )
+        return KdcReply(sealed, enc_part).to_wire()
 
     # ------------------------------------------------------------------
     # AS exchange
     # ------------------------------------------------------------------
 
     def op_as_request(self, message: Message) -> dict:
-        """AS-REQ: {client, till?, authorization_data?} → TGT.
+        """AS-REQ → TGT.
 
         The reply's secret part is sealed under the client's long-term key;
         possession of that key *is* the authentication.
         """
-        payload = message.payload
-        client = PrincipalId.from_wire(payload["client"])
-        client_key = self.database.key_of(client)
+        request = AsRequest.from_wire(message.fields)
+        client_key = self.database.key_of(request.client)
         now = self.clock.now()
-        till = float(payload.get("till") or now + DEFAULT_LIFETIME)
-        authdata = restrictions_from_wire(
-            payload.get("authorization_data") or []
-        )
-        session_key = SymmetricKey.generate(rng=self._rng)
-        body = TicketBody(
-            client=client,
-            server=self.tgs,
-            session_key=session_key,
-            auth_time=now,
-            expires_at=till,
-            authorization_data=authdata,
-        )
-        ticket = Ticket.seal(
-            body, self.database.key_of(self.tgs), rng=self._rng
-        )
-        enc_part = _symmetric.seal(
+        return self._issue(
+            "as",
             client_key.secret,
-            encode(
-                {
-                    "session_key": session_key.secret,
-                    "server": self.tgs.to_wire(),
-                    "expires_at": till,
-                    "nonce": payload.get("nonce", 0),
-                }
-            ),
-            associated_data=_AS_REPLY_AD,
-            rng=self._rng,
+            AsReplyPart,
+            request.nonce,
+            client=request.client,
+            server=self.tgs,
+            auth_time=now,
+            expires_at=request.till or now + DEFAULT_LIFETIME,
+            authorization_data=request.authorization_data,
         )
-        self._count_issued("as")
-        return {"ticket": ticket.to_wire(), "enc_part": enc_part}
 
     # ------------------------------------------------------------------
     # TGS exchange
     # ------------------------------------------------------------------
 
     def _validate_tgt(
-        self, ticket_wire: dict, authenticator_wire: dict
+        self, request: ApRequest
     ) -> Tuple[TicketBody, AuthenticatorBody]:
-        ticket = Ticket.from_wire(ticket_wire)
+        ticket = request.ticket
         if ticket.server == self.tgs:
             key = self.database.key_of(self.tgs)
         elif ticket.server in self._cross_keys:
@@ -199,9 +204,7 @@ class KeyDistributionCenter(Service):
         now = self.clock.now()
         if body.expires_at < now:
             raise TicketError("TGT expired")
-        auth = Authenticator.from_wire(authenticator_wire).open(
-            body.session_key
-        )
+        auth = request.authenticator.open(body.session_key)
         if auth.client != body.client:
             raise AuthenticatorError("authenticator client mismatch")
         if abs(auth.timestamp - now) > self.max_skew:
@@ -214,46 +217,22 @@ class KeyDistributionCenter(Service):
         Authorization-data is additive: the issued ticket carries the TGT's
         restrictions plus any in the request's authenticator (§6.2).
         """
-        payload = message.payload
-        tgt_body, auth = self._validate_tgt(
-            payload["ticket"], payload["authenticator"]
-        )
-        server = PrincipalId.from_wire(payload["server"])
-        server_key = self.database.key_of(server)
-        now = self.clock.now()
-        till = min(
-            float(payload.get("till") or tgt_body.expires_at),
-            tgt_body.expires_at,
-        )
-        authdata = tuple(tgt_body.authorization_data) + tuple(
-            auth.authorization_data
-        )
-        session_key = SymmetricKey.generate(rng=self._rng)
-        body = TicketBody(
-            client=tgt_body.client,
-            server=server,
-            session_key=session_key,
-            auth_time=tgt_body.auth_time,
-            expires_at=till,
-            authorization_data=authdata,
-        )
-        ticket = Ticket.seal(body, server_key, rng=self._rng)
-        enc_part = _symmetric.seal(
+        request = TgsRequest.from_wire(message.fields)
+        tgt_body, auth = self._validate_tgt(request)
+        return self._issue(
+            "tgs",
             tgt_body.session_key.secret,
-            encode(
-                {
-                    "session_key": session_key.secret,
-                    "server": server.to_wire(),
-                    "expires_at": till,
-                    "authorization_data": restrictions_to_wire(authdata),
-                    "nonce": payload.get("nonce", 0),
-                }
+            TgsReplyPart,
+            request.nonce,
+            client=tgt_body.client,
+            server=request.server,
+            auth_time=tgt_body.auth_time,
+            expires_at=min(
+                request.till or tgt_body.expires_at, tgt_body.expires_at
             ),
-            associated_data=_TGS_REPLY_AD,
-            rng=self._rng,
+            authorization_data=tuple(tgt_body.authorization_data)
+            + tuple(auth.authorization_data),
         )
-        self._count_issued("tgs")
-        return {"ticket": ticket.to_wire(), "enc_part": enc_part}
 
     # ------------------------------------------------------------------
     # TGS proxy exchange (§6.3)
@@ -262,24 +241,21 @@ class KeyDistributionCenter(Service):
     def op_tgs_proxy_request(self, message: Message) -> dict:
         """Obtain a service ticket on the strength of a TGS proxy.
 
-        Request: the *grantor's* TGT (so the TGS can recover the session key
-        under which the proxy chain was signed), the proxy chain whose
-        root was signed with that session key, a possession proof made for
-        the TGS, the target server, and the grantee's name.
-
-        The issued ticket is in the grantor's name and carries the proxy's
-        restrictions plus a grantee restriction naming the requester — a
-        per-end-server proxy with identical restrictions (§6.3).
+        The grantor's TGT lets the TGS recover the session key under which
+        the proxy chain's root was signed.  The issued ticket is in the
+        grantor's name and carries the proxy's restrictions plus a grantee
+        restriction naming the requester — a per-end-server proxy with
+        identical restrictions (§6.3).
         """
-        payload = message.payload
-        grantor_tgt = Ticket.from_wire(payload["grantor_ticket"])
+        request = TgsProxyRequest.from_wire(message.fields)
+        grantor_tgt = request.grantor_ticket
         if grantor_tgt.server != self.tgs:
             raise TicketError("grantor ticket is not a TGT")
         tgt_body = grantor_tgt.open(self.database.key_of(self.tgs))
         if tgt_body.expires_at < self.clock.now():
             raise TicketError("grantor TGT expired")
 
-        presented = PresentedProxy.from_wire(payload["proxy"])
+        presented = request.proxy
         # Verify the chain exactly as an end-server would, with the TGS in
         # the role of end-server and the TGT session key as the shared key.
         crypto = SharedKeyCrypto({tgt_body.client: tgt_body.session_key})
@@ -290,40 +266,18 @@ class KeyDistributionCenter(Service):
             max_skew=self.max_skew,
             telemetry=self.telemetry,
         )
-        grantee = PrincipalId.from_wire(payload["grantee"])
         verified = verifier.verify(
             presented,
             RequestContext(
                 server=self.tgs,
                 operation="obtain-ticket",
-                target=str(PrincipalId.from_wire(payload["server"])),
+                target=str(request.server),
             ),
             issuer_mode=True,
         )
         if verified.grantor != tgt_body.client:
             raise KerberosError("proxy grantor does not match TGT client")
 
-        server = PrincipalId.from_wire(payload["server"])
-        server_key = self.database.key_of(server)
-        now = self.clock.now()
-        till = min(verified.expires_at, tgt_body.expires_at)
-        # Identical restrictions (§6.3) plus the grantee pin.
-        carried: Tuple[Restriction, ...] = tuple(
-            r
-            for cert in presented.certificates
-            for r in cert.restrictions
-        )
-        authdata = carried + (Grantee(principals=(grantee,)),)
-        session_key = SymmetricKey.generate(rng=self._rng)
-        body = TicketBody(
-            client=tgt_body.client,
-            server=server,
-            session_key=session_key,
-            auth_time=now,
-            expires_at=till,
-            authorization_data=authdata,
-        )
-        ticket = Ticket.seal(body, server_key, rng=self._rng)
         # The new session key goes back sealed under the proxy chain's
         # final proxy key, which only the legitimate grantee holds.
         proxy_key = _recover_chain_key(verifier, presented.certificates)
@@ -331,21 +285,23 @@ class KeyDistributionCenter(Service):
             raise KerberosError(
                 "TGS proxies require conventional (symmetric) proxy keys"
             )
-        enc_part = _symmetric.seal(
-            proxy_key,
-            encode(
-                {
-                    "session_key": session_key.secret,
-                    "server": server.to_wire(),
-                    "expires_at": till,
-                    "authorization_data": restrictions_to_wire(authdata),
-                }
-            ),
-            associated_data=_TGS_REPLY_AD,
-            rng=self._rng,
+        # Identical restrictions (§6.3) plus the grantee pin.
+        carried: Tuple[Restriction, ...] = tuple(
+            r
+            for cert in presented.certificates
+            for r in cert.restrictions
         )
-        self._count_issued("tgs-proxy")
-        return {"ticket": ticket.to_wire(), "enc_part": enc_part}
+        return self._issue(
+            "tgs-proxy",
+            proxy_key,
+            ProxyReplyPart,
+            client=tgt_body.client,
+            server=request.server,
+            auth_time=self.clock.now(),
+            expires_at=min(verified.expires_at, tgt_body.expires_at),
+            authorization_data=carried
+            + (Grantee(principals=(request.grantee,)),),
+        )
 
 
 def _recover_chain_key(

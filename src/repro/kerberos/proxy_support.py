@@ -25,15 +25,15 @@ material:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
 from typing import Optional, Tuple
 
 from repro.clock import Clock
 from repro.core.certificate import ProxyCertificate
 from repro.core.evaluation import RequestContext, evaluate
-from repro.core.presentation import PresentedProxy, present
+from repro.core.presentation import present
 from repro.core.proxy import Proxy, delegate_cascade, grant_conventional
-from repro.core.restrictions import Restriction, check_all
+from repro.core.restrictions import Restriction
 from repro.core.verification import ProxyVerifier, SharedKeyCrypto, VerifiedProxy
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
@@ -41,7 +41,7 @@ from repro.crypto.signature import HmacSigner
 from repro.encoding.identifiers import PrincipalId
 from repro.encoding.schema import leaf, wire
 from repro.errors import TicketError
-from repro.kerberos.ticket import Credentials, Ticket
+from repro.kerberos.ticket import Credentials, ProxyBundle, Ticket
 
 
 def grant_via_credentials(
@@ -147,7 +147,8 @@ class KerberosProxy:
         prove_possession: bool = True,
         challenge: bytes = b"",
     ) -> dict:
-        """Wire payload the presenter sends with a request."""
+        """Wire payload the presenter sends with a request: a
+        :class:`ProxyBundle`."""
         presented = present(
             self.proxy,
             server,
@@ -159,13 +160,7 @@ class KerberosProxy:
             prove_possession=prove_possession,
             challenge=challenge,
         )
-        return self.wire_with(presented)
-
-    def wire_with(self, presented: PresentedProxy) -> dict:
-        return {
-            "tickets": [t.to_wire() for t in self.tickets],
-            "presented": presented.to_wire(),
-        }
+        return ProxyBundle(self.tickets, presented).to_wire()
 
     def transferable(self) -> dict:
         """Wire form for handing the proxy itself to another principal.
@@ -217,9 +212,13 @@ class KerberosProxyAcceptor:
             cache_config=cache_config,
         )
 
-    def accept(
+    def accept(self, wire: dict, *args, **kwargs) -> VerifiedProxy:
+        """:meth:`verify` a :class:`ProxyBundle`'s wire form."""
+        return self.verify(ProxyBundle.from_wire(wire), *args, **kwargs)
+
+    def verify(
         self,
-        wire: dict,
+        bundle: ProxyBundle,
         request: RequestContext,
         expected_digest: Optional[bytes] = None,
         issuer_mode: bool = False,
@@ -230,7 +229,7 @@ class KerberosProxyAcceptor:
         restrictions on the grantor's credentials (additivity across the
         whole derivation, §6.2).
         """
-        tickets = [Ticket.from_wire(t) for t in wire["tickets"]]
+        tickets = bundle.tickets
         if not tickets:
             raise TicketError("proxy bundle carries no tickets")
         now = self.clock.now()
@@ -244,7 +243,7 @@ class KerberosProxyAcceptor:
             if body.expires_at < now:
                 raise TicketError(f"ticket of {body.client} expired")
             bodies.append(body)
-        presented = PresentedProxy.from_wire(wire["presented"])
+        presented = bundle.presented
 
         # Session keys authenticate their clients for exactly this
         # verification; register, verify, restore.

@@ -28,10 +28,10 @@ from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import AuthenticatorError, ReplayError, TicketError
 from repro.kerberos.ticket import (
+    ApRequest,
     Authenticator,
     AuthenticatorBody,
     Credentials,
-    Ticket,
 )
 
 
@@ -42,8 +42,8 @@ def make_ap_request(
     subkey: Optional[SymmetricKey] = None,
     authorization_data: Tuple[Restriction, ...] = (),
     rng: Optional[Rng] = None,
-) -> dict:
-    """Client side: build the AP-REQ wire payload.
+) -> ApRequest:
+    """Client side: build the AP-REQ.
 
     ``presenter`` defaults to the credentials' client; a grantee using a
     proxy ticket passes its own name.  ``subkey``/``authorization_data`` are
@@ -56,13 +56,10 @@ def make_ap_request(
         subkey=subkey,
         authorization_data=authorization_data,
     )
-    authenticator = Authenticator.seal(
-        body, credentials.session_key, rng=rng or DEFAULT_RNG
+    return ApRequest(
+        credentials.ticket,
+        Authenticator.seal(body, credentials.session_key, rng=rng or DEFAULT_RNG),
     )
-    return {
-        "ticket": credentials.ticket.to_wire(),
-        "authenticator": authenticator.to_wire(),
-    }
 
 
 @dataclass
@@ -108,15 +105,15 @@ class ApAcceptor:
         self.max_skew = max_skew
         self._replay = AuthenticatorCache(clock, window=2 * max_skew)
 
-    def accept(self, ap_request: dict) -> Session:
-        """Validate an AP-REQ payload and return the established session.
+    def accept(self, ap_request: ApRequest) -> Session:
+        """Validate an AP-REQ and return the established session.
 
         Raises:
             TicketError: ticket unopenable, expired, or for another server.
             AuthenticatorError: stale, mismatched, or unauthorized presenter.
             ReplayError: authenticator seen before.
         """
-        ticket = Ticket.from_wire(ap_request["ticket"])
+        ticket = ap_request.ticket
         if ticket.server != self.server:
             raise TicketError(
                 f"ticket is for {ticket.server}, we are {self.server}"
@@ -126,12 +123,10 @@ class ApAcceptor:
         if body.expires_at < now:
             raise TicketError("ticket expired")
 
-        auth = Authenticator.from_wire(ap_request["authenticator"]).open(
-            body.session_key
-        )
+        auth = ap_request.authenticator.open(body.session_key)
         if abs(auth.timestamp - now) > self.max_skew:
             raise AuthenticatorError("authenticator outside skew window")
-        if not self._replay.register(ap_request["authenticator"]["blob"]):
+        if not self._replay.register(ap_request.authenticator.blob):
             raise ReplayError("authenticator replayed")
 
         # Who may present this ticket?  Normally only the named client; a

@@ -10,6 +10,9 @@ The V5 feature the paper depends on is the **authorization-data** field:
 on the use of the ticket ... restrictions must be additive."  We reuse the
 core restriction vocabulary directly: authorization-data is a list of
 restriction wire dicts.
+
+Every message of the AS, TGS and AP exchanges is declared here too, so the
+KDC, its clients and the end-servers read one accepted form of each.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.presentation import PresentedProxy
 from repro.core.restrictions import Restriction
 from repro.crypto import symmetric as _symmetric
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.rng import DEFAULT_RNG, Rng
+from repro.crypto.rng import Rng
 from repro.encoding.canonical import decode, encode
 from repro.encoding.identifiers import PrincipalId
 from repro.encoding.schema import wire
@@ -28,6 +32,26 @@ from repro.errors import IntegrityError, TicketError
 
 _TICKET_AD = b"krb-ticket-v5"
 _AUTHENTICATOR_AD = b"krb-authenticator-v5"
+
+
+def seal_value(
+    key: bytes, value, associated_data: bytes, rng: Optional[Rng] = None
+) -> bytes:
+    """A declared ``value``, canonically encoded and sealed under ``key``."""
+    return _symmetric.seal(
+        key, encode(value.to_wire()), associated_data=associated_data, rng=rng
+    )
+
+
+def open_value(kind: type, key: bytes, box: bytes, associated_data: bytes,
+               error: type, what: str):
+    """The ``kind`` that :func:`seal_value` sealed in ``box``; a box that
+    does not open under ``key`` (wrong key, tampering) raises ``error``."""
+    try:
+        plain = _symmetric.unseal(key, box, associated_data=associated_data)
+    except IntegrityError as exc:
+        raise error(f"{what} failed to open: {exc}") from exc
+    return kind.from_wire(decode(plain))
 
 
 @wire
@@ -59,12 +83,7 @@ class Ticket:
         server_key: SymmetricKey,
         rng: Optional[Rng] = None,
     ) -> "Ticket":
-        blob = _symmetric.seal(
-            server_key.secret,
-            encode(body.to_wire()),
-            associated_data=_TICKET_AD,
-            rng=rng or DEFAULT_RNG,
-        )
+        blob = seal_value(server_key.secret, body, _TICKET_AD, rng)
         return cls(server=body.server, blob=blob)
 
     def open(self, server_key: SymmetricKey) -> TicketBody:
@@ -73,15 +92,10 @@ class Ticket:
         Raises:
             TicketError: wrong key or tampering.
         """
-        try:
-            wire = decode(
-                _symmetric.unseal(
-                    server_key.secret, self.blob, associated_data=_TICKET_AD
-                )
-            )
-        except IntegrityError as exc:
-            raise TicketError(f"ticket failed to open: {exc}") from exc
-        body = TicketBody.from_wire(wire)
+        body = open_value(
+            TicketBody, server_key.secret, self.blob, _TICKET_AD,
+            TicketError, "ticket",
+        )
         if body.server != self.server:
             raise TicketError("ticket server name mismatch")
         return body
@@ -118,28 +132,15 @@ class Authenticator:
         session_key: SymmetricKey,
         rng: Optional[Rng] = None,
     ) -> "Authenticator":
-        blob = _symmetric.seal(
-            session_key.secret,
-            encode(body.to_wire()),
-            associated_data=_AUTHENTICATOR_AD,
-            rng=rng or DEFAULT_RNG,
+        return cls(
+            blob=seal_value(session_key.secret, body, _AUTHENTICATOR_AD, rng)
         )
-        return cls(blob=blob)
 
     def open(self, session_key: SymmetricKey) -> AuthenticatorBody:
-        try:
-            wire = decode(
-                _symmetric.unseal(
-                    session_key.secret,
-                    self.blob,
-                    associated_data=_AUTHENTICATOR_AD,
-                )
-            )
-        except IntegrityError as exc:
-            raise TicketError(
-                f"authenticator failed to open: {exc}"
-            ) from exc
-        return AuthenticatorBody.from_wire(wire)
+        return open_value(
+            AuthenticatorBody, session_key.secret, self.blob,
+            _AUTHENTICATOR_AD, TicketError, "authenticator",
+        )
 
 
 @dataclass(frozen=True)
@@ -155,3 +156,99 @@ class Credentials:
     @property
     def server(self) -> PrincipalId:
         return self.ticket.server
+
+
+
+@wire
+@dataclass(frozen=True)
+class AsRequest:
+    """AS-REQ; its authorization-data restricts the TGT itself (§6.3)."""
+
+    client: PrincipalId
+    till: Optional[float]
+    authorization_data: Tuple[Restriction, ...]
+    nonce: int
+
+
+@wire
+@dataclass(frozen=True)
+class ApRequest:
+    """AP-REQ: a ticket and an authenticator sealed under its session key."""
+
+    ticket: Ticket
+    authenticator: Authenticator
+
+
+@wire
+@dataclass(frozen=True)
+class TgsRequest(ApRequest):
+    """TGS-REQ: an AP request to the TGS for a ticket to ``server``."""
+
+    server: PrincipalId
+    till: Optional[float]
+    nonce: int
+
+
+@wire
+@dataclass(frozen=True)
+class TgsProxyRequest:
+    """§6.3: a ticket for ``server`` on the strength of a proxy for the
+    TGS rooted in ``grantor_ticket``'s session key."""
+
+    grantor_ticket: Ticket
+    proxy: PresentedProxy
+    grantee: PrincipalId
+    server: PrincipalId
+
+
+@wire
+@dataclass(frozen=True)
+class KdcReply:
+    """Every KDC reply: the ticket, and its sealed secret part."""
+
+    ticket: Ticket
+    enc_part: bytes
+
+
+@wire
+@dataclass(frozen=True)
+class AsReplyPart:
+    """An AS reply's secret part, sealed under the client's own key."""
+
+    AD = b"krb-as-reply"
+
+    session_key: SymmetricKey = field(repr=False)
+    server: PrincipalId
+    expires_at: float
+    nonce: int
+
+
+@wire
+@dataclass(frozen=True)
+class ProxyReplyPart:
+    """A TGS proxy reply's secret part, sealed under the final proxy key."""
+
+    AD = b"krb-tgs-reply"
+
+    session_key: SymmetricKey = field(repr=False)
+    server: PrincipalId
+    expires_at: float
+    authorization_data: Tuple[Restriction, ...]
+
+
+@wire
+@dataclass(frozen=True)
+class TgsReplyPart(ProxyReplyPart):
+    """A TGS reply's secret part, sealed under the TGT's session key."""
+
+    nonce: int
+
+
+@wire
+@dataclass(frozen=True)
+class ProxyBundle:
+    """A Kerberos-carried proxy as presented: the chain, and the tickets
+    of its identity signers (§6.2)."""
+
+    tickets: Tuple[Ticket, ...]
+    presented: PresentedProxy

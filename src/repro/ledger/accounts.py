@@ -16,9 +16,11 @@ from typing import Dict
 
 from repro.acl import AccessControlList, AclEntry, SinglePrincipal
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import AccountingError, InsufficientFundsError
 
 
+@wire
 @dataclass
 class Hold:
     """Funds reserved for an outstanding certified check (§4)."""

@@ -52,10 +52,10 @@ from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import LedgerError
 from repro.ledger.accounts import Account, Hold
-from repro.ledger.posting import AVAILABLE, CREDIT, DEBIT, HOLD, MINT, INBOUND, Posting
-from repro.ledger.wal import posting_from_wire, posting_to_wire
+from repro.ledger.posting import AVAILABLE, CREDIT, DEBIT, MINT, INBOUND, Posting
 
 #: (account, currency) -> integer amount.
 BalanceKey = Tuple[str, str]
@@ -88,6 +88,36 @@ class PostingRecord:
     #: Legs in the order actually applied, with the state needed to undo
     #: them (the removed Hold object for hold-release legs).
     applied: List[Tuple[object, Optional[Hold]]] = field(default_factory=list)
+
+
+@wire
+@dataclass(frozen=True)
+class CommittedPosting:
+    """A ``posting`` WAL record: one committed :class:`PostingRecord`."""
+
+    posting_id: int
+    posting: Posting
+    time: float
+    dedupe_key: Optional[str]
+
+
+@wire
+@dataclass(frozen=True)
+class OpenedAccount:
+    """An ``account`` WAL record."""
+
+    name: str
+    owner: PrincipalId
+
+
+@wire
+@dataclass(frozen=True)
+class AccountState:
+    """One account in the ledger's snapshot."""
+
+    owner: PrincipalId
+    balances: Dict[str, int]
+    holds: Tuple[Hold, ...]
 
 
 class Ledger(Durable):
@@ -254,7 +284,7 @@ class Ledger(Durable):
         posting of its own."""
         self.accounts[account.name] = account
         self.wal.append(
-            "account", {"name": account.name, "owner": account.owner.to_wire()}
+            "account", OpenedAccount(account.name, account.owner).to_wire()
         )
 
     # ------------------------------------------------------------------
@@ -398,12 +428,9 @@ class Ledger(Durable):
 
     def record_to_wire(self, record: PostingRecord) -> dict:
         """The WAL payload for one committed record."""
-        return {
-            "posting_id": record.posting_id,
-            "posting": posting_to_wire(record.posting),
-            "time": record.time,
-            "dedupe_key": record.dedupe_key,
-        }
+        return CommittedPosting(
+            record.posting_id, record.posting, record.time, record.dedupe_key
+        ).to_wire()
 
     def replay(self, kind: str, data: dict) -> None:
         """Re-open one account or re-apply one posting during recovery.
@@ -420,15 +447,16 @@ class Ledger(Durable):
         so post-recovery postings never reuse a pre-crash id.
         """
         if kind == "account":
-            if data["name"] not in self.accounts:
-                self.accounts[data["name"]] = Account.open(
-                    data["name"], PrincipalId.from_wire(data["owner"])
+            opened = OpenedAccount.from_wire(data)
+            if opened.name not in self.accounts:
+                self.accounts[opened.name] = Account.open(
+                    opened.name, opened.owner
                 )
             return
-        posting = posting_from_wire(data["posting"])
-        record = self.post(posting, dedupe_key=data.get("dedupe_key"))
-        record.posting_id = int(data["posting_id"])
-        record.time = float(data["time"])
+        committed = CommittedPosting.from_wire(data)
+        record = self.post(committed.posting, dedupe_key=committed.dedupe_key)
+        record.posting_id = committed.posting_id
+        record.time = committed.time
         if record.dedupe_key is not None:
             self._dedupe.put(
                 record.dedupe_key, record, record.time + self.dedupe_window
@@ -440,24 +468,11 @@ class Ledger(Durable):
         state: id counter, conservation totals, live dedupe keys."""
         return {
             "accounts": {
-                name: {
-                    "owner": account.owner.to_wire(),
-                    "balances": dict(account.balances),
-                    "holds": [
-                        {
-                            "check_number": hold.check_number,
-                            "currency": hold.currency,
-                            "amount": hold.amount,
-                            "payee": (
-                                hold.payee.to_wire()
-                                if hold.payee is not None
-                                else None
-                            ),
-                            "expires_at": hold.expires_at,
-                        }
-                        for hold in account.holds.values()
-                    ],
-                }
+                name: AccountState(
+                    account.owner,
+                    account.balances,
+                    tuple(account.holds.values()),
+                ).to_wire()
                 for name, account in self.accounts.items()
             },
             "ledger": {
@@ -479,7 +494,7 @@ class Ledger(Durable):
                         key,
                         expires_at,
                         record.posting_id,
-                        posting_to_wire(record.posting),
+                        record.posting.to_wire(),
                         record.time,
                     ]
                     for key, record, expires_at in self._dedupe.entries()
@@ -494,25 +509,15 @@ class Ledger(Durable):
         # In place: the owning server shares this same dict object.
         self.accounts.clear()
         for name, data in state["accounts"].items():
-            account = Account.open(name, PrincipalId.from_wire(data["owner"]))
-            account.balances.update(
-                {str(c): int(v) for c, v in data["balances"].items()}
+            saved = AccountState.from_wire(data)
+            account = Account.open(name, saved.owner)
+            account.balances.update(saved.balances)
+            account.holds.update(
+                (hold.check_number, hold) for hold in saved.holds
             )
-            for hold in data["holds"]:
-                account.holds[hold["check_number"]] = Hold(
-                    check_number=hold["check_number"],
-                    currency=hold["currency"],
-                    amount=int(hold["amount"]),
-                    payee=(
-                        PrincipalId.from_wire(hold["payee"])
-                        if hold.get("payee") is not None
-                        else None
-                    ),
-                    expires_at=hold["expires_at"],
-                )
             self.accounts[name] = account
         ledger = state["ledger"]
-        self._next_id = int(ledger["next_id"])
+        self._next_id = ledger["next_id"]
         self.derived_available = {
             (account, currency): amount
             for account, currency, amount in ledger["derived_available"]
@@ -526,12 +531,12 @@ class Ledger(Durable):
         self._dedupe.clear()
         for key, expires_at, posting_id, posting_wire, time in ledger["dedupe"]:
             record = PostingRecord(
-                posting_id=int(posting_id),
-                posting=posting_from_wire(posting_wire),
-                time=float(time),
+                posting_id=posting_id,
+                posting=Posting.from_wire(posting_wire),
+                time=time,
                 dedupe_key=key,
             )
-            self._dedupe.put(key, record, float(expires_at))
+            self._dedupe.put(key, record, expires_at)
 
     # ------------------------------------------------------------------
     # Invariants

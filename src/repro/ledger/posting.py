@@ -25,10 +25,11 @@ posting kinds are exempt, each for a stated reason:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import ConservationError, LedgerError
 
 #: Leg sides.
@@ -47,6 +48,7 @@ INBOUND = "inbound"
 _KINDS = frozenset({TRANSFER, MINT, INBOUND})
 
 
+@wire
 @dataclass(frozen=True)
 class Leg:
     """One side of a posting: move ``amount`` of ``currency`` at ``account``.
@@ -162,6 +164,7 @@ def release_hold(
     )
 
 
+@wire
 @dataclass(frozen=True)
 class Posting:
     """An atomic multi-leg balance change, conservation-checked.

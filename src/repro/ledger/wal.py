@@ -22,10 +22,8 @@ byte format and nothing else:
   into place, so a crash during compaction leaves either the old
   snapshot or the new one, never a half-written hybrid.
 
-Posting (de)serialization lives here too: the ledger's
-:class:`~repro.ledger.posting.Posting` is the one WAL payload with real
-structure, and keeping its wire form next to the framing keeps the whole
-on-disk format reviewable in one file (``docs/durability.md``).
+What a record or snapshot holds is each component's business: the
+ledger's records are declared wire types (``docs/durability.md``).
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ import zlib
 from typing import List, Optional, Tuple
 
 from repro.encoding.canonical import decode, encode
-from repro.encoding.identifiers import PrincipalId
 from repro.errors import LedgerError
-from repro.ledger.posting import Leg, Posting
 
 #: Bytes of framing before each record's payload: 4 length + 4 CRC32.
 HEADER = struct.Struct(">II")
@@ -165,56 +161,3 @@ def read_snapshot(path: str) -> Optional[dict]:
     if len(records) != 1:
         return None
     return records[0]
-
-
-# ---------------------------------------------------------------------------
-# Posting wire form
-# ---------------------------------------------------------------------------
-
-
-def leg_to_wire(leg: Leg) -> dict:
-    return {
-        "account": leg.account,
-        "side": leg.side,
-        "currency": leg.currency,
-        "amount": leg.amount,
-        "bucket": leg.bucket,
-        "hold_id": leg.hold_id,
-        "hold_payee": (
-            leg.hold_payee.to_wire() if leg.hold_payee is not None else None
-        ),
-        "hold_expires_at": leg.hold_expires_at,
-    }
-
-
-def leg_from_wire(data: dict) -> Leg:
-    return Leg(
-        account=data["account"],
-        side=data["side"],
-        currency=data["currency"],
-        amount=int(data["amount"]),
-        bucket=data["bucket"],
-        hold_id=data["hold_id"],
-        hold_payee=(
-            PrincipalId.from_wire(data["hold_payee"])
-            if data.get("hold_payee") is not None
-            else None
-        ),
-        hold_expires_at=data["hold_expires_at"],
-    )
-
-
-def posting_to_wire(posting: Posting) -> dict:
-    return {
-        "legs": [leg_to_wire(leg) for leg in posting.legs],
-        "kind": posting.kind,
-        "description": posting.description,
-    }
-
-
-def posting_from_wire(data: dict) -> Posting:
-    return Posting(
-        legs=tuple(leg_from_wire(leg) for leg in data["legs"]),
-        kind=data["kind"],
-        description=data.get("description", ""),
-    )

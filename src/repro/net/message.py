@@ -69,23 +69,27 @@ class Message:
         cached = self.__dict__.get("_wire_size")
         if cached is not None:
             return cached
-        payload = self.payload
-        if any(key in payload for key in ENVELOPE_KEYS):
-            payload = {
-                k: v for k, v in payload.items() if k not in ENVELOPE_KEYS
-            }
         size = len(
             encode(
                 [
                     self.source.to_wire(),
                     self.destination.to_wire(),
                     self.msg_type,
-                    payload,
+                    self.fields,
                 ]
             )
         )
         object.__setattr__(self, "_wire_size", size)
         return size
+
+    @property
+    def fields(self) -> dict:
+        """The payload without its :data:`ENVELOPE_KEYS`: what goes on the
+        wire, and what a declared message type decodes."""
+        payload = self.payload
+        if any(key in payload for key in ENVELOPE_KEYS):
+            return {k: v for k, v in payload.items() if k not in ENVELOPE_KEYS}
+        return payload
 
     def reply(self, payload: dict, msg_type: Optional[str] = None) -> "Message":
         """Build the response message for this request."""

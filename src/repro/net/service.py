@@ -123,11 +123,11 @@ class Service:
         ) as exc:
             # Malformed payloads must produce an error reply, not crash
             # the dispatch loop: everything that arrives is untrusted.
-            # A declared wire type refuses its own bad values (a
+            # Every declared message refuses its own bad values (a
             # ``WireSchemaError``, above); what still lands here is a
-            # payload field read outside any declaration — a missing
-            # ``operation``, the arguments of an operation with no
-            # ``Args`` type, a Kerberos message — or a handler bug.
+            # field of the one undeclared message, the ``request``
+            # envelope (a missing ``operation``, a ``group_proxies``
+            # item that is not a dict), or a handler bug.
             span.set(error_reply=f"malformed: {type(exc).__name__}: {exc}")
             return encode_error(
                 ServiceError(

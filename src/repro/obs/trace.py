@@ -146,27 +146,21 @@ class Span:
     def from_dict(cls, record: dict) -> "Span":
         """Rebuild a span from its :meth:`to_dict` form (forensics path)."""
         span = cls(
-            span_id=int(record["span_id"]),
-            parent_id=(
-                int(record["parent_id"])
-                if record.get("parent_id") is not None
-                else None
-            ),
+            span_id=record["span_id"],
+            parent_id=record.get("parent_id"),
             run_id=record.get("run_id"),
             name=str(record.get("name", "")),
-            start=float(record.get("start", 0.0)),
+            start=record.get("start", 0.0),
             attributes=dict(record.get("attributes") or {}),
             trace_id=record.get("trace_id"),
             remote_parent=record.get("remote_parent"),
         )
-        span.end = (
-            float(record["end"]) if record.get("end") is not None else None
-        )
+        span.end = record.get("end")
         span.status = str(record.get("status", "ok"))
         for event in record.get("events") or []:
             span.events.append(
                 SpanEvent(
-                    time=float(event.get("time", 0.0)),
+                    time=event.get("time", 0.0),
                     name=str(event.get("name", "")),
                     attributes=dict(event.get("attributes") or {}),
                 )

@@ -24,10 +24,14 @@ from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.durable import Durable
 from repro.encoding.canonical import encode
+from repro.encoding.schema import decoder
 from repro.net.message import Message
 
 #: Payload key carrying the channel's per-logical-request retry id.
 RID_KEY = "_rid"
+
+#: A logged entry's expiry, exactly as it was logged.
+_expires_at = decoder(float, "ResponseCache", "expires_at")
 
 
 class ResponseCache(Durable):
@@ -88,7 +92,7 @@ class ResponseCache(Durable):
 
     def replay(self, kind: str, data: dict) -> None:
         self._entries.put(
-            data["key"], data["response"], float(data["expires_at"])
+            data["key"], data["response"], _expires_at(data["expires_at"])
         )
 
     def capture_state(self) -> dict:
@@ -102,4 +106,4 @@ class ResponseCache(Durable):
 
     def restore_state(self, state: dict) -> None:
         for key, expires_at, response in state["entries"]:
-            self._entries.put(key, response, float(expires_at))
+            self._entries.put(key, response, _expires_at(expires_at))

@@ -98,7 +98,7 @@ from repro.services.checks import (
     draw_check,
 )
 from repro.services.client import ServiceClient
-from repro.services.endserver import AuthorizedRequest, EndServer
+from repro.services.endserver import AuthorizedRequest, EndServer, NoArgs
 
 #: Prefix for auto-created inter-server settlement accounts.
 SETTLEMENT_PREFIX = "settlement:"
@@ -156,12 +156,6 @@ def non_settlement_totals(
 #: to the certified-hold path, which deleted the hold and over-credited the
 #: remainder before the final credit raised (partial-state corruption).
 _POSITIVE = {"min": 1}
-
-
-@wire
-@dataclass(frozen=True)
-class _NoArgs:
-    """The target names the account."""
 
 
 @wire
@@ -284,8 +278,8 @@ class AccountingServer(EndServer):
         self._peers = BoundedStore(max_entries=MAX_PEERS)
         self._rng_local = rng or DEFAULT_RNG
         for name, handler, args in (
-            ("open-account", self._op_open_account, _NoArgs),
-            ("balance", self._op_balance, _NoArgs),
+            ("open-account", self._op_open_account, NoArgs),
+            ("balance", self._op_balance, NoArgs),
             ("transfer", self._op_transfer, _TransferArgs),
             (DEBIT_OPERATION, self._op_debit, _DebitArgs),
             ("deposit-check", self._op_deposit_check, _DepositArgs),
@@ -754,7 +748,7 @@ class AccountingServer(EndServer):
         # the collection happens before we return, so the uncollected state
         # is visible only through the metrics/audit trail.
         result = self._clear_remotely(args)
-        paid = int(result["paid"])
+        paid = result["paid"]
         # The matching debit was booked on the payor's server (inside its
         # own balanced posting), so locally this is inbound value.
         self.ledger.post(
@@ -790,7 +784,7 @@ class AccountingServer(EndServer):
             Posting(
                 legs=(
                     credit_leg(
-                        predecessor.name, args.currency, int(result["paid"])
+                        predecessor.name, args.currency, result["paid"]
                     ),
                 ),
                 kind=INBOUND,
@@ -986,7 +980,7 @@ class AccountingClient:
         reply = self.service.request(
             "balance", target=f"{ACCOUNT_TARGET_PREFIX}{name}"
         )
-        return {str(k): int(v) for k, v in reply["balances"].items()}
+        return dict(reply["balances"])
 
     def transfer(
         self, source: str, destination: str, currency: str, amount: int
@@ -994,7 +988,7 @@ class AccountingClient:
         self.service.request(
             "transfer",
             target=f"{ACCOUNT_TARGET_PREFIX}{source}",
-            args={"to": destination, "currency": currency, "amount": amount},
+            args=_TransferArgs(currency, amount, to=destination).to_wire(),
         )
 
     # -- checks ---------------------------------------------------------------
@@ -1038,11 +1032,9 @@ class AccountingClient:
             return self.service.request(
                 DEBIT_OPERATION,
                 target=account_target(check.payor_account),
-                args={
-                    "currency": check.currency,
-                    "amount": amount,
-                    "credit_account": payee_account,
-                },
+                args=_DebitArgs(
+                    check.currency, amount, credit_account=payee_account
+                ).to_wire(),
                 amounts={check.currency: amount},
                 proxy=check.bundle,
             )
@@ -1062,19 +1054,17 @@ class AccountingClient:
         return self.service.request(
             "deposit-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{payee_account}",
-            args={
+            args=_DepositArgs(
+                check.currency,
+                amount,
                 # Our server presents the chain as its named grantee over
                 # its own session (§3.4); the endorsement's key stays here.
-                "bundle": endorsed.handoff(
-                    endorsed.proxy.without_key()
-                ).transferable(),
-                "payor_server": check.drawn_on.to_wire(),
-                "payor_account": check.payor_account.account,
-                "currency": check.currency,
-                "amount": amount,
-                "expires_at": check.expires_at,
-                "payee_account": payee_account,
-            },
+                bundle=endorsed.handoff(endorsed.proxy.without_key()),
+                payor_server=check.drawn_on,
+                payor_account=check.payor_account.account,
+                expires_at=check.expires_at,
+                payee_account=payee_account,
+            ).to_wire(),
         )
 
     # -- certified checks -------------------------------------------------------
@@ -1090,15 +1080,15 @@ class AccountingClient:
         reply = self.service.request(
             "certify-check",
             target=account_target(check.payor_account),
-            args={
-                "account": check.payor_account.account,
-                "check_number": check.number,
-                "payee": check.payee.to_wire(),
-                "currency": check.currency,
-                "amount": check.amount,
-                "end_server": end_server.to_wire(),
-                "expires_at": check.expires_at,
-            },
+            args=_CertifyArgs(
+                check.currency,
+                check.amount,
+                account=check.payor_account.account,
+                payee=check.payee,
+                expires_at=check.expires_at,
+                check_number=check.number,
+                end_server=end_server,
+            ).to_wire(),
         )
         session_key = self.service.kerberos.get_ticket(
             self.server
@@ -1109,7 +1099,7 @@ class AccountingClient:
         return self.service.request(
             "cancel-certified-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{account}",
-            args={"account": account, "check_number": check_number},
+            args=_HeldArgs(account, check_number).to_wire(),
         )
 
     def purchase_cashiers_check(
@@ -1124,13 +1114,13 @@ class AccountingClient:
         reply = self.service.request(
             "purchase-cashiers-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{account}",
-            args={
-                "account": account,
-                "payee": payee.to_wire(),
-                "currency": currency,
-                "amount": amount,
-                "expires_at": self.service.kerberos.clock.now() + lifetime,
-            },
+            args=_CashiersArgs(
+                currency,
+                amount,
+                account=account,
+                payee=payee,
+                expires_at=self.service.kerberos.clock.now() + lifetime,
+            ).to_wire(),
         )
         session_key = self.service.kerberos.get_ticket(
             self.server

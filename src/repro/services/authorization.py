@@ -27,9 +27,10 @@ propagated (§7.9).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.acl import AccessControlList, AclEntry
+from repro.acl import AccessControlList
 from repro.clock import Clock
 from repro.core.restrictions import (
     Authorized,
@@ -38,13 +39,13 @@ from repro.core.restrictions import (
     Restriction,
     propagate_restrictions,
 )
-from repro.crypto import symmetric as _symmetric
 from repro.crypto.keys import SymmetricKey
-from repro.encoding.canonical import decode, encode
 from repro.encoding.identifiers import PrincipalId
-from repro.errors import AuthorizationDenied, IntegrityError, ServiceError
+from repro.encoding.schema import wire
+from repro.errors import AuthorizationDenied, ServiceError
 from repro.kerberos.client import KerberosClient
 from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
+from repro.kerberos.ticket import open_value, seal_value
 from repro.net.network import Network
 from repro.services.client import ServiceClient
 from repro.services.endserver import AuthorizedRequest, EndServer
@@ -61,24 +62,23 @@ def seal_proxy_delivery(
     This is Fig. 3's ``{Kproxy}Ksession``: the certificate would survive a
     tap, but the proxy key never crosses the wire in the clear.
     """
-    return _symmetric.seal(
-        session_key.secret,
-        encode(kproxy.transferable()),
-        associated_data=PROXY_DELIVERY_AD,
-    )
+    return seal_value(session_key.secret, kproxy, PROXY_DELIVERY_AD)
 
 
 def open_proxy_delivery(box: bytes, session_key: SymmetricKey) -> KerberosProxy:
     """Client side of :func:`seal_proxy_delivery`."""
-    try:
-        wire = decode(
-            _symmetric.unseal(
-                session_key.secret, box, associated_data=PROXY_DELIVERY_AD
-            )
-        )
-    except IntegrityError as exc:
-        raise ServiceError(f"proxy delivery failed to open: {exc}") from exc
-    return KerberosProxy.from_transferable(wire)
+    return open_value(
+        KerberosProxy, session_key.secret, box, PROXY_DELIVERY_AD,
+        ServiceError, "proxy delivery",
+    )
+
+
+@wire
+@dataclass(frozen=True)
+class AuthorizeArgs:
+    server: PrincipalId  # the end-server the proxy is for
+    operations: Tuple[str, ...]
+    targets: Tuple[str, ...]  # object patterns; none means all
 
 
 class AuthorizationServer(EndServer):
@@ -108,7 +108,7 @@ class AuthorizationServer(EndServer):
         self.default_lifetime = default_lifetime
         #: Per-end-server authorization databases (§3.2); plain ACLs (§3.5).
         self.databases: Dict[PrincipalId, AccessControlList] = {}
-        self.register_operation("authorize", self._op_authorize)
+        self.register_operation("authorize", self._op_authorize, AuthorizeArgs)
 
     # ------------------------------------------------------------------
 
@@ -121,20 +121,17 @@ class AuthorizationServer(EndServer):
     def _op_authorize(self, request: AuthorizedRequest) -> dict:
         """Handle message 1: look up rights, issue the proxy (message 2).
 
-        Args (in ``request.args``):
-            server: wire principal of the end-server the proxy is for.
-            operations: requested operations (must be a subset of what the
-                database allows).
-            targets: requested object patterns.
+        Every requested operation on every requested target must be
+        allowed by the end-server's database.
         """
         if request.session_key is None:
             raise AuthorizationDenied(
                 "authorization requests must be made over an "
                 "authenticated session (Fig. 3 message 1)"
             )
-        end_server = PrincipalId.from_wire(request.args["server"])
-        operations = tuple(request.args.get("operations") or ())
-        targets = tuple(request.args.get("targets") or ("*",))
+        end_server = request.args.server
+        operations = request.args.operations
+        targets = request.args.targets or ("*",)
         if not operations:
             raise ServiceError("no operations requested")
 
@@ -242,11 +239,9 @@ class AuthorizationClient:
         reply = self.service.request(
             "authorize",
             target=str(end_server),
-            args={
-                "server": end_server.to_wire(),
-                "operations": list(operations),
-                "targets": list(targets),
-            },
+            args=AuthorizeArgs(
+                end_server, tuple(operations), tuple(targets)
+            ).to_wire(),
             proxy=proxy,
             group_proxies=group_proxies,
         )

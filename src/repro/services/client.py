@@ -54,7 +54,7 @@ class ServiceClient:
             self.kerberos.clock,
             authorization_data=additional_restrictions,
         )
-        reply = self._send("ap-request", ap)
+        reply = self._send("ap-request", ap.to_wire())
         self._session_id = reply["session_id"]
         return self._session_id
 
@@ -80,6 +80,9 @@ class ServiceClient:
     ) -> dict:
         """Send one authorized request.
 
+        * ``args`` — the wire form of the operation's declared ``Args``
+          (``SomeArgs(...).to_wire()``); none for an operation that
+          declares none.
         * ``proxy`` — exercise the grantor's rights via a restricted proxy;
           possession is proven when the proxy key is held.
         * ``group_proxies`` — assert memberships to satisfy group ACL

@@ -36,7 +36,7 @@ from repro.crypto import signature as _signature
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.encoding.identifiers import GroupId, PrincipalId
-from repro.encoding.schema import decoder
+from repro.encoding.schema import decoder, wire
 from repro.errors import (
     AuthorizationDenied,
     ProxyVerificationError,
@@ -46,6 +46,7 @@ from repro.errors import (
 )
 from repro.kerberos.proxy_support import KerberosProxyAcceptor
 from repro.kerberos.session import ApAcceptor, Session
+from repro.kerberos.ticket import ApRequest, ProxyBundle
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.service import Service
@@ -58,8 +59,7 @@ class AuthorizedRequest:
     Attributes:
         operation / target: the application request.
         args: its arguments — an instance of the operation's declared
-            ``Args`` type (see :meth:`EndServerBase.register_operation`),
-            or the raw dict for an operation that declares none.
+            ``Args`` type (see :meth:`EndServerBase.register_operation`).
         rights: the principal whose rights the request proceeds under
             (proxy grantor, or the authenticated identity).
         claimant: authenticated presenter (None for anonymous bearer use).
@@ -97,6 +97,12 @@ Handler = Callable[[AuthorizedRequest], dict]
 
 #: What a hostile or malformed payload may raise while being decoded.
 _MALFORMED = (ReproError, LookupError, TypeError, ValueError, AttributeError)
+
+
+@wire
+@dataclass(frozen=True)
+class NoArgs:
+    """The arguments of an operation that declares none."""
 
 
 #: Requested resources by currency, exact non-negative ``int`` only: a
@@ -151,8 +157,8 @@ class EndServerBase(Service):
         self.authority_monitor = authority_monitor
         self.acl = acl if acl is not None else AccessControlList()
         self._rng = rng or DEFAULT_RNG
-        #: operation -> (handler, declared ``Args`` type or None).
-        self._operations: Dict[str, Tuple[Handler, Optional[type]]] = {}
+        #: operation -> (handler, declared ``Args`` type).
+        self._operations: Dict[str, Tuple[Handler, type]] = {}
         #: Every proxy-authorized request is recorded here (§3.4: delegate
         #: chains leave an audit trail; this is where it lands).  The audit
         #: log shares the server's telemetry so each record also lands as a
@@ -197,14 +203,14 @@ class EndServerBase(Service):
     # ------------------------------------------------------------------
 
     def register_operation(
-        self, name: str, handler: Handler, args: Optional[type] = None
+        self, name: str, handler: Handler, args: type = NoArgs
     ) -> None:
-        """Expose an application operation.  With ``args``, a
-        :func:`~repro.encoding.schema.wire` type, the request's arguments
-        are decoded into it before anything else runs — a malformed one
-        is refused before verification, authorization or any state
-        change — and the handler receives the instance as
-        :attr:`AuthorizedRequest.args`."""
+        """Expose an application operation.  The request's arguments are
+        decoded into ``args``, a :func:`~repro.encoding.schema.wire` type,
+        before anything else runs — a malformed one is refused before
+        verification, authorization or any state change — and the handler
+        receives the instance as :attr:`AuthorizedRequest.args`.  An
+        operation that declares nothing takes no arguments."""
         self._operations[name] = (handler, args)
 
     def signature_prefetcher(self) -> Callable[[Sequence[tuple]], int]:
@@ -269,11 +275,8 @@ class EndServerBase(Service):
         operation = payload["operation"]
         target = payload.get("target")
         amounts = _parse_amounts(payload.get("amounts", {}))
-        handler, declared = self._operations.get(operation, (None, None))
-        if declared is not None:
-            args = declared.from_wire(payload.get("args", {}))
-        else:
-            args = payload.get("args") or {}
+        handler, declared = self._operations.get(operation, (None, NoArgs))
+        args = declared.from_wire(payload.get("args", {}))
         session = self._authenticate(payload)
         claimant = session.presenter if session is not None else None
         # Accept-once identifiers consumed while verifying are rolled back
@@ -459,7 +462,7 @@ class EndServer(EndServerBase):
 
     def op_ap_request(self, message: Message) -> dict:
         """Accept an AP exchange; returns an opaque session id."""
-        session = self.ap.accept(message.payload)
+        session = self.ap.accept(ApRequest.from_wire(message.fields))
         session_id = self._rng.bytes(16)
         self.sessions.put(session_id, session, session.expires_at)
         return {"session_id": session_id}
@@ -523,17 +526,18 @@ class EndServer(EndServerBase):
         return frozenset(asserted)
 
     def _presented(self, bundle: dict) -> PresentedProxy:
-        return PresentedProxy.from_wire(bundle["presented"])
+        return ProxyBundle.from_wire(bundle).presented
 
     def _verify_proxy(
-        self, bundle: dict, context: RequestContext, expected_digest: bytes
+        self, wire: dict, context: RequestContext, expected_digest: bytes
     ) -> VerifiedProxy:
         """Consume the §2 server challenge, if the proof names one; open
         the bundle's tickets and verify the chain."""
-        proof_wire = bundle["presented"].get("proof")
-        if proof_wire is not None and proof_wire.get("challenge"):
-            self._consume_challenge(proof_wire["challenge"])
-        return self.acceptor.accept(
+        bundle = ProxyBundle.from_wire(wire)
+        proof = bundle.presented.proof
+        if proof is not None and proof.challenge:
+            self._consume_challenge(proof.challenge)
+        return self.acceptor.verify(
             bundle, context, expected_digest=expected_digest,
             issuer_mode=self.ISSUER_MODE,
         )

@@ -11,6 +11,7 @@ account for the ``bytes`` currency, so quota restrictions (§7.4) bite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.acl import AccessControlList, AclEntry, SinglePrincipal
@@ -18,12 +19,19 @@ from repro.clock import Clock
 from repro.crypto.keys import SymmetricKey
 from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import ServiceError
 from repro.net.network import Network
 from repro.services.endserver import AuthorizedRequest, EndServer
 
 #: Currency charged for writes.
 BYTES = "bytes"
+
+
+@wire
+@dataclass(frozen=True)
+class WriteArgs:
+    data: bytes
 
 
 class FileServer(EndServer, Durable):
@@ -55,7 +63,7 @@ class FileServer(EndServer, Durable):
             principal, secret_key, network, clock, acl=acl, **kwargs
         )
         self.register_operation("read", self._op_read)
-        self.register_operation("write", self._op_write)
+        self.register_operation("write", self._op_write, WriteArgs)
         self.register_operation("delete", self._op_delete)
         self.register_operation("list", self._op_list)
         self.register_operation("stat", self._op_stat)
@@ -131,9 +139,7 @@ class FileServer(EndServer, Durable):
 
     def _op_write(self, request: AuthorizedRequest) -> dict:
         path = self._require_target(request)
-        data = request.args.get("data", b"")
-        if not isinstance(data, bytes):
-            raise ServiceError("write data must be bytes")
+        data = request.args.data
         declared = request.amounts.get(BYTES, 0)
         if declared < len(data):
             raise ServiceError(

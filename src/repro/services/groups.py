@@ -21,7 +21,8 @@ ask the registration server each time; benchmark C2 measures the difference.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.acl import AccessControlList
 from repro.clock import Clock
@@ -32,6 +33,7 @@ from repro.core.restrictions import (
 )
 from repro.crypto.keys import SymmetricKey
 from repro.encoding.identifiers import GroupId, PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import AuthorizationDenied, ServiceError
 from repro.kerberos.client import KerberosClient
 from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
@@ -42,6 +44,20 @@ from repro.services.authorization import (
 )
 from repro.services.client import ServiceClient
 from repro.services.endserver import AuthorizedRequest, EndServer
+
+
+@wire
+@dataclass(frozen=True)
+class GroupProxyArgs:
+    group: str  # the local name
+    server: PrincipalId  # the end-server the proxy is for
+
+
+@wire
+@dataclass(frozen=True)
+class MembershipArgs:
+    group: str
+    member: PrincipalId
 
 
 class GroupServer(EndServer):
@@ -71,8 +87,12 @@ class GroupServer(EndServer):
         #: anywhere that the name of any other principal might appear ...
         #: even on another group server" (§3.3).
         self._groups: Dict[str, Set[object]] = {}
-        self.register_operation("get-group-proxy", self._op_get_group_proxy)
-        self.register_operation("query-membership", self._op_query_membership)
+        self.register_operation(
+            "get-group-proxy", self._op_get_group_proxy, GroupProxyArgs
+        )
+        self.register_operation(
+            "query-membership", self._op_query_membership, MembershipArgs
+        )
 
     # -- administration -------------------------------------------------------
 
@@ -100,10 +120,9 @@ class GroupServer(EndServer):
         except KeyError:
             raise ServiceError(f"no such group: {name}") from None
 
-    def _is_member(self, name: str, request: AuthorizedRequest) -> bool:
-        """Direct principal membership, local nested groups (expanded
-        transitively), or remote nested groups asserted via supporting
-        group proxies presented with the request."""
+    def _closure(self, name: str) -> Iterator[object]:
+        """Every member of group ``name`` and of the local groups nested in
+        it, expanded transitively."""
         seen: Set[str] = set()
         frontier = [name]
         while frontier:
@@ -112,32 +131,37 @@ class GroupServer(EndServer):
                 continue
             seen.add(current)
             for member in self._members(current):
-                if member == request.claimant:
-                    return True
-                if isinstance(member, GroupId):
-                    if member.server == self.principal:
-                        # One of our own groups: expand locally.
-                        if member.group in self._groups:
-                            frontier.append(member.group)
-                    elif member in request.groups:
-                        # A foreign group, asserted by a verified proxy
-                        # from *its* group server.
-                        return True
-        return False
+                if (
+                    isinstance(member, GroupId)
+                    and member.server == self.principal
+                    and member.group in self._groups
+                ):
+                    frontier.append(member.group)
+                yield member
+
+    def _is_member(self, name: str, request: AuthorizedRequest) -> bool:
+        """Direct principal membership, local nested groups, or remote
+        nested groups asserted via supporting group proxies presented with
+        the request (a verified proxy from *their* group server)."""
+        return any(
+            member == request.claimant
+            or (
+                isinstance(member, GroupId)
+                and member.server != self.principal
+                and member in request.groups
+            )
+            for member in self._closure(name)
+        )
 
     # -- operations -------------------------------------------------------------
 
     def _op_get_group_proxy(self, request: AuthorizedRequest) -> dict:
-        """Issue a membership-assertion proxy to a member.
-
-        Args: ``group`` (local name), ``server`` (end-server wire).
-        """
+        """Issue a membership-assertion proxy to a member."""
         if request.session_key is None or request.claimant is None:
             raise AuthorizationDenied(
                 "group proxies are issued only over authenticated sessions"
             )
-        name = request.args["group"]
-        end_server = PrincipalId.from_wire(request.args["server"])
+        name, end_server = request.args.group, request.args.server
         if not self._is_member(name, request):
             raise AuthorizationDenied(
                 f"{request.claimant} is not a member of {name}"
@@ -168,25 +192,8 @@ class GroupServer(EndServer):
     def _op_query_membership(self, request: AuthorizedRequest) -> dict:
         """Grapevine-style online check: is P a direct or (locally) nested
         member of G right now?"""
-        name = request.args["group"]
-        member = PrincipalId.from_wire(request.args["member"])
-        seen: Set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for entry in self._members(current):
-                if entry == member:
-                    return {"member": True}
-                if (
-                    isinstance(entry, GroupId)
-                    and entry.server == self.principal
-                    and entry.group in self._groups
-                ):
-                    frontier.append(entry.group)
-        return {"member": False}
+        args = request.args
+        return {"member": args.member in self._closure(args.group)}
 
 
 class GroupClient:
@@ -212,7 +219,7 @@ class GroupClient:
         reply = self.service.request(
             "get-group-proxy",
             target=group,
-            args={"group": group, "server": end_server.to_wire()},
+            args=GroupProxyArgs(group, end_server).to_wire(),
             group_proxies=group_proxies,
         )
         session_key = self.service.kerberos.get_ticket(
@@ -228,6 +235,6 @@ class GroupClient:
         reply = self.service.request(
             "query-membership",
             target=group,
-            args={"group": group, "member": member.to_wire()},
+            args=MembershipArgs(group, member).to_wire(),
         )
         return bool(reply["member"])

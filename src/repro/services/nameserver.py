@@ -12,14 +12,22 @@ public-key scheme ("obtained from an authentication/name server", §6.1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.clock import Clock
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import ServiceError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.service import Service
+
+
+@wire
+@dataclass(frozen=True)
+class LookupArgs:
+    server: PrincipalId  # whose requirements message 0 asks for
 
 
 class NameServer(Service):
@@ -57,7 +65,7 @@ class NameServer(Service):
 
     def op_lookup(self, message: Message) -> dict:
         """Message 0: what does this end-server require?"""
-        server = PrincipalId.from_wire(message.payload["server"])
+        server = LookupArgs.from_wire(message.fields).server
         record = self._records.get(server)
         self.telemetry.inc(
             "nameserver_lookups_total",
@@ -80,6 +88,6 @@ def lookup(
 
     return raise_if_error(
         network.send(
-            client, nameserver, "lookup", {"server": server.to_wire()}
+            client, nameserver, "lookup", LookupArgs(server).to_wire()
         )
     )

@@ -11,12 +11,14 @@ account balance.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.acl import AccessControlList
 from repro.clock import Clock
 from repro.crypto.keys import SymmetricKey
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import ServiceError
 from repro.net.network import Network
 from repro.services.accounting import AccountingClient
@@ -24,6 +26,18 @@ from repro.services.endserver import AuthorizedRequest, EndServer
 
 #: The resource currency this server charges.
 PAGES = "pages"
+
+
+@wire
+@dataclass(frozen=True)
+class AllocateArgs:
+    pages: int
+
+
+@wire
+@dataclass(frozen=True)
+class ReleaseArgs(AllocateArgs):
+    to_account: str  # the caller's, at the accounting server
 
 
 class PrintServer(EndServer):
@@ -55,8 +69,8 @@ class PrintServer(EndServer):
         self.allocations: Dict[PrincipalId, int] = {}
         self.jobs: List[dict] = []
         self.register_operation("print", self._op_print)
-        self.register_operation("allocate", self._op_allocate)
-        self.register_operation("release", self._op_release)
+        self.register_operation("allocate", self._op_allocate, AllocateArgs)
+        self.register_operation("release", self._op_release, ReleaseArgs)
         self.register_operation("remaining", self._op_remaining)
 
     # ------------------------------------------------------------------
@@ -72,7 +86,7 @@ class PrintServer(EndServer):
         allocation, including this one; standalone mode (no accounting)
         trusts the declaration, for tests.
         """
-        pages = int(request.args["pages"])
+        pages = request.args.pages
         if pages <= 0:
             raise ServiceError("allocation must be positive")
         who = request.rights
@@ -92,10 +106,9 @@ class PrintServer(EndServer):
         """Return an unused allocation (§4: "transferring the funds back
         when the resource is released").
 
-        Args: ``pages``, and ``to_account`` (the caller's account at the
-        accounting server) when accounting is configured.
+        The funds go back to ``to_account`` when accounting is configured.
         """
-        pages = int(request.args["pages"])
+        pages = request.args.pages
         who = request.rights
         held = self.allocations.get(who, 0)
         if pages <= 0 or pages > held:
@@ -105,7 +118,7 @@ class PrintServer(EndServer):
         self.allocations[who] = held - pages
         if self.accounting is not None:
             self.accounting.transfer(
-                self.account_name, request.args["to_account"], PAGES, pages
+                self.account_name, request.args.to_account, PAGES, pages
             )
         return {"allocated": self.allocations[who]}
 

@@ -57,6 +57,7 @@ from repro.core.restrictions import (
     IssuedFor,
 )
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import NetworkError, ReproError, ResilienceError
 from repro.kerberos.proxy_support import endorse, grant_via_credentials
 from repro.ledger.ledger import Problem
@@ -364,6 +365,12 @@ class _EndServerScenario(LoadScenario):
         return [(server.endpoint, server.signature_prefetcher())]
 
 
+@wire
+@dataclass(frozen=True)
+class PathArgs:
+    path: str  # pk-verify's ``read`` names its document twice
+
+
 class PkVerifyScenario(_EndServerScenario):
     """Public-key proxy verification under load (Fig. 6 shape, §6.1).
 
@@ -397,7 +404,9 @@ class PkVerifyScenario(_EndServerScenario):
             rng=rng,
             telemetry=realm.telemetry,
         )
-        server.register_operation("read", lambda request: {"data": b"ok"})
+        server.register_operation(
+            "read", lambda request: {"data": b"ok"}, PathArgs
+        )
         grantor = PkClient(
             realm.principal("grantor"),
             realm.network,
@@ -455,7 +464,7 @@ class PkVerifyScenario(_EndServerScenario):
                 state["server"].principal,
                 "read",
                 target="doc",
-                args={"path": "doc"},
+                args=PathArgs("doc").to_wire(),
                 proxy=proxy,
                 anonymous=False,
             )
@@ -706,7 +715,7 @@ class Fig5Scenario(LoadScenario):
             "E1 deposit at payee's server; E2 forwarded for clearing",
         ):
             result = payee_client.deposit_check(check, f"payee-{idx}")
-        paid = int(result["paid"])
+        paid = result["paid"]
         if paid != amount:
             raise ReproError(f"fig5 deposit paid {paid} != {amount}")
         return {"amount": amount, "paid": paid}
@@ -888,7 +897,7 @@ class Fig5Mix(Fig5Scenario):
         )
         return {
             "route": f"{payor.bank}->{payee.bank}",
-            "paid": int(reply["paid"]),
+            "paid": reply["paid"],
         }
 
     def _certified(self, realm, state, cast, rng):
@@ -911,13 +920,13 @@ class Fig5Mix(Fig5Scenario):
             reply = payor.client.cancel_certified_check(
                 payor.account, check.number
             )
-            return {"route": route, "lapsed": int(reply["returned"])}
+            return {"route": route, "lapsed": reply["returned"]}
         if fate < 0.85:
             deposit = self._partial(rng, amount, 0.4)
             reply = payee.client.deposit_check(
                 check, payee.account, amount=deposit
             )
-            return {"route": route, "paid": int(reply["paid"])}
+            return {"route": route, "paid": reply["paid"]}
         # The hold stays outstanding: conservation counts held funds.
         return {"route": route, "held": amount}
 
@@ -930,7 +939,7 @@ class Fig5Mix(Fig5Scenario):
         reply = payee.client.deposit_check(check, payee.account)
         return {
             "route": f"{payor.bank}->{payee.bank}",
-            "paid": int(reply["paid"]),
+            "paid": reply["paid"],
         }
 
     def _transfer(self, realm, state, cast, rng):
@@ -950,7 +959,7 @@ class Fig5Mix(Fig5Scenario):
         check = payor.client.write_check(
             payor.account, payee.client.principal, currency, amount
         )
-        paid = int(payee.client.deposit_check(check, payee.account)["paid"])
+        paid = payee.client.deposit_check(check, payee.account)["paid"]
         try:
             payee.client.deposit_check(check, payee.account)
         except _UNRECOVERABLE:

@@ -37,7 +37,14 @@ from repro.encoding.identifiers import AccountId, GroupId, PrincipalId
 from repro.encoding.schema import WIRE_TYPES
 from repro.errors import ReproError, WireSchemaError
 from repro.kerberos.proxy_support import KerberosProxy
-from repro.kerberos.ticket import Ticket
+from repro.kerberos.ticket import (
+    ApRequest,
+    AsRequest,
+    KdcReply,
+    ProxyBundle,
+    Ticket,
+    TgsRequest,
+)
 from repro.services.checks import Check
 from repro.services.pk_endserver import SignedEnvelope
 
@@ -236,6 +243,11 @@ SHAPES = {
         Ticket,
         Check,
         SignedEnvelope,
+        AsRequest,
+        TgsRequest,
+        ApRequest,
+        KdcReply,
+        ProxyBundle,
     )
 }
 UNIONS = {"type": Restriction, "kind": KeyBinding}
@@ -277,4 +289,4 @@ def test_figure_traffic_has_one_form(monkeypatch, figure):
             seen[cls] = seen.get(cls, 0) + 1
     assert seen.get(Restriction) and seen.get(ProxyCertificate)
     if figure != "pk-verify":
-        assert seen.get(Ticket)
+        assert seen.get(Ticket) and seen.get(KdcReply)

@@ -323,6 +323,7 @@ def _pk_deployment():
         PublicKeyDirectory,
     )
     from repro.testbed import Realm
+    from repro.workloads.load import PathArgs
 
     realm = Realm(seed=b"aio-prefetch-test")
     rng = realm.rng.fork(b"pk-test")
@@ -335,7 +336,9 @@ def _pk_deployment():
         group=TEST_GROUP,
         rng=rng,
     )
-    server.register_operation("read", lambda request: {"data": b"ok"})
+    server.register_operation(
+        "read", lambda request: {"data": b"ok"}, PathArgs
+    )
     grantor = PkClient(
         realm.principal("grantor"),
         realm.network,

@@ -1,5 +1,8 @@
 """The end-server framework and the file server (§3.5 hybrid authorization)."""
 
+from dataclasses import dataclass
+from typing import Tuple
+
 import pytest
 
 from repro.acl import AclEntry, Anyone, Compound, GroupSubject, SinglePrincipal
@@ -17,6 +20,7 @@ from repro.errors import (
     RestrictionViolation,
     ServiceError,
 )
+from repro.encoding.schema import wire
 from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
 from repro.testbed import Realm
 
@@ -424,8 +428,14 @@ class TestEndServerEdgeCases:
 
     def test_index_error_in_a_handler_is_an_error_reply(self, world):
         realm, alice, fs = world
+
+        @wire
+        @dataclass(frozen=True)
+        class ItemsArgs:
+            items: Tuple[int, ...]
+
         fs.register_operation(
-            "first", lambda request: {"item": request.args["items"][0]}
+            "first", lambda request: {"item": request.args.items[0]}, ItemsArgs
         )
         client = alice.client_for(fs.principal)
         assert client.request("first", args={"items": [7]})["item"] == 7

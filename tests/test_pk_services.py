@@ -1,5 +1,7 @@
 """The pure public-key deployment (§6.1): no KDC, directory + signatures."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.acl import AclEntry, SinglePrincipal
@@ -15,6 +17,7 @@ from repro.core.restrictions import (
 from repro.crypto.rng import Rng
 from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
 from repro.errors import (
     AuthenticatorError,
     AuthorizationDenied,
@@ -33,6 +36,18 @@ from repro.services.pk_endserver import (
 START = 1_000_000.0
 
 
+@wire
+@dataclass(frozen=True)
+class ReadArgs:
+    path: str
+
+
+@wire
+@dataclass(frozen=True)
+class WriteArgs(ReadArgs):
+    data: bytes
+
+
 @pytest.fixture
 def world(rng):
     clock = SimulatedClock(START)
@@ -45,14 +60,14 @@ def world(rng):
     files = {"doc": b"pk data"}
 
     def read(request):
-        return {"data": files[request.args["path"]]}
+        return {"data": files[request.args.path]}
 
     def write(request):
-        files[request.args["path"]] = request.args["data"]
+        files[request.args.path] = request.args.data
         return {"ok": True}
 
-    server.register_operation("read", read)
-    server.register_operation("write", write)
+    server.register_operation("read", read, ReadArgs)
+    server.register_operation("write", write, WriteArgs)
     alice = PkClient(
         PrincipalId("alice"), network, clock, directory,
         group=TEST_GROUP, rng=rng,
@@ -280,7 +295,9 @@ class TestPkProxies:
             PrincipalId("pk-other"), network, clock, directory,
             group=TEST_GROUP, rng=rng,
         )
-        other.register_operation("read", lambda request: {"data": b"other"})
+        other.register_operation(
+            "read", lambda request: {"data": b"other"}, ReadArgs
+        )
         other.acl.add(AclEntry(subject=SinglePrincipal(alice.principal)))
         proxy = grant_public(
             alice.principal, alice.signer,

@@ -19,9 +19,15 @@ from repro.ledger.posting import (
     HOLD,
     Leg,
     Posting,
+    credit,
+    place_hold,
     usage_charge,
 )
+from repro.clock import SimulatedClock
 from repro.encoding.identifiers import PrincipalId
+from repro.errors import WireSchemaError
+from repro.ledger.accounts import Account
+from repro.ledger.ledger import Ledger
 
 
 class TestFraming:
@@ -112,7 +118,7 @@ class TestSnapshot:
 class TestPostingWire:
     def test_transfer_round_trip(self):
         posting = usage_charge("alice", "revenue", "dollars", 30)
-        again = wal.posting_from_wire(wal.posting_to_wire(posting))
+        again = Posting.from_wire(posting.to_wire())
         assert again == posting
 
     def test_hold_leg_round_trip(self):
@@ -138,7 +144,7 @@ class TestPostingWire:
             ),
             kind="certify",
         )
-        again = wal.posting_from_wire(wal.posting_to_wire(posting))
+        again = Posting.from_wire(posting.to_wire())
         assert again == posting
         assert again.legs[1].hold_payee == payee
 
@@ -256,3 +262,51 @@ class TestDurabilityStore:
         component2.put("c", 3)
         # 2 replayed + 1 fresh reaches the threshold.
         assert store2.compactions == 1
+
+
+class TestRecordsAreDeclared:
+    """A ledger record is decoded by its declaration: a changed value is
+    refused on replay, never coerced (``int()`` made ``amount: 2.9`` a
+    posting of 2, and ``"7"`` one of 7)."""
+
+    @staticmethod
+    def ledger():
+        owner = PrincipalId("alice", "REALM")
+        return Ledger(
+            {n: Account.open(n, owner) for n in ("a", "b")},
+            SimulatedClock(1000.0),
+        )
+
+    @pytest.mark.parametrize("amount", [2.9, "7", True])
+    def test_a_coercible_amount_is_not_replayed(self, amount):
+        source = self.ledger()
+        record = source.post(
+            Posting(legs=(credit("a", "usd", 5),), kind="mint")
+        )
+        wire = source.record_to_wire(record)
+        wire["posting"]["legs"][0]["amount"] = amount
+        target = self.ledger()
+        with pytest.raises(WireSchemaError, match=r"Leg\.amount"):
+            target.replay("posting", wire)
+        assert target.accounts["a"].balances == {}
+        assert len(target) == 0
+
+    def test_a_snapshot_hold_is_decoded_by_its_declaration(self):
+        source = self.ledger()
+        payee = PrincipalId("carol", "REALM")
+        source.post(
+            Posting(
+                legs=(
+                    credit("a", "usd", 5),
+                    place_hold("a", "usd", 3, "ck-1", payee, 2000.0),
+                ),
+                kind="mint",
+            )
+        )
+        state = source.capture_state()
+        target = self.ledger()
+        target.restore_state(state)
+        assert target.accounts["a"].holds == source.accounts["a"].holds
+        state["accounts"]["a"]["holds"][0]["amount"] = 3.0
+        with pytest.raises(WireSchemaError, match=r"Hold\.amount"):
+            self.ledger().restore_state(state)

@@ -161,7 +161,8 @@ def test_non_int_amount_refused_and_moves_nothing(runtime, operation, amount):
 # ---------------------------------------------------------------------------
 
 #: Hand-written decoders that stay, by ``file::qualname`` (or a directory
-#: prefix ending in ``/``), each with its reason.
+#: prefix ending in ``/``), each with its reason; the only places a wire
+#: field may also be read through ``int()``/``float()``.
 HAND_WRITTEN = {
     "baselines/": "the prior-work baselines keep their own formats, as "
     "their papers give them",
@@ -169,10 +170,25 @@ HAND_WRITTEN = {
     "checked against the key's own arithmetic, not a field declaration",
     "crypto/schnorr.py::SchnorrPublicKey.from_wire": "a key outside the "
     "named Schnorr groups is refused by the group table",
-    "ledger/wal.py::leg_from_wire": "the WAL's record format is pinned by "
-    "tests/data/durable_store and owned by ledger/wal.py",
-    "ledger/wal.py::posting_from_wire": "as leg_from_wire",
 }
+
+
+def _allowed(name):
+    return name in HAND_WRITTEN or any(
+        prefix.endswith("/") and name.startswith(prefix)
+        for prefix in HAND_WRITTEN
+    )
+
+
+def _stale(found):
+    return [
+        entry
+        for entry in HAND_WRITTEN
+        if not any(
+            name == entry or (entry.endswith("/") and name.startswith(entry))
+            for name in found
+        )
+    ]
 
 
 def _hand_written_decoders():
@@ -198,22 +214,60 @@ def test_every_wire_decoder_is_declared():
     fields are spelled out, and the place bad data used to get "fixed":
     declare the type with ``repro.encoding.schema`` instead."""
     found = list(_hand_written_decoders())
-    undeclared = [
-        name
-        for name in found
-        if name not in HAND_WRITTEN
-        and not any(
-            prefix.endswith("/") and name.startswith(prefix)
-            for prefix in HAND_WRITTEN
-        )
-    ]
-    assert undeclared == []
-    stale = [
-        entry
-        for entry in HAND_WRITTEN
-        if not any(
-            name == entry or (entry.endswith("/") and name.startswith(entry))
-            for name in found
-        )
-    ]
-    assert stale == []
+    assert [name for name in found if not _allowed(name)] == []
+    assert _stale(found) == []
+
+
+def _reads_a_field(expr):
+    """Does ``expr`` read a named field of a dict: ``x["key"]`` or
+    ``x.get("key")``?"""
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+        ):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and type(key.value) is str:
+            return True
+    return False
+
+
+def _coercions():
+    """``int(...)``/``float(...)`` of a dict field, as ``file::qualname``
+    of the function (or ``<module>``) it is in, with its line."""
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                scopes = [
+                    (f"{top.name}.{getattr(item, 'name', '<body>')}", item)
+                    for item in top.body
+                ]
+            else:
+                scopes = [(getattr(top, "name", "<module>"), top)]
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("int", "float")
+                        and any(_reads_a_field(arg) for arg in node.args)
+                    ):
+                        yield f"{relative}::{name}", node.lineno
+
+
+def test_no_wire_field_is_coerced():
+    """``int(payload["pages"])`` turns ``"7"`` into 7 and ``2.9`` into 2:
+    a second accepted form of the value.  A field is decoded by its
+    declaration (or ``schema.decoder``), which refuses instead."""
+    found = list(_coercions())
+    assert [
+        f"{name}:{line}" for name, line in found if not _allowed(name)
+    ] == []
+    assert _stale([name for name, _ in found]) == []
