@@ -215,10 +215,15 @@ def trace(
         print(
             f"  chain prefixes: {chain_hit:.0f} hits, {chain_miss:.0f} misses"
         )
+        ticket_hit = counters.counter("vcache.ticket.hit").total()
+        ticket_miss = counters.counter("vcache.ticket.miss").total()
+        print(
+            f"  ticket memo: {ticket_hit:.0f} hits, {ticket_miss:.0f} misses"
+        )
         promoted = counters.counter("vcache.keytable.promoted").total()
         print(
             f"  key tables: {schnorr.registered_key_count()} live, "
-            f"{promoted:.0f} proxy keys promoted"
+            f"{promoted:.0f} keys promoted"
         )
         print(f"  evictions: {evictions:.0f}")
     if jsonl:

@@ -18,12 +18,40 @@ tracks one entry per *live* check, which can be large.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.durable import Durable
 from repro.encoding.identifiers import PrincipalId
+from repro.encoding.schema import wire
+from repro.errors import WireSchemaError
+
+
+@wire
+@dataclass(frozen=True)
+class AcceptRecord:
+    """One committed accept-once registration: the ``accept`` WAL record,
+    and (its ``kind`` given by the list it is in) one snapshot row."""
+
+    kind: str
+    grantor: PrincipalId
+    identifier: str
+    expires_at: float
+    used: int = field(metadata={"min": 1})
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("once", "count"):
+            raise ValueError(f"unknown registration kind {self.kind!r}")
+
+
+#: A snapshot list, the kind of its rows, and a row's fields in order (a
+#: ``seen`` row was used once).
+_SNAPSHOT_ROWS = (
+    ("seen", "once", ("grantor", "identifier", "expires_at")),
+    ("counts", "count", ("grantor", "identifier", "used", "expires_at")),
+)
 
 
 class AcceptOnceRegistry(Durable):
@@ -132,20 +160,13 @@ class AcceptOnceRegistry(Durable):
             grantor, identifier = key
             self.wal.append(
                 "accept",
-                {
-                    "kind": kind,
-                    "grantor": grantor.to_wire(),
-                    "identifier": identifier,
-                    "expires_at": table.expiry(key),
-                    "used": used,
-                },
+                AcceptRecord(
+                    kind, grantor, identifier, table.expiry(key), used
+                ).to_wire(),
             )
 
-    def _restore(
-        self, kind: str, grantor: str, identifier: str, expires_at: float,
-        used: int,
-    ) -> None:
-        """Re-insert one committed registration (wire-form grantor).
+    def _restore(self, record: AcceptRecord) -> None:
+        """Re-insert one committed registration.
 
         An expired one is not stored (the paper keeps identifiers only
         "until the expiration time" — there is nothing left to protect).
@@ -153,15 +174,12 @@ class AcceptOnceRegistry(Durable):
         N commit records for the same key lands on ``used = N``'s final
         value rather than accumulating.
         """
-        table = self._seen if kind == "once" else self._counts
-        key = (PrincipalId.from_wire(grantor), identifier)
-        table.put(key, max(table.get(key, 0), int(used)), float(expires_at))
+        table = self._seen if record.kind == "once" else self._counts
+        key = (record.grantor, record.identifier)
+        table.put(key, max(table.get(key, 0), record.used), record.expires_at)
 
     def replay(self, kind: str, data: dict) -> None:
-        self._restore(
-            data["kind"], data["grantor"], data["identifier"],
-            data["expires_at"], data.get("used", 1),
-        )
+        self._restore(AcceptRecord.from_wire(data))
 
     def capture_state(self) -> dict:
         """Snapshot of every live registration (wire-form keys)."""
@@ -179,10 +197,16 @@ class AcceptOnceRegistry(Durable):
         }
 
     def restore_state(self, state: dict) -> None:
-        for grantor, identifier, expires_at in state["seen"]:
-            self._restore("once", grantor, identifier, expires_at, 1)
-        for grantor, identifier, used, expires_at in state["counts"]:
-            self._restore("count", grantor, identifier, expires_at, used)
+        for name, kind, fields in _SNAPSHOT_ROWS:
+            for row in state[name]:
+                if type(row) is not list or len(row) != len(fields):
+                    raise WireSchemaError(
+                        f"AcceptRecord: {name} row {row!r} is not "
+                        f"[{', '.join(fields)}]"
+                    )
+                self._restore(AcceptRecord.from_wire(
+                    {"kind": kind, "used": 1, **dict(zip(fields, row))}
+                ))
 
     def __len__(self) -> int:
         return len(self._seen) + len(self._counts)

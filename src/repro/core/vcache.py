@@ -10,9 +10,15 @@ immutable inputs and can be legitimately amortized:
   pair that verified once verifies forever — cached here by
   :class:`ChainPrefixCache` and by the signature memo in
   :mod:`repro.crypto.signature`.
+* the tickets a Kerberos proxy bundle carries (§6.2): a sealed ticket
+  is immutable and only the end-server's fixed key opens it, so the
+  body a blob opened to is the body it will always open to — memoized
+  per acceptor by the ticket memo (:meth:`VerificationCacheConfig.
+  build_ticket_memo`) until the ticket expires.
 * stages 3–5 (freshness, possession/identity, replay suppression,
   restriction evaluation) are *per-request* by construction and MUST
-  never be cached; the verifier always re-runs them.
+  never be cached; the verifier always re-runs them, and the acceptor
+  re-checks each memoized ticket's server and expiry on every use.
 
 The chain cache key is a rolling hash over each link's content digest
 plus an identity token derived from the *live* key material used to
@@ -22,18 +28,21 @@ entries become unreachable rather than dangerous.
 
 :class:`VerificationCacheConfig` is the single knob: injectable
 per-verifier, with a process default that ``--no-verify-cache`` and the
-testbed flip.  Disabling it removes both the chain cache and the global
-signature cache.
+testbed flip.  Disabling it removes the chain cache, the ticket memo
+and the global signature cache.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.bounded import BoundedStore
 from repro.crypto.signature import SignatureCache, set_signature_cache
+
+#: Entries a per-verifier fast-path table holds by default.
+DEFAULT_MAX_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,8 @@ class VerificationCacheConfig:
     """On/off switch for the verification fast path.
 
     Attributes:
-        enabled: ``False`` turns off the chain-prefix cache *and* the
-            global signature memo.
+        enabled: ``False`` turns off the chain-prefix cache, the ticket
+            memo *and* the global signature memo.
     """
 
     enabled: bool = True
@@ -56,6 +65,15 @@ class VerificationCacheConfig:
         if not self.enabled:
             return None
         return SignatureCache()
+
+    def build_ticket_memo(
+        self, now: Callable[[], float]
+    ) -> Optional[BoundedStore]:
+        """Sealed ticket blob -> opened body, held until the ticket
+        expires (``now`` is the acceptor's clock)."""
+        if not self.enabled:
+            return None
+        return BoundedStore(DEFAULT_MAX_ENTRIES, now)
 
 
 #: Everything on.
@@ -110,7 +128,7 @@ class ChainPrefixCache:
     leaves no entry, so rejections are always recomputed.
     """
 
-    def __init__(self, max_entries: int = 1024) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.max_entries = max_entries
         self._entries = BoundedStore(max_entries)
 

@@ -34,6 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
+from repro.bounded import BoundedStore
 from repro.clock import Clock
 from repro.core.certificate import (
     LINK_CASCADE,
@@ -316,6 +317,9 @@ class ProxyVerifier:
         self.authenticators = AuthenticatorCache(
             clock, window=freshness_window, max_skew=max_skew
         )
+        #: Claimant keys an identity signature has verified under here
+        #: (:meth:`verify_identity`), bounded like the key tables.
+        self._seen_keys = BoundedStore(_schnorr._MAX_KEY_TABLES)
 
     # -- helpers ------------------------------------------------------------
 
@@ -421,25 +425,50 @@ class ProxyVerifier:
                     layer="keytable",
                 )
 
-    def _promote_proxy_key(self, verifier: SchnorrVerifier) -> None:
-        """Give the proxy key of a warm chain a table for its proofs.
+    def _promote_key(self, public: _schnorr.SchnorrPublicKey) -> None:
+        """Give a key that has verified here before a table.
 
-        Certificate signatures are absorbed by the chain cache, but the
-        possession proof under the final proxy key is fresh on every
-        request (§3.1, §3.4) — so once the chain cache says this exact
-        proxy has verified here before, its key recurs and earns a table.
-        A key outside the order-q subgroup is refused one; its proofs keep
-        verifying natively, exactly as without promotion.
+        Two kinds of signature are fresh on every request under the same
+        key: the possession proof under a warm chain's proxy key (§3.1,
+        §3.4) — certificate signatures are absorbed by the chain cache —
+        and a claimant's identity signature (:meth:`verify_identity`).
+        Once this server has verified under such a key, it recurs and
+        earns a table.  A key outside the order-q subgroup is refused
+        one; its signatures keep verifying natively, exactly as without
+        promotion.
         """
         try:
-            built = self._register_key(verifier.public)
+            built = self._register_key(public)
         except CryptoError:
             return
         if built:
             self.telemetry.inc(
                 "vcache.keytable.promoted",
-                help="Proxy keys given a table on a warm chain hit.",
+                help="Recurring keys given a table: a proxy key on a warm "
+                "chain hit, a claimant key on its second request.",
             )
+
+    def verify_identity(
+        self, verifier: SchnorrVerifier, message: bytes, signature: bytes
+    ) -> None:
+        """Check a claimant's identity signature (a §6.1 envelope).
+
+        A claimant signs every request under its one long-term key, so a
+        key whose signature has verified here once is promoted
+        (:meth:`_promote_key`) when it comes back, before that check.  A
+        first request builds nothing; the marks are bounded like the
+        tables they lead to.
+
+        Raises:
+            SignatureError: the signature does not verify.
+        """
+        public = verifier.public
+        seen = self._seen_keys.lookup(public, False)
+        if seen:
+            self._promote_key(public)
+        verifier.verify(message, signature)
+        if not seen:
+            self._seen_keys.put(public, True)
 
     # -- the stage 1+2 chain walk ---------------------------------------------
 
@@ -454,7 +483,7 @@ class ProxyVerifier:
         A Schnorr identity (grantor/delegate) key is registered for
         precomputation on first sight: it signs every cold chain it
         roots.  (Embedded proxy keys earn a table later, on a warm chain
-        hit — see :meth:`_promote_proxy_key`.)  Rotation is safe because
+        hit — see :meth:`_promote_key`.)  Rotation is safe because
         a rotated key is a different ``(p, y)`` table key *and* a
         different chain-cache identity token.
         """
@@ -729,7 +758,7 @@ class ProxyVerifier:
             if chain_hits == len(certs) and isinstance(
                 previous, SchnorrVerifier
             ):
-                self._promote_proxy_key(previous)
+                self._promote_key(previous.public)
             self._verify_possession_proof(presented, previous)
             if (
                 expected_digest is not None

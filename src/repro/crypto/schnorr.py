@@ -50,10 +50,12 @@ table per group.  A verification key gets a Lim–Lee :class:`CombTable`
 — 37 squarings and at most 37 multiplies, about 4x faster than
 ``pow()``, for 38 KiB and about one native exponentiation of build
 time: cheap enough for any key seen twice.  Verifiers register
-identity keys on first sight and the *embedded proxy key* of a chain
-once the chain cache reports it warm — the possession proof under that
-key is the one signature every request pays
-(:func:`register_verification_key`).
+(:func:`register_verification_key`) the grantor and delegate keys a
+chain walk resolves on first sight — they sign every cold chain they
+root — and two keys only when they recur: the *embedded proxy key* of a
+chain once the chain cache reports it warm, and a claimant's §6.1
+envelope key on its second request.  The possession proof and the
+envelope are the signatures every request pays.
 Tables refuse an exponent wider than they were built for, self-check
 against ``pow()`` at build time, and verification re-checks any
 *negative* result natively, so a corrupted table can slow verification
@@ -292,7 +294,8 @@ _GENERATOR_TABLES: Dict[int, FixedBaseTable] = {}
 #: belongs to a key that passed ``y**q == 1``; a key that failed is kept
 #: as ``None`` so it is refused again without another exponentiation.
 #: Sized like the default chain-prefix cache that feeds it (a proxy key is
-#: promoted on a warm chain hit): 1024 combs are 38 MiB at 2048 bits.
+#: promoted on a warm chain hit; a verifier's marks of claimant keys seen
+#: once share the bound): 1024 combs are 38 MiB at 2048 bits.
 #: The generator tables are unbounded but there is one per *group*, of
 #: which a process has a few.
 _MAX_KEY_TABLES = 1024
@@ -313,9 +316,10 @@ def _generator_table(params: SchnorrGroup) -> FixedBaseTable:
 def register_verification_key(key: "SchnorrPublicKey") -> bool:
     """Precompute a comb for a verification key that recurs.
 
-    Called by verifiers for grantor/identity keys on first sight and for
-    an embedded proxy key once its chain is a warm cache hit (a key seen
-    once is not worth a table).  Tables are keyed by ``(p, y)``, so a
+    Called by verifiers for grantor and delegate keys on first sight, for
+    an embedded proxy key once its chain is a warm cache hit, and for a
+    claimant's envelope key on its second request (a key seen once is not
+    worth a table).  Tables are keyed by ``(p, y)``, so a
     rotated key is a *different* key: the old table simply ages out of
     the LRU and can never answer for the new key.  Returns True when a
     table was newly built.

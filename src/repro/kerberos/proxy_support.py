@@ -18,7 +18,8 @@ material:
   intermediate's credentials for the same end-server.
 * :class:`KerberosProxy` — the travelling bundle: tickets + core proxy.
 * :class:`KerberosProxyAcceptor` — end-server side: opens every ticket with
-  its long-term key, registers the session keys, runs core verification,
+  its long-term key (each distinct ticket once, while the verification
+  cache is on), registers the session keys, runs core verification,
   and applies the root ticket's own authorization-data as additional
   restrictions.
 """
@@ -41,7 +42,7 @@ from repro.crypto.signature import HmacSigner
 from repro.encoding.identifiers import PrincipalId
 from repro.encoding.schema import leaf, wire
 from repro.errors import TicketError
-from repro.kerberos.ticket import Credentials, ProxyBundle, Ticket
+from repro.kerberos.ticket import Credentials, ProxyBundle, Ticket, TicketBody
 
 
 def grant_via_credentials(
@@ -211,6 +212,42 @@ class KerberosProxyAcceptor:
             telemetry=telemetry,
             cache_config=cache_config,
         )
+        #: Sealed ticket blob -> the body it opened to, held until the
+        #: ticket expires; None when the verification cache is off.
+        self._opened = self.verifier.cache_config.build_ticket_memo(
+            clock.now
+        )
+
+    def _open(self, ticket: Ticket) -> TicketBody:
+        """The body of a ticket for this server, each blob opened once.
+
+        A sealed ticket is immutable and opens only under this server's
+        fixed key, so a blob's body never changes; the memo keeps it until
+        the ticket expires.  Only a blob that opened is stored — a changed
+        byte is a different blob, opened (and refused) afresh.
+        """
+        memo = self._opened
+        if memo is None:
+            return ticket.open(self._server_key)
+        telemetry = self.verifier.telemetry
+        body = memo.lookup(ticket.blob)
+        if body is not None:
+            telemetry.inc(
+                "vcache.ticket.hit",
+                help="Ticket-memo hits (tickets not reopened).",
+            )
+            return body
+        telemetry.inc(
+            "vcache.ticket.miss", help="Ticket-memo misses (tickets opened)."
+        )
+        body = ticket.open(self._server_key)
+        if memo.put(ticket.blob, body, body.expires_at):
+            telemetry.inc(
+                "vcache.evictions",
+                help="Verification cache evictions, by layer.",
+                layer="ticket",
+            )
+        return body
 
     def accept(self, wire: dict, *args, **kwargs) -> VerifiedProxy:
         """:meth:`verify` a :class:`ProxyBundle`'s wire form."""
@@ -225,9 +262,10 @@ class KerberosProxyAcceptor:
     ) -> VerifiedProxy:
         """Open the accompanying tickets, then verify the proxy chain.
 
-        The root ticket's authorization-data is checked as additional
-        restrictions on the grantor's credentials (additivity across the
-        whole derivation, §6.2).
+        Every ticket's server and expiry are checked on every use, memo
+        hit or not.  The root ticket's authorization-data is checked as
+        additional restrictions on the grantor's credentials (additivity
+        across the whole derivation, §6.2).
         """
         tickets = bundle.tickets
         if not tickets:
@@ -239,7 +277,7 @@ class KerberosProxyAcceptor:
                 raise TicketError(
                     f"ticket for {ticket.server}, we are {self.server}"
                 )
-            body = ticket.open(self._server_key)
+            body = self._open(ticket)
             if body.expires_at < now:
                 raise TicketError(f"ticket of {body.client} expired")
             bodies.append(body)

@@ -126,8 +126,8 @@ class Service:
             # Every declared message refuses its own bad values (a
             # ``WireSchemaError``, above); what still lands here is a
             # field of the one undeclared message, the ``request``
-            # envelope (a missing ``operation``, a ``group_proxies``
-            # item that is not a dict), or a handler bug.
+            # envelope (a ``group_proxies`` item that is not a dict), or
+            # a handler bug.
             span.set(error_reply=f"malformed: {type(exc).__name__}: {exc}")
             return encode_error(
                 ServiceError(

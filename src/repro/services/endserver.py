@@ -110,6 +110,11 @@ class NoArgs:
 #: amount passes every quota, so anything else is refused, not repaired.
 _parse_amounts = decoder(Dict[str, int], "request", "amounts", min=0)
 
+#: The operation is a name and the target a name or absent: anything else
+#: would reach the ACL's pattern matching or the operation table.
+_parse_operation = decoder(str, "request", "operation")
+_parse_target = decoder(Optional[str], "request", "target")
+
 
 class EndServerBase(Service):
     """The request pipeline every end-server runs, whatever the substrate.
@@ -272,8 +277,8 @@ class EndServerBase(Service):
         proxy bundle) and ``_rid``.
         """
         payload = message.payload
-        operation = payload["operation"]
-        target = payload.get("target")
+        operation = _parse_operation(payload.get("operation"))
+        target = _parse_target(payload.get("target"))
         amounts = _parse_amounts(payload.get("amounts", {}))
         handler, declared = self._operations.get(operation, (None, NoArgs))
         args = declared.from_wire(payload.get("args", {}))

@@ -82,7 +82,7 @@ class PublicKeyDirectory:
         except KeyError:
             raise UnknownPrincipalError(str(principal)) from None
 
-    def verifier_for(self, principal: PrincipalId) -> Verifier:
+    def verifier_for(self, principal: PrincipalId) -> SchnorrVerifier:
         return SchnorrVerifier(public=self.key_of(principal))
 
 
@@ -202,14 +202,17 @@ class PkEndServer(EndServerBase):
             payload["operation"], payload.get("target")
         ):
             raise AuthenticatorError("envelope bound to another request")
+        body = envelope.body_bytes()
         try:
-            self.directory.verifier_for(envelope.claimant).verify(
-                envelope.body_bytes(), envelope.signature
+            self.verifier.verify_identity(
+                self.directory.verifier_for(envelope.claimant),
+                body,
+                envelope.signature,
             )
         except (SignatureError, UnknownPrincipalError) as exc:
             raise AuthenticatorError(f"envelope rejected: {exc}") from exc
         if not self._envelope_replay.register(
-            envelope.body_bytes() + envelope.signature,
+            body + envelope.signature,
             timestamp=envelope.timestamp,
         ):
             raise ReplayError("envelope replayed")

@@ -61,6 +61,9 @@ FIELDS = {
     "link_kind": st.sampled_from([LINK_CASCADE, LINK_DELEGATE]),
     "issued_at": st.floats(0, 1e6),
     "expires_at": st.floats(1e6, 1e7) | st.just(math.inf),
+    # An accept-once record's table; a posting's kind is checked later.
+    "kind": st.sampled_from(["once", "count"]),
+    "used": st.integers(1, 2**40),
 }
 
 LEAVES = {

@@ -426,6 +426,46 @@ class TestEndServerEdgeCases:
         assert (dict(fs.files), dict(fs.sessions), fs.audit.all()) == before
         assert client.request("read", "doc")["data"] == b"data"
 
+    @pytest.mark.parametrize("runtime", ["sync", "aio"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target", 5),
+            ("target", b"doc"),
+            ("target", ["doc"]),
+            ("operation", 7),
+            ("operation", None),
+            ("operation", b"read"),
+        ],
+        ids=["target-int", "target-bytes", "target-list", "operation-int",
+             "operation-none", "operation-bytes"],
+    )
+    def test_untyped_envelope_fields_are_malformed(
+        self, runtime, field, value
+    ):
+        """The operation is a name and the target a name or None; anything
+        else is refused before ACL matching or the operation table."""
+        realm = Realm(seed=b"edge-endserver", runtime=runtime)
+        alice = realm.user("alice")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        client = alice.client_for(fs.principal)
+        client.establish_session()
+        before = (dict(fs.files), fs.audit.all())
+        reply = realm.network.send(
+            alice.principal, fs.principal, "request",
+            {
+                "operation": "read", "target": "doc", "args": {},
+                "session_id": client.session_id(), "amounts": {},
+                field: value,
+            },
+        )
+        assert reply["__error__"]["kind"] == "malformed"
+        assert f"request.{field}" in reply["__error__"]["detail"]
+        assert (dict(fs.files), fs.audit.all()) == before
+        assert client.request("read", "doc")["data"] == b"data"
+
     def test_index_error_in_a_handler_is_an_error_reply(self, world):
         realm, alice, fs = world
 

@@ -6,7 +6,8 @@ seed and op count; every table reachable from the deployment then reports
 from the hand-rolled tables that :class:`~repro.bounded.BoundedStore`
 replaced (their own counters where they kept them, the same reads counted
 where they did not), so a difference here is a change in what the one
-eviction and expiry rule keeps.
+eviction and expiry rule keeps.  The ticket memo's and the claimant-key
+marks' rows were pinned when those tables were added.
 """
 
 from collections import deque
@@ -36,6 +37,8 @@ TABLES = {
     "AuthenticatorCache": ("_seen",),
     "AcceptOnceRegistry": ("_seen", "_counts"),
     "EndServer": ("sessions", "_challenges"),
+    "KerberosProxyAcceptor": ("_opened",),
+    "ProxyVerifier": ("_seen_keys",),
 }
 _TABLE_ATTRS = {attr for attrs in TABLES.values() for attr in attrs}
 
@@ -147,6 +150,9 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[fs].verifier.accept_once._seen': (0, 0, 0, 0),
           'state[fs].verifier.accept_once._counts': (0, 0, 0, 0),
           'state[fs].verifier.authenticators._seen': (0, 0, 8, 4),
+          'state[fs].verifier._seen_keys': (0, 0, 0, 0),
+          # Every principal's proxy travels with the grantor's ticket.
+          'state[fs].acceptor._opened': (11, 1, 0, 1),
           'signature-cache._entries': (9, 15, 7, 8),
           'key-tables': (0, 0, 0, 0)},
  'fig3': {'state[fs].sessions': (0, 0, 0, 3),
@@ -158,11 +164,15 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[fs].verifier.accept_once._seen': (0, 0, 0, 0),
           'state[fs].verifier.accept_once._counts': (0, 0, 0, 0),
           'state[fs].verifier.authenticators._seen': (0, 0, 8, 4),
+          'state[fs].verifier._seen_keys': (0, 0, 0, 0),
+          'state[fs].acceptor._opened': (11, 1, 0, 1),
           'state[authz].ap._replay._seen': (0, 0, 0, 3),
           'state[authz].verifier.chain_cache._entries': (0, 0, 0, 0),
           'state[authz].verifier.accept_once._seen': (0, 0, 0, 0),
           'state[authz].verifier.accept_once._counts': (0, 0, 0, 0),
           'state[authz].verifier.authenticators._seen': (0, 0, 0, 0),
+          'state[authz].verifier._seen_keys': (0, 0, 0, 0),
+          'state[authz].acceptor._opened': (0, 0, 0, 0),
           'signature-cache._entries': (0, 24, 16, 8),
           'key-tables': (0, 0, 0, 0)},
  'fig4': {'state[fs].sessions': (0, 0, 0, 3),
@@ -172,6 +182,8 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[fs].verifier.accept_once._seen': (0, 0, 0, 0),
           'state[fs].verifier.accept_once._counts': (0, 0, 0, 0),
           'state[fs].verifier.authenticators._seen': (0, 0, 8, 4),
+          'state[fs].verifier._seen_keys': (0, 0, 0, 0),
+          'state[fs].acceptor._opened': (20, 4, 0, 4),
           'signature-cache._entries': (0, 36, 28, 8),
           # Fig. 4's endorsement binds a sealed symmetric key: no comb.
           'key-tables': (0, 0, 0, 0)},
@@ -186,11 +198,15 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[bank_a].verifier.accept_once._seen': (0, 0, 0, 12),
           'state[bank_a].verifier.accept_once._counts': (0, 0, 0, 0),
           'state[bank_a].verifier.authenticators._seen': (0, 0, 0, 0),
+          'state[bank_a].verifier._seen_keys': (0, 0, 0, 0),
+          'state[bank_a].acceptor._opened': (21, 3, 0, 3),
           'state[bank_b].ap._replay._seen': (0, 0, 0, 3),
           'state[bank_b].verifier.chain_cache._entries': (0, 0, 0, 0),
           'state[bank_b].verifier.accept_once._seen': (0, 0, 0, 0),
           'state[bank_b].verifier.accept_once._counts': (0, 0, 0, 0),
           'state[bank_b].verifier.authenticators._seen': (0, 0, 0, 0),
+          'state[bank_b].verifier._seen_keys': (0, 0, 0, 0),
+          'state[bank_b].acceptor._opened': (0, 0, 0, 0),
           'signature-cache._entries': (0, 24, 16, 8),
           'key-tables': (0, 0, 0, 0)},
  'pk-verify': {'state[server]._envelope_replay._seen': (0, 0, 8, 4),
@@ -198,8 +214,14 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
                'state[server].verifier.accept_once._seen': (0, 0, 0, 0),
                'state[server].verifier.accept_once._counts': (0, 0, 0, 0),
                'state[server].verifier.authenticators._seen': (0, 0, 8, 4),
+               # Each claimant key is marked on its first request...
+               'state[server].verifier._seen_keys': (9, 3, 0, 3),
                'signature-cache._entries': (0, 36, 28, 8),
-               'key-tables': (23, 25, 0, 1)}}
+               # ... and promoted on its second: with room for two
+               # tables, three claimant keys and the grantor's take turns
+               # (the chain cache, capped at two, never goes warm, so no
+               # proxy key is promoted).
+               'key-tables': (32, 25, 8, 2)}}
 
 
 @pytest.mark.parametrize("figure", FIGURES)

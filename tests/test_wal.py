@@ -24,6 +24,7 @@ from repro.ledger.posting import (
     usage_charge,
 )
 from repro.clock import SimulatedClock
+from repro.core.replay import AcceptOnceRegistry
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import WireSchemaError
 from repro.ledger.accounts import Account
@@ -265,9 +266,10 @@ class TestDurabilityStore:
 
 
 class TestRecordsAreDeclared:
-    """A ledger record is decoded by its declaration: a changed value is
-    refused on replay, never coerced (``int()`` made ``amount: 2.9`` a
-    posting of 2, and ``"7"`` one of 7)."""
+    """A ledger or accept-once record is decoded by its declaration: a
+    changed value is refused on replay, never coerced (``int()`` made
+    ``amount: 2.9`` a posting of 2, and ``"7"`` one of 7; ``float()`` kept
+    a check number ``"1e12"`` seconds)."""
 
     @staticmethod
     def ledger():
@@ -310,3 +312,90 @@ class TestRecordsAreDeclared:
         state["accounts"]["a"]["holds"][0]["amount"] = 3.0
         with pytest.raises(WireSchemaError, match=r"Hold\.amount"):
             self.ledger().restore_state(state)
+
+    # -- accept-once registrations ------------------------------------------
+
+    ALICE = PrincipalId("alice", "REALM")
+
+    @staticmethod
+    def accept_record(**change):
+        record = {
+            "kind": "once", "grantor": "alice@REALM", "identifier": "ck-1",
+            "expires_at": 2000.0, "used": 1,
+        }
+        return {**record, **change}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"expires_at": "1e12"},
+            {"expires_at": 2000},
+            {"used": 2.9},
+            {"used": True},
+            {"used": 0},
+            {"identifier": 7},
+            {"kind": "twice"},
+        ],
+        ids=["expiry-str", "expiry-int", "used-float", "used-bool",
+             "used-zero", "identifier-int", "kind-unknown"],
+    )
+    def test_a_coerced_accept_record_is_not_replayed(self, change):
+        registry = AcceptOnceRegistry(SimulatedClock(1000.0))
+        with pytest.raises(WireSchemaError, match=r"AcceptRecord"):
+            registry.replay("accept", self.accept_record(**change))
+        assert len(registry) == 0
+        registry.replay("accept", self.accept_record())
+        assert not registry.register(self.ALICE, "ck-1", 2000.0)
+
+    def test_an_accept_record_is_written_as_it_was(self, tmp_path):
+        """The declaration writes the keys and values the hand-written
+        record did, so a WAL from before it replays unchanged."""
+        store = DurabilityStore(str(tmp_path / "srv"))
+        registry = AcceptOnceRegistry(SimulatedClock(1000.0))
+        store.attach(registry)
+        registry.register(self.ALICE, "ck-1", 2000.0)
+        registry.register_counted(self.ALICE, "use-1", 3000.0, limit=2)
+        records, _ = wal.read_records(store.wal_path)
+        assert [r["data"] for r in records] == [
+            self.accept_record(),
+            self.accept_record(
+                kind="count", identifier="use-1", expires_at=3000.0
+            ),
+        ]
+
+    def test_recovery_reports_a_refused_accept_record(self, tmp_path):
+        store = DurabilityStore(str(tmp_path / "srv"))
+        store.attach(AcceptOnceRegistry(SimulatedClock(1000.0)))
+        store.append("accept", self.accept_record(expires_at="1e12"))
+        store.append("accept", self.accept_record(identifier="ck-2"))
+        reopened = store.reopen()
+        registry = AcceptOnceRegistry(SimulatedClock(1000.0))
+        reopened.attach(registry)
+        report = reopened.recover()
+        assert report.replayed == {"accept": 1}
+        assert len(report.problems) == 1
+        assert "AcceptRecord.expires_at" in report.problems[0]
+        assert list(registry._seen) == [(self.ALICE, "ck-2")]
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("seen", ["alice@REALM", "ck-1", "1e12"]),
+            ("seen", ["alice@REALM", "ck-1"]),
+            ("counts", ["alice@REALM", "use-1", 2.9, 2000.0]),
+            ("counts", ["alice@REALM", "use-1", 2000.0, 2]),
+            ("counts", {"grantor": "alice@REALM"}),
+        ],
+        ids=["expiry-str", "short", "used-float", "swapped", "not-a-list"],
+    )
+    def test_a_wrong_typed_snapshot_row_is_refused(self, name, row):
+        source = AcceptOnceRegistry(SimulatedClock(1000.0))
+        source.register(self.ALICE, "ck-1", 2000.0)
+        source.register_counted(self.ALICE, "use-1", 2000.0, limit=3)
+        state = source.capture_state()
+        target = AcceptOnceRegistry(SimulatedClock(1000.0))
+        target.restore_state(state)
+        assert target.capture_state() == state
+        state[name] = [row]
+        with pytest.raises(WireSchemaError, match=r"AcceptRecord"):
+            AcceptOnceRegistry(SimulatedClock(1000.0)).restore_state(state)
