@@ -36,6 +36,12 @@ in once its payload is behind it); :func:`decode` walks the input in place
 and slices out only the scalars it returns.  The bytes are the ones the
 recursive ``tag + len + payload`` construction produced — the tests keep that
 construction as their reference.
+
+:func:`encoded_size` is ``len(encode(value))`` without the bytes: every
+header is 5 bytes, so one walk adds up payload lengths and builds, sorts
+and packs nothing.  It is how ``Message.wire_size`` meters the network.  A
+value it cannot size is handed to :func:`encode`, so it refuses exactly
+what :func:`encode` refuses, with the same error.
 """
 
 from __future__ import annotations
@@ -138,6 +144,65 @@ def _encode_into(out: bytearray, value: Any, kind: type, depth: int) -> None:
         out += _FLOAT.pack(_D, 8, value)
     else:
         _encode_into(out, value, _base_kind(value), depth)
+
+
+def encoded_size(value: Any) -> int:
+    """``len(encode(value))``, without building the bytes.
+
+    One walk that adds up header and payload lengths: no buffer, no key
+    sort, no packing.  What the walk does not take — an unsupported type,
+    a non-``str`` key, NaN, a lone surrogate, nesting past
+    :data:`MAX_DEPTH` — it hands to :func:`encode`, so a refusal is
+    :func:`encode`'s own, in its order and with its message.
+    """
+    try:
+        return 5 + _payload_size(value, type(value), 0)
+    except (EncodingError, UnicodeEncodeError):
+        # The walk stops at the first refusal in dict insertion order;
+        # encode meets them in key order.  Let it say which one it is.
+        return len(encode(value))
+
+
+def _payload_size(value: Any, kind: type, depth: int) -> int:
+    """The payload length of ``value``'s encoding (its header is 5 bytes).
+
+    Mirrors :func:`_encode_into` branch for branch and raises
+    :class:`EncodingError` where that would refuse.
+    """
+    if kind is str:
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
+    if kind is bytes:
+        return len(value)
+    if kind is int:
+        return (value.bit_length() + 8) // 8 or 1
+    if kind is dict:
+        if depth >= MAX_DEPTH:
+            raise EncodingError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
+        size = 10 * len(value)  # a key header and a value header per item
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise EncodingError("dict keys must be str")
+            size += len(key) if key.isascii() else len(key.encode("utf-8"))
+            size += _payload_size(item, type(item), depth)
+        return size
+    if kind is list or kind is tuple:
+        if depth >= MAX_DEPTH:
+            raise EncodingError(f"nesting deeper than {MAX_DEPTH}")
+        depth += 1
+        size = 5 * len(value)
+        for item in value:
+            size += _payload_size(item, type(item), depth)
+        return size
+    if value is None:
+        return 0
+    if kind is bool:
+        return 1
+    if kind is float:
+        if math.isnan(value):
+            raise EncodingError("NaN has no canonical encoding")
+        return 8
+    return _payload_size(value, _base_kind(value), depth)
 
 
 def _base_kind(value: Any) -> type:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Type
 
 from repro import errors as _errors
-from repro.encoding.canonical import encode
+from repro.encoding.canonical import encoded_size
 from repro.encoding.identifiers import PrincipalId
 
 _msg_counter = itertools.count(1)
@@ -27,7 +27,7 @@ _msg_counter = itertools.count(1)
 #: dict for convenience (the resilience layer's retry id).  Like
 #: ``traceparent``, they exist so the infrastructure can correlate and
 #: dedupe — a real wire protocol would carry them in a header — so they
-#: are excluded from the canonical encoding that ``wire_size`` measures:
+#: are excluded from the canonical encoding whose length ``wire_size`` is:
 #: byte counts are identical with resilience on or off.
 ENVELOPE_KEYS = ("_rid",)
 
@@ -60,24 +60,25 @@ class Message:
     traceparent: Optional[str] = None
 
     def wire_size(self) -> int:
-        """Bytes this message would occupy on a real wire.
+        """Bytes this message would occupy on a real wire: the length of
+        the canonical encoding of ``[source, destination, msg_type,
+        fields]``.
 
-        Messages are frozen, so the canonical encoding is computed once
-        and memoized — a message observed by several network taps is not
-        re-serialized each time.
+        Sized by :func:`~repro.encoding.canonical.encoded_size`, which
+        adds up the encoding's lengths without building it, and memoized
+        (messages are frozen), so a message observed by several network
+        taps is sized once.
         """
         cached = self.__dict__.get("_wire_size")
         if cached is not None:
             return cached
-        size = len(
-            encode(
-                [
-                    self.source.to_wire(),
-                    self.destination.to_wire(),
-                    self.msg_type,
-                    self.fields,
-                ]
-            )
+        size = encoded_size(
+            [
+                self.source.to_wire(),
+                self.destination.to_wire(),
+                self.msg_type,
+                self.fields,
+            ]
         )
         object.__setattr__(self, "_wire_size", size)
         return size

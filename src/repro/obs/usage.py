@@ -30,6 +30,7 @@ seed (pass ``include_cpu=True`` for the full picture).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import deque
@@ -103,6 +104,18 @@ class UsageRecord:
         return out
 
 
+@functools.lru_cache(maxsize=8)
+def _bucket_bounds(
+    low: float, high: float, bins_per_decade: int
+) -> Tuple[float, ...]:
+    """The bucket upper bounds of one digest shape, computed once and
+    shared: a meter makes a digest per principal, all of one shape."""
+    decades = math.log10(high / low)
+    n = int(math.ceil(decades * bins_per_decade))
+    ratio = 10.0 ** (1.0 / bins_per_decade)
+    return tuple(low * ratio**i for i in range(n + 1))
+
+
 class QuantileDigest:
     """Streaming percentile estimate over fixed log-spaced buckets.
 
@@ -121,12 +134,7 @@ class QuantileDigest:
     ) -> None:
         if low <= 0 or high <= low:
             raise ValueError("need 0 < low < high")
-        decades = math.log10(high / low)
-        n = int(math.ceil(decades * bins_per_decade))
-        ratio = 10.0 ** (1.0 / bins_per_decade)
-        self.bounds: Tuple[float, ...] = tuple(
-            low * ratio**i for i in range(n + 1)
-        )
+        self.bounds = _bucket_bounds(low, high, bins_per_decade)
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0

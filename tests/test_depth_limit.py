@@ -14,7 +14,7 @@ import pytest
 from repro.core.certificate import ProxyCertificate
 from repro.durability import DurabilityStore
 from repro.encoding import canonical
-from repro.encoding.canonical import MAX_DEPTH, decode, encode
+from repro.encoding.canonical import MAX_DEPTH, decode, encode, encoded_size
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import DecodingError, EncodingError, ServiceError
 from repro.ledger import wal
@@ -68,6 +68,17 @@ class TestCodec:
     def test_encode_refuses_with_encoding_error(self, nest, depth):
         with pytest.raises(EncodingError, match="nesting deeper than 64"):
             encode(nest(depth))
+
+    @pytest.mark.parametrize("nest", [nested_list, nested_dict])
+    def test_max_depth_is_sized(self, nest):
+        value = nest(MAX_DEPTH)
+        assert encoded_size(value) == len(encode(value))
+
+    @pytest.mark.parametrize("depth", TOO_DEEP)
+    @pytest.mark.parametrize("nest", [nested_list, nested_dict])
+    def test_sizer_refuses_with_encoding_error(self, nest, depth):
+        with pytest.raises(EncodingError, match="nesting deeper than 64"):
+            encoded_size(nest(depth))
 
     def test_mixed_containers_count_together(self):
         value = nested_dict(MAX_DEPTH // 2)
@@ -139,21 +150,27 @@ class TestService:
 def test_nothing_the_reproduction_produces_comes_near_the_bound(
     tmp_path, monkeypatch
 ):
-    """Every value encoded or decoded while replaying Figs. 1–6 and while
-    a durable bank logs, snapshots and recovers nests at most a quarter
-    as deep as ``MAX_DEPTH`` allows."""
-    deepest = {"encode": 0, "decode": 0}
+    """Every value encoded, sized or decoded while replaying Figs. 1–6 and
+    while a durable bank logs, snapshots and recovers nests at most a
+    quarter as deep as ``MAX_DEPTH`` allows."""
+    deepest = {"encode": 0, "size": 0, "decode": 0}
     encode_into, decode_one = canonical._encode_into, canonical._decode_one
+    payload_size = canonical._payload_size
 
     def spy_encode(out, value, kind, depth):
         deepest["encode"] = max(deepest["encode"], depth)
         return encode_into(out, value, kind, depth)
+
+    def spy_size(value, kind, depth):
+        deepest["size"] = max(deepest["size"], depth)
+        return payload_size(value, kind, depth)
 
     def spy_decode(data, offset, depth):
         deepest["decode"] = max(deepest["decode"], depth)
         return decode_one(data, offset, depth)
 
     monkeypatch.setattr(canonical, "_encode_into", spy_encode)
+    monkeypatch.setattr(canonical, "_payload_size", spy_size)
     monkeypatch.setattr(canonical, "_decode_one", spy_decode)
 
     for figure in SCENARIOS:
@@ -179,4 +196,5 @@ def test_nothing_the_reproduction_produces_comes_near_the_bound(
     assert again.accounts["bob"].balance("dollars") == 45
 
     assert 0 < deepest["encode"] <= MAX_DEPTH // 4
+    assert 0 < deepest["size"] <= MAX_DEPTH // 4
     assert 0 < deepest["decode"] <= MAX_DEPTH // 4
