@@ -96,7 +96,7 @@ class AuditLog(Durable):
             degraded=verified.degraded,
         )
         self._records.append(entry)
-        self.wal.append("audit", entry.to_wire())
+        self.wal.append("audit", entry)
         telemetry = self._telemetry
         if telemetry is not None and telemetry.enabled:
             telemetry.event(

@@ -38,7 +38,7 @@ from abc import ABC
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.restrictions import Restriction, restrictions_to_wire
+from repro.core.restrictions import Restriction
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.signature import Signer
 from repro.encoding.canonical import encode
@@ -182,9 +182,9 @@ class ProxyCertificate:
         return encode(
             [
                 _CERT_DOMAIN,
-                grantor.to_wire(),
-                restrictions_to_wire(restrictions),
-                key_binding.to_wire(),
+                grantor,
+                restrictions,
+                key_binding,
                 float(issued_at),
                 float(expires_at),
                 link_kind,
@@ -234,7 +234,7 @@ class ProxyCertificate:
         cached = self.__dict__.get("_encoded")
         if cached is not None:
             return cached
-        data = encode(self.to_wire())
+        data = encode(self)
         object.__setattr__(self, "_encoded", data)
         return data
 

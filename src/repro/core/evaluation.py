@@ -15,7 +15,7 @@ principal that signed link *i+1*, not by the final claimant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Protocol
 
 from repro.encoding.identifiers import GroupId, PrincipalId
@@ -92,12 +92,23 @@ class RequestContext:
         link_expires_at: float,
     ) -> "RequestContext":
         """Specialize this context for one chain link (verifier use)."""
-        return replace(
-            self,
+        return self.with_values(
             grantor=grantor,
             exercisers=exercisers,
             link_expires_at=link_expires_at,
         )
+
+    def with_values(self, **changes) -> "RequestContext":
+        """A copy with the fields in ``changes`` replaced: what
+        :func:`dataclasses.replace` returns.  The class has no
+        ``__post_init__`` and its ``__init__`` only stores the fields, so
+        the copy is built from this instance's fields directly, without
+        re-reading the field list on every verification."""
+        copy = object.__new__(type(self))
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields.update(changes)
+        return copy
 
 
 def evaluate(

@@ -76,7 +76,7 @@ class PossessionProof:
         return encode(
             [
                 _POP_DOMAIN,
-                server.to_wire(),
+                server,
                 float(timestamp),
                 challenge,
                 digest,
@@ -85,9 +85,17 @@ class PossessionProof:
         )
 
     def body_bytes(self) -> bytes:
-        return self.signed_body(
+        # Encoded once per proof, like ``ProxyCertificate.body_bytes``: the
+        # verifier checks the signature over it and keys its replay cache
+        # on it.  The memo lives in __dict__, outside eq and hash.
+        cached = self.__dict__.get("_body")
+        if cached is not None:
+            return cached
+        body = self.signed_body(
             self.server, self.timestamp, self.challenge, self.digest, self.nonce
         )
+        object.__setattr__(self, "_body", body)
+        return body
 
     def replay_key(self) -> bytes:
         """Digest used by the end-server's authenticator replay cache."""
@@ -109,7 +117,7 @@ def make_possession_proof(
     body = PossessionProof.signed_body(
         server, timestamp, challenge, digest, nonce
     )
-    return PossessionProof(
+    proof = PossessionProof(
         server=server,
         timestamp=timestamp,
         challenge=challenge,
@@ -117,6 +125,9 @@ def make_possession_proof(
         nonce=nonce,
         signature=proxy.pop_signer().sign(body),
     )
+    # Seed the encode-once memo with the bytes just signed over.
+    object.__setattr__(proof, "_body", body)
+    return proof
 
 
 @wire

@@ -160,9 +160,7 @@ class AcceptOnceRegistry(Durable):
             grantor, identifier = key
             self.wal.append(
                 "accept",
-                AcceptRecord(
-                    kind, grantor, identifier, table.expiry(key), used
-                ).to_wire(),
+                AcceptRecord(kind, grantor, identifier, table.expiry(key), used),
             )
 
     def _restore(self, record: AcceptRecord) -> None:

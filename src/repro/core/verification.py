@@ -686,10 +686,7 @@ class ProxyVerifier:
         evaluated; end-server-interpreted restrictions are left for the
         issuer to *propagate* (§7.9).
         """
-        from dataclasses import replace as _replace
-
-        request = _replace(
-            request,
+        request = request.with_values(
             server=self.server,
             time=self.clock.now(),
             replay_registry=self.accept_once,

@@ -9,11 +9,15 @@ is one named part of every snapshot, and its ``wal`` becomes this store.
 
 Components write through :meth:`append`, which no-ops while
 :attr:`replaying` is set — so replay cannot re-log what it is
-re-applying.  Every ``snapshot_every`` appends the store compacts:
-capture all components, write the snapshot atomically (tmp + rename),
-truncate the WAL.  Recovery is snapshot-then-WAL, with a torn trailing
-record truncated rather than replayed (a crash mid-append must not poison
-the log — see ``docs/durability.md``).
+re-applying.  The store opens ``wal.log`` once, on its first append, and
+every append is one write and one flush through that handle: after it
+the record is in the OS, which is all the crash model (process state
+lost, files kept) asks.  Every ``snapshot_every`` appends the store
+compacts: capture all components, write the snapshot atomically (tmp +
+rename), truncate the WAL through the handle.  Recovery is
+snapshot-then-WAL, with a torn trailing record truncated rather than
+replayed (a crash mid-append must not poison the log — see
+``docs/durability.md``).
 
 The exactly-once contract this enables: a server rebuilt from its store
 remembers paid check numbers, consumed accept-once identifiers, and
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import BinaryIO, Dict, List, Optional
 
 from repro.durable import Durable
 from repro.ledger import wal
@@ -95,6 +99,8 @@ class DurabilityStore:
         self.compactions = 0
         self._since_snapshot = 0
         self.recovered: Optional[RecoveryReport] = None
+        #: ``wal.log`` opened for appending, from the first append on.
+        self._handle: Optional[BinaryIO] = None
 
     # ------------------------------------------------------------------
 
@@ -130,7 +136,11 @@ class DurabilityStore:
 
     def reopen(self) -> "DurabilityStore":
         """The store a new process opens on this directory: the same
-        settings, no component attached, nothing counted yet."""
+        settings, no component attached, nothing counted yet.  This store's
+        log handle is closed; the new store opens its own."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
         return DurabilityStore(
             self.directory, self.snapshot_every, self.telemetry,
             self.server, self.sync,
@@ -140,13 +150,19 @@ class DurabilityStore:
     # The write path
     # ------------------------------------------------------------------
 
-    def append(self, kind: str, data: dict) -> None:
-        """Log one committed transition (no-op during replay)."""
+    def _log(self) -> BinaryIO:
+        """The open log, opened on first use."""
+        if self._handle is None:
+            self._handle = open(self.wal_path, "ab")
+        return self._handle
+
+    def append(self, kind: str, data) -> None:
+        """Log one committed transition (no-op during replay).  ``data`` is
+        a declared wire value or a dict of encodable values; replay gets
+        the decoded dict either way."""
         if self.replaying:
             return
-        wal.append_record(
-            self.wal_path, {"kind": kind, "data": data}, sync=self.sync
-        )
+        wal.append_record(self._log(), {"kind": kind, "data": data}, self.sync)
         self.appends += 1
         self._since_snapshot += 1
         self.telemetry.inc(
@@ -170,8 +186,7 @@ class DurabilityStore:
             wal.write_snapshot(self.snapshot_path, {"components": state})
             # The snapshot now covers everything the WAL said; records
             # appended after the rename start a fresh log.
-            with open(self.wal_path, "wb"):
-                pass
+            self._log().truncate(0)
         self.compactions += 1
         self._since_snapshot = 0
         self.telemetry.inc(

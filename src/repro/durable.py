@@ -3,7 +3,8 @@ declares and supplies.
 
 A :class:`Durable` component names its snapshot (:attr:`~Durable.SNAPSHOT`)
 and the WAL record kinds it writes (:attr:`~Durable.RECORDS`), emits each
-committed transition as ``self.wal.append(kind, data)``, and rebuilds
+committed transition as ``self.wal.append(kind, data)`` (``data`` a
+declared wire value, or a dict of encodable values), and rebuilds
 itself from a snapshot (:meth:`~Durable.restore_state`) and from single
 records (:meth:`~Durable.replay`).  The record and snapshot wire forms are
 the component's own; the store only frames, orders and routes them.
@@ -23,7 +24,7 @@ from typing import Tuple
 class _NullWal:
     """The store of a component nothing has attached: records go nowhere."""
 
-    def append(self, kind: str, data: dict) -> None:
+    def append(self, kind: str, data) -> None:
         pass
 
 

@@ -25,6 +25,10 @@ tag    Python type
 ``M``  ``dict`` with ``str`` keys (sorted by key)
 ====== =========================================
 
+An instance of a declared wire type (:mod:`repro.encoding.schema`) is
+encoded as its ``to_wire()`` form, by the writer generated for its type,
+which appends those bytes without building the form.
+
 Lengths are encoded as 4-byte big-endian unsigned integers, which bounds any
 single field at 4 GiB — far beyond anything a proxy certificate carries.
 Containers nest at most :data:`MAX_DEPTH` deep; beyond that both directions
@@ -88,8 +92,9 @@ def _encode_into(out: bytearray, value: Any, kind: type, depth: int) -> None:
 
     One pass, one buffer: scalars append header and payload, containers
     reserve their 5-byte header and patch the length once the payload is
-    behind it.  Exact types are tested first; anything else is mapped to
-    the type it subclasses by :func:`_base_kind` and comes round again.
+    behind it.  Exact types are tested first; a declared wire type is
+    handed to its writer, and anything else is mapped to the type it
+    subclasses by :func:`_base_kind` and comes round again.
     """
     if kind is str:
         payload = value.encode("utf-8")
@@ -143,7 +148,11 @@ def _encode_into(out: bytearray, value: Any, kind: type, depth: int) -> None:
             raise EncodingError("NaN has no canonical encoding")
         out += _FLOAT.pack(_D, 8, value)
     else:
-        _encode_into(out, value, _base_kind(value), depth)
+        write = getattr(kind, "__wire_write__", None)
+        if write is not None:
+            write(out, value, depth)
+        else:
+            _encode_into(out, value, _base_kind(value), depth)
 
 
 def encoded_size(value: Any) -> int:
@@ -167,7 +176,9 @@ def _payload_size(value: Any, kind: type, depth: int) -> int:
     """The payload length of ``value``'s encoding (its header is 5 bytes).
 
     Mirrors :func:`_encode_into` branch for branch and raises
-    :class:`EncodingError` where that would refuse.
+    :class:`EncodingError` where that would refuse.  A declared wire type
+    (never on the wire: messages carry ``to_wire()`` forms) is refused
+    too, so :func:`encoded_size` measures it with :func:`encode`.
     """
     if kind is str:
         return len(value) if value.isascii() else len(value.encode("utf-8"))

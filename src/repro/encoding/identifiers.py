@@ -65,9 +65,13 @@ class PrincipalId:
     def __post_init__(self) -> None:
         _check_component(self.name, "principal name")
         _check_component(self.realm, "realm")
+        # The rendering is the wire form and a label on every span, so it
+        # is built once.  It lives in __dict__, not in a field, so eq,
+        # hash, order and repr never see it.
+        object.__setattr__(self, "_text", f"{self.name}{_REALM_SEP}{self.realm}")
 
     def __str__(self) -> str:
-        return f"{self.name}{_REALM_SEP}{self.realm}"
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "PrincipalId":

@@ -30,6 +30,14 @@ as it is, as the hand-written encoders this replaces did.  Both directions
 sit on every request's path, so each pair is generated as straight-line
 code, the way :mod:`dataclasses` generates ``__init__`` — on the type's
 first use, so a process compiles only the types its messages carry.
+
+Beside the pair, each type gets a canonical writer, ``__wire_write__``,
+which :func:`~repro.encoding.canonical.encode` calls for an instance: it
+appends the bytes of ``encode(x.to_wire())`` without building that dict.
+Key frames are constants laid out in sorted key order (a union's tag in
+its sorted place), fields of their exact declared type are written
+inline, and any other value goes back through the encoder, so the bytes,
+the ``MAX_DEPTH`` checks and the refusals are the encoder's own.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ import typing
 from operator import methodcaller
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.encoding.canonical import encode
-from repro.errors import ReproError, WireSchemaError
+from repro.encoding import canonical as _canonical
+from repro.encoding.canonical import _F64, _LEN, _NONE, MAX_DEPTH, encode
+from repro.errors import EncodingError, ReproError, WireSchemaError
 
 __all__ = ["WireSchemaError", "WIRE_TYPES", "decoder", "leaf", "union", "wire"]
 
@@ -123,6 +132,13 @@ class _Source:
             "_shape_problem": _shape_problem,
             "_REFUSALS": _REFUSALS,
             "WireSchemaError": WireSchemaError,
+            "_canonical": _canonical,
+            "_LEN": _LEN,
+            "_F64": _F64,
+            "MAX_DEPTH": MAX_DEPTH,
+            "EncodingError": EncodingError,
+            "_TOO_DEEP": f"nesting deeper than {MAX_DEPTH}",
+            "_NAN": "NaN has no canonical encoding",
         }
 
     def name(self, obj: Any) -> str:
@@ -192,6 +208,95 @@ class _Source:
             )
         return f"{self.name(hint)}.from_wire({got})"
 
+    def write(
+        self, hint: Any, got: str, head: bytes, depth: str, level: int
+    ) -> List[str]:
+        """Statements that append ``head`` (constant frames that precede
+        this value) and then the canonical encoding of local ``got``, a
+        value annotated ``hint``, to ``out`` — the bytes ``encode`` gives
+        its wire form at ``depth``.  A value not of its exact declared type
+        goes to ``_canonical._encode_into``."""
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        pad = "    " * level
+
+        def put(data: bytes, indent: str = pad) -> List[str]:
+            return [f"{indent}out += {self.name(data)}"] if data else []
+
+        encoder = f"_canonical._encode_into(out, {got}, type({got}), {depth})"
+        fallback = [f"{pad}else:", *put(head, pad + "    "), f"{pad}    {encoder}"]
+        if origin is typing.Union:
+            (inner,) = [a for a in args if a is not type(None)]
+            return [
+                f"{pad}if {got} is None:",
+                *put(head + _NONE, pad + "    "),
+                f"{pad}else:",
+                *self.write(inner, got, head, depth, level + 1),
+            ]
+        if origin in (tuple, list):
+            item, start, inner = f"_v{level}", f"_s{level}", f"_d{level}"
+            return [
+                f"{pad}if {depth} >= MAX_DEPTH:",
+                f"{pad}    raise EncodingError(_TOO_DEEP)",
+                *put(head + b"L\x00\x00\x00\x00"),
+                f"{pad}{start} = len(out) - 5",
+                f"{pad}{inner} = {depth} + 1",
+                f"{pad}for {item} in {got}:",
+                *self.write(args[0], item, b"", inner, level + 1),
+                f"{pad}_LEN.pack_into(out, {start} + 1, len(out) - {start} - 5)",
+            ]
+        if hint is float:
+            return [
+                f"{pad}{got} = float({got})",
+                f"{pad}if {got} != {got}:",
+                f"{pad}    raise EncodingError(_NAN)",
+                *put(head + b"D\x00\x00\x00\x08"),
+                f"{pad}out += _F64.pack({got})",
+            ]
+        if hint is str:
+            return [
+                f"{pad}if type({got}) is str:",
+                f"{pad}    _p = {got}.encode()",
+                *put(head + b"S", pad + "    "),
+                f"{pad}    out += _LEN.pack(len(_p))",
+                f"{pad}    out += _p",
+                *fallback,
+            ]
+        if hint is bytes:
+            return [
+                f"{pad}if type({got}) is bytes:",
+                *put(head + b"B", pad + "    "),
+                f"{pad}    out += _LEN.pack(len({got}))",
+                f"{pad}    out += {got}",
+                *fallback,
+            ]
+        if hint is int:
+            return [
+                f"{pad}if type({got}) is int:",
+                f"{pad}    _n = ({got}.bit_length() + 8) // 8 or 1",
+                *put(head + b"I", pad + "    "),
+                f"{pad}    out += _LEN.pack(_n)",
+                f"{pad}    out += {got}.to_bytes(_n, 'big', signed=True)",
+                *fallback,
+            ]
+        if hint is dict or origin is dict:  # ``to_wire`` copies it
+            return [
+                *put(head),
+                f"{pad}_canonical._encode_into(out, dict({got}), dict, {depth})",
+            ]
+        leaf = vars(hint).get("__wire_leaf__")
+        if leaf is not None:
+            wire_form = f"_w{level}"
+            return [
+                f"{pad}if type({got}) is {self.name(hint)}:",
+                f"{pad}    {wire_form} = {self.name(hint.__wire__)}({got})",
+                *self.write(leaf[0], wire_form, head, depth, level + 1),
+                *fallback,
+            ]
+        # A bool, and a nested declared value (a union member's type is
+        # known only at run time), go through the encoder, which hands a
+        # declared one to its writer.
+        return [*put(head), f"{pad}{encoder}"]
+
     def field(self, hint: Any, got: str, field: str, meta: Mapping) -> str:
         """:meth:`decode`, then the field's ``min_len``."""
         expr = self.decode(hint, got, field, meta)
@@ -250,18 +355,20 @@ def wire(cls: Optional[type] = None, *, root: Optional[str] = None):
     carries it in its wire dict.  ``root`` names the one field whose wire
     form is the whole object's (a bare list, for instance).
 
-    The tag is registered now; the pair is generated on the type's first
-    use and replaces these placeholders.  Generated code reaches another
-    declared type's codec through its class, never a placeholder.
+    The tag is registered now; the pair and the writer are generated on
+    the type's first use and replace these placeholders.  Generated code
+    reaches another declared type's codec through its class, never a
+    placeholder.
     """
     if cls is None:
         return lambda c: wire(c, root=root)
     head = {} if root is not None else _register_tag(cls, cls.__name__)
 
     def generate() -> None:
-        to_wire, from_wire = _generate(cls, head, root)
+        to_wire, from_wire, write = _generate(cls, head, root)
         cls.to_wire = cls.__wire__ = to_wire
         cls.from_wire = classmethod(from_wire)
+        cls.__wire_write__ = write
 
     def to_wire(self):
         generate()
@@ -271,8 +378,13 @@ def wire(cls: Optional[type] = None, *, root: Optional[str] = None):
         generate()
         return cls.from_wire(value)
 
+    def write(out, value, depth):
+        generate()
+        cls.__wire_write__(out, value, depth)
+
     cls.to_wire = cls.__wire__ = to_wire
     cls.from_wire = classmethod(from_wire)
+    cls.__wire_write__ = write
     WIRE_TYPES.append(cls)
     return cls
 
@@ -287,6 +399,10 @@ def _generate(cls: type, head: Dict[str, str], root: Optional[str]) -> tuple:
     if root is not None:
         (spec,) = [f for f in specs if f.name == root]
         encoded = source.encode(hints[root], f"self.{root}")
+        written = [
+            f"    _v = self.{root}",
+            *source.write(hints[root], "_v", b"", "depth", 1),
+        ]
         check = ""
         built = f"{root}=" + source.field(
             hints[root], "value", root, spec.metadata
@@ -317,11 +433,42 @@ def _generate(cls: type, head: Dict[str, str], root: Optional[str]) -> tuple:
             )
             for key, spec in keys.items()
         )
+        written = _dict_writer(source, hints, head, keys)
     source.compile(
         f"def to_wire(self):\n    return {encoded}\n"
         + source.refusing("def from_wire(klass, value):", f"_cls({built})", check)
+        + "def write(out, self, depth):\n"
+        + "".join(f"{line}\n" for line in written)
     )
-    return scope["to_wire"], scope["from_wire"]
+    return scope["to_wire"], scope["from_wire"], scope["write"]
+
+
+def _dict_writer(
+    source: _Source, hints: Dict[str, Any], head: Dict[str, str], keys: Dict
+) -> List[str]:
+    """The body of a writer whose wire form is a dict: its header and key
+    frames are constants, laid out in sorted key order, and a union tag is
+    a constant frame of its own."""
+    written = [
+        "    if depth >= MAX_DEPTH:",
+        "        raise EncodingError(_TOO_DEEP)",
+        "    depth += 1",
+        "    _s = len(out)",
+    ]
+    frames = b"M\x00\x00\x00\x00"
+    for key in sorted({**head, **keys}):
+        frames += encode(key)
+        if key in head:
+            frames += encode(head[key])
+            continue
+        spec = keys[key]
+        written.append(f"    _v = self.{spec.name}")
+        written += source.write(hints[spec.name], "_v", frames, "depth", 1)
+        frames = b""
+    if frames:
+        written.append(f"    out += {source.name(frames)}")
+    written.append("    _LEN.pack_into(out, _s + 1, len(out) - _s - 5)")
+    return written
 
 
 def _register_tag(cls: type, owner: str) -> Dict[str, str]:
@@ -361,7 +508,7 @@ def union(key: str, attr: str):
             return isinstance(other, base) and self.to_wire() == other.to_wire()
 
         def __hash__(self):
-            return hash(encode(self.to_wire()))
+            return hash(encode(self))
 
         base.__wire_union__ = (key, attr, registry)
         base.__wire__ = methodcaller("to_wire")
@@ -393,8 +540,13 @@ def leaf(kind: type, encode: Callable[[Any], Any], decode: Callable[[Any], Any])
             except _REFUSALS as exc:
                 raise _refusal(owner, None, str(exc)) from exc
 
+        def write(out, value, depth):
+            scalar = encode(value)
+            _canonical._encode_into(out, scalar, type(scalar), depth)
+
         cls.to_wire = to_wire
         cls.__wire__ = encode
+        cls.__wire_write__ = write
         cls.__wire_leaf__ = (kind, decode)
         cls.from_wire = classmethod(from_wire)
         return cls

@@ -39,7 +39,7 @@ def seal_value(
 ) -> bytes:
     """A declared ``value``, canonically encoded and sealed under ``key``."""
     return _symmetric.seal(
-        key, encode(value.to_wire()), associated_data=associated_data, rng=rng
+        key, encode(value), associated_data=associated_data, rng=rng
     )
 
 

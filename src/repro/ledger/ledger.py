@@ -283,9 +283,7 @@ class Ledger(Durable):
         transactional, like the dict it lives in; an opening balance is a
         posting of its own."""
         self.accounts[account.name] = account
-        self.wal.append(
-            "account", OpenedAccount(account.name, account.owner).to_wire()
-        )
+        self.wal.append("account", OpenedAccount(account.name, account.owner))
 
     # ------------------------------------------------------------------
     # Leg mechanics
@@ -426,11 +424,12 @@ class Ledger(Durable):
     # Durability (see docs/durability.md)
     # ------------------------------------------------------------------
 
-    def record_to_wire(self, record: PostingRecord) -> dict:
-        """The WAL payload for one committed record."""
+    def record_to_wire(self, record: PostingRecord) -> CommittedPosting:
+        """The WAL record for one committed posting, as its declaration
+        (the store encodes it straight from that)."""
         return CommittedPosting(
             record.posting_id, record.posting, record.time, record.dedupe_key
-        ).to_wire()
+        )
 
     def replay(self, kind: str, data: dict) -> None:
         """Re-open one account or re-apply one posting during recovery.

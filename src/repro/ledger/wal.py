@@ -9,7 +9,8 @@ byte format and nothing else:
   both integers big-endian, the CRC taken over the payload bytes.  The
   payload is a canonically-encoded dict (see
   :mod:`repro.encoding.canonical`), so records are self-describing and
-  byte-stable.
+  byte-stable.  A declared wire type inside it encodes straight from its
+  declaration, to the bytes of its ``to_wire()`` form.
 * **Torn-tail tolerance** — a crash mid-append leaves a partial record at
   the end of the file: a short header, a payload shorter than its length
   prefix, or a CRC mismatch.  :func:`read_records` stops at the first
@@ -31,7 +32,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 from repro.encoding.canonical import decode, encode
 from repro.errors import LedgerError
@@ -63,14 +64,13 @@ def frame(payload: dict) -> bytes:
     return HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def append_record(path: str, payload: dict, sync: bool = False) -> None:
-    """Append one framed record to ``path`` (created if missing)."""
-    data = frame(payload)
-    with open(path, "ab") as handle:
-        handle.write(data)
-        handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
+def append_record(handle: BinaryIO, payload: dict, sync: bool = False) -> None:
+    """Append one framed record through ``handle``, a log opened in append
+    mode, and flush it to the OS; ``sync`` also fsyncs it to the disk."""
+    handle.write(frame(payload))
+    handle.flush()
+    if sync:
+        os.fsync(handle.fileno())
 
 
 def scan(data: bytes) -> Tuple[List[dict], int]:

@@ -129,8 +129,8 @@ class SignedEnvelope:
         return encode(
             [
                 _ENVELOPE_DOMAIN,
-                claimant.to_wire(),
-                server.to_wire(),
+                claimant,
+                server,
                 float(timestamp),
                 nonce,
                 digest,

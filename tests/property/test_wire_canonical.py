@@ -32,10 +32,10 @@ from repro.core.presentation import PossessionProof, PresentedProxy
 from repro.core.proxy import Proxy
 from repro.core.restrictions import Restriction
 from repro.crypto.keys import SymmetricKey
-from repro.encoding.canonical import encode
+from repro.encoding.canonical import MAX_DEPTH, encode
 from repro.encoding.identifiers import AccountId, GroupId, PrincipalId
 from repro.encoding.schema import WIRE_TYPES
-from repro.errors import ReproError, WireSchemaError
+from repro.errors import EncodingError, ReproError, WireSchemaError
 from repro.kerberos.proxy_support import KerberosProxy
 from repro.kerberos.ticket import (
     ApRequest,
@@ -45,6 +45,8 @@ from repro.kerberos.ticket import (
     Ticket,
     TgsRequest,
 )
+from repro.ledger.ledger import CommittedPosting
+from repro.ledger.posting import usage_charge
 from repro.services.checks import Check
 from repro.services.pk_endserver import SignedEnvelope
 
@@ -179,6 +181,9 @@ def assert_one_form(cls, wire):
     except WireSchemaError:
         return False
     assert encode(value.to_wire()) == encode(wire)
+    # A declared value encodes straight from its declaration, to the bytes
+    # of its wire form.
+    assert encode(value) == encode(wire)
     return True
 
 
@@ -196,6 +201,7 @@ SETTINGS = settings(
 def test_round_trip(cls, data):
     value = data.draw(instances(cls))
     assert cls.from_wire(value.to_wire()) == value
+    assert encode(value) == encode(value.to_wire())
     assert assert_one_form(cls, value.to_wire())
 
 
@@ -293,3 +299,39 @@ def test_figure_traffic_has_one_form(monkeypatch, figure):
     assert seen.get(Restriction) and seen.get(ProxyCertificate)
     if figure != "pk-verify":
         assert seen.get(Ticket) and seen.get(KdcReply)
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "nest, refusal",
+    [
+        (0, None),
+        (MAX_DEPTH - 4, None),
+        (MAX_DEPTH - 3, f"nesting deeper than {MAX_DEPTH}"),
+        (MAX_DEPTH - 1, f"nesting deeper than {MAX_DEPTH}"),
+    ],
+)
+@pytest.mark.parametrize("time", [1.0, math.nan])
+def test_a_declared_value_is_refused_as_its_wire_form_is(nest, refusal, time):
+    """NaN in a ``float`` field, and nesting past ``MAX_DEPTH``, are
+    ``encode``'s own refusals whether the value or its wire form is
+    encoded.  A posting record nests four deep (record, posting, legs,
+    leg), and the posting sorts before ``time``, so the depth bound is met
+    first."""
+    value = CommittedPosting(1, usage_charge("a", "b", "usd", 1), time, None)
+    if refusal is None and math.isnan(time):
+        refusal = "NaN has no canonical encoding"
+    for form in (value, value.to_wire()):
+        if refusal is None:
+            assert encode(_nested(form, nest)) == encode(
+                _nested(value.to_wire(), nest)
+            )
+        else:
+            with pytest.raises(EncodingError) as refused:
+                encode(_nested(form, nest))
+            assert str(refused.value) == refusal

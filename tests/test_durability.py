@@ -14,6 +14,7 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.durability import DurabilityStore
+from repro.encoding.canonical import decode, encode
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import ReplayError
 from repro.ledger import MINT, Account, Ledger, Posting, credit, wal
@@ -29,7 +30,8 @@ class RecordingWal:
         self.records = []
 
     def append(self, kind, data):
-        self.records.append((kind, data))
+        # What replay gets back from the log: the decoded record.
+        self.records.append((kind, decode(encode(data))))
 
 
 def build_world(tmp_path, seed, durable=True):
@@ -332,3 +334,45 @@ class TestRecoveredRetention:
         assert len(cache._entries) == 2
         kept = cache.capture_state()["entries"]
         assert [key for key, _, _ in kept] == [b"k3", b"k4"]
+
+
+def test_every_append_writes_the_frame_of_its_wire_form(tmp_path, monkeypatch):
+    """Records reach the store as their declarations and are encoded
+    straight from them; the log holds exactly the frames their ``to_wire()``
+    forms give — one fig5 clearing across two durable banks and one
+    transfer round."""
+    frames = {}
+    append = DurabilityStore.append
+
+    def expect(store, kind, data):
+        wire_form = data if type(data) is dict else data.to_wire()
+        frames.setdefault(store.wal_path, []).append(
+            (kind, type(data), wal.frame({"kind": kind, "data": wire_form}))
+        )
+        append(store, kind, data)
+
+    monkeypatch.setattr(DurabilityStore, "append", expect)
+    realm = Realm(seed=b"wal-frames")
+    alice, bob = realm.user("alice"), realm.user("bob")
+    bank_a = realm.accounting_server(
+        "bank-a", durability=DurabilityStore(str(tmp_path / "a"))
+    )
+    bank_b = realm.accounting_server(
+        "bank-b", durability=DurabilityStore(str(tmp_path / "b"))
+    )
+    bank_a.create_account("alice", alice.principal, {"dollars": 100})
+    bank_a.create_account("alice-2", alice.principal)
+    bank_b.create_account("bob", bob.principal)
+    payor = alice.accounting_client(bank_a.principal)
+    check = payor.write_check("alice", bob.principal, "dollars", 10)
+    paid = bob.accounting_client(bank_b.principal).deposit_check(check, "bob")
+    assert paid["paid"] == 10
+    payor.transfer("alice", "alice-2", "dollars", 5)
+
+    kinds = set()
+    for path, written in frames.items():
+        with open(path, "rb") as handle:
+            assert handle.read() == b"".join(frame for _, _, frame in written)
+        kinds |= {(kind, kind_of) for kind, kind_of, _ in written}
+    declared = {kind for kind, kind_of in kinds if kind_of is not dict}
+    assert {"account", "posting", "accept", "audit"} <= declared

@@ -14,6 +14,14 @@ class TestPrincipalId:
         p = PrincipalId("bob", "OTHER.ORG")
         assert str(p) == "bob@OTHER.ORG"
 
+    def test_text_is_built_once_and_stays_out_of_comparisons(self):
+        p = PrincipalId("bob", "OTHER.ORG")
+        assert str(p) is str(p)
+        assert repr(p) == "PrincipalId(name='bob', realm='OTHER.ORG')"
+        twin = PrincipalId("bob", "OTHER.ORG")
+        assert p == twin and hash(p) == hash(twin)
+        assert PrincipalId("a", "Z") < PrincipalId("b", "A")
+
     def test_wire_round_trip(self):
         p = PrincipalId("carol", "X.Y")
         assert PrincipalId.from_wire(p.to_wire()) == p

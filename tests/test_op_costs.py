@@ -49,18 +49,20 @@ FIELDS = (
 KNOWN = {
     "echo": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 143),
     # The grantor's ticket travels with the proxy; the file server opened
-    # it on the warm-up op and its ticket memo answers for it now.
-    "fig1": (0, 0, 0, 0, 1, 1, 0, 0, 6, 2, 2, 1578),
+    # it on the warm-up op and its ticket memo answers for it now.  The
+    # possession proof's signed body is encoded once at the file server,
+    # for its signature check and its replay-cache key alike.
+    "fig1": (0, 0, 0, 0, 1, 1, 0, 0, 5, 2, 2, 1578),
     # The client opens the proxy key delivered under its session key and
     # the file server unseals the fresh proxy's root key; its ticket memo
     # answers for the authorization server's ticket.
-    "fig3": (0, 0, 0, 0, 2, 2, 2, 2, 8, 4, 4, 2817),
+    "fig3": (0, 0, 0, 0, 2, 2, 2, 2, 7, 4, 4, 2817),
     # dave proves possession of his sealed symmetric key with one HMAC,
     # which the file server checks; the endorsement's key is unsealed
     # under carol's session key (no Schnorr sign or verify) on the
     # chain's first presentation and restored from the chain cache
     # since, and both tickets are memo hits.
-    "fig4": (0, 0, 0, 0, 1, 1, 0, 0, 7, 2, 2, 2179),
+    "fig4": (0, 0, 0, 0, 1, 1, 0, 0, 6, 2, 2, 2179),
     # The payee's endorsement seals a symmetric key under its session
     # key with bank A (one seal, one unseal at A), minting no Schnorr
     # keypair; the chain travels to bank B without it.  Bank A unseals
@@ -69,8 +71,9 @@ KNOWN = {
     # The claimant's envelope key and the proxy key were both promoted
     # to combs on this, their second, request: no exponentiation under
     # a public key runs without a table.  The envelope body is encoded
-    # once, not once to verify and once for the replay cache.
-    "pk-verify": (0, 2, 2, 0, 0, 0, 0, 0, 10, 2, 2, 1450),
+    # once, not once to verify and once for the replay cache, and so is
+    # the possession proof's (as in fig1, fig3 and fig4).
+    "pk-verify": (0, 2, 2, 0, 0, 0, 0, 0, 9, 2, 2, 1450),
 }
 
 

@@ -897,3 +897,36 @@ class TestVerifierEdgeCases:
             crypto.decrypt_hybrid("rsa-oaep", b"box")
         with pytest.raises(ProxyVerificationError):
             crypto.decrypt_hybrid("unknown-scheme", b"box")
+
+
+def test_request_context_copies_are_what_replace_gives():
+    base = req(target="a", amounts={"usd": 1})
+    link = base.for_link(ALICE, frozenset({BOB}), 5.0)
+    assert link == dataclasses.replace(
+        base, grantor=ALICE, exercisers=frozenset({BOB}), link_expires_at=5.0
+    )
+    assert base.grantor is None and base.link_expires_at == float("inf")
+    moved = base.with_values(server=BOB, time=3.0)
+    assert moved == dataclasses.replace(base, server=BOB, time=3.0)
+
+
+def test_a_possession_proof_body_is_encoded_once(
+    clock, shared, rng, monkeypatch
+):
+    """The end server checks the proof's signature over its body and keys
+    its replay cache on the same bytes: one encode for both."""
+    from repro.core import presentation
+    from repro.core.presentation import PossessionProof
+
+    p = grant_conventional(ALICE, shared, (), START, START + 100, rng=rng)
+    sent = present(p, SERVER, clock.now(), "read").proof
+    arrived = PossessionProof.from_wire(sent.to_wire())
+    encoded = []
+    encode = presentation.encode
+    monkeypatch.setattr(
+        presentation, "encode", lambda value: encoded.append(value) or encode(value)
+    )
+    assert arrived.body_bytes() == sent.body_bytes()
+    arrived.replay_key()
+    assert arrived.body_bytes() is arrived.body_bytes()
+    assert len(encoded) == 1

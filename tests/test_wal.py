@@ -31,12 +31,18 @@ from repro.ledger.accounts import Account
 from repro.ledger.ledger import Ledger
 
 
+def append(path, payload):
+    """Append one record through a log handle of its own."""
+    with open(path, "ab") as handle:
+        wal.append_record(handle, payload)
+
+
 class TestFraming:
     def test_round_trip_many_records(self, tmp_path):
         path = str(tmp_path / "wal.log")
         payloads = [{"kind": "t", "data": {"n": i}} for i in range(20)]
         for payload in payloads:
-            wal.append_record(path, payload)
+            append(path, payload)
         records, torn = wal.read_records(path)
         assert records == payloads
         assert torn == 0
@@ -50,7 +56,7 @@ class TestFraming:
 
     def test_torn_payload_stops_scan(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal.append_record(path, {"n": 1})
+        append(path, {"n": 1})
         # A crash mid-append: header promises more payload than landed.
         with open(path, "ab") as handle:
             handle.write(wal.frame({"n": 2})[:-3])
@@ -60,8 +66,8 @@ class TestFraming:
 
     def test_corrupt_crc_stops_scan(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal.append_record(path, {"n": 1})
-        wal.append_record(path, {"n": 2})
+        append(path, {"n": 1})
+        append(path, {"n": 2})
         with open(path, "r+b") as handle:
             handle.seek(-1, os.SEEK_END)
             last = handle.read(1)
@@ -73,7 +79,7 @@ class TestFraming:
 
     def test_absurd_length_prefix_treated_as_torn(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal.append_record(path, {"n": 1})
+        append(path, {"n": 1})
         with open(path, "ab") as handle:
             handle.write(wal.HEADER.pack(wal.MAX_RECORD + 1, 0) + b"junk")
         records, torn = wal.read_records(path)
@@ -82,12 +88,12 @@ class TestFraming:
 
     def test_truncate_then_append_resumes_cleanly(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        wal.append_record(path, {"n": 1})
+        append(path, {"n": 1})
         with open(path, "ab") as handle:
             handle.write(b"\x00\x01half-a-record")
         _, torn = wal.read_records(path)
         wal.truncate(path, torn)
-        wal.append_record(path, {"n": 2})
+        append(path, {"n": 2})
         records, torn = wal.read_records(path)
         assert [r["n"] for r in records] == [1, 2]
         assert torn == 0
@@ -264,6 +270,61 @@ class TestDurabilityStore:
         # 2 replayed + 1 fresh reaches the threshold.
         assert store2.compactions == 1
 
+    def test_compaction_truncates_through_the_held_handle(self, tmp_path):
+        store, component = self.build(tmp_path, snapshot_every=0)
+        component.put("a", 1)
+        component.put("b", 2)
+        store.compact()
+        component.put("c", 3)
+        records, torn = wal.read_records(store.wal_path)
+        assert records == [{"kind": "put", "data": {"key": "c", "value": 3}}]
+        assert torn == 0
+        store2, component2 = self.build(tmp_path)
+        report = store2.recover()
+        assert report.snapshot_restored and report.replayed == {"put": 1}
+        assert component2.state == component.state
+
+    def test_reopen_closes_the_handle_and_the_successor_appends(self, tmp_path):
+        store, component = self.build(tmp_path)
+        component.put("a", 1)
+        handle = store._handle
+        successor = store.reopen()
+        assert handle.closed and store._handle is None
+        component2 = _Component()
+        successor.attach(component2)
+        successor.recover()
+        component2.put("b", 2)
+        records, _ = wal.read_records(store.wal_path)
+        assert [r["data"]["key"] for r in records] == ["a", "b"]
+        assert successor.wal_path == store.wal_path
+
+    def test_appends_open_the_log_once(self, tmp_path, monkeypatch):
+        store, component = self.build(tmp_path)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if file == store.wal_path:
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        for i in range(10):
+            component.put(f"k{i}", i)
+        assert opened == [("ab",)]
+        assert len(wal.read_records(store.wal_path)[0]) == 10
+
+    @pytest.mark.parametrize("sync, fsyncs", [(True, 5), (False, 0)])
+    def test_sync_fsyncs_once_per_append(
+        self, tmp_path, monkeypatch, sync, fsyncs
+    ):
+        store, component = self.build(tmp_path, snapshot_every=0, sync=sync)
+        synced = []
+        monkeypatch.setattr(wal.os, "fsync", synced.append)
+        for i in range(5):
+            component.put(f"k{i}", i)
+        assert synced == [store._handle.fileno()] * fsyncs
+
 
 class TestRecordsAreDeclared:
     """A ledger or accept-once record is decoded by its declaration: a
@@ -285,7 +346,7 @@ class TestRecordsAreDeclared:
         record = source.post(
             Posting(legs=(credit("a", "usd", 5),), kind="mint")
         )
-        wire = source.record_to_wire(record)
+        wire = source.record_to_wire(record).to_wire()
         wire["posting"]["legs"][0]["amount"] = amount
         target = self.ledger()
         with pytest.raises(WireSchemaError, match=r"Leg\.amount"):
