@@ -218,9 +218,11 @@ class AuthenticatorCache:
     never be held past ``now + window + max_skew`` (a fresher claimed
     timestamp would be rejected as from-the-future by the caller, so
     nothing legitimately needs to be remembered longer).  On top of the
-    clamp, ``max_entries`` is a hard cap evicting the soonest expiry — an
-    entry evicted early was already unreplayable without also failing the
-    caller's freshness check by the time it mattered.
+    clamp, ``max_entries`` is a hard cap evicting the soonest expiry.  An
+    entry evicted at the cap is still inside its window, so a replay of it
+    that passes the caller's freshness check is accepted: once the cache
+    is full, a flood of fresh authenticators makes room for a replay (see
+    ``tests/test_vcache.py::TestAuthenticatorCacheBounds``).
     """
 
     def __init__(

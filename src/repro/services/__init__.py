@@ -11,6 +11,7 @@ from repro.services.accounting import (
 from repro.services.authorization import (
     AuthorizationClient,
     AuthorizationServer,
+    ProxyDelivery,
     open_proxy_delivery,
     seal_proxy_delivery,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "SignedEnvelope",
     "AuthorizationServer",
     "AuthorizationClient",
+    "ProxyDelivery",
     "seal_proxy_delivery",
     "open_proxy_delivery",
     "GroupServer",

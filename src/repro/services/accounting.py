@@ -855,11 +855,7 @@ class AccountingServer(EndServer):
             issued_at=self.clock.now(),
             expires_at=expires_at,
         )
-        return {
-            "sealed_proxy": seal_proxy_delivery(
-                kproxy, request.session_key
-            )
-        }
+        return {"proxy": seal_proxy_delivery(kproxy, request.session_key)}
 
     def _op_purchase_cashiers_check(self, request: AuthorizedRequest) -> dict:
         """Sell a cashier's check: the *server* becomes the payor (§4).
@@ -1093,7 +1089,7 @@ class AccountingClient:
         session_key = self.service.kerberos.get_ticket(
             self.server
         ).session_key
-        return open_proxy_delivery(reply["sealed_proxy"], session_key)
+        return open_proxy_delivery(reply["proxy"], session_key)
 
     def cancel_certified_check(self, account: str, check_number: str) -> dict:
         return self.service.request(

@@ -13,9 +13,11 @@ Protocol (Fig. 3):
    honours this authorization server **R**;
 1. authenticated authorization request (operation X) — here: an AP session
    plus a ``request`` message;
-2. ``[operation X only]_R, {Kproxy}Ksession`` — the issued proxy; the
-   certificate is returned openly, the proxy key sealed under the session
-   key so a tap learns nothing exercisable;
+2. ``[operation X only]_R, {Kproxy}Ksession`` — the issued proxy as a
+   :class:`ProxyDelivery`: the certificate and its ticket are returned
+   openly and only the proxy key is sealed under the session key, so a
+   tap learns nothing exercisable.  The group server and the accounting
+   server deliver the proxies they issue the same way;
 3. the client presents the proxy to **S** (not this server's concern).
 
 The database is the same ACL abstraction as everywhere else (§3.5), one ACL
@@ -27,11 +29,14 @@ propagated (§7.9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+import struct
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 from repro.acl import AccessControlList
 from repro.clock import Clock
+from repro.core.certificate import ProxyCertificate
+from repro.core.proxy import Proxy
 from repro.core.restrictions import (
     Authorized,
     AuthorizedEntry,
@@ -39,37 +44,116 @@ from repro.core.restrictions import (
     Restriction,
     propagate_restrictions,
 )
+from repro.crypto import symmetric
 from repro.crypto.keys import SymmetricKey
 from repro.encoding.identifiers import PrincipalId
 from repro.encoding.schema import wire
-from repro.errors import AuthorizationDenied, ServiceError
+from repro.errors import AuthorizationDenied, IntegrityError, ServiceError
 from repro.kerberos.client import KerberosClient
 from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
-from repro.kerberos.ticket import open_value, seal_value
+from repro.kerberos.ticket import Ticket
 from repro.net.network import Network
 from repro.services.client import ServiceClient
 from repro.services.endserver import AuthorizedRequest, EndServer
 
-#: Associated data tag for sealed proxy deliveries (message 2).
+#: Associated data tag for sealed proxy keys (message 2).
 PROXY_DELIVERY_AD = b"authz-proxy-delivery"
+
+_LEN = struct.Struct(">I")
+
+
+@wire
+@dataclass(frozen=True)
+class ProxyDelivery:
+    """Fig. 3's message 2 on the wire: ``[operation X only]_R,
+    {Kproxy}Ksession``.
+
+    The tickets and certificates travel openly: they are what the client
+    will show the end-server anyway, and without the key they are not
+    exercisable (§2).  Only the proxy key is sealed, under the requester's
+    session key, with the chain's signatures and tickets as associated
+    data, so the key opens only beside the chain it was issued with.
+    """
+
+    tickets: Tuple[Ticket, ...] = field(metadata={"min_len": 1})
+    certificates: Tuple[ProxyCertificate, ...] = field(
+        metadata={"min_len": 1}
+    )
+    sealed_key: bytes
+
+
+def _part(data: bytes) -> bytes:
+    return _LEN.pack(len(data)) + data
+
+
+def _delivery_ad(
+    tickets: Tuple[Ticket, ...], certificates: Tuple[ProxyCertificate, ...]
+) -> bytes:
+    """:data:`PROXY_DELIVERY_AD`, then every certificate's signature and
+    every ticket, each group counted and each part length-prefixed, so two
+    different chains never share associated data.
+
+    A signature is a MAC over its certificate's whole body, so binding it
+    binds the one certificate the end-server will accept under it.
+    """
+    return b"".join(
+        (
+            PROXY_DELIVERY_AD,
+            _LEN.pack(len(certificates)),
+            *(_part(cert.signature) for cert in certificates),
+            _LEN.pack(len(tickets)),
+            *(
+                _part(str(ticket.server).encode()) + _part(ticket.blob)
+                for ticket in tickets
+            ),
+        )
+    )
 
 
 def seal_proxy_delivery(
     kproxy: KerberosProxy, session_key: SymmetricKey
-) -> bytes:
-    """Seal a transferable proxy under the requester's session key.
+) -> dict:
+    """The wire form of a :class:`ProxyDelivery` of ``kproxy`` to the
+    holder of ``session_key``.
 
-    This is Fig. 3's ``{Kproxy}Ksession``: the certificate would survive a
-    tap, but the proxy key never crosses the wire in the clear.
+    This is Fig. 3's ``{Kproxy}Ksession``: the certificates and tickets
+    would survive a tap, but the proxy key never crosses the wire in the
+    clear.
     """
-    return seal_value(session_key.secret, kproxy, PROXY_DELIVERY_AD)
+    tickets, certificates = kproxy.tickets, kproxy.proxy.certificates
+    return ProxyDelivery(
+        tickets,
+        certificates,
+        symmetric.seal(
+            session_key.secret,
+            kproxy.proxy.proxy_key.secret,
+            _delivery_ad(tickets, certificates),
+        ),
+    ).to_wire()
 
 
-def open_proxy_delivery(box: bytes, session_key: SymmetricKey) -> KerberosProxy:
-    """Client side of :func:`seal_proxy_delivery`."""
-    return open_value(
-        KerberosProxy, session_key.secret, box, PROXY_DELIVERY_AD,
-        ServiceError, "proxy delivery",
+def open_proxy_delivery(
+    delivery: Any, session_key: SymmetricKey
+) -> KerberosProxy:
+    """Client side of :func:`seal_proxy_delivery`.
+
+    A delivery that is not a :class:`ProxyDelivery` is refused with
+    :class:`WireSchemaError` (``malformed``); one whose key does not open
+    under ``session_key`` beside exactly these certificates and tickets
+    (a changed byte, a part from another delivery, the wrong session key)
+    with :class:`ServiceError`.
+    """
+    form = ProxyDelivery.from_wire(delivery)
+    try:
+        secret = symmetric.unseal(
+            session_key.secret,
+            form.sealed_key,
+            _delivery_ad(form.tickets, form.certificates),
+        )
+    except IntegrityError as exc:
+        raise ServiceError(f"proxy delivery failed to open: {exc}") from exc
+    return KerberosProxy(
+        form.tickets, Proxy(form.certificates, SymmetricKey(secret))
     )
 
 
@@ -210,9 +294,7 @@ class AuthorizationServer(EndServer):
                 grantor=str(request.rights) if request.rights else None,
                 operations=",".join(operations),
             )
-        return {
-            "sealed_proxy": seal_proxy_delivery(kproxy, request.session_key)
-        }
+        return {"proxy": seal_proxy_delivery(kproxy, request.session_key)}
 
 
 class AuthorizationClient:
@@ -233,8 +315,8 @@ class AuthorizationClient:
     ) -> KerberosProxy:
         """Request authorization credentials for ``end_server``.
 
-        Returns the issued proxy (certificate + proxy key), recovered from
-        the sealed delivery.
+        Returns the issued proxy: the certificate as delivered, with the
+        proxy key unsealed under this client's session key.
         """
         reply = self.service.request(
             "authorize",
@@ -248,4 +330,4 @@ class AuthorizationClient:
         session_key = self.service.kerberos.get_ticket(
             self.service.server
         ).session_key
-        return open_proxy_delivery(reply["sealed_proxy"], session_key)
+        return open_proxy_delivery(reply["proxy"], session_key)

@@ -185,9 +185,7 @@ class GroupServer(EndServer):
             server=str(self.principal),
             group=name,
         )
-        return {
-            "sealed_proxy": seal_proxy_delivery(kproxy, request.session_key)
-        }
+        return {"proxy": seal_proxy_delivery(kproxy, request.session_key)}
 
     def _op_query_membership(self, request: AuthorizedRequest) -> dict:
         """Grapevine-style online check: is P a direct or (locally) nested
@@ -225,7 +223,7 @@ class GroupClient:
         session_key = self.service.kerberos.get_ticket(
             self.service.server
         ).session_key
-        kproxy = open_proxy_delivery(reply["sealed_proxy"], session_key)
+        kproxy = open_proxy_delivery(reply["proxy"], session_key)
         return (
             GroupId(server=self.service.server, group=group),
             kproxy,

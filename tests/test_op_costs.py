@@ -12,7 +12,9 @@ counters:
 * HMAC ``sign`` and ``verify`` (:class:`HmacSigner`'s public calls,
   signature-cache hits included — the calls the benchmark's traced
   ``crypto.hmac.calls_per_op`` row counts);
-* ``symmetric.seal`` and ``symmetric.unseal``;
+* ``symmetric.seal`` and ``symmetric.unseal``, and the bytes handed to
+  them (plaintext to ``seal``, the box to ``unseal``: what the
+  benchmark's traced ``crypto.symmetric.bytes_per_op`` row adds up);
 * outermost ``canonical.encode`` calls;
 * ``canonical.encoded_size`` calls — ``Message.wire_size`` sizes each
   message without encoding it, once, so this equals the message count;
@@ -41,39 +43,43 @@ from repro.workloads.load import SCENARIOS, LoadConfig, warm_up
 FIELDS = (
     "schnorr.keygen", "schnorr.sign", "schnorr.verify", "schnorr.untabled",
     "hmac.sign", "hmac.verify",
-    "symmetric.seal", "symmetric.unseal",
+    "symmetric.seal", "symmetric.unseal", "symmetric.bytes",
     "encode", "wire.sized",
     "wire.messages", "wire.bytes",
 )
 #: figure -> one warm op's counts, in :data:`FIELDS` order.
 KNOWN = {
-    "echo": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 143),
+    "echo": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 143),
     # The grantor's ticket travels with the proxy; the file server opened
     # it on the warm-up op and its ticket memo answers for it now.  The
     # possession proof's signed body is encoded once at the file server,
     # for its signature check and its replay-cache key alike.
-    "fig1": (0, 0, 0, 0, 1, 1, 0, 0, 5, 2, 2, 1578),
+    "fig1": (0, 0, 0, 0, 1, 1, 0, 0, 0, 5, 2, 2, 1578),
     # The client opens the proxy key delivered under its session key and
     # the file server unseals the fresh proxy's root key; its ticket memo
-    # answers for the authorization server's ticket.
-    "fig3": (0, 0, 0, 0, 2, 2, 2, 2, 7, 4, 4, 2817),
+    # answers for the authorization server's ticket.  Message 2 carries
+    # the certificate and ticket openly and seals only the 32-byte key
+    # (Fig. 3's {Kproxy}Ksession), so nothing encodes the delivery for a
+    # seal: the whole-bundle seal read 2082 symmetric bytes, 7 encodes
+    # and 2817 wire bytes.
+    "fig3": (0, 0, 0, 0, 2, 2, 2, 2, 224, 6, 4, 4, 2806),
     # dave proves possession of his sealed symmetric key with one HMAC,
     # which the file server checks; the endorsement's key is unsealed
     # under carol's session key (no Schnorr sign or verify) on the
     # chain's first presentation and restored from the chain cache
     # since, and both tickets are memo hits.
-    "fig4": (0, 0, 0, 0, 1, 1, 0, 0, 6, 2, 2, 2179),
+    "fig4": (0, 0, 0, 0, 1, 1, 0, 0, 0, 6, 2, 2, 2179),
     # The payee's endorsement seals a symmetric key under its session
     # key with bank A (one seal, one unseal at A), minting no Schnorr
     # keypair; the chain travels to bank B without it.  Bank A unseals
     # the new check's two link keys; both bundle tickets are memo hits.
-    "fig5": (0, 0, 0, 0, 2, 2, 2, 2, 5, 4, 4, 4792),
+    "fig5": (0, 0, 0, 0, 2, 2, 2, 2, 224, 5, 4, 4, 4792),
     # The claimant's envelope key and the proxy key were both promoted
     # to combs on this, their second, request: no exponentiation under
     # a public key runs without a table.  The envelope body is encoded
     # once, not once to verify and once for the replay cache, and so is
     # the possession proof's (as in fig1, fig3 and fig4).
-    "pk-verify": (0, 2, 2, 0, 0, 0, 0, 0, 9, 2, 2, 1450),
+    "pk-verify": (0, 2, 2, 0, 0, 0, 0, 0, 0, 9, 2, 2, 1450),
 }
 
 
@@ -96,15 +102,23 @@ def install_counters(monkeypatch, counts):
 
         return wrapper
 
-    for module, name, key in (
-        (schnorr, "generate_keypair", "schnorr.keygen"),
-        (schnorr, "sign", "schnorr.sign"),
-        (schnorr, "verify", "schnorr.verify"),
-        (symmetric, "seal", "symmetric.seal"),
-        (symmetric, "unseal", "symmetric.unseal"),
+    def sealing(key, original):
+        def wrapper(secret, data, *args, **kwargs):
+            counts[key] += 1
+            counts["symmetric.bytes"] += len(data)
+            return original(secret, data, *args, **kwargs)
+
+        return wrapper
+
+    for module, name, key, count in (
+        (schnorr, "generate_keypair", "schnorr.keygen", counting),
+        (schnorr, "sign", "schnorr.sign", counting),
+        (schnorr, "verify", "schnorr.verify", counting),
+        (symmetric, "seal", "symmetric.seal", sealing),
+        (symmetric, "unseal", "symmetric.unseal", sealing),
     ):
         original = getattr(module, name)
-        patch_everywhere(monkeypatch, module, name, counting(key, original))
+        patch_everywhere(monkeypatch, module, name, count(key, original))
 
     key_pow = schnorr._key_pow
 

@@ -415,3 +415,19 @@ class TestAuthenticatorCacheBounds:
         assert len(cache) == 2
         assert cache.register(b"a", timestamp=START - 200.0)  # a was evicted
         assert not cache.register(b"c", timestamp=START)  # c survived
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 27: the cap evicts a live entry, whose "
+        "replay is then accepted inside its window",
+    )
+    def test_cap_eviction_does_not_admit_a_live_replay(self):
+        clock = SimulatedClock(START)
+        cache = AuthenticatorCache(clock, window=300.0, max_entries=4)
+        assert cache.register(b"victim", timestamp=START)
+        for fresh in range(4):
+            clock.advance(1.0)
+            assert cache.register(b"fresh-%d" % fresh, timestamp=clock.now())
+        # START + 5 s: the victim's claimed time is well inside the window.
+        clock.advance(1.0)
+        assert not cache.register(b"victim", timestamp=START)
