@@ -157,6 +157,7 @@ def trace(
 ) -> None:
     """Replay one scenario op under telemetry and print every view of it."""
     from repro.core import vcache
+    from repro.core.certificate import DECODED
     from repro.crypto import schnorr
     from repro.obs import Telemetry, render_trace_waterfall
     from repro.workloads.load import run_figure
@@ -165,11 +166,14 @@ def trace(
         vcache.DEFAULT_CONFIG if verify_cache else vcache.DISABLED_CONFIG
     )
     telemetry = Telemetry(capture_crypto=True)
+    memo_before = DECODED.hits, DECODED.misses
     try:
         with vcache.override(config):
             run_figure(figure, telemetry)
     finally:
         telemetry.release_crypto()
+    cert_hit = DECODED.hits - memo_before[0]
+    cert_miss = DECODED.misses - memo_before[1]
 
     if follow:
         trace_id = telemetry.store.resolve(follow)
@@ -220,6 +224,7 @@ def trace(
         print(
             f"  ticket memo: {ticket_hit:.0f} hits, {ticket_miss:.0f} misses"
         )
+        print(f"  certificate memo: {cert_hit} hits, {cert_miss} misses")
         promoted = counters.counter("vcache.keytable.promoted").total()
         print(
             f"  key tables: {schnorr.registered_key_count()} live, "

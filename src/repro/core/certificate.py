@@ -29,6 +29,11 @@ Certificate link kinds (``link_kind``):
 * ``delegate`` — signed by the identity key of an intermediate that was
   *named* in the previous link's grantee list (delegate cascade, §3.4);
   this variant leaves an audit trail.
+
+A certificate travels as the bytes it was signed over: its wire form is
+``{"body": bytes, "signature": bytes}``, and a receiver checks the
+signature over the body exactly as it arrived.  Each distinct certificate
+is decoded once per process (:data:`DECODED`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from abc import ABC
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.bounded import BoundedStore
 from repro.core.restrictions import Restriction
+from repro.core.vcache import DEFAULT_MAX_ENTRIES
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.signature import Signer
 from repro.encoding.canonical import encode
@@ -132,7 +139,16 @@ class HybridKeyBinding(KeyBinding):
 # The certificate
 # ---------------------------------------------------------------------------
 
-@wire
+#: Exact ``(body, signature)`` bytes -> the certificate they decoded to,
+#: least recently used out first.  A certificate is immutable and its
+#: validity is re-checked on every use, so entries never expire; only a
+#: body that decoded is stored, and a one-byte change is another key.
+#: Process-wide, like the signature memo: it caches a decode, never a
+#: verdict, so it stays on when the verification cache is off.
+DECODED = BoundedStore(DEFAULT_MAX_ENTRIES)
+
+
+@wire(signed=_CERT_DOMAIN, memo=DECODED)
 @dataclass(frozen=True)
 class ProxyCertificate:
     """One signed link of a proxy (Fig. 1 / Fig. 4 / Fig. 6).
@@ -148,7 +164,9 @@ class ProxyCertificate:
             chain is the minimum over links.
         link_kind: ``root`` | ``cascade`` | ``delegate``.
         nonce: uniqueness; makes two otherwise-identical grants distinct.
-        signature: over the canonical encoding of everything above.
+        signature: over the body, the canonical encoding of
+            ``[_CERT_DOMAIN, grantor, ..., nonce]`` (:meth:`signed_body`),
+            which is also what travels on the wire.
     """
 
     grantor: PrincipalId
@@ -194,9 +212,10 @@ class ProxyCertificate:
 
     def body_bytes(self) -> bytes:
         # Certificates are frozen, so the canonical signed bytes are
-        # computed once and memoized (encode-once fast path).  Stored via
-        # object.__setattr__ because the dataclass is frozen; the memo
-        # lives in __dict__ and is invisible to dataclass eq/hash.
+        # computed once and memoized (encode-once fast path); a decoded
+        # certificate's memo is seeded with the bytes that arrived.
+        # Stored via object.__setattr__ because the dataclass is frozen;
+        # the memo lives in __dict__ and is invisible to dataclass eq/hash.
         cached = self.__dict__.get("_body")
         if cached is not None:
             return cached

@@ -16,14 +16,23 @@ a dataclass's annotations once and installs the pair:
 * **keys** — every field's key must be present and no other may be;
 * **tags** — a :func:`union` base maps its tag (``type``, ``kind``) to the
   declared subclass that decodes the rest;
-* **leaves** — :func:`leaf` types (identifiers, keys) are one scalar.
+* **leaves** — :func:`leaf` types (identifiers, keys) are one scalar;
+* **signed records** — ``wire(signed=TAG)`` types (a proxy certificate)
+  travel as the bytes their signature covers: ``{"body": bytes,
+  "signature": bytes}``, where ``body`` is the canonical encoding of the
+  positional list ``[TAG, field, ...]``.
 
 Whatever does not fit is refused with one :class:`WireSchemaError` naming
 the type, the field and what was wrong; a refusal from the class's own
 ``__post_init__`` is reported the same way.  Nothing is coerced, so one
 value has exactly one accepted wire form: a wire dict that decodes
-re-encodes to the same bytes, and a body re-encoded from decoded fields
-(``ProxyCertificate.body_bytes``) is the body that arrived.
+re-encodes to the same bytes.
+
+A signed record's ``from_wire`` runs a strict canonical ``decode`` of the
+body and checks the tag, the arity and each field's exact type.  The
+instance keeps the received bytes as its body, so a signature is checked
+over exactly what arrived, and the record's ``memo`` store answers for a
+``(body, signature)`` pair it already decoded.
 
 ``to_wire`` emits ``float(v)`` for a ``float`` field and every other value
 as it is, as the hand-written encoders this replaces did.  Both directions
@@ -43,13 +52,19 @@ the ``MAX_DEPTH`` checks and the refusals are the encoder's own.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import typing
 from operator import methodcaller
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.encoding import canonical as _canonical
 from repro.encoding.canonical import _F64, _LEN, _NONE, MAX_DEPTH, encode
-from repro.errors import EncodingError, ReproError, WireSchemaError
+from repro.errors import (
+    DecodingError,
+    EncodingError,
+    ReproError,
+    WireSchemaError,
+)
 
 __all__ = ["WireSchemaError", "WIRE_TYPES", "decoder", "leaf", "union", "wire"]
 
@@ -347,7 +362,13 @@ def _shape_problem(value: Any, keys: frozenset) -> str:
     )
 
 
-def wire(cls: Optional[type] = None, *, root: Optional[str] = None):
+def wire(
+    cls: Optional[type] = None,
+    *,
+    root: Optional[str] = None,
+    signed: Optional[str] = None,
+    memo: Optional[Any] = None,
+):
     """Class decorator: derive ``to_wire``/``from_wire`` from the fields of
     dataclass ``cls`` (see the module docstring).
 
@@ -355,17 +376,28 @@ def wire(cls: Optional[type] = None, *, root: Optional[str] = None):
     carries it in its wire dict.  ``root`` names the one field whose wire
     form is the whole object's (a bare list, for instance).
 
+    ``signed`` declares a signed record tagged ``signed``: the class's last
+    field is its signature, the others are its body, in declaration order,
+    and its ``body_bytes()`` returns that body (memoized in ``_body``, which
+    decoding seeds with the received bytes).  ``memo``, a
+    :class:`~repro.bounded.BoundedStore` a signed record must name, keeps
+    each decoded record under its exact ``(body, signature)`` bytes, so
+    the class must be immutable; every use of the store holds a lock of
+    the type's own.
+
     The tag is registered now; the pair and the writer are generated on
     the type's first use and replace these placeholders.  Generated code
     reaches another declared type's codec through its class, never a
     placeholder.
     """
     if cls is None:
-        return lambda c: wire(c, root=root)
+        return lambda c: wire(c, root=root, signed=signed, memo=memo)
+    if signed is not None and memo is None:
+        raise TypeError(f"{cls.__name__}: a signed record needs a memo")
     head = {} if root is not None else _register_tag(cls, cls.__name__)
 
     def generate() -> None:
-        to_wire, from_wire, write = _generate(cls, head, root)
+        to_wire, from_wire, write = _generate(cls, head, root, signed, memo)
         cls.to_wire = cls.__wire__ = to_wire
         cls.from_wire = classmethod(from_wire)
         cls.__wire_write__ = write
@@ -389,7 +421,13 @@ def wire(cls: Optional[type] = None, *, root: Optional[str] = None):
     return cls
 
 
-def _generate(cls: type, head: Dict[str, str], root: Optional[str]) -> tuple:
+def _generate(
+    cls: type,
+    head: Dict[str, str],
+    root: Optional[str],
+    signed: Optional[str],
+    memo: Optional[Any],
+) -> tuple:
     owner = cls.__name__
     hints = typing.get_type_hints(cls)
     source = _Source(owner)
@@ -403,52 +441,138 @@ def _generate(cls: type, head: Dict[str, str], root: Optional[str]) -> tuple:
             f"    _v = self.{root}",
             *source.write(hints[root], "_v", b"", "depth", 1),
         ]
-        check = ""
         built = f"{root}=" + source.field(
             hints[root], "value", root, spec.metadata
         )
+        decoder_source = source.refusing(
+            "def from_wire(klass, value):", f"_cls({built})"
+        )
     else:
-        keys = {spec.metadata.get("key", spec.name): spec for spec in specs}
-        scope["_keys"] = frozenset(head) | frozenset(keys)
+        if signed is not None:
+            *body, signature = specs
+            key = signature.metadata.get("key", signature.name)
+            fields = {
+                "body": ("self.body_bytes()", bytes),
+                key: (f"self.{signature.name}", hints[signature.name]),
+            }
+            decoder_source = _record_decoder(
+                source, hints, body, signature, signed, memo
+            )
+        else:
+            keys = {spec.metadata.get("key", spec.name): spec for spec in specs}
+            fields = {
+                key: (f"self.{spec.name}", hints[spec.name])
+                for key, spec in keys.items()
+            }
+            scope["_keys"] = frozenset(head) | frozenset(keys)
+            check = (
+                "    if type(value) is not dict or value.keys() != _keys:\n"
+                f"        raise _refusal({owner!r}, None, "
+                "_shape_problem(value, _keys))\n"
+            ) + "".join(
+                f"    if value[{key!r}] != {tag!r}:\n"
+                f"        raise _refusal({owner!r}, {key!r}, "
+                f"'expected {tag}, got %r' % (value[{key!r}],))\n"
+                for key, tag in head.items()
+            )
+            built = ", ".join(
+                f"{spec.name}="
+                + source.field(
+                    hints[spec.name], f"value[{key!r}]", spec.name, spec.metadata
+                )
+                for key, spec in keys.items()
+            )
+            decoder_source = source.refusing(
+                "def from_wire(klass, value):", f"_cls({built})", check
+            )
         encoded = "{%s}" % ", ".join(
             [f"{key!r}: {tag!r}" for key, tag in head.items()]
             + [
-                f"{key!r}: " + source.encode(hints[spec.name], f"self.{spec.name}")
-                for key, spec in keys.items()
+                f"{key!r}: " + source.encode(hint, got)
+                for key, (got, hint) in fields.items()
             ]
         )
-        check = (
-            "    if type(value) is not dict or value.keys() != _keys:\n"
-            f"        raise _refusal({owner!r}, None, _shape_problem(value, _keys))\n"
-        ) + "".join(
-            f"    if value[{key!r}] != {tag!r}:\n"
-            f"        raise _refusal({owner!r}, {key!r}, "
-            f"'expected {tag}, got %r' % (value[{key!r}],))\n"
-            for key, tag in head.items()
-        )
-        built = ", ".join(
-            f"{spec.name}="
-            + source.field(
-                hints[spec.name], f"value[{key!r}]", spec.name, spec.metadata
-            )
-            for key, spec in keys.items()
-        )
-        written = _dict_writer(source, hints, head, keys)
+        written = _dict_writer(source, head, fields)
     source.compile(
         f"def to_wire(self):\n    return {encoded}\n"
-        + source.refusing("def from_wire(klass, value):", f"_cls({built})", check)
+        + decoder_source
         + "def write(out, self, depth):\n"
         + "".join(f"{line}\n" for line in written)
     )
     return scope["to_wire"], scope["from_wire"], scope["write"]
 
 
+def _record_decoder(
+    source: _Source,
+    hints: Dict[str, Any],
+    body: List[dataclasses.Field],
+    signature: dataclasses.Field,
+    tag: str,
+    memo: Any,
+) -> str:
+    """``from_wire`` of a signed record: the body is decoded strictly and
+    positionally, once per distinct ``(body, signature)``."""
+    owner, scope = source.owner, source.scope
+    key = signature.metadata.get("key", signature.name)
+    scope.update(
+        _keys=frozenset(("body", key)),
+        _tag=tag,
+        _not_a_record=f"not a [{tag!r}, ...] record of {len(body) + 1} items",
+        _memo=memo,
+        _lock=threading.Lock(),
+        _seed=object.__setattr__,
+        DecodingError=DecodingError,
+    )
+    fields = ", ".join(
+        [
+            f"{spec.name}="
+            + source.field(hints[spec.name], f"_f[{i}]", spec.name, spec.metadata)
+            for i, spec in enumerate(body, 1)
+        ]
+        + [f"{signature.name}=_sig"]
+    )
+    got = source.field(bytes, "value['body']", "body", {})
+    sig = source.field(
+        hints[signature.name], f"value[{key!r}]", signature.name, signature.metadata
+    )
+    return (
+        "def from_wire(klass, value):\n"
+        "    if type(value) is not dict or value.keys() != _keys:\n"
+        f"        raise _refusal({owner!r}, None, _shape_problem(value, _keys))\n"
+        f"    _body = {got}\n"
+        f"    _sig = {sig}\n"
+        "    _key = (_body, _sig)\n"
+        "    with _lock:\n"
+        "        _hit = _memo.lookup(_key)\n"
+        "    if _hit is not None:\n"
+        "        return _hit\n"
+        "    try:\n"
+        "        _f = _canonical.decode(_body)\n"
+        "    except DecodingError as exc:\n"
+        f"        raise _refusal({owner!r}, 'body', str(exc)) from exc\n"
+        f"    if type(_f) is not list or len(_f) != {len(body) + 1} "
+        "or _f[0] != _tag:\n"
+        f"        raise _refusal({owner!r}, 'body', _not_a_record)\n"
+        "    try:\n"
+        f"        _value = _cls({fields})\n"
+        "    except WireSchemaError:\n"
+        "        raise\n"
+        "    except _REFUSALS as exc:\n"
+        f"        raise _refusal({owner!r}, None, str(exc)) from exc\n"
+        "    _seed(_value, '_body', _body)\n"
+        "    with _lock:\n"
+        "        _memo.put(_key, _value)\n"
+        "    return _value\n"
+    )
+
+
 def _dict_writer(
-    source: _Source, hints: Dict[str, Any], head: Dict[str, str], keys: Dict
+    source: _Source, head: Dict[str, str], fields: Dict[str, tuple]
 ) -> List[str]:
-    """The body of a writer whose wire form is a dict: its header and key
-    frames are constants, laid out in sorted key order, and a union tag is
-    a constant frame of its own."""
+    """The body of a writer whose wire form is a dict of ``fields`` (wire
+    key -> ``(expression, annotation)``): its header and key frames are
+    constants, laid out in sorted key order, and a union tag is a constant
+    frame of its own."""
     written = [
         "    if depth >= MAX_DEPTH:",
         "        raise EncodingError(_TOO_DEEP)",
@@ -456,14 +580,14 @@ def _dict_writer(
         "    _s = len(out)",
     ]
     frames = b"M\x00\x00\x00\x00"
-    for key in sorted({**head, **keys}):
+    for key in sorted({**head, **fields}):
         frames += encode(key)
         if key in head:
             frames += encode(head[key])
             continue
-        spec = keys[key]
-        written.append(f"    _v = self.{spec.name}")
-        written += source.write(hints[spec.name], "_v", frames, "depth", 1)
+        got, hint = fields[key]
+        written.append(f"    _v = {got}")
+        written += source.write(hint, "_v", frames, "depth", 1)
         frames = b""
     if frames:
         written.append(f"    out += {source.name(frames)}")

@@ -138,6 +138,12 @@ class UnknownSessionError(ServiceError):
     the client re-establishes the session and resends (§6.2)."""
 
 
+class OverloadedError(ServiceError):
+    """A bounded table that must not forget what it holds is full, so the
+    request that would add to it is refused; nothing was consumed, and it
+    may be retried once entries expire."""
+
+
 class AccountingError(ServiceError):
     """Base class for accounting failures."""
 

@@ -114,6 +114,7 @@ _ERROR_KEY = "__error__"
 _WIRE_ERRORS: Dict[str, Type[Exception]] = {
     "authorization-denied": _errors.AuthorizationDenied,
     "unknown-session": _errors.UnknownSessionError,
+    "overloaded": _errors.OverloadedError,
     "proxy-verification": _errors.ProxyVerificationError,
     "proxy-expired": _errors.ProxyExpiredError,
     "restriction-violation": _errors.RestrictionViolation,

@@ -39,6 +39,7 @@ from repro.encoding.identifiers import GroupId, PrincipalId
 from repro.encoding.schema import decoder, wire
 from repro.errors import (
     AuthorizationDenied,
+    OverloadedError,
     ProxyVerificationError,
     ReproError,
     ServiceError,
@@ -420,6 +421,14 @@ class EndServer(EndServerBase):
     #: the issuing operation itself (§7.9).
     ISSUER_MODE = False
 
+    #: Outstanding server challenges held at most.  ``get-challenge`` needs
+    #: no authentication, so a full table fails closed: a new challenge is
+    #: refused with :class:`OverloadedError` (and counted in
+    #: ``bounded.refusals{owner="challenges"}``), and none already issued
+    #: is forgotten to make room.  Challenges expire after one freshness
+    #: window, which frees the table again.
+    MAX_CHALLENGES = 4096
+
     def __init__(
         self,
         principal: PrincipalId,
@@ -458,7 +467,7 @@ class EndServer(EndServerBase):
         #: Outstanding server-issued challenges for challenge-based
         #: possession proofs (§2: "a signed or encrypted timestamp or
         #: server challenge"), each held for one freshness window.
-        self._challenges = BoundedStore(now=clock.now)
+        self._challenges = BoundedStore(self.MAX_CHALLENGES, now=clock.now)
         self._attach_durability(durability)
 
     # ------------------------------------------------------------------
@@ -474,6 +483,13 @@ class EndServer(EndServerBase):
 
     def op_get_challenge(self, message: Message) -> dict:
         """Issue a nonce for a challenge-based possession proof (§2)."""
+        if len(self._challenges) >= self.MAX_CHALLENGES:
+            self.telemetry.inc(
+                "bounded.refusals",
+                help="Entries refused by a full table that fails closed.",
+                owner="challenges",
+            )
+            raise OverloadedError("too many outstanding server challenges")
         challenge = self._rng.bytes(16)
         self._challenges.put(
             challenge, True, self.clock.now() + self.verifier.freshness_window

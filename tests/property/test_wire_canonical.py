@@ -9,7 +9,8 @@ For every declared wire type (``repro.encoding.schema.WIRE_TYPES``):
 
 Values are drawn from the declarations themselves, and the second property
 also runs over every declared value on the wire of one warm op of fig1,
-fig3, fig4, fig5 and pk-verify.
+fig3, fig4, fig5 and pk-verify, those inside a certificate's signed body
+included.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from repro.core.presentation import PossessionProof, PresentedProxy
 from repro.core.proxy import Proxy
 from repro.core.restrictions import Restriction
 from repro.crypto.keys import SymmetricKey
-from repro.encoding.canonical import MAX_DEPTH, encode
+from repro.encoding.canonical import MAX_DEPTH, decode, encode
 from repro.encoding.identifiers import AccountId, GroupId, PrincipalId
 from repro.encoding.schema import WIRE_TYPES
 from repro.errors import EncodingError, ReproError, WireSchemaError
@@ -238,6 +239,8 @@ def test_a_changed_wire_form_is_refused_or_unchanged(cls, data):
 # ---------------------------------------------------------------------------
 
 def _keys(cls):
+    if cls is ProxyCertificate:  # a signed record: its fields are its body
+        return frozenset({"body", "signature"})
     return frozenset(
         spec.metadata.get("key", spec.name) for spec in dataclasses.fields(cls)
     )
@@ -270,6 +273,9 @@ def _declared_values(value):
                 cls = union
         if cls is not None:
             yield cls, value
+        if cls is ProxyCertificate:
+            # What a certificate declares travels inside its signed body.
+            yield from _declared_values(decode(value["body"]))
         for item in value.values():
             yield from _declared_values(item)
     elif type(value) in (list, tuple):

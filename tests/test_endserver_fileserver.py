@@ -13,8 +13,10 @@ from repro.core.restrictions import (
     Grantee,
     Quota,
 )
+from repro.encoding.identifiers import PrincipalId
 from repro.errors import (
     AuthorizationDenied,
+    OverloadedError,
     ProxyVerificationError,
     ReproError,
     RestrictionViolation,
@@ -22,6 +24,9 @@ from repro.errors import (
 )
 from repro.encoding.schema import wire
 from repro.kerberos.proxy_support import KerberosProxy, grant_via_credentials
+from repro.net.message import raise_if_error
+from repro.obs.telemetry import Telemetry
+from repro.services.endserver import EndServer
 from repro.testbed import Realm
 
 
@@ -649,6 +654,48 @@ class TestBoundedTables:
         realm.clock.advance(fs.acceptor.verifier.freshness_window + 1.0)
         fresh = fetch()
         assert list(fs._challenges) == [fresh]
+
+    def test_a_challenge_flood_is_refused_at_the_cap(self, monkeypatch):
+        """``get-challenge`` needs no authentication.  A flood from a
+        principal the realm never registered fills the table to its cap
+        and no further; each refused challenge is counted, and so is a
+        legitimate client's while the table is full.  Once the flood's
+        challenges expire, a challenge-based proof verifies again."""
+        monkeypatch.setattr(EndServer, "MAX_CHALLENGES", 8)
+        telemetry = Telemetry()
+        realm = Realm(seed=b"challenge-flood", telemetry=telemetry)
+        alice, bob = realm.user("alice"), realm.user("bob")
+        fs = realm.file_server("files")
+        fs.grant_owner(alice.principal)
+        fs.put("doc", b"data")
+        cap = grant_via_credentials(
+            alice.kerberos.get_ticket(fs.principal),
+            (Authorized(entries=(AuthorizedEntry("doc", ("read",)),)),),
+            realm.clock.now(),
+        )
+        nobody = PrincipalId("nobody", "NOWHERE")
+        refused = 0
+        for _ in range(50):
+            try:
+                raise_if_error(
+                    realm.network.send(nobody, fs.principal, "get-challenge", {})
+                )
+            except OverloadedError:
+                refused += 1
+            assert len(fs._challenges) <= 8
+        assert refused == 42
+        client = bob.client_for(fs.principal)
+        with pytest.raises(OverloadedError):
+            client.request(
+                "read", "doc", proxy=cap, anonymous=True, use_challenge=True
+            )
+        assert telemetry.metrics.counter("bounded.refusals").total() == 43
+        realm.clock.advance(fs.acceptor.verifier.freshness_window + 1.0)
+        out = client.request(
+            "read", "doc", proxy=cap, anonymous=True, use_challenge=True
+        )
+        assert out["data"] == b"data"
+        assert len(fs._challenges) == 0  # the proof spent its challenge
 
 
 class TestAuditIntegration:

@@ -391,9 +391,9 @@ def test_certificate_body_changed_under_its_signature_fails_at_the_end_server(
 
     def change_body(delivery):
         certificate = dict(delivery["certificates"][0])
-        nonce = bytearray(certificate["nonce"])
-        nonce[0] ^= 0x01
-        certificate["nonce"] = bytes(nonce)
+        body = bytearray(certificate["body"])
+        body[-1] ^= 0x01  # the last byte of the nonce, the body's last field
+        certificate["body"] = bytes(body)
         delivery["certificates"] = [certificate]
         return delivery
 

@@ -7,13 +7,15 @@ from the hand-rolled tables that :class:`~repro.bounded.BoundedStore`
 replaced (their own counters where they kept them, the same reads counted
 where they did not), so a difference here is a change in what the one
 eviction and expiry rule keeps.  The ticket memo's and the claimant-key
-marks' rows were pinned when those tables were added.
+marks' rows were pinned when those tables were added, and so was the
+certificate memo's.
 """
 
 from collections import deque
 
 import pytest
 
+from repro.core.certificate import DECODED
 from repro.crypto import schnorr
 from repro.crypto.signature import (
     SignatureCache,
@@ -99,14 +101,18 @@ def counts(path, kind, owner):
     }
 
 
-def key_table_counts():
-    store = schnorr._KEY_TABLES
+def store_counts(store):
     return store.hits, store.misses, store.evictions, len(store)
+
+
+def key_table_counts():
+    return store_counts(schnorr._KEY_TABLES)
 
 
 def traffic(figure):
     """Every table's ``(hits, misses, evictions, live)`` after ``figure``'s
-    load; the process-wide signature cache and key tables included."""
+    load; the process-wide signature cache, key tables and certificate
+    memo included."""
     config = LoadConfig(
         scenario=figure, principals=PRINCIPALS, ops=OPS, mode="sync",
         seed=SEED,
@@ -117,6 +123,8 @@ def traffic(figure):
     schnorr.clear_key_tables()
     cap_key_tables(KEY_TABLE_CAP)
     before = key_table_counts()
+    DECODED.clear()
+    decoded = store_counts(DECODED)
     try:
         realm = Realm(seed=b"perf-%d" % SEED, runtime="sync")
         scenario = SCENARIOS[figure]()
@@ -136,6 +144,10 @@ def traffic(figure):
         found["key-tables"] = tuple(
             after[j] - before[j] for j in range(3)
         ) + (after[3],)
+        after = store_counts(DECODED)
+        found["certificate-memo"] = tuple(
+            after[j] - decoded[j] for j in range(3)
+        ) + (after[3],)
     finally:
         cap_key_tables(schnorr._MAX_KEY_TABLES)
         schnorr.clear_key_tables()
@@ -154,7 +166,8 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           # Every principal's proxy travels with the grantor's ticket.
           'state[fs].acceptor._opened': (11, 1, 0, 1),
           'signature-cache._entries': (9, 15, 7, 8),
-          'key-tables': (0, 0, 0, 0)},
+          'key-tables': (0, 0, 0, 0),
+          'certificate-memo': (9, 3, 0, 3)},
  'fig3': {'state[fs].sessions': (0, 0, 0, 3),
           'state[fs]._challenges': (0, 0, 0, 0),
           'state[authz].sessions': (0, 0, 0, 3),
@@ -174,7 +187,10 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[authz].verifier._seen_keys': (0, 0, 0, 0),
           'state[authz].acceptor._opened': (0, 0, 0, 0),
           'signature-cache._entries': (0, 24, 16, 8),
-          'key-tables': (0, 0, 0, 0)},
+          'key-tables': (0, 0, 0, 0),
+          # Each op's fresh certificate is decoded by its client and
+          # found again when the file server decodes it (one process).
+          'certificate-memo': (12, 12, 0, 12)},
  'fig4': {'state[fs].sessions': (0, 0, 0, 3),
           'state[fs]._challenges': (0, 0, 0, 0),
           'state[fs].ap._replay._seen': (0, 0, 0, 3),
@@ -186,7 +202,8 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[fs].acceptor._opened': (20, 4, 0, 4),
           'signature-cache._entries': (0, 36, 28, 8),
           # Fig. 4's endorsement binds a sealed symmetric key: no comb.
-          'key-tables': (0, 0, 0, 0)},
+          'key-tables': (0, 0, 0, 0),
+          'certificate-memo': (18, 6, 0, 6)},
  'fig5': {'state[bank_a].sessions': (0, 0, 0, 4),
           'state[bank_a]._challenges': (0, 0, 0, 0),
           'state[bank_b].sessions': (0, 0, 0, 3),
@@ -208,7 +225,8 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
           'state[bank_b].verifier._seen_keys': (0, 0, 0, 0),
           'state[bank_b].acceptor._opened': (0, 0, 0, 0),
           'signature-cache._entries': (0, 24, 16, 8),
-          'key-tables': (0, 0, 0, 0)},
+          'key-tables': (0, 0, 0, 0),
+          'certificate-memo': (24, 24, 0, 24)},
  'pk-verify': {'state[server]._envelope_replay._seen': (0, 0, 8, 4),
                'state[server].verifier.chain_cache._entries': (0, 12, 10, 2),
                'state[server].verifier.accept_once._seen': (0, 0, 0, 0),
@@ -221,7 +239,8 @@ KNOWN = {'fig1': {'state[fs].sessions': (0, 0, 0, 0),
                # tables, three claimant keys and the grantor's take turns
                # (the chain cache, capped at two, never goes warm, so no
                # proxy key is promoted).
-               'key-tables': (32, 25, 8, 2)}}
+               'key-tables': (32, 25, 8, 2),
+               'certificate-memo': (9, 3, 0, 3)}}
 
 
 @pytest.mark.parametrize("figure", FIGURES)

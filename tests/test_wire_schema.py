@@ -17,7 +17,7 @@ from repro.core.restrictions import Quota, restriction_from_wire
 from repro.crypto import signature
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import Rng
-from repro.encoding.canonical import encode
+from repro.encoding.canonical import decode, encode
 from repro.encoding.identifiers import PrincipalId
 from repro.errors import WireSchemaError
 from repro.net.aio import drive
@@ -67,9 +67,10 @@ def test_refusal_crosses_the_wire_as_its_own_type():
 def test_certificate_with_a_changed_limit_refused_before_any_signature_check(
     monkeypatch,
 ):
-    """The signed body is re-encoded from the decoded fields, so a wire
-    ``limit: 2.9`` decoded as 2 verified under the signature made over
-    ``limit: 2``: one signed value had two accepted wire forms."""
+    """A body that re-encoded from coerced fields would let ``limit: 2.9``
+    decode as 2 and verify under the signature made over ``limit: 2``:
+    one signed value with two accepted wire forms.  The body is decoded
+    to its exact declared types instead, so 2.9 is refused."""
     proxy = grant_conventional(
         grantor=PrincipalId("alice"),
         shared_key=SymmetricKey.generate(Rng(seed=b"wire-cert")),
@@ -79,15 +80,16 @@ def test_certificate_with_a_changed_limit_refused_before_any_signature_check(
         rng=Rng(seed=b"wire-cert-grant"),
     )
     (cert,) = proxy.certificates
-    wire = cert.to_wire()
-    wire["restrictions"][0]["limit"] = 2.9
+    fields = decode(cert.to_wire()["body"])
+    fields[2][0]["limit"] = 2.9  # [domain, grantor, restrictions, ...]
+    wire = {"body": encode(fields), "signature": cert.signature}
     checked = []
     monkeypatch.setattr(
         signature.Verifier,
         "verify",
         lambda self, message, sig: checked.append(message),
     )
-    for decode in (
+    for attempt in (
         lambda: ProxyCertificate.from_wire(wire),
         lambda: ProxyCertificate.from_bytes(encode(wire)),
         lambda: PresentedProxy.from_wire(
@@ -95,7 +97,7 @@ def test_certificate_with_a_changed_limit_refused_before_any_signature_check(
         ),
     ):
         with pytest.raises(WireSchemaError, match=r"Quota\.limit"):
-            decode()
+            attempt()
     assert checked == []
     assert ProxyCertificate.from_wire(cert.to_wire()) == cert
 
