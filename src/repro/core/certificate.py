@@ -83,8 +83,8 @@ class KeyBinding(ABC):
 class PublicKeyBinding(KeyBinding):
     """Fig. 6: the proxy key in the certificate is a public key.
 
-    ``scheme`` is ``"schnorr"`` or ``"rsa"``; ``key_wire`` is the public
-    key's own wire dict.
+    ``scheme`` is ``"schnorr"``, the only one a verifier accepts;
+    ``key_wire`` is the public key's own wire dict.
     """
 
     KIND = "public"
@@ -122,7 +122,7 @@ class HybridKeyBinding(KeyBinding):
 
     Attributes:
         box: public-key-encrypted symmetric proxy key.
-        scheme: ``"schnorr-ies"`` or ``"rsa-oaep"``.
+        scheme: ``"schnorr-ies"``, the only one a verifier accepts.
         server: the end-server whose key was used (only it can unseal).
         fingerprint: fingerprint of the enclosed symmetric key.
     """

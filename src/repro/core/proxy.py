@@ -47,7 +47,6 @@ from repro.core.certificate import (
     build_certificate,
 )
 from repro.core.restrictions import Grantee, Restriction, is_bearer
-from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
 from repro.crypto import symmetric as _symmetric
 from repro.crypto.keys import SymmetricKey
@@ -228,7 +227,7 @@ def grant_hybrid(
     grantor: PrincipalId,
     identity_signer: Signer,
     server: PrincipalId,
-    server_public: Union[_schnorr.SchnorrPublicKey, _rsa.RsaPublicKey],
+    server_public: _schnorr.SchnorrPublicKey,
     restrictions: Tuple[Restriction, ...],
     issued_at: float,
     expires_at: float,
@@ -238,23 +237,15 @@ def grant_hybrid(
 
     The symmetric proxy key is "additionally encrypted in the public key of
     the end-server to protect it from disclosure", so the proxy is usable
-    only at ``server`` even before any ``issued-for`` restriction.
+    only at ``server`` even before any ``issued-for`` restriction.  The
+    key is encrypted to ``server_public`` with Schnorr-group integrated
+    encryption (scheme ``"schnorr-ies"``).
     """
     rng = rng or DEFAULT_RNG
     proxy_key = SymmetricKey.generate(rng=rng)
-    if isinstance(server_public, _schnorr.SchnorrPublicKey):
-        box = _schnorr.encrypt_to(server_public, proxy_key.secret, rng=rng)
-        scheme = "schnorr-ies"
-    elif isinstance(server_public, _rsa.RsaPublicKey):
-        box = _rsa.encrypt(server_public, proxy_key.secret, rng=rng)
-        scheme = "rsa-oaep"
-    else:
-        raise ProxyError(
-            f"unsupported server public key: {type(server_public).__name__}"
-        )
     binding = HybridKeyBinding(
-        box=box,
-        scheme=scheme,
+        box=_schnorr.encrypt_to(server_public, proxy_key.secret, rng=rng),
+        scheme="schnorr-ies",
         server=server,
         fingerprint=proxy_key.fingerprint(),
     )

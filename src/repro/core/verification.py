@@ -60,13 +60,11 @@ from repro.core.vcache import (
     VerificationCacheConfig,
     current_config,
 )
-from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
 from repro.crypto import symmetric as _symmetric
-from repro.crypto.keys import KeyPair, SymmetricKey
+from repro.crypto.keys import SymmetricKey
 from repro.crypto.signature import (
     HmacSigner,
-    RsaVerifier,
     SchnorrVerifier,
     Verifier,
 )
@@ -165,11 +163,9 @@ class PublicKeyCrypto(EndServerCryptoContext):
         self,
         directory: Optional[Dict[PrincipalId, Verifier]] = None,
         own_schnorr: Optional[_schnorr.SchnorrPrivateKey] = None,
-        own_rsa: Optional[KeyPair] = None,
     ) -> None:
         self._directory: Dict[PrincipalId, Verifier] = dict(directory or {})
         self._own_schnorr = own_schnorr
-        self._own_rsa = own_rsa
 
     def add_principal(self, principal: PrincipalId, verifier: Verifier) -> None:
         self._directory[principal] = verifier
@@ -191,24 +187,16 @@ class PublicKeyCrypto(EndServerCryptoContext):
         )
 
     def decrypt_hybrid(self, scheme: str, box: bytes) -> bytes:
+        if scheme != "schnorr-ies":
+            raise ProxyVerificationError(f"unknown hybrid scheme {scheme!r}")
+        if self._own_schnorr is None:
+            raise ProxyVerificationError("server has no Schnorr private key")
         try:
-            if scheme == "schnorr-ies":
-                if self._own_schnorr is None:
-                    raise ProxyVerificationError(
-                        "server has no Schnorr private key"
-                    )
-                return _schnorr.decrypt(self._own_schnorr, box)
-            if scheme == "rsa-oaep":
-                if self._own_rsa is None or not self._own_rsa.has_private:
-                    raise ProxyVerificationError(
-                        "server has no RSA private key"
-                    )
-                return _rsa.decrypt(self._own_rsa.require_private(), box)
+            return _schnorr.decrypt(self._own_schnorr, box)
         except (CryptoError, IntegrityError) as exc:
             raise ProxyVerificationError(
                 f"hybrid proxy key failed to open: {exc}"
             ) from exc
-        raise ProxyVerificationError(f"unknown hybrid scheme {scheme!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +330,6 @@ class ProxyVerifier:
                         f"link {index} carries an unusable schnorr key: {exc}"
                     ) from exc
                 return SchnorrVerifier(public=public)
-            if binding.scheme == "rsa":
-                return RsaVerifier(
-                    public=_rsa.RsaPublicKey.from_wire(binding.key_wire)
-                )
             raise ProxyVerificationError(
                 f"unknown public binding scheme {binding.scheme!r}"
             )

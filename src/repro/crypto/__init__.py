@@ -1,7 +1,7 @@
 """Cryptographic substrate built from scratch on the standard library.
 
 Everything the paper's mechanisms need from "existing authentication
-systems": random keys, prime generation, RSA signatures and encryption,
+systems": random keys, prime generation, RSA signatures,
 Schnorr signatures and integrated encryption (the DH/ElGamal KEM in
 :func:`repro.crypto.schnorr.encrypt_to`), authenticated symmetric
 encryption, and HMAC integrity seals — all behind the unified
@@ -17,8 +17,6 @@ from repro.crypto.signature import (
     RsaVerifier,
     Signer,
     Verifier,
-    signer_for_keypair,
-    signer_for_symmetric,
 )
 
 __all__ = [
@@ -31,6 +29,4 @@ __all__ = [
     "HmacSigner",
     "RsaSigner",
     "RsaVerifier",
-    "signer_for_keypair",
-    "signer_for_symmetric",
 ]

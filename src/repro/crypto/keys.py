@@ -6,8 +6,7 @@ public-key without the core caring (§6: proxies layer over either kind of
 authentication system).
 
 :class:`SymmetricKey` wraps a 32-byte secret.  :class:`KeyPair` wraps an RSA
-keypair and can shed its private half (:meth:`KeyPair.public_only`) for
-embedding in certificates.
+identity keypair.
 """
 
 from __future__ import annotations
@@ -61,18 +60,7 @@ class KeyPair:
         private = _rsa.generate_keypair(bits=bits, rng=rng)
         return cls(public=private.public, private=private)
 
-    @property
-    def has_private(self) -> bool:
-        return self.private is not None
-
-    def public_only(self) -> "KeyPair":
-        """A copy safe to publish (private half removed)."""
-        return KeyPair(public=self.public, private=None)
-
     def require_private(self) -> _rsa.RsaPrivateKey:
         if self.private is None:
             raise KeyError_("operation requires the private key")
         return self.private
-
-    def fingerprint(self) -> bytes:
-        return self.public.fingerprint()

@@ -1,16 +1,15 @@
-"""RSA key generation, signatures, and encryption (from scratch).
+"""RSA key generation and signatures (from scratch).
 
 The paper's public-key proxies (§6.1, Fig. 6) require a public-key system in
-which the grantor *signs* a certificate and, in the hybrid scheme, the proxy
-key is *encrypted* in the public key of the end-server.  This module provides
-both operations:
+which the grantor *signs* a certificate.  This module provides RSA identity
+signatures:
 
 * **Signatures** use full-domain-hash RSA: the message is expanded with an
   MGF1-style mask to a value below the modulus, then raised to the private
   exponent.  Verification recomputes the expansion and compares.
-* **Encryption** uses a simple OAEP-like construction (random seed, MGF1
-  masking) so that encrypting the same proxy key twice yields different
-  ciphertexts.
+
+A hybrid proxy's key is encrypted to the end-server with Schnorr-group
+integrated encryption (:func:`repro.crypto.schnorr.encrypt_to`), not RSA.
 
 This is a faithful, readable reimplementation of textbook constructions —
 sufficient to exercise every protocol path in the paper.  It is *not* a
@@ -29,7 +28,6 @@ from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.errors import CryptoError, SignatureError
 
 _HASH = hashlib.sha256
-_HASH_LEN = 32
 #: Public exponent; standard choice.
 _PUBLIC_EXPONENT = 65537
 
@@ -69,20 +67,6 @@ class RsaPublicKey:
     def byte_length(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
-    def to_wire(self) -> dict:
-        return {"n": self.n, "e": self.e}
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "RsaPublicKey":
-        return cls(n=int(wire["n"]), e=int(wire["e"]))
-
-    def fingerprint(self) -> bytes:
-        """Stable identifier for this key (hash of its wire form)."""
-        material = self.n.to_bytes(self.byte_length, "big") + self.e.to_bytes(
-            8, "big"
-        )
-        return _HASH(b"rsa-fp:" + material).digest()[:16]
-
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
@@ -117,7 +101,7 @@ def generate_keypair(bits: int = 1024, rng: Optional[Rng] = None) -> RsaPrivateK
     """Generate an RSA keypair with a ``bits``-bit modulus.
 
     512-bit keys are accepted for fast test fixtures; anything smaller is
-    rejected because the OAEP/FDH framing no longer fits.
+    rejected because the FDH framing no longer fits.
     """
     if bits < 512:
         raise ValueError("modulus must be at least 512 bits")
@@ -175,64 +159,3 @@ def verify(key: RsaPublicKey, message: bytes, signature: bytes) -> None:
     expected = _fdh_expand(message, key.byte_length)
     if recovered != expected:
         raise SignatureError("RSA signature verification failed")
-
-
-# ---------------------------------------------------------------------------
-# OAEP-style encryption (for sealing conventional proxy keys, §6.1 hybrid)
-# ---------------------------------------------------------------------------
-
-def encrypt(key: RsaPublicKey, plaintext: bytes, rng: Optional[Rng] = None) -> bytes:
-    """Encrypt a short plaintext under the public key (randomized)."""
-    rng = rng or DEFAULT_RNG
-    k = key.byte_length
-    max_len = k - 2 * _HASH_LEN - 2
-    if max_len <= 0:
-        raise CryptoError("modulus too small for OAEP framing")
-    if len(plaintext) > max_len:
-        raise CryptoError(
-            f"plaintext too long: {len(plaintext)} > {max_len} bytes"
-        )
-    # DB = lhash || padding || 0x01 || plaintext
-    lhash = _HASH(b"oaep-label").digest()
-    padding = b"\x00" * (max_len - len(plaintext))
-    db = lhash + padding + b"\x01" + plaintext
-    seed = rng.bytes(_HASH_LEN)
-    masked_db = bytes(a ^ b for a, b in zip(db, _mgf1(seed, len(db))))
-    masked_seed = bytes(
-        a ^ b for a, b in zip(seed, _mgf1(masked_db, _HASH_LEN))
-    )
-    em = b"\x00" + masked_seed + masked_db
-    value = int.from_bytes(em, "big")
-    cipher = pow(value, key.e, key.n)
-    return cipher.to_bytes(k, "big")
-
-
-def decrypt(key: RsaPrivateKey, ciphertext: bytes) -> bytes:
-    """Decrypt an OAEP ciphertext produced by :func:`encrypt`.
-
-    Raises:
-        CryptoError: when the framing is invalid (wrong key or tampering).
-    """
-    k = key.byte_length
-    if len(ciphertext) != k:
-        raise CryptoError("ciphertext length does not match modulus")
-    value = int.from_bytes(ciphertext, "big")
-    if value >= key.n:
-        raise CryptoError("ciphertext out of range")
-    em = key._private_op(value).to_bytes(k, "big")
-    if em[0] != 0:
-        raise CryptoError("OAEP decryption failed")
-    masked_seed = em[1 : 1 + _HASH_LEN]
-    masked_db = em[1 + _HASH_LEN :]
-    seed = bytes(
-        a ^ b for a, b in zip(masked_seed, _mgf1(masked_db, _HASH_LEN))
-    )
-    db = bytes(a ^ b for a, b in zip(masked_db, _mgf1(seed, len(masked_db))))
-    lhash = _HASH(b"oaep-label").digest()
-    if db[:_HASH_LEN] != lhash:
-        raise CryptoError("OAEP label mismatch")
-    rest = db[_HASH_LEN:]
-    sep = rest.find(b"\x01")
-    if sep < 0 or any(rest[:sep]):
-        raise CryptoError("OAEP padding malformed")
-    return rest[sep + 1 :]

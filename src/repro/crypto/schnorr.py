@@ -4,9 +4,9 @@ Public-key proxies (§6.1) need a fresh public/private keypair *per proxy*
 ("the proxy key embedded in the proxy certificate is a public key from a
 public/private key pair").  RSA key generation costs two prime searches,
 which is prohibitive per-grant in pure Python; Schnorr key generation is a
-single modular exponentiation.  The library therefore offers Schnorr as the
-default public-key scheme for proxy keys, with RSA (:mod:`repro.crypto.rsa`)
-available wherever the grantor's long-term identity key is RSA.
+single modular exponentiation.  Schnorr is therefore the only public-key
+scheme for proxy keys; RSA (:mod:`repro.crypto.rsa`) signs only where the
+grantor's long-term identity key is RSA.
 
 **The group.**  A group is the triple ``(p, q, g)``: ``q`` is a 256-bit
 prime dividing ``p - 1`` and ``g`` has order exactly ``q`` modulo ``p``

@@ -242,7 +242,11 @@ class RsaVerifier(Verifier):
         _rsa.verify(self.public, message, signature[1:])
 
     def key_id(self) -> bytes:
-        return self.public.fingerprint()
+        public = self.public
+        material = public.n.to_bytes(public.byte_length, "big")
+        return _hashlib.sha256(
+            b"rsa-fp:" + material + public.e.to_bytes(8, "big")
+        ).digest()[:16]
 
 
 @dataclass(frozen=True)
@@ -257,10 +261,6 @@ class RsaSigner(RsaVerifier, Signer):
 
     def _sign(self, message: bytes) -> bytes:
         return _SCHEME_RSA + _rsa.sign(self.keypair.require_private(), message)
-
-    def verifier(self) -> RsaVerifier:
-        """The public-only verifier for this signer."""
-        return RsaVerifier(public=self.public)
 
 
 @dataclass(frozen=True)
@@ -363,13 +363,3 @@ def verify_batch(
                 if _cache_observer is not None:
                     _cache_observer("evict", verifier.scheme)
     return errors
-
-
-def signer_for_symmetric(key: SymmetricKey) -> HmacSigner:
-    """Convenience: wrap a symmetric key as a conventional signer."""
-    return HmacSigner(key=key)
-
-
-def signer_for_keypair(keypair: KeyPair) -> RsaSigner:
-    """Convenience: wrap an RSA keypair as a public-key signer."""
-    return RsaSigner(keypair=keypair)

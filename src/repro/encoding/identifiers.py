@@ -73,13 +73,6 @@ class PrincipalId:
     def __str__(self) -> str:
         return self._text
 
-    @classmethod
-    def parse(cls, text: str) -> "PrincipalId":
-        """Parse ``name@realm`` or bare ``name`` (default realm)."""
-        if _REALM_SEP in text:
-            return cls.from_wire(text)
-        return cls(name=text)
-
 
 @leaf(str, str, lambda text: _composed(GroupId, text))
 @dataclass(frozen=True, order=True)

@@ -84,10 +84,6 @@ class Session:
     restrictions: Tuple[Restriction, ...] = ()
     expires_at: float = float("inf")
 
-    @property
-    def is_proxy_session(self) -> bool:
-        return self.client != self.presenter
-
 
 class ApAcceptor:
     """Server-side AP exchange state: skew checks and replay suppression."""

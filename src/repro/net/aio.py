@@ -266,20 +266,6 @@ class AioNetwork(Network):
                 f"retry with the same _rid to dedupe"
             ) from None
 
-    async def asend(
-        self,
-        source: PrincipalId,
-        destination: PrincipalId,
-        msg_type: str,
-        payload: dict,
-    ) -> dict:
-        """Coroutine flavor of :meth:`send` for callers on the loop."""
-        if self._loop is None:
-            raise NetworkClosedError("async network is not serving")
-        delivery = _Delivery(source, destination, msg_type, payload)
-        self._admit(delivery)
-        return await asyncio.wrap_future(delivery.future)
-
     # -- loop side ------------------------------------------------------------
 
     def _admit(self, delivery: _Delivery) -> None:

@@ -72,12 +72,6 @@ class MetricsSnapshot:
             count for (_, dst), count in self.by_pair.items() if dst == dest
         )
 
-    def drops_between(
-        self, source: PrincipalId, destination: PrincipalId
-    ) -> int:
-        """Requests from ``source`` to ``destination`` eaten by faults."""
-        return self.dropped_by_pair.get((str(source), str(destination)), 0)
-
 
 class NetworkMetrics:
     """Mutable counters owned by a :class:`~repro.net.network.Network`."""
@@ -123,12 +117,3 @@ class NetworkMetrics:
 
     def delta_since(self, before: MetricsSnapshot) -> MetricsSnapshot:
         return before.delta_to(self.snapshot())
-
-    def reset(self) -> None:
-        self.messages = 0
-        self.bytes = 0
-        self.dropped = 0
-        self.by_type.clear()
-        self.by_pair.clear()
-        self.dropped_by_type.clear()
-        self.dropped_by_pair.clear()

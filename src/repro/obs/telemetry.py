@@ -174,7 +174,7 @@ class Telemetry:
         if meter_usage:
             from repro.obs.usage import UsageMeter
 
-            self.usage = UsageMeter(now=lambda: self.clock.now())
+            self.usage = UsageMeter()
             self.usage.attach(self)
             self.tracer.add_finish_listener(self.usage.on_span_finish)
         self._crypto_captured = False

@@ -329,15 +329,6 @@ class Tracer:
     def roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]
 
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def spans_in_run(self, run_id: str) -> List[Span]:
-        return [s for s in self.spans if s.run_id == run_id]
-
-    def spans_in_trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
-
     def find(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 

@@ -33,10 +33,9 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bounded import BoundedStore
 from repro.obs.metrics import LATENCY_BUCKETS
@@ -184,16 +183,7 @@ class UsageMeter:
     ``network_bytes_total`` / :class:`~repro.net.metrics.NetworkMetrics`.
     """
 
-    def __init__(
-        self,
-        now: Optional[Callable[[], float]] = None,
-        window_seconds: float = 60.0,
-        window_buckets: int = 15,
-        max_traces: int = 4096,
-    ) -> None:
-        self._now = now or time.monotonic
-        self.window_seconds = window_seconds
-        self.window_buckets = window_buckets
+    def __init__(self, max_traces: int = 4096) -> None:
         self.records: Dict[UsageKey, UsageRecord] = {}
         self.digests: Dict[str, QuantileDigest] = {}
         #: trace_id -> owning (principal, operation); bounded LRU.
@@ -202,10 +192,6 @@ class UsageMeter:
         self._child_time: Dict[int, float] = {}
         #: perf-counter frames for nested handler self-time.
         self._handler_stack: List[List[float]] = []
-        #: (bucket_start, per-key records) ring, newest last.
-        self._window: Deque[Tuple[float, Dict[UsageKey, UsageRecord]]] = (
-            deque(maxlen=window_buckets)
-        )
         self._telemetry = None
 
     # -- wiring ---------------------------------------------------------------
@@ -245,26 +231,12 @@ class UsageMeter:
 
     # -- accumulation ---------------------------------------------------------
 
-    def _bucket(self) -> Dict[UsageKey, UsageRecord]:
-        """The current sliding-window bucket's per-key records."""
-        now = self._now()
-        start = (
-            math.floor(now / self.window_seconds) * self.window_seconds
-            if self.window_seconds > 0
-            else now
-        )
-        if not self._window or self._window[-1][0] != start:
-            self._window.append((start, {}))
-        return self._window[-1][1]
-
     def _update(self, key: UsageKey, **deltas) -> UsageRecord:
         record = self.records.get(key)
         if record is None:
             record = self.records[key] = UsageRecord()
-        windowed = self._bucket().setdefault(key, UsageRecord())
         for name, delta in deltas.items():
             setattr(record, name, getattr(record, name) + delta)
-            setattr(windowed, name, getattr(windowed, name) + delta)
         return record
 
     # -- meter inputs (called by the telemetry/network/service layers) --------
@@ -440,22 +412,6 @@ class UsageMeter:
             merged.merge(record)
         return out
 
-    def window_totals(
-        self, seconds: Optional[float] = None
-    ) -> Dict[UsageKey, UsageRecord]:
-        """Usage accumulated in the trailing ``seconds`` (default: the
-        whole ring, ``window_buckets * window_seconds``)."""
-        if seconds is None:
-            seconds = self.window_seconds * self.window_buckets
-        cutoff = self._now() - seconds
-        out: Dict[UsageKey, UsageRecord] = {}
-        for start, bucket in self._window:
-            if start + self.window_seconds <= cutoff:
-                continue
-            for key, record in bucket.items():
-                out.setdefault(key, UsageRecord()).merge(record)
-        return out
-
     def percentiles(self, principal: str) -> Tuple[float, float, float]:
         """(p50, p95, p99) request latency for ``principal``, seconds."""
         digest = self.digests.get(principal)
@@ -579,17 +535,6 @@ class Tariff:
         cost += record.retries * self.per_retry
         cost += record.degraded_grants * self.per_degraded_grant
         return cost
-
-    def to_dict(self) -> dict:
-        return {
-            "currency": self.currency,
-            "per_message": self.per_message,
-            "per_kib": self.per_kib,
-            "per_crypto_ms": self.per_crypto_ms,
-            "per_handler_ms": self.per_handler_ms,
-            "per_retry": self.per_retry,
-            "per_degraded_grant": self.per_degraded_grant,
-        }
 
 
 @dataclass(frozen=True)

@@ -296,16 +296,6 @@ class TestTimeoutsAndShutdown:
 
         asyncio.run(_main())
 
-    def test_asend_from_the_loop(self):
-        net = simulated_network()
-        net.register(ECHO, echo_handler)
-
-        async def _main():
-            async with net.serve():
-                return await net.asend(ALICE, ECHO, "ping", {"x": 9})
-
-        assert asyncio.run(_main()) == {"echo": 9}
-
 
 def _pk_deployment():
     """A public-key end-server, one holder with a signed proxy, no load."""

@@ -98,3 +98,18 @@ def test_tests_only_is_a_ratchet(tmp_path):
     allowed = {"__init__.py::listed": "kept for the test"}
     assert run({"__init__.py::tested"}, allowed)[1] == 0
     assert run(set(), {**allowed, "__init__.py::tested": "reason"})[1] == 0
+
+
+def test_a_failed_command_fails_the_census(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("def product(): return 1\n")
+    (tmp_path / "product.py").write_text("import pkg\npkg.product()\n")
+    broken = "python -c 'raise SystemExit(3)'"
+
+    report, code = census.census(
+        tmp_path / "pkg", ["python -c pass"], ["python product.py", broken],
+        {}, tmp_path,
+    )
+    assert code == 1
+    assert f"FAIL: command exit 3: {broken}" in report
+    assert "1 reached by the product" in report  # the other passes still count

@@ -1,10 +1,11 @@
-"""RSA signatures and OAEP encryption (substrate for §6.1)."""
+"""RSA full-domain-hash signatures (substrate for §6.1)."""
 
 import pytest
 
 from repro.crypto import rsa
 from repro.crypto.rng import Rng
-from repro.errors import CryptoError, SignatureError
+from repro.crypto.signature import RsaVerifier
+from repro.errors import SignatureError
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +25,10 @@ class TestKeygen:
         with pytest.raises(ValueError):
             rsa.generate_keypair(bits=256)
 
-    def test_wire_round_trip(self, key):
-        pub = rsa.RsaPublicKey.from_wire(key.public.to_wire())
-        assert pub == key.public
-
     def test_fingerprint_stable_and_short(self, key):
-        assert key.public.fingerprint() == key.public.fingerprint()
-        assert len(key.public.fingerprint()) == 16
+        fingerprint = RsaVerifier(public=key.public).key_id()
+        assert fingerprint == RsaVerifier(public=key.public).key_id()
+        assert len(fingerprint) == 16
 
 
 class TestSignatures:
@@ -73,41 +71,3 @@ class TestSignatures:
     def test_empty_message_signable(self, key):
         sig = rsa.sign(key, b"")
         rsa.verify(key.public, b"", sig)
-
-
-class TestEncryption:
-    def test_round_trip(self, key):
-        rng = Rng(seed=b"enc")
-        box = rsa.encrypt(key.public, b"proxy-key-material", rng=rng)
-        assert rsa.decrypt(key, box) == b"proxy-key-material"
-
-    def test_randomized(self, key):
-        a = rsa.encrypt(key.public, b"same")
-        b = rsa.encrypt(key.public, b"same")
-        assert a != b
-        assert rsa.decrypt(key, a) == rsa.decrypt(key, b)
-
-    def test_tampering_detected(self, key):
-        box = bytearray(rsa.encrypt(key.public, b"secret"))
-        box[10] ^= 1
-        with pytest.raises(CryptoError):
-            rsa.decrypt(key, bytes(box))
-
-    def test_wrong_key_fails(self, key):
-        other = rsa.generate_keypair(bits=1024, rng=Rng(seed=b"other-enc"))
-        box = rsa.encrypt(key.public, b"secret")
-        with pytest.raises(CryptoError):
-            rsa.decrypt(other, box)
-
-    def test_too_long_plaintext_rejected(self, key):
-        max_len = key.byte_length - 2 * 32 - 2
-        with pytest.raises(CryptoError):
-            rsa.encrypt(key.public, b"x" * (max_len + 1))
-
-    def test_max_length_plaintext_ok(self, key):
-        max_len = key.byte_length - 2 * 32 - 2
-        data = b"y" * max_len
-        assert rsa.decrypt(key, rsa.encrypt(key.public, data)) == data
-
-    def test_empty_plaintext(self, key):
-        assert rsa.decrypt(key, rsa.encrypt(key.public, b"")) == b""

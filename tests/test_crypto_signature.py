@@ -9,9 +9,8 @@ from repro.crypto.schnorr_groups import TEST_GROUP
 from repro.crypto.signature import (
     HmacSigner,
     RsaSigner,
+    RsaVerifier,
     SchnorrSigner,
-    signer_for_keypair,
-    signer_for_symmetric,
 )
 from repro.errors import KeyError_, SignatureError
 
@@ -47,10 +46,10 @@ class TestRsaSigner:
     def test_sign_verify(self, rsa_keypair):
         signer = RsaSigner(keypair=rsa_keypair)
         sig = signer.sign(b"m")
-        signer.verifier().verify(b"m", sig)
+        RsaVerifier(public=rsa_keypair.public).verify(b"m", sig)
 
     def test_public_only_keypair_cannot_sign(self, rsa_keypair):
-        public = rsa_keypair.public_only()
+        public = KeyPair(public=rsa_keypair.public)
         signer = RsaSigner(keypair=public)
         with pytest.raises(KeyError_):
             signer.sign(b"m")
@@ -78,11 +77,11 @@ class TestSchemeSeparation:
 
 class TestConvenience:
     def test_signer_for_symmetric(self, symmetric_key):
-        signer = signer_for_symmetric(symmetric_key)
+        signer = HmacSigner(key=symmetric_key)
         signer.verify(b"x", signer.sign(b"x"))
 
     def test_signer_for_keypair(self, rsa_keypair):
-        signer = signer_for_keypair(rsa_keypair)
+        signer = RsaSigner(keypair=rsa_keypair)
         signer.verify(b"x", signer.sign(b"x"))
 
 
@@ -95,8 +94,6 @@ class TestKeyWrappers:
             SymmetricKey(secret=b"short")
 
     def test_keypair_public_only(self, rsa_keypair):
-        pub = rsa_keypair.public_only()
-        assert not pub.has_private
-        assert pub.fingerprint() == rsa_keypair.fingerprint()
+        pub = KeyPair(public=rsa_keypair.public)
         with pytest.raises(KeyError_):
             pub.require_private()

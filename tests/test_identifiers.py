@@ -27,10 +27,10 @@ class TestPrincipalId:
         assert PrincipalId.from_wire(p.to_wire()) == p
 
     def test_parse_with_realm(self):
-        assert PrincipalId.parse("a@B.C") == PrincipalId("a", "B.C")
+        assert PrincipalId.from_wire("a@B.C") == PrincipalId("a", "B.C")
 
     def test_parse_bare_name_gets_default_realm(self):
-        assert PrincipalId.parse("dave") == PrincipalId("dave")
+        assert PrincipalId("dave") == PrincipalId("dave", "REPRO.ORG")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

@@ -211,7 +211,6 @@ class TestApExchange:
         session = acceptor.accept(make_ap_request(creds, clock, rng=rng))
         assert session.client == client.principal
         assert session.presenter == client.principal
-        assert not session.is_proxy_session
 
     def test_replayed_authenticator_rejected(self, ap_setup, rng):
         clock, client, server, acceptor = ap_setup
@@ -287,4 +286,3 @@ class TestApExchange:
         )
         assert session.client == client.principal
         assert session.presenter == bob
-        assert session.is_proxy_session

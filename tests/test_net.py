@@ -10,7 +10,7 @@ from repro.errors import (
     ServiceError,
     UnknownEndpointError,
 )
-from repro.net import Eavesdropper, LatencyModel, Network
+from repro.net import Eavesdropper, LatencyModel, Network, NetworkMetrics
 from repro.net.message import (
     Message,
     encode_error,
@@ -86,8 +86,10 @@ class TestMetrics:
     def test_reset(self, network):
         network.register(SERVER, echo_handler)
         network.send(ALICE, SERVER, "ping", {})
-        network.metrics.reset()
+        network.metrics = NetworkMetrics()
         assert network.metrics.snapshot().messages == 0
+        network.send(ALICE, SERVER, "ping", {})
+        assert network.metrics.snapshot().messages == 2
 
 
 class TestFaultInjection:

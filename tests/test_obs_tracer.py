@@ -33,7 +33,9 @@ class TestNesting:
             assert tracer.current_span is outer
         assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
-        assert tracer.children_of(outer) == [inner]
+        assert [s for s in tracer.spans if s.parent_id == outer.span_id] == [
+            inner
+        ]
 
     def test_timing_comes_from_the_injected_clock(self, tracer, clock):
         with tracer.span("work") as span:
@@ -76,7 +78,6 @@ class TestRuns:
         run_ids = [s.run_id for s in tracer.spans]
         assert run_ids == ["run-1:fig3", "run-1:fig3", "run-2:fig3"]
         assert [s.name for s in tracer.roots()] == ["run:fig3", "run:fig3"]
-        assert len(tracer.spans_in_run("run-1:fig3")) == 2
 
     def test_outside_runs_spans_have_no_run_id(self, tracer):
         with tracer.span("loose"):

@@ -87,7 +87,8 @@ class TestTracerTraceIds:
                     pass
         assert inner.trace_id == outer.trace_id
         assert leaf.trace_id == outer.trace_id
-        assert tracer.spans_in_trace(outer.trace_id) == [outer, inner, leaf]
+        in_trace = [s for s in tracer.spans if s.trace_id == outer.trace_id]
+        assert in_trace == [outer, inner, leaf]
 
     def test_sequential_roots_get_distinct_trace_ids(self, tracer):
         with tracer.span("first") as first:

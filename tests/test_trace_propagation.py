@@ -202,7 +202,8 @@ class TestLedgerCorrelation:
         # The span events name the same postings, in causal position.
         events = [
             e
-            for s in telemetry.tracer.spans_in_trace(run_span.trace_id)
+            for s in telemetry.tracer.spans
+            if s.trace_id == run_span.trace_id
             for e in s.events
             if e.name == "ledger.post"
         ]

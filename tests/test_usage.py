@@ -227,24 +227,6 @@ class TestSpanFinishFeeds:
         assert UsageMeter().percentiles("nobody@R") == (0.0, 0.0, 0.0)
 
 
-class TestSlidingWindow:
-    def test_window_totals_drop_old_buckets(self):
-        clock = [0.0]
-        meter = UsageMeter(
-            now=lambda: clock[0], window_seconds=10.0, window_buckets=3
-        )
-        meter.on_wire("t1", "alice@R", "files@R", "read", 100)
-        clock[0] = 25.0
-        meter.on_wire("t2", "alice@R", "files@R", "read", 7)
-        recent = meter.window_totals(seconds=10.0)
-        assert recent[("alice@R", "read")].bytes_sent == 7
-        # The full ring still holds both buckets.
-        full = meter.window_totals()
-        assert full[("alice@R", "read")].bytes_sent == 107
-        # Totals are never windowed.
-        assert meter.total_bytes() == 107
-
-
 class TestDeterminism:
     """Same seed => byte-identical default report (the CPU columns are
     real measurements and are excluded unless asked for)."""
@@ -327,11 +309,6 @@ class TestTariff:
 
     def test_empty_record_costs_nothing(self):
         assert Tariff().price(UsageRecord()) == 0
-
-    def test_to_dict_round_trips_the_config(self):
-        tariff = Tariff(currency="repro-credits", per_message=7)
-        assert tariff.to_dict()["currency"] == "repro-credits"
-        assert tariff.to_dict()["per_message"] == 7
 
 
 class TestChargePosting:

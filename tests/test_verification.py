@@ -8,6 +8,7 @@ from repro.clock import SimulatedClock
 from repro.core.evaluation import RequestContext
 from repro.core.certificate import (
     LINK_ROOT,
+    HybridKeyBinding,
     PublicKeyBinding,
     SealedKeyBinding,
     build_certificate,
@@ -516,6 +517,61 @@ class TestPublicKeyVerification:
                 present(forged, SERVER, clock.now(), "read"), req()
             )
 
+    @pytest.mark.parametrize(
+        "binding, refusal",
+        [
+            (
+                PublicKeyBinding(scheme="rsa", key_wire={"n": 77, "e": 7}),
+                "unknown public binding scheme 'rsa'",
+            ),
+            (
+                HybridKeyBinding(
+                    box=b"box", scheme="rsa-oaep", server=SERVER,
+                    fingerprint=b"f" * 16,
+                ),
+                "unknown hybrid scheme 'rsa-oaep'",
+            ),
+        ],
+        ids=["rsa", "rsa-oaep"],
+    )
+    def test_rsa_proxy_key_schemes_are_refused(
+        self, clock, rng, monkeypatch, binding, refusal
+    ):
+        """Schnorr is the only public-key scheme a proxy key is issued
+        under: a validly signed link binding an RSA key, or a hybrid key
+        under RSA-OAEP, names its scheme in the refusal, and no key is
+        parsed or decrypted on the way."""
+        identity = schnorr.generate_keypair(TEST_GROUP, rng=rng)
+        crypto = PublicKeyCrypto(
+            directory={ALICE: SchnorrSigner(identity).verifier()},
+            own_schnorr=schnorr.generate_keypair(TEST_GROUP, rng=rng),
+        )
+        verifier = ProxyVerifier(server=SERVER, crypto=crypto, clock=clock)
+        cert = build_certificate(
+            grantor=ALICE,
+            restrictions=(),
+            key_binding=binding,
+            issued_at=START,
+            expires_at=START + 100,
+            link_kind=LINK_ROOT,
+            signer=SchnorrSigner(identity),
+            rng=rng,
+        )
+        forged = Proxy(
+            certificates=(cert,), proxy_key=SymmetricKey.generate(rng=rng)
+        )
+        presented = present(forged, SERVER, clock.now(), "read")
+
+        def untouched(*args):
+            raise AssertionError("a key was parsed or decrypted")
+
+        monkeypatch.setattr(
+            schnorr.SchnorrPublicKey, "from_wire", classmethod(untouched)
+        )
+        monkeypatch.setattr(schnorr, "decrypt", untouched)
+        with pytest.raises(ProxyVerificationError, match=refusal):
+            verifier.verify(presented, req())
+
     @pytest.mark.parametrize("prefetched", [True, False])
     def test_directory_key_outside_subgroup_is_rejected(
         self, clock, rng, prefetched
@@ -893,8 +949,6 @@ class TestVerifierEdgeCases:
         crypto = PublicKeyCrypto()
         with pytest.raises(ProxyVerificationError):
             crypto.decrypt_hybrid("schnorr-ies", b"box")
-        with pytest.raises(ProxyVerificationError):
-            crypto.decrypt_hybrid("rsa-oaep", b"box")
         with pytest.raises(ProxyVerificationError):
             crypto.decrypt_hybrid("unknown-scheme", b"box")
 

@@ -168,8 +168,6 @@ def test_non_int_amount_refused_and_moves_nothing(runtime, operation, amount):
 HAND_WRITTEN = {
     "baselines/": "the prior-work baselines keep their own formats, as "
     "their papers give them",
-    "crypto/rsa.py::RsaPublicKey.from_wire": "a public key's integers are "
-    "checked against the key's own arithmetic, not a field declaration",
     "crypto/schnorr.py::SchnorrPublicKey.from_wire": "a key outside the "
     "named Schnorr groups is refused by the group table",
 }

@@ -23,9 +23,10 @@ script, one ``file::qualname`` a line) nor in ``ALLOWLIST``, and it names
 the listed functions that are no longer tests-only, so the list can only
 shrink.
 
-Exit codes of the commands are printed when non-zero but not judged: the
-profiler slows everything severalfold, so timing assertions can fail
-here that pass in their own CI job.
+A command that exits non-zero fails the census too, and the report names
+it: a function counted from a broken run proves nothing about a working
+one.  The profiler slows everything severalfold, so a timing assertion
+that only holds unprofiled belongs in its own CI job, not in this list.
 
     python tools/census.py
 """
@@ -234,8 +235,11 @@ def function_table(src: Path) -> list[Function]:
     return table
 
 
-def run(commands: list[str], src: Path, cwd: Path, pythonpath: list[Path]) -> set:
-    """Run ``commands`` under the hook; return the ``(file, line)`` pairs called."""
+def run(
+    commands: list[str], src: Path, cwd: Path, pythonpath: list[Path]
+) -> tuple[set, list[str]]:
+    """Run ``commands`` under the hook; return the ``(file, line)`` pairs
+    called and an ``exit N: command`` line for each command that failed."""
     work = Path(tempfile.mkdtemp(prefix="census-"))
     try:
         (work / "hook").mkdir()
@@ -247,6 +251,7 @@ def run(commands: list[str], src: Path, cwd: Path, pythonpath: list[Path]) -> se
         env["PYTHONPATH"] = os.pathsep.join(
             str(p) for p in [work / "hook", src.parent, *pythonpath]
         )
+        failed = []
         for command in commands:
             done = subprocess.run(
                 command.format(out=work / "out"),
@@ -257,7 +262,7 @@ def run(commands: list[str], src: Path, cwd: Path, pythonpath: list[Path]) -> se
                 stderr=subprocess.DEVNULL,
             )
             if done.returncode != 0:
-                print(f"census: exit {done.returncode}: {command}", file=sys.stderr)
+                failed.append(f"exit {done.returncode}: {command}")
         called = set()
         prefix = str(src) + os.sep
         for dump in (work / "calls").iterdir():
@@ -265,7 +270,7 @@ def run(commands: list[str], src: Path, cwd: Path, pythonpath: list[Path]) -> se
                 filename, _, line = row.rpartition("\t")
                 if filename.startswith(prefix):
                     called.add((filename[len(prefix):].replace(os.sep, "/"), int(line)))
-        return called
+        return called, failed
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -291,12 +296,14 @@ def census(
     pythonpath: list[Path] = (),
     known_tests_only: frozenset[str] | None = None,
 ) -> tuple[str, int]:
-    """The report text and the exit code: 1 for an unexplained dead
-    function or, given ``known_tests_only``, a tests-only one not in it."""
+    """The report text and the exit code: 1 for a command that failed, an
+    unexplained dead function or, given ``known_tests_only``, a tests-only
+    one not in it."""
     src = src.resolve()  # what the hook's abspath() of co_filename yields
     table = function_table(src)
-    by_tests = run(tests, src, cwd, list(pythonpath))
-    by_product = run(product, src, cwd, list(pythonpath))
+    by_tests, failed = run(tests, src, cwd, list(pythonpath))
+    by_product, failed_product = run(product, src, cwd, list(pythonpath))
+    failed += failed_product
 
     reached, tests_only, silent = [], [], []
     for f in table:
@@ -348,7 +355,8 @@ def census(
         f"no longer tests-only, drop from {TESTS_ONLY.name}: {key}"
         for key in droppable
     )
-    return "\n".join(lines), 1 if unexplained or new_tests_only else 0
+    lines.extend(f"FAIL: command {line}" for line in failed)
+    return "\n".join(lines), 1 if unexplained or new_tests_only or failed else 0
 
 
 def main() -> int:
