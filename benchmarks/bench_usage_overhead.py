@@ -1,8 +1,8 @@
 """Usage-metering overhead: fig4 with the meter on vs plain telemetry.
 
-The :class:`~repro.obs.usage.UsageMeter` piggybacks on metering points
-that already exist — the network's ``_observe`` hook, the signature
-observer, span-finish listeners — so attribution must stay cheap: a
+The :class:`~repro.obs.usage.UsageMeter` is a fold over spans the tracer
+records anyway (a span-finish listener) plus the signature observer, so
+attribution must stay cheap: a
 metered run may cost at most ``--max-overhead`` times an unmetered run
 under otherwise identical telemetry (1.5x, the ISSUE acceptance bar).
 Both arms run ``run_figure("fig4")`` — the ``fig4`` load scenario's

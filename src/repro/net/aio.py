@@ -7,7 +7,9 @@ taps, fault legs, and telemetry spans — but delivers through per-endpoint
 can have requests in flight at once:
 
 * **Client side** stays a plain blocking call: ``send()`` packages the
-  request with a :class:`concurrent.futures.Future`, hops onto the event
+  request with a :class:`concurrent.futures.Future` and a copy of the
+  caller's :mod:`contextvars` context (the worker delivers inside it, so
+  the message joins the caller's trace), hops onto the event
   loop with ``call_soon_threadsafe``, and blocks (with an optional
   timeout) until a worker settles the future.  Client code written for
   the synchronous network — every service client in the repo — works
@@ -48,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import contextvars
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -94,9 +97,13 @@ class AioStats:
 
 
 class _Delivery:
-    """One queued request and the future its sender is blocked on."""
+    """One queued request, the future its sender is blocked on, and the
+    sender's context: the loop delivers inside it, so the request's
+    ``net.send`` span is a child of the sender's open span."""
 
-    __slots__ = ("source", "destination", "msg_type", "payload", "future")
+    __slots__ = (
+        "source", "destination", "msg_type", "payload", "future", "context",
+    )
 
     def __init__(
         self,
@@ -110,6 +117,7 @@ class _Delivery:
         self.msg_type = msg_type
         self.payload = payload
         self.future: concurrent.futures.Future = concurrent.futures.Future()
+        self.context = contextvars.copy_context()
 
     def settle(self, ok: bool, value) -> None:
         """Resolve the sender's future; ignore it if the sender gave up."""
@@ -320,9 +328,11 @@ class AioNetwork(Network):
         inbox.put_nowait(delivery)
 
     def _execute(self, delivery: _Delivery) -> Tuple[bool, object]:
-        """Run the synchronous delivery core for one queued request."""
+        """Run the synchronous delivery core for one queued request, in the
+        context its sender queued it from."""
         try:
-            result = Network.send(
+            result = delivery.context.run(
+                Network.send,
                 self,
                 delivery.source,
                 delivery.destination,

@@ -25,6 +25,8 @@ A deterministic message-passing fabric with two delivery modes:
   per (source, destination) pair and per message type.
 * **Telemetry** (optional): every ``send`` opens a ``net.send`` span and
   feeds the ``network_messages_total`` / ``network_bytes_total`` counters.
+  The span records both legs' metered sizes (``request_bytes``,
+  ``response_bytes``), which is what the usage meter bills.
   The default is the no-op telemetry, which changes nothing.
 
 All randomness (latency jitter, drops) comes from the injected
@@ -203,18 +205,6 @@ class Network:
                 help="Wire bytes carried, by message type.",
                 msg_type=message.msg_type,
             )
-            # Per-principal attribution shares this exact metering point
-            # (one call per message, same wire_size), so the usage
-            # meter's byte totals reconcile with the counters above.
-            if telemetry.usage is not None:
-                telemetry.usage.on_wire(
-                    telemetry.current_trace_id(),
-                    str(message.source),
-                    str(message.destination),
-                    message.msg_type,
-                    size,
-                    response=message.in_reply_to is not None,
-                )
         for tap in self._taps:
             tap(message)
         return size

@@ -84,16 +84,7 @@ class Service:
                             msg_type=message.msg_type,
                         )
                     return cached
-            usage = self.telemetry.usage
-            if usage is not None:
-                # Bill the dispatch's *self* CPU time to the principal
-                # whose request opened this trace (nested hops subtract).
-                with usage.handler_timing(
-                    span.trace_id, str(self.principal), message.msg_type
-                ):
-                    response = self._dispatch(message, span)
-            else:
-                response = self._dispatch(message, span)
+            response = self._dispatch(message, span)
             if dedupe_key is not None:
                 self.dedupe.put(dedupe_key, response)
             return response

@@ -20,8 +20,9 @@ goes*.  This package instruments both:
 * :mod:`repro.obs.export` — JSON-lines traces, Prometheus text exposition,
   and human-readable trace/figure/waterfall renderers;
 * :mod:`repro.obs.usage` — the :class:`UsageMeter`: wire bytes, crypto
-  and handler time, retries, and degraded grants attributed to the
-  *responsible principal*, priced by a :class:`Tariff` and postable
+  and handler time, retries, and degraded grants, folded from finished
+  spans and attributed to the *responsible principal*, priced by a
+  :class:`Tariff` and postable
   into the ledger as conserved charges (§4 usage accounting);
 * :mod:`repro.obs.profile` — folds finished spans into a self-time call
   tree with folded-stack / speedscope flame-graph export.

@@ -150,10 +150,10 @@ class Telemetry:
             are value objects with no back-pointer to a deployment; release
             with :meth:`release_crypto` (or let the next capture replace it).
         meter_usage: attach a :class:`~repro.obs.usage.UsageMeter` as
-            ``self.usage`` — the network, services, and crypto observer
-            then attribute wire bytes, handler time, and sign/verify time
-            to the responsible principal (§4 usage accounting).  Default
-            off: metering costs a dict update per wire message.
+            ``self.usage`` — it folds every finished span (wire bytes,
+            handler time) and the crypto observer's sign/verify time into
+            per-principal usage (§4 usage accounting).  Default off:
+            metering costs a dict update per finished span.
     """
 
     enabled = True

@@ -9,21 +9,27 @@ attributes (principal ids, message types, restriction outcomes), and point
 :class:`SpanEvent`\\ s; parent/child links make the whole run render as a
 single tree.
 
-The simulator is synchronous and single-threaded, so the active-span stack
-*is* the call stack — no context propagation machinery is needed in
-process.  Across the *wire*, causality rides a W3C-traceparent-style
+The open spans live in a :class:`contextvars.ContextVar`, one per tracer:
+each thread and each asyncio task sees its own nesting, and the async
+runtime hands a request's context to the event loop with the request, so
+one load op and every message it causes form one trace on either
+runtime.  Across the *wire*, causality rides a W3C-traceparent-style
 :class:`~repro.obs.context.TraceContext`: every span carries the
 ``trace_id`` of the logical request it serves (inherited from its parent,
 adopted from a wire context, or freshly drawn from the tracer's seeded
 rng), so retries, failovers, cascaded hops, and ledger postings all join
 on one id.  Spans are also grouped into protocol **runs**
-(:meth:`Tracer.run`): every span started inside the run carries its id,
+(:meth:`Tracer.run`): every span started inside the run inherits its id,
 which is how audit records, metrics deltas, and trace trees are
 correlated.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -62,6 +68,7 @@ class Span:
         "attributes",
         "events",
         "status",
+        "elapsed",
     )
 
     def __init__(
@@ -89,6 +96,9 @@ class Span:
         self.attributes: Dict[str, object] = dict(attributes or {})
         self.events: List[SpanEvent] = []
         self.status = "ok"
+        #: Real ``perf_counter`` seconds from open to close (the CPU a
+        #: handler took; not serialized, since it varies run to run).
+        self.elapsed = 0.0
 
     def set(self, **attributes: object) -> None:
         """Attach (or overwrite) attributes on this span."""
@@ -189,7 +199,7 @@ def _plain(value: object) -> object:
 
 
 class Tracer:
-    """Collects spans; owns the active-span stack, run ids, and trace ids.
+    """Collects spans; owns the open spans, run ids, and trace ids.
 
     Args:
         now: time source for span timestamps.  Inject the simulated clock's
@@ -208,12 +218,17 @@ class Tracer:
             rng = Rng(seed=b"trace-context")
         self._now = now
         self._rng = rng
+        self._rng_lock = threading.Lock()
         self.spans: List[Span] = []
         self.orphan_events: List[SpanEvent] = []
-        self._stack: List[Span] = []
-        self._next_id = 1
-        self._run_counter = 0
-        self._run_id: Optional[str] = None
+        #: The open spans, outermost first, of the running thread or task.
+        #: One variable per tracer: another tracer's spans are never a
+        #: local parent, so a second realm adopts the wire context.
+        self._open: contextvars.ContextVar = contextvars.ContextVar(
+            "repro.obs.trace.open", default=()
+        )
+        self._span_ids = itertools.count(1)
+        self._run_ids = itertools.count(1)
         #: Called with each span as it finishes (TraceStore indexing).
         self._finish_listeners: List[Callable[[Span], None]] = []
 
@@ -224,7 +239,8 @@ class Tracer:
 
     def new_trace_id(self) -> str:
         """A fresh 32-hex trace id from the seeded rng."""
-        return self._rng.bytes(16).hex()
+        with self._rng_lock:  # root spans open on many client threads
+            return self._rng.bytes(16).hex()
 
     @contextmanager
     def span(
@@ -236,35 +252,36 @@ class Tracer:
         """Open a child span of whatever span is currently active.
 
         ``remote_context`` is a traceparent header from the wire: with no
-        local parent on the stack, the new span adopts its trace id and
-        records the remote span id as its causal parent — how a service
-        with its *own* tracer still joins the sender's trace.  A local
-        parent always wins (in process, the stack is the truth).
+        local parent open, the new span adopts its trace id and records
+        the remote span id as its causal parent — how a service with its
+        *own* tracer still joins the sender's trace.  A local parent
+        always wins (in process, the open spans are the truth).
         """
-        parent = self._stack[-1] if self._stack else None
-        remote_parent = None
-        if parent is not None:
-            trace_id = parent.trace_id
+        open_spans = self._open.get()
+        if open_spans:
+            parent = open_spans[-1]
+            parent_id, run_id = parent.span_id, parent.run_id
+            trace_id, remote_parent = parent.trace_id, None
         else:
+            parent_id = run_id = remote_parent = None
             remote = TraceContext.try_parse(remote_context)
             if remote is not None:
-                trace_id = remote.trace_id
-                remote_parent = remote.span_id
+                trace_id, remote_parent = remote.trace_id, remote.span_id
             else:
                 trace_id = self.new_trace_id()
         span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            run_id=self._run_id,
+            span_id=next(self._span_ids),
+            parent_id=parent_id,
+            run_id=run_id,
             name=name,
             start=self._now(),
             attributes=attributes,
             trace_id=trace_id,
             remote_parent=remote_parent,
         )
-        self._next_id += 1
         self.spans.append(span)
-        self._stack.append(span)
+        token = self._open.set(open_spans + (span,))
+        started = time.perf_counter()
         try:
             yield span
         except BaseException as exc:
@@ -274,28 +291,25 @@ class Tracer:
             )
             raise
         finally:
+            span.elapsed = time.perf_counter() - started
             span.end = self._now()
-            self._stack.pop()
+            self._open.reset(token)
             for listener in self._finish_listeners:
                 listener(span)
 
     @contextmanager
     def run(self, label: str) -> Iterator[Span]:
         """Group everything inside as one protocol run (a root span)."""
-        self._run_counter += 1
-        run_id = f"run-{self._run_counter}:{label}"
-        previous = self._run_id
-        self._run_id = run_id
-        try:
-            with self.span(f"run:{label}", run=run_id) as span:
-                yield span
-        finally:
-            self._run_id = previous
+        run_id = f"run-{next(self._run_ids)}:{label}"
+        with self.span(f"run:{label}", run=run_id) as span:
+            span.run_id = run_id
+            yield span
 
     def event(self, name: str, **attributes: object) -> SpanEvent:
         """Record a point event on the current span (or as an orphan)."""
-        if self._stack:
-            return self._stack[-1].add_event(self._now(), name, **attributes)
+        open_spans = self._open.get()
+        if open_spans:
+            return open_spans[-1].add_event(self._now(), name, **attributes)
         event = SpanEvent(
             time=self._now(), name=name, attributes=dict(attributes)
         )
@@ -306,22 +320,21 @@ class Tracer:
 
     @property
     def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+        open_spans = self._open.get()
+        return open_spans[-1] if open_spans else None
 
     def active_spans(self) -> Tuple[Span, ...]:
-        """The open spans, outermost first (a snapshot of the stack)."""
-        return tuple(self._stack)
+        """The open spans of the running thread or task, outermost first."""
+        return self._open.get()
 
     def current_context(self) -> Optional[TraceContext]:
         """The wire context of the active span, or None outside any span."""
-        if not self._stack:
-            return None
-        return self._stack[-1].context()
+        open_spans = self._open.get()
+        return open_spans[-1].context() if open_spans else None
 
     def current_trace_id(self) -> Optional[str]:
-        if not self._stack:
-            return None
-        return self._stack[-1].trace_id
+        open_spans = self._open.get()
+        return open_spans[-1].trace_id if open_spans else None
 
     def finished_spans(self) -> List[Span]:
         return [s for s in self.spans if s.end is not None]
@@ -333,6 +346,6 @@ class Tracer:
         return [s for s in self.spans if s.name == name]
 
     def clear(self) -> None:
-        """Drop recorded spans (open spans on the stack are kept)."""
+        """Drop recorded spans (open spans are kept)."""
         self.spans = [s for s in self.spans if s.end is None]
         self.orphan_events.clear()

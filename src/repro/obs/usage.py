@@ -7,8 +7,9 @@ the system in aggregate; this module answers *who caused the work*:
 * :class:`UsageMeter` attributes wire bytes, message counts, crypto
   sign/verify time, handler self-time, retries, and degraded grants to
   the **responsible principal and operation** — the principal whose
-  request opened the trace, keyed off the trace context every wire
-  message already carries.  A nested Fig. 5 clearing hop
+  request opened the trace — as a fold over the tracer's finished spans
+  (every ``net.send`` span carries both legs' sizes).  A nested Fig. 5
+  clearing hop
   (bank-payee → bank-payor) is therefore billed to the *payee* who
   deposited the check, not to the bank that forwarded it.
 * :class:`QuantileDigest` is a streaming log-bucket percentile estimate:
@@ -25,17 +26,17 @@ are driven by the *simulated* clock and are therefore deterministic per
 seed; crypto and handler self-time are real ``time.perf_counter`` CPU
 measurements.  :meth:`UsageMeter.report` excludes the CPU columns by
 default so the default report is byte-identical across runs of the same
-seed (pass ``include_cpu=True`` for the full picture).
+seed (pass ``include_cpu=True`` for the full picture), and
+:class:`Tariff` prices crypto by operation count, never by time, so the
+charges are too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bounded import BoundedStore
 from repro.obs.metrics import LATENCY_BUCKETS
@@ -170,17 +171,29 @@ class QuantileDigest:
 class UsageMeter:
     """Attributes metered resource usage to (principal, operation).
 
-    Attribution rule: the first *request-leg* wire message of a trace
-    registers its sender and message type as the trace's owner; every
-    subsequent cost in that trace — nested hops, responses, retries,
-    crypto time, handler time — bills to that owner.  Work outside any
-    registered trace falls back to span attributes (grantor, claimant,
-    …) and finally to :data:`UNATTRIBUTED`.
+    Usage is a fold over the tracer's finished spans
+    (:meth:`on_span_finish`), plus the crypto observer (:meth:`on_crypto`):
 
-    Byte and message totals are recorded at exactly the same point as
-    the network's own counters (one call per wire message, same
-    ``wire_size``), so ``total_bytes()`` reconciles exactly with
-    ``network_bytes_total`` / :class:`~repro.net.metrics.NetworkMetrics`.
+    * a ``net.send`` bills its request leg (``request_bytes``) and, when
+      the reply came back, its response leg (``response_bytes``): the
+      sizes the network metered, so ``total_bytes()`` reconciles exactly
+      with ``network_bytes_total`` /
+      :class:`~repro.net.metrics.NetworkMetrics`;
+    * an ``rpc.handle`` that ran its handler (not ``deduped``) bills its
+      self CPU time: its ``elapsed`` less that of the ``rpc.handle``
+      spans nested in it;
+    * ``resil.retry`` and ``degraded.grant`` events count when their
+      span finishes, and each ``net.send`` lands in its payer's latency
+      digest.
+
+    Who pays (:meth:`_payer`) is the same rule for all of them: the
+    first top-level ``net.send`` of a trace registers its sender and
+    message type as the trace's owner, and every other cost in the
+    trace — nested hops, responses, retries, crypto, handlers — bills
+    to that owner.  Before that send finishes, the outermost open
+    ``net.send`` (the same request, still in flight) stands in for it.
+    Work in no such trace falls back to span attributes (grantor,
+    claimant, …) and finally to :data:`UNATTRIBUTED`.
     """
 
     def __init__(self, max_traces: int = 4096) -> None:
@@ -188,17 +201,44 @@ class UsageMeter:
         self.digests: Dict[str, QuantileDigest] = {}
         #: trace_id -> owning (principal, operation); bounded LRU.
         self._owners = BoundedStore(max_traces)
-        #: span_id -> accumulated child durations (self-time folding).
-        self._child_time: Dict[int, float] = {}
-        #: perf-counter frames for nested handler self-time.
-        self._handler_stack: List[List[float]] = []
-        self._telemetry = None
+        #: open rpc.handle span id -> elapsed of the handlers nested in it.
+        self._nested: Dict[int, float] = {}
+        #: The open spans around a finishing span (the tracer's, once
+        #: attached).
+        self._active_spans: Callable[[], tuple] = tuple
+        #: The metrics usage is mirrored into, once attached.
+        self._messages = self._bytes = self._latency = None
+        self._retries = self._degraded = None
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, telemetry) -> None:
-        """Mirror usage into ``telemetry``'s metrics registry as it accrues."""
-        self._telemetry = telemetry
+        """Read ``telemetry``'s open spans, and mirror usage into its
+        metrics registry as it accrues."""
+        self._active_spans = telemetry.tracer.active_spans
+        metrics = telemetry.metrics
+        self._messages = metrics.counter(
+            "usage.messages_total",
+            help="Wire messages attributed to a responsible principal.",
+        )
+        self._bytes = metrics.counter(
+            "usage.bytes_total",
+            help="Wire bytes attributed to a responsible principal.",
+        )
+        self._retries = metrics.counter(
+            "usage.retries_total",
+            help="Retried sends attributed to a responsible principal.",
+        )
+        self._degraded = metrics.counter(
+            "usage.degraded_grants_total",
+            help="Degraded-mode grants attributed to a responsible "
+            "principal.",
+        )
+        self._latency = metrics.histogram(
+            "usage.request_seconds",
+            help="Round-trip time of wire sends, by responsible principal.",
+            buckets=LATENCY_BUCKETS,
+        )
 
     # -- attribution ----------------------------------------------------------
 
@@ -207,19 +247,19 @@ class UsageMeter:
             return None
         return self._owners.lookup(trace_id)
 
-    def _resolve(
-        self,
-        trace_id: Optional[str],
-        spans=(),
-        fallback: Optional[UsageKey] = None,
-    ) -> UsageKey:
-        """Owner of ``trace_id``, else the innermost span naming a
-        principal, else ``fallback``/unattributed."""
+    def _payer(self, trace_id: Optional[str], active, named) -> UsageKey:
+        """Who pays for work in ``trace_id`` while ``active`` spans are
+        open: the trace's owner; before it has one, the outermost open
+        ``net.send``; else the innermost of ``named`` naming a principal."""
         owner = self.owner_of(trace_id)
         if owner is not None:
             return owner
-        for span in reversed(list(spans)):
-            attrs = getattr(span, "attributes", None) or {}
+        for span in active:
+            if span.name == "net.send":
+                named = (span,)
+                break
+        for span in reversed(named):
+            attrs = span.attributes
             for attr in _PRINCIPAL_ATTRS:
                 value = attrs.get(attr)
                 if isinstance(value, str) and value:
@@ -227,61 +267,15 @@ class UsageMeter:
                         "msg_type"
                     )
                     return (value, str(operation or span.name))
-        return fallback or (UNATTRIBUTED, UNATTRIBUTED)
+        return (UNATTRIBUTED, UNATTRIBUTED)
 
-    # -- accumulation ---------------------------------------------------------
-
-    def _update(self, key: UsageKey, **deltas) -> UsageRecord:
+    def _record(self, key: UsageKey) -> UsageRecord:
         record = self.records.get(key)
         if record is None:
-            record = self.records[key] = UsageRecord()
-        for name, delta in deltas.items():
-            setattr(record, name, getattr(record, name) + delta)
+            record = self.records.setdefault(key, UsageRecord())
         return record
 
-    # -- meter inputs (called by the telemetry/network/service layers) --------
-
-    def on_wire(
-        self,
-        trace_id: Optional[str],
-        source: str,
-        destination: str,
-        msg_type: str,
-        size: int,
-        response: bool = False,
-    ) -> None:
-        """Meter one wire message (called once per message, request and
-        response legs alike, at the network's own metering point)."""
-        if not response:
-            key = (source, msg_type)
-            if trace_id is not None:
-                key = self._owners.lookup(trace_id, key)
-                self._owners.put(trace_id, key)
-            self._update(key, messages=1, bytes_sent=size)
-            leg = "request"
-        else:
-            fallback = (destination, msg_type.replace("-reply", "", 1))
-            key = self.owner_of(trace_id) or fallback
-            self._update(key, messages=1, bytes_received=size)
-            leg = "response"
-        t = self._telemetry
-        if t is not None:
-            principal, operation = key
-            t.inc(
-                "usage.messages_total",
-                help="Wire messages attributed to a responsible principal.",
-                principal=principal,
-                operation=operation,
-                leg=leg,
-            )
-            t.inc(
-                "usage.bytes_total",
-                size,
-                help="Wire bytes attributed to a responsible principal.",
-                principal=principal,
-                operation=operation,
-                leg=leg,
-            )
+    # -- meter inputs ---------------------------------------------------------
 
     def on_crypto(
         self,
@@ -292,64 +286,19 @@ class UsageMeter:
         trace_id: Optional[str] = None,
         spans=(),
     ) -> None:
-        """Attribute one sign/verify operation (signature-observer feed)."""
-        key = self._resolve(trace_id, spans)
-        self._update(key, crypto_ops=1, crypto_seconds=seconds)
-
-    @contextmanager
-    def handler_timing(
-        self, trace_id: Optional[str], service: str, msg_type: str
-    ) -> Iterator[None]:
-        """Measure a handler dispatch's *self* CPU time.
-
-        Nested dispatches (a clearing hop handled inside the deposit
-        handler) subtract from the enclosing frame, so each handler is
-        billed only for its own work.
-        """
-        frame = [time.perf_counter(), 0.0]
-        self._handler_stack.append(frame)
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - frame[0]
-            self._handler_stack.pop()
-            if self._handler_stack:
-                self._handler_stack[-1][1] += elapsed
-            key = self._resolve(trace_id, fallback=(service, msg_type))
-            self._update(
-                key, handler_seconds=max(elapsed - frame[1], 0.0)
-            )
+        """Attribute one sign/verify operation (signature-observer feed);
+        ``spans`` are the open spans, outermost first."""
+        record = self._record(self._payer(trace_id, spans, spans))
+        record.crypto_ops += 1
+        record.crypto_seconds += seconds
 
     def on_span_finish(self, span) -> None:
-        """Tracer finish-listener: latency digests and event counters.
-
-        Folds child durations into parents for self-time bookkeeping
-        (children always finish first in the synchronous simulator),
-        records ``net.send`` durations into the owner's latency digest,
-        and counts retry / degraded-grant events.
-        """
-        self._child_time.pop(span.span_id, 0.0)
-        if span.parent_id is not None:
-            self._child_time[span.parent_id] = (
-                self._child_time.get(span.parent_id, 0.0) + span.duration
-            )
+        """Tracer finish-listener: fold one finished span into usage."""
+        active = self._active_spans()
         if span.name == "net.send":
-            key = self._resolve(span.trace_id, spans=(span,))
-            digest = self.digests.get(key[0])
-            if digest is None:
-                digest = self.digests[key[0]] = QuantileDigest()
-            digest.observe(span.duration)
-            t = self._telemetry
-            if t is not None:
-                t.observe(
-                    "usage.request_seconds",
-                    span.duration,
-                    help="Round-trip time of wire sends, by responsible "
-                    "principal.",
-                    buckets=LATENCY_BUCKETS,
-                    exemplar=span.trace_id,
-                    principal=key[0],
-                )
+            self._on_send(span, active)
+        elif span.name == "rpc.handle":
+            self._on_handle(span, active)
         retries = degraded = 0
         for event in span.events:
             if event.name == _RETRY_EVENT:
@@ -357,28 +306,70 @@ class UsageMeter:
             elif event.name == _DEGRADED_EVENT:
                 degraded += 1
         if retries or degraded:
-            key = self._resolve(span.trace_id, spans=(span,))
-            self._update(key, retries=retries, degraded_grants=degraded)
-            t = self._telemetry
-            if t is not None:
+            key = self._payer(span.trace_id, active, (span,))
+            record = self._record(key)
+            record.retries += retries
+            record.degraded_grants += degraded
+            if self._retries is not None:
+                principal, operation = key
                 if retries:
-                    t.inc(
-                        "usage.retries_total",
-                        retries,
-                        help="Retried sends attributed to a responsible "
-                        "principal.",
-                        principal=key[0],
-                        operation=key[1],
+                    self._retries.inc(
+                        retries, principal=principal, operation=operation
                     )
                 if degraded:
-                    t.inc(
-                        "usage.degraded_grants_total",
-                        degraded,
-                        help="Degraded-mode grants attributed to a "
-                        "responsible principal.",
-                        principal=key[0],
-                        operation=key[1],
+                    self._degraded.inc(
+                        degraded, principal=principal, operation=operation
                     )
+
+    def _on_send(self, span, active) -> None:
+        key = self._payer(span.trace_id, active, (span,))
+        if span.trace_id is not None and not any(
+            s.name == "net.send" for s in active
+        ):
+            self._owners.put(span.trace_id, key)
+        attrs = span.attributes
+        sent = attrs.get("request_bytes")
+        if sent is not None:
+            record = self._record(key)
+            record.messages += 1
+            record.bytes_sent += sent
+            self._mirror(key, "request", sent)
+            received = attrs.get("response_bytes")
+            if received is not None:
+                record.messages += 1
+                record.bytes_received += received
+                self._mirror(key, "response", received)
+        digest = self.digests.get(key[0])
+        if digest is None:
+            digest = self.digests[key[0]] = QuantileDigest()
+        digest.observe(span.duration)
+        if self._latency is not None:
+            self._latency.observe(
+                span.duration, exemplar=span.trace_id, principal=key[0]
+            )
+
+    def _mirror(self, key: UsageKey, leg: str, size: int) -> None:
+        if self._messages is not None:
+            principal, operation = key
+            self._messages.inc(
+                1, principal=principal, operation=operation, leg=leg
+            )
+            self._bytes.inc(
+                size, principal=principal, operation=operation, leg=leg
+            )
+
+    def _on_handle(self, span, active) -> None:
+        if span.attributes.get("deduped"):
+            return  # answered from the response cache: no handler ran
+        nested = self._nested.pop(span.span_id, 0.0)
+        for outer in reversed(active):
+            if outer.name == "rpc.handle":
+                self._nested[outer.span_id] = (
+                    self._nested.get(outer.span_id, 0.0) + span.elapsed
+                )
+                break
+        record = self._record(self._payer(span.trace_id, active, (span,)))
+        record.handler_seconds += max(span.elapsed - nested, 0.0)
 
     # -- queries --------------------------------------------------------------
 
@@ -505,16 +496,19 @@ class UsageMeter:
 class Tariff:
     """Integer prices per metered unit (ledger amounts are integers).
 
-    Fractional units round *up* (``ceil``): a principal who caused any
-    work at all is charged at least one unit of it, and the sum of
-    per-principal charges can never undercount the metered total.
+    Only deterministic units are priced — messages, bytes, crypto
+    operations, retries, degraded grants — so the same seed posts the
+    same charges on every run; the measured ``*_seconds`` columns are
+    reported, never billed.  Bytes round *up* to whole KiB (``ceil``): a
+    principal who sent anything is charged at least one unit of it, and
+    the sum of per-principal charges can never undercount the metered
+    total.
     """
 
     currency: str = "credits"
     per_message: int = 1
     per_kib: int = 1
-    per_crypto_ms: int = 2
-    per_handler_ms: int = 1
+    per_crypto_op: int = 1
     per_retry: int = 1
     per_degraded_grant: int = 5
 
@@ -522,16 +516,7 @@ class Tariff:
         cost = record.messages * self.per_message
         if record.bytes_total:
             cost += math.ceil(record.bytes_total / 1024) * self.per_kib
-        if record.crypto_seconds > 0:
-            cost += (
-                math.ceil(record.crypto_seconds * 1000.0)
-                * self.per_crypto_ms
-            )
-        if record.handler_seconds > 0:
-            cost += (
-                math.ceil(record.handler_seconds * 1000.0)
-                * self.per_handler_ms
-            )
+        cost += record.crypto_ops * self.per_crypto_op
         cost += record.retries * self.per_retry
         cost += record.degraded_grants * self.per_degraded_grant
         return cost

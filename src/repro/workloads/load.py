@@ -65,7 +65,7 @@ from repro.net.aio import AioNetwork
 from repro.net.message import Message
 from repro.net.network import LatencyModel
 from repro.net.service import Service
-from repro.obs.telemetry import NO_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.usage import QuantileDigest
 from repro.services.accounting import (
     CASHIER_ACCOUNT,
@@ -254,16 +254,8 @@ class LoadScenario:
 
     @staticmethod
     def step(realm: Realm, step, label: str):
-        """One of the paper's arrows as a ``fig.step`` span inside a run
-        (:func:`run_figure`, chaos units), else the shared null context.
-        :func:`run_load` opens no run: its aio client threads share the
-        tracer's one span stack, where a step would adopt other principals'
-        requests and bill them to whoever stepped first."""
-        tracer = realm.telemetry.tracer
-        parent = tracer.current_span if tracer is not None else None
-        if parent is None or parent.run_id is None:
-            return NO_TELEMETRY.span("fig.step")
-        return tracer.span("fig.step", step=step, label=label)
+        """One of the paper's arrows as a ``fig.step`` span."""
+        return realm.telemetry.span("fig.step", step=step, label=label)
 
     def setup(self, realm: Realm, config: LoadConfig) -> dict:
         raise NotImplementedError
@@ -1187,7 +1179,10 @@ def _run_one(
 ) -> None:
     start = time.perf_counter()
     try:
-        scenario.op(realm, config, state, pstate, i, k)
+        # One root span per op: the op and every message it causes are
+        # one trace, whichever thread or task runs them.
+        with realm.telemetry.span("load.op", i=i, k=k):
+            scenario.op(realm, config, state, pstate, i, k)
     except ReproError:
         meter.observe(time.perf_counter() - start, ok=False)
     else:

@@ -10,6 +10,7 @@ on.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -104,6 +105,62 @@ class TestScenarios:
         sync = billed(monkeypatch, scenario, "sync")
         assert {f"p{i}@REPRO.ORG" for i in range(6)} <= set(sync)
         assert billed(monkeypatch, scenario, "aio") == sync
+
+    def test_aio_load_makes_one_trace_per_op(self, monkeypatch):
+        # Each op runs on a pool thread and its messages are delivered on
+        # the event loop; the op's span context travels with them.
+        realms, provisioned = [], []
+        build, provision = load._build_realm, load.provision
+
+        def capture(config):
+            realms.append(build(config))
+            return realms[-1]
+
+        def mark(scenario, realm, config):
+            result = provision(scenario, realm, config)
+            provisioned.append(len(realm.telemetry.tracer.spans))
+            return result
+
+        monkeypatch.setattr(load, "_build_realm", capture)
+        monkeypatch.setattr(load, "provision", mark)
+        # More client threads than cores, switching often: root spans
+        # draw their trace ids concurrently.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = small_run(
+                "fig3", "aio", principals=8, ops=3, concurrency=8,
+                meter_usage=True,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.ops_ok == 24
+        assert report.reconciliation.endswith("-> ok")
+        telemetry = realms[0].telemetry
+        window = telemetry.tracer.spans[provisioned[0]:]
+        traces = {}
+        for span in window:
+            traces.setdefault(span.trace_id, []).append(span)
+        assert len(traces) == report.ops_ok
+        billed = {}
+        for trace_id, spans in traces.items():
+            (root,) = [s for s in spans if s.parent_id is None]
+            assert root.name == "load.op"
+            owner = telemetry.usage.owner_of(trace_id)
+            assert owner[0] == f"p{root.attributes['i']}@REPRO.ORG"
+            legs = [
+                s.attributes[leg]
+                for s in spans
+                if s.name == "net.send"
+                for leg in ("request_bytes", "response_bytes")
+                if leg in s.attributes
+            ]
+            messages, size = billed.get(owner, (0, 0))
+            billed[owner] = (messages + len(legs), size + sum(legs))
+        assert len({owner[0] for owner in billed}) == 8
+        for owner, (messages, size) in billed.items():
+            record = telemetry.usage.records[owner]
+            assert (record.messages, record.bytes_total) == (messages, size)
 
     def test_lazy_peer_session_is_billed_once_to_one_depositor(
         self, monkeypatch

@@ -1,5 +1,9 @@
 """Per-principal usage metering, attribution, pricing, and charging."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -8,6 +12,7 @@ from repro.encoding.identifiers import PrincipalId
 from repro.ledger import Account, Ledger, Posting, credit
 from repro.net.message import ENVELOPE_KEYS, Message
 from repro.obs import Telemetry
+from repro.obs.trace import Span
 from repro.obs.usage import (
     QuantileDigest,
     REVENUE_ACCOUNT,
@@ -23,6 +28,26 @@ from repro.workloads.load import SCENARIOS, run_figure
 
 ALICE = PrincipalId("alice")
 BOB = PrincipalId("bob")
+
+
+def sent(trace_id, source, destination, msg_type, request, response=None):
+    """A finished ``net.send`` span, as ``Network.send`` leaves it."""
+    span = Span(
+        span_id=1,
+        parent_id=None,
+        run_id=None,
+        name="net.send",
+        start=0.0,
+        attributes=dict(
+            source=source, destination=destination, msg_type=msg_type
+        ),
+        trace_id=trace_id,
+    )
+    span.set(request_bytes=request)
+    if response is not None:
+        span.set(response_bytes=response)
+    span.end = 0.0
+    return span
 
 
 def metered_figure(figure):
@@ -79,18 +104,40 @@ class TestUsageRecord:
 class TestAttribution:
     def test_request_leg_registers_the_trace_owner(self):
         meter = UsageMeter()
-        meter.on_wire("t1", "alice@R", "files@R", "read", 100)
+        meter.on_span_finish(sent("t1", "alice@R", "files@R", "read", 100))
         assert meter.owner_of("t1") == ("alice@R", "read")
-        # A nested hop in the same trace bills to the registered owner.
-        meter.on_wire("t1", "files@R", "bank@R", "debit", 50)
+        # A later hop in the same trace bills to the registered owner.
+        meter.on_span_finish(sent("t1", "files@R", "bank@R", "debit", 50))
         assert meter.records[("alice@R", "read")].bytes_sent == 150
         assert ("files@R", "debit") not in meter.records
 
+    def test_nested_hop_finishing_first_bills_the_outer_sender(self):
+        # The hop's span finishes inside the first request's, before that
+        # request registers an owner: the open send pays for it.
+        telemetry = Telemetry(meter_usage=True)
+        meter = telemetry.usage
+        with telemetry.span(
+            "net.send", source="alice@R", destination="files@R",
+            msg_type="read",
+        ) as outer:
+            outer.set(request_bytes=100)
+            with telemetry.span(
+                "net.send", source="files@R", destination="bank@R",
+                msg_type="debit",
+            ) as hop:
+                hop.set(request_bytes=50, response_bytes=10)
+            assert meter.owner_of(outer.trace_id) is None
+            outer.set(response_bytes=40)
+        assert meter.owner_of(outer.trace_id) == ("alice@R", "read")
+        record = meter.records[("alice@R", "read")]
+        assert (record.messages, record.bytes_sent) == (4, 150)
+        assert record.bytes_received == 50
+        assert set(meter.records) == {("alice@R", "read")}
+
     def test_response_leg_bills_to_the_owner(self):
         meter = UsageMeter()
-        meter.on_wire("t1", "alice@R", "files@R", "read", 100)
-        meter.on_wire(
-            "t1", "files@R", "alice@R", "read-reply", 40, response=True
+        meter.on_span_finish(
+            sent("t1", "alice@R", "files@R", "read", 100, response=40)
         )
         record = meter.records[("alice@R", "read")]
         assert record.bytes_sent == 100
@@ -99,15 +146,18 @@ class TestAttribution:
 
     def test_untraced_response_falls_back_to_destination(self):
         meter = UsageMeter()
-        meter.on_wire(
-            None, "files@R", "alice@R", "read-reply", 40, response=True
+        meter.on_span_finish(
+            sent(None, "alice@R", "files@R", "read", 10, response=40)
         )
         assert meter.records[("alice@R", "read")].bytes_received == 40
+        assert meter.owner_of(None) is None
 
     def test_owner_table_is_bounded_fifo(self):
         meter = UsageMeter(max_traces=2)
         for i in range(3):
-            meter.on_wire(f"t{i}", "alice@R", "files@R", "read", 1)
+            meter.on_span_finish(
+                sent(f"t{i}", "alice@R", "files@R", "read", 1)
+            )
         assert meter.owner_of("t0") is None
         assert meter.owner_of("t2") == ("alice@R", "read")
 
@@ -121,6 +171,7 @@ class TestAttribution:
         meter = UsageMeter()
 
         class FakeSpan:
+            name = "verify.chain"
             attributes = {"grantor": "alice@R", "operation": "verify"}
 
         meter.on_crypto(
@@ -201,7 +252,7 @@ class TestSpanFinishFeeds:
 
     def test_retry_and_degraded_events_are_counted(self):
         meter = UsageMeter()
-        meter.on_wire("t1", "alice@R", "files@R", "read", 10)
+        meter.on_span_finish(sent("t1", "alice@R", "files@R", "read", 10))
         span = self._span(
             "resil.send",
             trace_id="t1",
@@ -214,14 +265,36 @@ class TestSpanFinishFeeds:
 
     def test_net_send_duration_lands_in_the_owner_digest(self):
         meter = UsageMeter()
-        meter.on_wire("t1", "alice@R", "files@R", "read", 10)
-        meter.on_span_finish(
-            self._span("net.send", trace_id="t1", duration=0.01)
-        )
+        span = sent("t1", "alice@R", "files@R", "read", 10)
+        span.end = span.start + 0.01
+        meter.on_span_finish(span)
         assert meter.digests["alice@R"].count == 1
         p50, p95, p99 = meter.percentiles("alice@R")
         assert p50 >= 0.01
         assert p50 <= p95 <= p99
+
+    def test_handlers_bill_self_time_and_deduped_ones_nothing(
+        self, monkeypatch
+    ):
+        ticks = iter([0.0, 1.0, 5.0, 6.0, 6.5, 10.0])
+        monkeypatch.setattr(
+            "repro.obs.trace.time.perf_counter", lambda: next(ticks)
+        )
+        telemetry = Telemetry(meter_usage=True)
+        with telemetry.span(
+            "net.send", source="alice@R", destination="bank@R",
+            msg_type="deposit",
+        ):  # perf 0.0 .. 10.0
+            with telemetry.span("rpc.handle", service="bank@R"):  # 1 .. 6.5
+                with telemetry.span("rpc.handle", service="peer@R"):  # 5 .. 6
+                    pass
+        record = telemetry.usage.records[("alice@R", "deposit")]
+        # Outer handler 5.5 s less its nested 1 s, plus the nested 1 s.
+        assert record.handler_seconds == pytest.approx(5.5)
+        ticks = iter([0.0, 3.0])
+        with telemetry.span("rpc.handle", service="bank@R") as span:
+            span.set(deduped=True)
+        assert set(telemetry.usage.records) == {("alice@R", "deposit")}
 
     def test_unknown_principal_percentiles_are_zero(self):
         assert UsageMeter().percentiles("nobody@R") == (0.0, 0.0, 0.0)
@@ -291,8 +364,7 @@ class TestTariff:
         tariff = Tariff(
             per_message=1,
             per_kib=2,
-            per_crypto_ms=3,
-            per_handler_ms=1,
+            per_crypto_op=3,
             per_retry=4,
             per_degraded_grant=5,
         )
@@ -300,15 +372,43 @@ class TestTariff:
             messages=3,
             bytes_sent=1024,
             bytes_received=1,  # 1025 bytes -> 2 KiB, rounded up
-            crypto_seconds=0.0021,  # -> 3 ms, rounded up
-            handler_seconds=0.0005,  # -> 1 ms, rounded up
+            crypto_ops=2,
+            crypto_seconds=0.0021,
+            handler_seconds=0.0005,
             retries=2,
             degraded_grants=1,
         )
-        assert tariff.price(record) == 3 + 2 * 2 + 3 * 3 + 1 + 2 * 4 + 5
+        assert tariff.price(record) == 3 + 2 * 2 + 2 * 3 + 2 * 4 + 5
+
+    def test_measured_seconds_do_not_move_the_price(self):
+        quick = UsageRecord(messages=2, bytes_sent=900, crypto_ops=4)
+        slow = UsageRecord(
+            messages=2,
+            bytes_sent=900,
+            crypto_ops=4,
+            crypto_seconds=1.5,
+            handler_seconds=0.25,
+        )
+        assert Tariff().price(slow) == Tariff().price(quick) > 0
 
     def test_empty_record_costs_nothing(self):
         assert Tariff().price(UsageRecord()) == 0
+
+    def test_two_processes_post_identical_charges(self, tmp_path):
+        charges = []
+        for run in ("first", "second"):
+            out = tmp_path / f"{run}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "usage", "fig5",
+                 "--charge", "--json", str(out)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            charges.append(json.loads(out.read_text())["charges"])
+        assert charges[0] == charges[1]
+        assert {c["principal"] for c in charges[0]} >= {"bank-b@REPRO.ORG"}
 
 
 class TestChargePosting:
@@ -334,8 +434,8 @@ class TestChargePosting:
 
     def _meter(self):
         meter = UsageMeter()
-        meter.on_wire("t1", "alice@R", "files@R", "read", 2048)
-        meter.on_wire("t2", "bob@R", "files@R", "write", 100)
+        meter.on_span_finish(sent("t1", "alice@R", "files@R", "read", 2048))
+        meter.on_span_finish(sent("t2", "bob@R", "files@R", "write", 100))
         return meter
 
     def test_charges_are_conserved_transfers(self):
