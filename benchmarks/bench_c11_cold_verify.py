@@ -14,17 +14,17 @@ Two cascade shapes at depths 2/4/8:
 * **delegate** chains (Fig. 4 with an audit trail) — every link signed
   by a *registered* identity key, the CERN-style mediated-delegation
   workload where per-verifier key tables apply to every link.  This is
-  the gated workload: tables must beat native by ``--min-speedup``
-  (2.0 by default) at depth 8.
+  the gated workload: tables must beat native by ``MIN_SPEEDUP`` (2.0;
+  ``SMOKE_MIN_SPEEDUP``, 1.5, with ``--smoke``) at depth 8.
 * **bearer** chains — links signed by embedded proxy keys, which earn a
   table only on a warm chain-cache hit; with the caches off there is
   none, so only the generator-side work accelerates.  Reported for
   honesty, not gated.
 
-Run under pytest for the timing fixtures, or as a script::
+Run under pytest for the timing fixtures, or as a script, which prints
+the comparison and exits non-zero when the gate fails::
 
-    PYTHONPATH=src python benchmarks/bench_c11_cold_verify.py \
-        --json BENCH_cold_verify.json --smoke
+    PYTHONPATH=src python benchmarks/bench_c11_cold_verify.py [--smoke]
 """
 
 import argparse
@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from conftest import bench_payload, report, write_bench_json
+from conftest import report
 from repro.clock import SimulatedClock
 from repro.core.evaluation import RequestContext
 from repro.core.presentation import present
@@ -52,6 +52,10 @@ ALICE = PrincipalId("alice")
 CAROL = PrincipalId("carol")
 SERVER = PrincipalId("server")
 DEPTHS = (2, 4, 8)
+
+#: How much faster depth-8 delegate verification must be with tables.
+MIN_SPEEDUP = 2.0
+SMOKE_MIN_SPEEDUP = 1.5
 
 #: (arm, precompute enabled)
 ARMS = (("native", False), ("tables", True))
@@ -138,7 +142,7 @@ def measure(builder, depth, precompute, iterations):
 
 
 def run_comparison(iterations, min_speedup):
-    """The full two-arm comparison; returns the JSON payload."""
+    """The full two-arm comparison; returns the results."""
     results = {}
     rows = []
     for workload, builder in WORKLOADS:
@@ -171,9 +175,6 @@ def run_comparison(iterations, min_speedup):
     )
     gate = results["delegate"]["8"]["tables_speedup"]
     return {
-        "benchmark": "cold_verify",
-        "workload": "cold-cascade-depths-2-4-8",
-        "min_speedup": min_speedup,
         # The headline: delegate cascades at depth 8, tables vs native.
         "speedup": gate,
         "passed": gate >= min_speedup,
@@ -216,48 +217,20 @@ def test_tables_faster_than_native(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# script mode (CI writes BENCH_cold_verify.json from here)
+# script mode
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--json", default="", help="write results to this JSON file"
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="small iteration count and a forgiving speedup floor (CI)",
     )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless delegate depth-8 verification with tables is "
-        "this many times faster than native pow() "
-        "(default 2.0, or 1.5 with --smoke)",
-    )
     args = parser.parse_args(argv)
     iterations = 6 if args.smoke else 25
-    min_speedup = (
-        args.min_speedup
-        if args.min_speedup is not None
-        else (1.5 if args.smoke else 2.0)
-    )
+    min_speedup = SMOKE_MIN_SPEEDUP if args.smoke else MIN_SPEEDUP
     payload = run_comparison(iterations, min_speedup)
-    write_bench_json(
-        args.json,
-        bench_payload(
-            name="cold_verify",
-            config={
-                "iterations": iterations,
-                "min_speedup": min_speedup,
-                "depths": list(DEPTHS),
-            },
-            metrics=payload,
-            passed=payload["passed"],
-        ),
-    )
     if not payload["passed"]:
         print(
             f"FAIL: delegate depth-8 tables speedup "
@@ -265,6 +238,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    print(
+        f"ok: delegate depth-8 tables speedup "
+        f"{payload['speedup']}x >= {min_speedup}x"
+    )
     return 0
 
 

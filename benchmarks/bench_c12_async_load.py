@@ -16,12 +16,12 @@ Three arms over the load generator (``repro.workloads.load``):
 
 Run under pytest for the in-suite assertion, or as a script::
 
-    PYTHONPATH=src python benchmarks/bench_c12_async_load.py \
-        --json BENCH_async_load.json --smoke
+    PYTHONPATH=src:benchmarks python benchmarks/bench_c12_async_load.py [--smoke]
 
-The script exits non-zero when the wire-latency gate fails, the scale
-arm cannot hold the full population in flight, or any arm ends with
-invariant problems.
+The script prints the arms and its gates, and exits non-zero when the
+wire-latency gate fails, the scale arm cannot hold the full population
+in flight, or any arm ends with invariant problems.  ``--smoke`` runs
+smaller populations: a 1k scale burst instead of 10k.
 """
 
 import argparse
@@ -57,22 +57,19 @@ def run_arm(arm: str, **kwargs) -> dict:
     return {
         "arm": arm,
         "mode": report.mode,
-        "scenario": report.scenario,
         "principals": report.principals,
-        "ops_ok": report.ops_ok,
         "ops_failed": report.ops_failed,
         "throughput": round(report.throughput, 1),
         "p50_ms": round(report.percentiles_ms["p50"], 2),
         "p95_ms": round(report.percentiles_ms["p95"], 2),
         "p99_ms": round(report.percentiles_ms["p99"], 2),
         "peak_in_flight": report.peak_in_flight,
-        "messages": report.messages,
-        "prefetched_checks": report.runtime.get("prefetched_checks", 0),
         "problems": list(report.problems),
     }
 
 
-def run_arms(sizes: dict) -> dict:
+def run_arms(sizes: dict) -> bool:
+    """Every arm at ``sizes``; True when all three gates hold."""
     from conftest import report as table
 
     arms = [
@@ -152,28 +149,21 @@ def run_arms(sizes: dict) -> dict:
         a for a in arms if a["arm"] == "pk-verify-wire" and a["mode"] == "aio"
     )
     scale = next(a for a in arms if a["arm"] == "scale-burst")
-    gates = {
-        "wire_latency_speedup": round(
-            pk_aio["throughput"] / pk_sync["throughput"], 2
-        )
+    speedup = (
+        pk_aio["throughput"] / pk_sync["throughput"]
         if pk_sync["throughput"]
-        else 0.0,
-        "wire_latency_gate": pk_aio["throughput"] >= pk_sync["throughput"],
-        "scale_gate": scale["peak_in_flight"] >= scale["principals"],
-        "clean": all(not arm["problems"] for arm in arms),
-    }
-    passed = (
-        gates["wire_latency_gate"] and gates["scale_gate"] and gates["clean"]
+        else 0.0
     )
-    return {
-        "benchmark": "async_load",
-        "seed": SEED,
-        # Top-level scalar for trajectory.py's headline column.
-        "speedup": gates["wire_latency_speedup"],
-        "arms": arms,
-        "gates": gates,
-        "passed": passed,
+    gates = {
+        f"wire latency, aio/sync {speedup:.2f}x >= 1":
+            pk_aio["throughput"] >= pk_sync["throughput"],
+        "scale burst, whole population in flight":
+            scale["peak_in_flight"] >= scale["principals"],
+        "no invariant problems": all(not arm["problems"] for arm in arms),
     }
+    for gate, held in gates.items():
+        print(f"{'ok' if held else 'FAIL'}: {gate}")
+    return all(gates.values())
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +211,18 @@ def test_scale_burst_holds_the_population_in_flight(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# script mode (CI writes BENCH_async_load.json from here)
+# script mode
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--json", default="", help="write results to this JSON file"
-    )
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="smaller populations (CI): 1k scale burst instead of 10k",
     )
     args = parser.parse_args(argv)
-    sizes = SMOKE if args.smoke else FULL
-    from conftest import bench_payload, write_bench_json
-
-    payload = run_arms(sizes)
-    write_bench_json(
-        args.json,
-        bench_payload(
-            name="async_load",
-            config=dict(sizes, **WIRE),
-            metrics=payload,
-            passed=payload["passed"],
-        ),
-    )
-    if not payload["passed"]:
+    if not run_arms(SMOKE if args.smoke else FULL):
         print(
             "FAIL: async delivery lost to the sync baseline under wire "
             "latency, the scale burst fell short, or an invariant broke",

@@ -13,53 +13,14 @@ runs are reproducible) and reports two kinds of results:
 
 from __future__ import annotations
 
-import json
-from datetime import datetime, timezone
-
 import pytest
 
 from repro.obs import Telemetry
 from repro.testbed import Realm
 
-_REPORTED = []
-
-#: Version of the BENCH_*.json envelope below.  Bump when the shape of the
-#: envelope itself changes (not when a benchmark adds a metric).
-BENCH_SCHEMA = 1
-
-
-def bench_payload(name, config, metrics, passed=True):
-    """The common envelope every ``BENCH_*.json`` artifact uses.
-
-    All script-mode benchmarks write the same four-field shape —
-    ``name``, ``config`` (the knobs this run used), ``metrics`` (whatever
-    the benchmark measured), and a ``run_at`` timestamp — so
-    ``benchmarks/trajectory.py`` can aggregate artifacts from different
-    benchmarks and different CI runs into one table without per-benchmark
-    parsing.
-    """
-    return {
-        "schema": BENCH_SCHEMA,
-        "name": str(name),
-        "config": dict(config),
-        "metrics": dict(metrics),
-        "passed": bool(passed),
-        "run_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-
-
-def write_bench_json(path, payload) -> str:
-    """Print the payload and, when ``path`` is set, write it to disk."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return text
-
 
 def report(title: str, rows, columns) -> None:
-    """Print one experiment table (also collected for the session summary).
+    """Print one experiment table.
 
     Rows shorter than the header are padded (and longer ones truncated) so
     a benchmark that filtered everything out — or emitted a partial row —
@@ -88,14 +49,7 @@ def report(title: str, rows, columns) -> None:
         lines.append(
             "  " + " | ".join(v.ljust(w) for v, w in zip(row, widths))
         )
-    text = "\n".join(lines)
-    _REPORTED.append(text)
-    print(text)
-
-
-@pytest.fixture
-def realm():
-    return Realm(seed=b"bench-realm")
+    print("\n".join(lines))
 
 
 @pytest.fixture

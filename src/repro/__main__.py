@@ -15,7 +15,7 @@ like git commits).
 ``python -m repro forensics --from spans.jsonl`` reloads a ``--jsonl``
 span dump for offline forensics: summarize the traces it contains,
 render one with ``--trace``, or schema-check the dump with
-``--validate`` (the CI trace-smoke gate).
+``--validate`` (the CI obs job's gate).
 
 ``python -m repro chaos <figure>`` runs a seeded fault campaign against
 the same figure workloads on the resilience layer and prints a recovery
@@ -566,7 +566,7 @@ def main(argv=None) -> None:
     forensics_parser.add_argument(
         "--validate",
         action="store_true",
-        help="schema-check the dump (CI trace-smoke); non-zero on problems",
+        help="schema-check the dump (CI obs job); non-zero on problems",
     )
     chaos_parser = sub.add_parser(
         "chaos",

@@ -2,7 +2,7 @@
 
 Every balance change on an accounting server is a multi-leg
 :class:`~repro.ledger.posting.Posting` applied through a
-:class:`~repro.ledger.ledger.Ledger`: all-or-nothing, journaled,
+:class:`~repro.ledger.ledger.Ledger`: all-or-nothing,
 conservation-checked per posting, and idempotent under the resilience
 layer's retry ids.  ``python -m repro chaos fig5-mix`` drives the whole
 accounting surface with seeded op variants — including malformed

@@ -6,7 +6,7 @@ a currency and a balance."  :class:`Account` and :class:`Hold` are the
 in-memory records; every *mutation* of them is owned by
 :class:`~repro.ledger.ledger.Ledger` — service code builds postings
 instead of calling :meth:`Account.credit`/:meth:`Account.debit` directly,
-so the journal can undo any partial operation.
+so the ledger can undo any partial operation.
 """
 
 from __future__ import annotations

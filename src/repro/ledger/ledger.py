@@ -1,4 +1,4 @@
-"""The journaled ledger: atomic postings with rollback and idempotency.
+"""The ledger: atomic postings with rollback and idempotency.
 
 The paper's accounting semantics are transactional in spirit — "once a
 check is paid, the accounting server keeps track of the check number"
@@ -37,8 +37,7 @@ the balances match:
   survive a process crash (``docs/durability.md``).
 
 Telemetry counters (``ledger.postings_applied_total``,
-``ledger.postings_rolled_back_total``, ``ledger.postings_deduped_total``,
-``ledger.journal_trimmed_total``)
+``ledger.postings_rolled_back_total``, ``ledger.postings_deduped_total``)
 land in the obs registry alongside the rest of the server's metrics.
 """
 
@@ -75,7 +74,9 @@ class Problem(str):
 
 @dataclass
 class PostingRecord:
-    """One committed posting in the journal."""
+    """One applied posting: what :meth:`Ledger.post` returns, what a
+    transaction frame holds until it commits, and what a dedupe key maps
+    to."""
 
     posting_id: int
     posting: Posting
@@ -121,7 +122,7 @@ class AccountState:
 
 
 class Ledger(Durable):
-    """Atomic, journaled, idempotent application of postings to accounts."""
+    """Atomic, idempotent application of postings to accounts."""
 
     SNAPSHOT = "accounting"
     RECORDS = ("posting", "account")
@@ -132,7 +133,6 @@ class Ledger(Durable):
         clock: Clock,
         telemetry=None,
         server: str = "",
-        max_journal: int = 4096,
         dedupe_window: float = 300.0,
         max_dedupe: int = 4096,
     ) -> None:
@@ -142,9 +142,7 @@ class Ledger(Durable):
         self.clock = clock
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
         self.server = server
-        self.max_journal = max_journal
         self.dedupe_window = dedupe_window
-        self.journal: List[PostingRecord] = []
         #: dedupe_key -> record, held until ``record.time + dedupe_window``.
         self._dedupe = BoundedStore(max_dedupe, clock.now)
         self._txn_stack: List[List[PostingRecord]] = []
@@ -155,15 +153,6 @@ class Ledger(Durable):
         #: Net funds created (mint) and imported (inbound), per currency.
         self.minted: Dict[str, int] = {}
         self.imported: Dict[str, int] = {}
-        # Lifetime counters (also mirrored into telemetry).
-        self.postings_applied = 0
-        self.postings_rolled_back = 0
-        self.postings_deduped = 0
-        #: Journal records discarded by the in-memory bound.  Durability
-        #: and recovery never depend on the bounded journal — committed
-        #: postings reach the WAL before any trim — but the truncation is
-        #: counted so it is visible, not silent.
-        self.journal_trimmed = 0
 
     # ------------------------------------------------------------------
     # Applying postings
@@ -172,7 +161,7 @@ class Ledger(Durable):
     def post(
         self, posting: Posting, dedupe_key: Optional[str] = None
     ) -> PostingRecord:
-        """Apply ``posting`` atomically; returns the journal record.
+        """Apply ``posting`` atomically; returns its record.
 
         With ``dedupe_key`` set, a key already applied (and not expired)
         short-circuits: the original record is returned and no balance
@@ -183,7 +172,6 @@ class Ledger(Durable):
         if dedupe_key is not None:
             prior = self._dedupe.lookup(dedupe_key)
             if prior is not None:
-                self.postings_deduped += 1
                 self.telemetry.inc(
                     "ledger.postings_deduped_total",
                     help="Postings skipped because their dedupe key "
@@ -222,7 +210,6 @@ class Ledger(Durable):
             self._count_rollback(posting)
             raise
         self._next_id += 1
-        self.journal.append(record)
         if dedupe_key is not None:
             self._dedupe.put(
                 dedupe_key, record, record.time + self.dedupe_window
@@ -231,9 +218,7 @@ class Ledger(Durable):
             self._txn_stack[-1].append(record)
         else:
             self._commit(record)
-            self._trim_journal()
         self._account_totals(posting)
-        self.postings_applied += 1
         self.telemetry.inc(
             "ledger.postings_applied_total",
             help="Postings applied to the ledger, by kind.",
@@ -272,7 +257,6 @@ class Ledger(Durable):
         else:
             for record in frame:
                 self._commit(record)
-            self._trim_journal()
 
     def _commit(self, record: PostingRecord) -> None:
         """A record is final — an outer rollback can no longer undo it."""
@@ -366,19 +350,12 @@ class Ledger(Durable):
     def _undo_record(self, record: PostingRecord) -> None:
         for leg, undo_state in reversed(record.applied):
             self._reverse_leg(leg, undo_state)
-        # Records in a frame are the journal's tail, newest last; frames
-        # unwind newest-record-first, so the tail pop lines up.
-        if self.journal and self.journal[-1] is record:
-            self.journal.pop()
-        else:  # pragma: no cover - structural invariant
-            self.journal.remove(record)
         if record.dedupe_key is not None:
             self._dedupe.pop(record.dedupe_key, None)
         self._account_totals(record.posting, sign=-1)
         self._count_rollback(record.posting)
 
     def _count_rollback(self, posting: Posting) -> None:
-        self.postings_rolled_back += 1
         self.telemetry.inc(
             "ledger.postings_rolled_back_total",
             help="Postings reversed by a failed leg or transaction "
@@ -406,19 +383,6 @@ class Ledger(Durable):
                 self.imported[leg.currency] = (
                     self.imported.get(leg.currency, 0) + sign * delta
                 )
-
-    def _trim_journal(self) -> None:
-        overflow = len(self.journal) - self.max_journal
-        if overflow > 0:
-            del self.journal[:overflow]
-            self.journal_trimmed += overflow
-            self.telemetry.inc(
-                "ledger.journal_trimmed_total",
-                overflow,
-                help="Posting records dropped from the bounded in-memory "
-                "journal (durability is WAL-backed and unaffected).",
-                server=self.server,
-            )
 
     # ------------------------------------------------------------------
     # Durability (see docs/durability.md)
@@ -502,9 +466,7 @@ class Ledger(Durable):
         }
 
     def restore_state(self, state: dict) -> None:
-        """The in-memory journal is *not* rebuilt — it is a bounded
-        diagnostic view, and pre-snapshot records are definitionally
-        beyond its horizon; WAL replay repopulates the recent tail."""
+        """The accounts and derived state :meth:`capture_state` saved."""
         # In place: the owning server shares this same dict object.
         self.accounts.clear()
         for name, data in state["accounts"].items():
@@ -607,6 +569,3 @@ class Ledger(Durable):
 
     def in_transaction(self) -> bool:
         return bool(self._txn_stack)
-
-    def __len__(self) -> int:
-        return len(self.journal)

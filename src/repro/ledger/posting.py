@@ -172,7 +172,7 @@ class Posting:
     Build with the leg helpers, then hand to
     :meth:`~repro.ledger.ledger.Ledger.post` — never mutate accounts
     directly.  ``description`` names the business operation for the
-    journal/audit trail.
+    WAL and the audit trail.
     """
 
     legs: Tuple[Leg, ...]

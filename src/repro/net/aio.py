@@ -86,8 +86,6 @@ class AioStats:
     batched_messages: int = 0
     #: Deepest inbox backlog observed at drain time.
     max_queue_depth: int = 0
-    #: Prefetcher invocations (batches offered for cache warming).
-    prefetch_calls: int = 0
     #: Signature checks warmed into the cache by prefetchers.
     prefetched_checks: int = 0
     #: Client-side waits that gave up (RequestTimeoutError raised).
@@ -398,7 +396,6 @@ class AioNetwork(Network):
     def _prefetch(
         self, prefetcher: Prefetcher, batch: Sequence[_Delivery]
     ) -> None:
-        self.stats.prefetch_calls += 1
         try:
             warmed = prefetcher(
                 [(d.msg_type, d.payload) for d in batch]

@@ -9,7 +9,7 @@ effect?* — becomes a lookup instead of a log grep.  The store answers:
 * :meth:`by_principal` — every trace a principal participated in;
 * :meth:`slowest` / :meth:`failed` — the anomalies worth a forensic look.
 
-:func:`validate_spans` is the schema check the CI trace-smoke job runs
+:func:`validate_spans` is the schema check the CI obs job runs
 over a ``--jsonl`` dump: every span carries a trace id, every parent
 reference resolves, and no trace is an orphan collection of spanless ids.
 """
@@ -142,7 +142,7 @@ class TraceStore:
         self._count = 0
 
 
-# -- JSONL schema validation (CI trace-smoke) --------------------------------
+# -- JSONL schema validation (CI obs job) ------------------------------------
 
 
 def load_spans_jsonl(text: str) -> List[Span]:
@@ -163,7 +163,7 @@ def load_spans_jsonl(text: str) -> List[Span]:
 def validate_spans(spans: Iterable[Span]) -> List[str]:
     """Schema-check a span dump; returns human-readable violations.
 
-    The invariants the trace-smoke CI job enforces:
+    The invariants the obs CI job enforces:
 
     * every span carries a 32-hex ``trace_id``;
     * every non-null ``parent_id`` resolves to a span in the dump, and the

@@ -198,7 +198,7 @@ class Telemetry:
     def run(self, label: str):
         return self.tracer.run(label)
 
-    def event(self, name: str, **attributes: object) -> SpanEvent:
+    def event(self, name: str, **attributes: object) -> Optional[SpanEvent]:
         return self.tracer.event(name, **attributes)
 
     def wire_context(self) -> Optional[str]:

@@ -220,7 +220,6 @@ class Tracer:
         self._rng = rng
         self._rng_lock = threading.Lock()
         self.spans: List[Span] = []
-        self.orphan_events: List[SpanEvent] = []
         #: The open spans, outermost first, of the running thread or task.
         #: One variable per tracer: another tracer's spans are never a
         #: local parent, so a second realm adopts the wire context.
@@ -305,16 +304,13 @@ class Tracer:
             span.run_id = run_id
             yield span
 
-    def event(self, name: str, **attributes: object) -> SpanEvent:
-        """Record a point event on the current span (or as an orphan)."""
+    def event(self, name: str, **attributes: object) -> Optional[SpanEvent]:
+        """Record a point event on the current span; outside any span
+        there is nothing to attach it to, and it is dropped."""
         open_spans = self._open.get()
         if open_spans:
             return open_spans[-1].add_event(self._now(), name, **attributes)
-        event = SpanEvent(
-            time=self._now(), name=name, attributes=dict(attributes)
-        )
-        self.orphan_events.append(event)
-        return event
+        return None
 
     # -- inspection ----------------------------------------------------------
 
@@ -348,4 +344,3 @@ class Tracer:
     def clear(self) -> None:
         """Drop recorded spans (open spans are kept)."""
         self.spans = [s for s in self.spans if s.end is None]
-        self.orphan_events.clear()

@@ -32,7 +32,7 @@ Implemented flows:
 
 Every balance change goes through the server's
 :class:`~repro.ledger.ledger.Ledger` as a multi-leg posting: all-or-nothing
-with journal rollback, conservation-checked per posting, and idempotent
+with rollback, conservation-checked per posting, and idempotent
 under the resilience layer's retry ids.  Each RPC runs inside one ledger
 transaction that also encloses the accept-once registry transaction, so
 check-number consumption, hold lifecycle, and settlement credits commit or

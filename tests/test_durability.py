@@ -239,8 +239,8 @@ class TestRecoveredBooks:
         assert bank2.accounts["alice"].balance("dollars") == 65
 
 
-class TestJournalTrim:
-    def test_trim_is_counted_and_durability_is_unaffected(self, tmp_path):
+class TestManyPostings:
+    def test_every_committed_posting_recovers_from_the_wal(self, tmp_path):
         realm = Realm(seed=b"durab-trim", resilience=True)
         alice = realm.user("alice")
         bob = realm.user("bob")
@@ -249,15 +249,11 @@ class TestJournalTrim:
         )
         bank.create_account("alice", alice.principal, {"dollars": 1000})
         bank.create_account("bob", bob.principal)
-        bank.ledger.max_journal = 4
         client = alice.accounting_client(bank.principal)
         for _ in range(10):
             client.transfer("alice", "bob", "dollars", 1)
-        # The bounded journal dropped records — visibly, not silently.
-        assert bank.ledger.journal_trimmed > 0
-        assert len(bank.ledger.journal) <= 4
-        # Every committed posting reached the WAL before any trim: the
-        # recovered books match even though the journal forgot them.
+        # Every committed posting reached the WAL: the recovered books
+        # hold all ten transfers.
         realm.network.unregister(realm.principal("bank"))
         bank2 = realm.restart_accounting_server(
             "bank", durability=DurabilityStore(str(tmp_path / "bank"))
@@ -266,24 +262,6 @@ class TestJournalTrim:
         assert bank2.accounts["alice"].balance("dollars") == 990
         assert bank2.accounts["bob"].balance("dollars") == 10
         assert bank2.ledger.audit_discrepancies() == []
-
-    def test_trim_total_reaches_telemetry(self, tmp_path):
-        from repro.obs.telemetry import Telemetry
-
-        telemetry = Telemetry()
-        realm = Realm(seed=b"durab-trim-obs", telemetry=telemetry)
-        alice = realm.user("alice")
-        bob = realm.user("bob")
-        bank = realm.accounting_server("bank")
-        bank.create_account("alice", alice.principal, {"dollars": 100})
-        bank.create_account("bob", bob.principal)
-        bank.ledger.max_journal = 2
-        client = alice.accounting_client(bank.principal)
-        for _ in range(5):
-            client.transfer("alice", "bob", "dollars", 1)
-        counter = telemetry.metrics.get("ledger.journal_trimmed_total")
-        assert counter is not None
-        assert bank.ledger.journal_trimmed >= 3
 
 
 class TestRecoveredRetention:

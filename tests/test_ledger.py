@@ -1,5 +1,7 @@
 """Unit tests for the transactional ledger core (repro.ledger)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.clock import SimulatedClock
@@ -21,6 +23,7 @@ from repro.ledger import (
     place_hold,
     release_hold,
 )
+from repro.obs import Telemetry
 
 ALICE = PrincipalId("alice", "TEST.ORG")
 BOB = PrincipalId("bob", "TEST.ORG")
@@ -41,8 +44,9 @@ def accounts():
 
 @pytest.fixture
 def ledger(accounts, clock):
-    """A ledger seeded (via a MINT posting) with a=100, b=50 usd."""
-    led = Ledger(accounts, clock)
+    """A ledger seeded (via a MINT posting) with a=100, b=50 usd, counting
+    into a live telemetry registry."""
+    led = Ledger(accounts, clock, telemetry=Telemetry())
     led.post(
         Posting(
             legs=(credit("a", "usd", 100), credit("b", "usd", 50)),
@@ -50,6 +54,12 @@ def ledger(accounts, clock):
         )
     )
     return led
+
+
+def counted(ledger, name):
+    """The ledger's ``ledger.<name>_total`` counter, summed over labels."""
+    counter = ledger.telemetry.metrics.get(f"ledger.{name}_total")
+    return counter.total() if counter is not None else 0
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +134,7 @@ class TestAtomicPost:
             )
         assert accounts["a"].balance("usd") == 100
         assert accounts["b"].balance("usd") == 50
-        assert ledger.postings_rolled_back == 1
+        assert counted(ledger, "postings_rolled_back") == 1
         assert ledger.audit_discrepancies() == []
 
     def test_partial_failure_reverses_applied_legs(self, ledger, accounts):
@@ -145,9 +155,16 @@ class TestAtomicPost:
         assert accounts["b"].balance("usd") == 150
 
     def test_journal_records_postings(self, ledger):
-        before = len(ledger)
-        ledger.post(Posting(legs=(debit("a", "usd", 1), credit("b", "usd", 1))))
-        assert len(ledger) == before + 1
+        # The ledger's journal is its WAL: each committed posting is
+        # appended there as one ``posting`` record.
+        logged = []
+        ledger.wal = SimpleNamespace(
+            append=lambda kind, data: logged.append((kind, data))
+        )
+        record = ledger.post(
+            Posting(legs=(debit("a", "usd", 1), credit("b", "usd", 1)))
+        )
+        assert logged == [("posting", ledger.record_to_wire(record))]
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +264,7 @@ class TestTransactions:
         assert accounts["a"].balance("usd") == 100
         assert accounts["b"].balance("usd") == 50
         assert accounts["a"].holds == {}
-        assert ledger.postings_rolled_back == 2
+        assert counted(ledger, "postings_rolled_back") == 2
         assert not ledger.in_transaction()
         assert ledger.audit_discrepancies() == []
 
@@ -302,7 +319,8 @@ class TestDedupe:
         second = ledger.post(posting, dedupe_key="rid-7")
         assert second is first
         assert accounts["b"].balance("usd") == 60  # applied exactly once
-        assert ledger.postings_deduped == 1
+        assert counted(ledger, "postings_deduped") == 1
+        assert counted(ledger, "postings_applied") == 2  # the mint, then this
 
     def test_expired_key_reapplies(self, ledger, accounts, clock):
         posting = Posting(legs=(debit("a", "usd", 10), credit("b", "usd", 10)))
@@ -341,14 +359,12 @@ class TestAudit:
         assert ledger.minted == {"usd": 150}
         assert ledger.imported == {"usd": 25}
 
-    def test_journal_is_bounded(self, clock):
+    def test_totals_are_running_sums_over_many_postings(self, clock):
         fresh = {
             "a": Account(name="a", owner=ALICE, balances={"usd": 0}),
         }
-        led = Ledger(fresh, clock, max_journal=10)
+        led = Ledger(fresh, clock)
         for _ in range(50):
             led.post(Posting(legs=(credit("a", "usd", 1),), kind=MINT))
-        assert len(led.journal) == 10
-        # Derived totals survive trimming: they are running sums, not
-        # journal replays.
         assert led.totals() == {"usd": 50}
+        assert led.expected_totals() == {"usd": 50}

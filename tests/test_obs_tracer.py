@@ -64,8 +64,11 @@ class TestNesting:
         assert event.attributes == {"detail": "x"}
 
     def test_orphan_events(self, tracer):
-        tracer.event("floating")
-        assert [e.name for e in tracer.orphan_events] == ["floating"]
+        # Outside any span an event has nothing to attach to: dropped.
+        assert tracer.event("floating") is None
+        with tracer.span("s") as span:
+            pass
+        assert span.events == []
 
 
 class TestRuns:

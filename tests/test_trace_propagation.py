@@ -175,6 +175,7 @@ class TestResilientAttempts:
 
 class TestLedgerCorrelation:
     def test_postings_record_the_trace_that_caused_them(self):
+        from repro.ledger import Posting, credit, debit
         from repro.testbed import Realm
 
         telemetry = Telemetry()
@@ -193,25 +194,35 @@ class TestLedgerCorrelation:
             )
             payee_client.deposit_check(check, "payee")
 
-        in_trace = [
-            r
-            for r in bank.ledger.journal
-            if r.trace_id == run_span.trace_id
-        ]
-        assert in_trace, "no posting recorded the clearing trace"
-        # The span events name the same postings, in causal position.
-        events = [
+        # The span events name the clearing's postings, in causal position.
+        posted = [
             e
             for s in telemetry.tracer.spans
             if s.trace_id == run_span.trace_id
             for e in s.events
             if e.name == "ledger.post"
         ]
-        assert {e.attributes["posting_id"] for e in events} >= {
-            r.posting_id for r in in_trace
-        }
+        assert posted, "no posting recorded the clearing trace"
+
+        # A resend under the same retry id is deduped, and its event names
+        # the trace of the first application: the join key from a balance
+        # change back to the request that caused it.
+        transfer = Posting(
+            legs=(debit("payor", "dollars", 1), credit("payee", "dollars", 1))
+        )
+        with telemetry.run("first") as first:
+            record = bank.ledger.post(transfer, dedupe_key="rid-1")
+        with telemetry.run("resend") as resend:
+            assert bank.ledger.post(transfer, dedupe_key="rid-1") is record
+        assert record.trace_id == first.trace_id != resend.trace_id
+        (deduped,) = [
+            e for e in resend.events if e.name == "ledger.post.deduped"
+        ]
+        assert deduped.attributes["posting_id"] == record.posting_id
+        assert deduped.attributes["first_trace_id"] == first.trace_id
 
     def test_untraced_postings_have_no_trace_id(self):
+        from repro.ledger import Posting, credit, debit
         from repro.testbed import Realm
 
         realm = Realm(seed=b"trace-ledger-off")
@@ -219,9 +230,10 @@ class TestLedgerCorrelation:
         bank = realm.accounting_server("bank")
         bank.create_account("payor", user.principal, {"dollars": 100})
         bank.create_account("other", realm.user("other").principal)
-        client = user.accounting_client(bank.principal)
-        client.transfer("payor", "other", "dollars", 1)
-        assert all(r.trace_id is None for r in bank.ledger.journal)
+        transfer = Posting(
+            legs=(debit("payor", "dollars", 1), credit("other", "dollars", 1))
+        )
+        assert bank.ledger.post(transfer).trace_id is None
 
 
 class TestExemplars:

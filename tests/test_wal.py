@@ -352,7 +352,7 @@ class TestRecordsAreDeclared:
         with pytest.raises(WireSchemaError, match=r"Leg\.amount"):
             target.replay("posting", wire)
         assert target.accounts["a"].balances == {}
-        assert len(target) == 0
+        assert target.expected_totals() == {}
 
     def test_a_snapshot_hold_is_decoded_by_its_declaration(self):
         source = self.ledger()

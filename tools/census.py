@@ -74,7 +74,7 @@ TESTS = [
 _FIGS = "fig1 fig3 fig4 fig5 pk-verify"
 _BENCH_SCRIPTS = (
     "c8_verify_cache c11_cold_verify c9_resilience trace_overhead "
-    "usage_overhead c12_async_load durability"
+    "usage_overhead c12_async_load"
 ).split()
 
 PRODUCT = [
@@ -84,12 +84,7 @@ PRODUCT = [
     " --benchmark-warmup=off",
     "python -m pytest -q -p no:cacheprovider --benchmark-disable benchmarks/bench_*.py",
     "python -m repro trace fig3",
-    *(
-        f"python benchmarks/bench_{name}.py --smoke --json {{out}}/BENCH_{name}.json"
-        for name in _BENCH_SCRIPTS
-    ),
-    "python benchmarks/trajectory.py {out}/BENCH_c8_verify_cache.json"
-    " {out}/BENCH_c11_cold_verify.json",
+    *(f"python benchmarks/bench_{name}.py --smoke" for name in _BENCH_SCRIPTS),
     "python -m repro trace fig4",
     "python -m repro trace fig4 --no-verify-cache",
     "python -m repro chaos fig1 --seed 7 --drop-rate 0.2 --kill-primary",
@@ -106,6 +101,7 @@ PRODUCT = [
     "python -m repro trace fig5 --follow $(python -m repro trace fig5"
     " | grep -A3 'traces recorded' | grep -oE '[0-9a-f]{{32}}' | head -1)",
     "python -m repro usage fig1",
+    "python -m repro usage fig3",
     "python -m repro usage fig4",
     "python -m repro usage fig5 --charge",
     "python -m repro usage pk-verify",
@@ -113,6 +109,7 @@ PRODUCT = [
     "python -m repro profile fig4 --weight count",
     "python -m repro load echo --principals 1000 --ops 1 --concurrency 256 --usage",
     "python -m repro load fig5 --principals 25 --ops 2 --concurrency 16 --usage",
+    "python -m repro load fig3 --principals 8 --ops 2 --concurrency 8 --usage",
     "python -m repro load fig4 --mode sync --principals 10 --ops 2",
     "python -m repro load pk-verify --mode sync --principals 10 --ops 2",
     "python -m repro chaos fig4 --seed 7 --crash-restart files:5",
